@@ -52,6 +52,25 @@ def _unpack2(words, ncols):
     return bits[:, :ncols].astype(np.uint8)
 
 
+def row_times(x, mat):
+    """x . mat for a row vector x encoded one byte per entry, returned in
+    the same encoding; mat is read in its stored form.
+
+    For p = 2 the packed rows of mat picked out by the odd entries of x are
+    XORed and the sum is unpacked once; for odd p it is one int64 product
+    mod p.
+    """
+    v = np.frombuffer(x, dtype=np.uint8)
+    if len(v) != mat.nrows:
+        raise ValueError("shape mismatch")
+    if mat.p == 2:
+        acc = np.bitwise_xor.reduce(mat.data[np.flatnonzero(v & 1)], axis=0)
+        return np.unpackbits(acc.view(np.uint8), bitorder="little",
+                             count=mat.ncols).tobytes()
+    prod = v.astype(np.int64) @ mat.data.astype(np.int64)
+    return (prod % mat.p).astype(np.uint8).tobytes()
+
+
 class FqMatrix:
     """Immutable-by-convention matrix over F_p."""
 

@@ -10,11 +10,16 @@ n_j = |H| / |S| exactly.
 
 The stored fiber sets are canonical per K-orbit chunk, so two records of
 the same H-orbit always share a stored point once both cover more than half
-of it; that makes the pairwise disjointness test deterministic, while point
-membership is tested by random H-walks (one-sided: a hit is a proof).
+of it; that makes the pairwise disjointness test deterministic.  Point
+membership is tested by random H-walks (one-sided: a hit is a proof).  The
+stores of distinct records are disjoint subsets of distinct H-orbits, so
+one walk, normalizing each step and looking it up in a single
+stored key -> orbit index, tests a point against every record at once
+(`walk`; Mueller, Neunhoeffer, Wilson, J. Algebra 314, 2007).  The
+accumulated stabilizer of a record grows by `GeneratedGroup.extend`, one
+Schreier generator at a time.
 """
 
-import json
 import random
 from fractions import Fraction
 
@@ -24,7 +29,8 @@ from . import gfmat
 from .gfmat import FqMatrix, ModuleRep
 from .permgrp import (GeneratedGroup, Permutation, RandomStream,
                       evaluate_word, group_from_json, load_word_json,
-                      seed_mix, word_concat, word_inverse)
+                      schreier_stabilizer, seed_mix, word_concat,
+                      word_inverse)
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -81,9 +87,7 @@ class VectorDomain:
         self.dim = dim
 
     def apply(self, x, actor):
-        v = np.frombuffer(x, dtype=np.uint8).astype(np.int64)
-        out = (FqMatrix(self.p, v.reshape(1, -1)) * actor).toarray()[0]
-        return out.tobytes()
+        return gfmat.row_times(x, actor)
 
     def key(self, x):
         return x
@@ -267,10 +271,7 @@ class HelperSetup:
         wdom = VectorDomain(dom.p, dimw)
         self.q_kind = "vector"
         self.w_domain = wdom
-        self.project = lambda x, _p=proj, _d=dom: (
-            (FqMatrix(_d.p, np.frombuffer(x, dtype=np.uint8)
-                      .astype(np.int64).reshape(1, -1)) * _p)
-            .toarray()[0].tobytes())
+        self.project = lambda x: gfmat.row_times(x, proj)
         self._q_gens = q_gens
         self._q_inv = [g.inverse() for g in q_gens]
         self._q_points = [wdom.encode(v) for v in
@@ -288,9 +289,7 @@ class HelperSetup:
                 self.q_kind == "identity"
                 and self.ctx.domain.kind == "permutation"):
             return gen.images[q]
-        p = gen.p
-        v = np.frombuffer(q, dtype=np.uint8).astype(np.int64)
-        return (FqMatrix(p, v.reshape(1, -1)) * gen).toarray()[0].tobytes()
+        return gfmat.row_times(q, gen)
 
     # -- K-orbit table --------------------------------------------------------
 
@@ -331,43 +330,14 @@ class HelperSetup:
         if self.k_group is None or not self.k_gens:
             orb.stab_order = 1
             return
-        target = self.k_order // orb.length
-        if target == 1:
-            orb.stab_order = 1
-            return
-        current = GeneratedGroup([], self.k_group.degree)
-        current.build_chain()
-        kept = []
         words = {orb.dist: ()}
-        for q in order:
-            if q not in words:
-                gi, parent = orb.tree[q]
-                words[q] = word_concat(words[parent], ((gi, 1),))
-        for q in order:
-            for gi in range(len(self.k_gens)):
-                img = self._q_act(q, gi)
-                w = word_concat(words[q], ((gi, 1),),
-                                word_inverse(words[img]))
-                perm = evaluate_word(
-                    w, self.k_group.gens,
-                    Permutation.identity(self.k_group.degree))
-                if perm.is_identity() or perm in current:
-                    continue
-                kept.append(w)
-                gens = [evaluate_word(x, self.k_group.gens,
-                                      Permutation.identity(
-                                          self.k_group.degree))
-                        for x in kept]
-                current = GeneratedGroup(gens, self.k_group.degree)
-                current.build_chain()
-                if current.order() == target:
-                    orb.stab_words = kept
-                    orb.stab_order = target
-                    return
-        orb.stab_words = kept
-        orb.stab_order = current.order()
-        if orb.stab_order != target:
-            raise AssertionError("K-orbit stabilizer generation incomplete")
+        for q in order[1:]:
+            gi, parent = orb.tree[q]
+            words[q] = words[parent] + ((gi, 1),)
+        group, orb.stab_words = schreier_stabilizer(
+            order, words, self._q_act, self.k_group.gens,
+            self.k_group.degree, self.k_order // orb.length)
+        orb.stab_order = group.order()
 
     def tree_word(self, q):
         """K-word w with distinguished . w = q."""
@@ -473,10 +443,9 @@ def enumerate_suborbit(ctx, helper, v, reach_word=(), full=False):
     record = OrbitRecord(dom.key(v), reach_word)
     certify = ctx.faithful_h is not None and not full
     h_order = ctx.h_order
-    if ctx.faithful_h is not None:
-        ident = Permutation.identity(ctx.faithful_h.degree)
-    stab_gens = []
     stab_group = None
+    if ctx.faithful_h is not None:
+        stab_group = GeneratedGroup([], ctx.faithful_h.degree)
     stab_order = 1
 
     z0, w0 = normalize_point(helper, record.rep)
@@ -522,14 +491,8 @@ def enumerate_suborbit(ctx, helper, v, reach_word=(), full=False):
                     loop = (_node_perm(ctx, record, root)
                             * ctx.h_word_perm(edge)
                             * _node_perm(ctx, record, z).inverse())
-                    if loop.is_identity() or (
-                            stab_group is not None and loop in stab_group):
-                        continue
-                    stab_gens.append(loop)
-                    stab_group = GeneratedGroup(stab_gens,
-                                                ctx.faithful_h.degree)
-                    stab_group.build_chain()
-                    stab_order = stab_group.order()
+                    if stab_group.extend(loop):
+                        stab_order = stab_group.order()
         if certify and 2 * record.covered * stab_order > h_order:
             record.length = h_order // stab_order
             record.stab_order = stab_order
@@ -586,25 +549,36 @@ def _store_fiber(ctx, helper, record, z):
     record.covered += helper.orbits[oid].length * fiber
 
 
-def membership(ctx, helper, record, x, rng, budget=200):
-    """Randomized membership: True is certain, otherwise 'unknown'.
+def walk(ctx, helper, index, x, rng, budget=200):
+    """One random H-walk from x, looked up step by step in `index`.
 
-    Tries the point itself, then random H-generator walks; any walk point
-    whose normalization lands in the store proves membership.
+    index maps stored keys to anything but None: a record's store, or the
+    stored keys of many records to their records or orbit numbers.  The
+    point itself is normalized and looked up first, then after each of at
+    most `budget` random H-generator steps.  Returns the value of the first
+    hit, which proves the point lies in that stored key's H-orbit, or None.
     """
     y = ctx.domain.key(x)
     z, _ = normalize_point(helper, y)
-    if z in record.store:
-        return True
+    hit = index.get(z)
     nh = len(ctx.h_gens)
-    if nh == 0:
-        return "unknown"
+    if hit is not None or nh == 0:
+        return hit
     for _ in range(budget):
         y = ctx.domain.apply(y, ctx.h_gens[rng.randrange(nh)])
         z, _ = normalize_point(helper, y)
-        if z in record.store:
-            return True
-    return "unknown"
+        hit = index.get(z)
+        if hit is not None:
+            return hit
+    return None
+
+
+def membership(ctx, helper, record, x, rng, budget=200):
+    """Randomized membership in one record: True is certain, otherwise
+    'unknown'.  A `walk` against the record's store."""
+    if walk(ctx, helper, record.store, x, rng, budget) is None:
+        return "unknown"
+    return True
 
 
 def disjoint(rec_a, rec_b):
@@ -708,15 +682,12 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
         raise ValueError("classify needs the target index [G:H]")
     stream = ctx.g_stream(seed)
     rng = random.Random(seed_mix(seed, 0xC1A551F1))
-    records = [enumerate_suborbit(ctx, helper, ctx.v1, ())]
-    records[0].pair_rec = records[0]
+    records = []
+    index = {}    # stored key -> record, over every record kept so far
     probes = 0
 
     def find(x):
-        for rec in records:
-            if membership(ctx, helper, rec, x, rng, walk_budget) is True:
-                return rec
-        return None
+        return walk(ctx, helper, index, x, rng, walk_budget)
 
     def add_new(x, word):
         rec = enumerate_suborbit(ctx, helper, x, word)
@@ -724,7 +695,11 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
             if not disjoint(rec, other):
                 return other, False
         records.append(rec)
+        index.update(dict.fromkeys(rec.store, rec))
         return rec, True
+
+    add_new(ctx.v1, ())
+    records[0].pair_rec = records[0]
 
     while sum(r.length for r in records) < ctx.target_index \
             and probes < probe_budget:
@@ -754,8 +729,7 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
         if rec.pair is None:
             # never probed as a partner: locate v1 . reach^{-1}
             xinv = ctx.apply_g_word(ctx.v1, word_inverse(rec.reach_word))
-            partner = next((r for r in ordered if membership(
-                ctx, helper, r, xinv, rng, walk_budget) is True), None)
+            partner = find(xinv)
             rec.pair = partner.index if partner else None
     part = OrbitPartition(ordered, ctx.target_index)
     for rec in ordered:
@@ -780,22 +754,23 @@ def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
     candidates = _fixed_points(ctx, s_gens)
     rng = random.Random(seed_mix(seed, 0xF17ED))
     stream = ctx.g_stream(seed + 1)
+    index = {key: rec for rec in partition.records for key in rec.store}
     for v in candidates:
         if _orbit_length_capped(ctx, v, target_length) != target_length:
             continue
         for _ in range(probes):
             el, gword = stream.next()
             x = ctx.apply_element(v, el)
-            for rec in partition.records:
-                if membership(ctx, helper, rec, x, rng, walk_budget) is True:
-                    h_word = trace_word(ctx, helper, rec, x)
-                    word = word_concat(rec.reach_word,
-                                       _h_to_g(ctx, h_word),
-                                       word_inverse(gword))
-                    if ctx.apply_g_word(ctx.v1, word) != dom.key(v):
-                        raise AssertionError(
-                            "reaching word does not evaluate to the vector")
-                    return v, word
+            rec = walk(ctx, helper, index, x, rng, walk_budget)
+            if rec is None:
+                continue
+            h_word = trace_word(ctx, helper, rec, x)
+            word = word_concat(rec.reach_word, _h_to_g(ctx, h_word),
+                               word_inverse(gword))
+            if ctx.apply_g_word(ctx.v1, word) != dom.key(v):
+                raise AssertionError(
+                    "reaching word does not evaluate to the vector")
+            return v, word
     return None
 
 
@@ -910,8 +885,3 @@ def _find_base_point(dom, h_gens):
             f"need a 1-dimensional H-fixed space, found {basis.nrows}; "
             "specify base_point")
     return basis.toarray()[0].tobytes()
-
-
-def load_scenario_file(path):
-    with open(path) as fh:
-        return load_scenario(json.load(fh))

@@ -9,7 +9,6 @@ reproducible random elements together with the words producing them.
 Points are 0-indexed internally and 1-indexed in all file formats.
 """
 
-import json
 import random
 
 
@@ -48,8 +47,7 @@ class Permutation:
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        oi = other.images
-        return Permutation(oi[i] for i in self.images)
+        return Permutation(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -58,7 +56,7 @@ class Permutation:
         return Permutation(inv)
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -68,19 +66,6 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
-
-    def cycle_string(self):
-        seen, out = set(), []
-        for i in range(len(self.images)):
-            if i in seen or self.images[i] == i:
-                continue
-            cyc, j = [i], self.images[i]
-            while j != i:
-                seen.add(j)
-                cyc.append(j)
-                j = self.images[j]
-            out.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(out) or "()"
 
 
 def seed_mix(*parts):
@@ -113,10 +98,16 @@ def evaluate_word(word, gens, identity=None):
     `identity` when supplied, else the identity permutation of gens[0].
     """
     acc = None
+    inverses = {}
     for i, e in word:
         if not 0 <= i < len(gens):
             raise IndexError(f"generator index {i} out of range")
-        g = gens[i] if e > 0 else gens[i].inverse()
+        if e > 0:
+            g = gens[i]
+        else:
+            if i not in inverses:
+                inverses[i] = gens[i].inverse()
+            g = inverses[i]
         acc = g if acc is None else acc * g
     if acc is not None:
         return acc
@@ -195,7 +186,20 @@ class RandomStream:
 # ---------------------------------------------------------------------------
 
 class GeneratedGroup:
-    """A permutation group with an optional stabilizer chain."""
+    """A permutation group with an optional stabilizer chain.
+
+    The chain comes from one incremental Schreier-Sims (Seress, Permutation
+    Group Algorithms, 2003, ch. 4).  Level i holds the base point base[i],
+    the strong generators fixing base[:i], the transversal (orbit point ->
+    element taking base[i] there) with the inverse of each entry, and the
+    (point, generator) Schreier pairs already sifted to the identity.
+
+    Invariant: transversal entries are only ever added, never replaced, and
+    the deeper levels' groups only grow.  So a Schreier generator
+    u_pt * s * u_(pt s)^-1 that once sifted to the identity stays a member
+    of the deeper group, and its pair is never checked again.  A level is
+    complete when all pairs of its orbit and generators have sifted.
+    """
 
     def __init__(self, gens, degree=None):
         gens = [g for g in gens]
@@ -215,87 +219,130 @@ class GeneratedGroup:
     # -- chain construction ------------------------------------------------
 
     def build_chain(self, base_prefix=()):
-        """Deterministic Schreier-Sims.
+        """Deterministic Schreier-Sims: the empty chain on the base prefix,
+        then each generator absorbed as by `extend`.
 
-        Bottom-up completion: a level is verified once all its Schreier
-        generators sift to the identity through the deeper levels; adding a
-        residue as a new strong generator sends the scan back up.  Base
-        points are first moved points in ascending order, so chains (and
-        everything derived from them) are stable across runs.  An optional
-        base prefix forces the leading base points, which is how point
-        stabilizers are extracted.
+        New base points are the first points a residue moves, so chains
+        (and everything derived from them) are stable across runs.  An
+        optional base prefix forces the leading base points, which is how
+        point stabilizers are extracted.
         """
+        ident = Permutation.identity(self.degree)
         self.base = list(base_prefix)
-        self.strong = [g for g in self.gens if not g.is_identity()]
-        self.transversals = [None] * len(self.base)
-        for g in self.strong:
-            self._cover(g)
-        i = len(self.base) - 1
+        self.strong = []
+        self.transversals = [{b: ident} for b in self.base]
+        self._inverses = [{b: ident.images} for b in self.base]
+        self._level_gens = [[] for _ in self.base]
+        self._sifted = [set() for _ in self.base]
+        for g in self.gens:
+            self._absorb(g)
+        return self
+
+    def extend(self, g):
+        """Grow the group to <gens, g>; True when g was not yet a member.
+
+        g is sifted; a non-identity residue becomes a strong generator and
+        only the levels at or above its level are completed again, since
+        the deeper ones are unchanged.  A member changes nothing, not even
+        the generator list.
+        """
+        if g.degree != self.degree:
+            raise ValueError("generators act on different domains")
+        self._require_chain()
+        if not self._absorb(g):
+            return False
+        self.gens.append(g)
+        return True
+
+    def _absorb(self, g):
+        """Sift g in and complete the levels it changed, from its residue's
+        level up to level 0; True when the group grew."""
+        residue, lvl = self._sift(g.images)
+        if residue is None:
+            return False
+        i = self._add_strong(residue, lvl)
         while i >= 0:
             residue, lvl = self._check_level(i)
             if residue is None:
                 i -= 1
             else:
-                self._cover(residue)
-                self.strong.append(residue)
-                i = min(lvl, len(self.base) - 1)
-        return self
+                i = self._add_strong(residue, lvl)
+        return True
 
-    def _cover(self, g):
-        """Extend the base so that g moves some base point."""
-        if all(g.images[b] == b for b in self.base):
-            moved = min(i for i, j in enumerate(g.images) if i != j)
+    def _add_strong(self, images, lvl):
+        """Add the permutation with these images, which fixes base[:lvl],
+        as a strong generator of levels 0..lvl (opening level lvl when it
+        fixes the whole base); returns lvl."""
+        g = Permutation(images)
+        if lvl == len(self.base):
+            moved = min(i for i, j in enumerate(images) if i != j)
+            ident = Permutation.identity(self.degree)
             self.base.append(moved)
-            self.transversals.append(None)
+            self.transversals.append({moved: ident})
+            self._inverses.append({moved: ident.images})
+            self._level_gens.append([])
+            self._sifted.append(set())
+        self.strong.append(g)
+        for j in range(lvl + 1):
+            self._level_gens[j].append(g)
+            self._grow_orbit(j)
+        return lvl
 
-    def _gens_at(self, j):
-        prefix = self.base[:j]
-        return [g for g in self.strong
-                if all(g.images[b] == b for b in prefix)]
-
-    def _rebuild_transversal(self, i, gens):
-        trans = {self.base[i]: Permutation.identity(self.degree)}
-        frontier = [self.base[i]]
+    def _grow_orbit(self, j):
+        """Close the level-j transversal under the level's generators after
+        one joined; existing entries stay.  The pair (pt, s) that adds an
+        entry has the identity as Schreier generator, so it is marked
+        sifted at once."""
+        trans, inv = self.transversals[j], self._inverses[j]
+        gens, sifted = self._level_gens[j], self._sifted[j]
+        frontier = list(trans)
         while frontier:
             nxt = []
             for pt in frontier:
                 rep = trans[pt]
-                for s in gens:
+                for si, s in enumerate(gens):
                     img = s.images[pt]
                     if img not in trans:
                         trans[img] = rep * s
+                        inv[img] = trans[img].inverse().images
+                        sifted.add((pt, si))
                         nxt.append(img)
             frontier = nxt
-        self.transversals[i] = trans
-        return trans
 
     def _check_level(self, i):
-        """Verify level i; on failure return (residue, level it fixes to)."""
-        gens = self._gens_at(i)
-        trans = self._rebuild_transversal(i, gens)
-        for pt in sorted(trans):
-            rep = trans[pt]
-            for s in gens:
-                img = s.images[pt]
-                schreier = rep * s * trans[img].inverse()
-                if schreier.is_identity():
+        """Sift the unchecked Schreier generators of level i; on the first
+        non-identity residue return (its images, level it stopped at)."""
+        trans, inv = self.transversals[i], self._inverses[i]
+        gens, sifted = self._level_gens[i], self._sifted[i]
+        for pt, rep in trans.items():
+            for si, s in enumerate(gens):
+                if (pt, si) in sifted:
                     continue
-                residue, lvl = self._strip(schreier, i + 1)
-                if not residue.is_identity():
+                back = inv[s.images[pt]]
+                schreier = tuple(map(back.__getitem__,
+                                     map(s.images.__getitem__, rep.images)))
+                residue, lvl = self._sift(schreier, i + 1)
+                if residue is not None:
                     return residue, lvl
+                sifted.add((pt, si))
         return None, None
 
-    def _strip(self, g, depth=0):
+    def _sift(self, images, depth=0):
+        """Strip a permutation (as its images) through levels depth..;
+        returns (None, None) when it sifts to the identity, else the
+        residue's images and the level where it stopped."""
         for lvl in range(depth, len(self.base)):
-            trans = self.transversals[lvl]
-            if trans is None:
-                return g, lvl
-            img = g.images[self.base[lvl]]
-            rep = trans.get(img)
-            if rep is None:
-                return g, lvl
-            g = g * rep.inverse()
-        return g, len(self.base)
+            b = self.base[lvl]
+            pt = images[b]
+            if pt == b:
+                continue
+            back = self._inverses[lvl].get(pt)
+            if back is None:
+                return images, lvl
+            images = tuple(map(back.__getitem__, images))
+        if images == tuple(range(self.degree)):
+            return None, None
+        return images, len(self.base)
 
     def _require_chain(self):
         if self.base is None:
@@ -314,8 +361,7 @@ class GeneratedGroup:
         self._require_chain()
         if perm.degree != self.degree:
             return False
-        res, _ = self._strip(perm)
-        return res.is_identity()
+        return self._sift(perm.images)[0] is None
 
     def membership(self, perm):
         return perm in self
@@ -352,7 +398,6 @@ class GeneratedGroup:
         words come from a BFS tree.
         """
         self._require_chain()
-        target = self.order() // len(set(self.orbit(point)))
         words = {point: ()}
         order_pts = [point]
         i = 0
@@ -364,28 +409,9 @@ class GeneratedGroup:
                 if img not in words:
                     words[img] = words[pt] + ((gi, 1),)
                     order_pts.append(img)
-        kept_words = []
-        kept_gens = []
-        current = GeneratedGroup([], self.degree)
-        current.build_chain()
-        for pt in order_pts:
-            for gi in range(len(self.gens)):
-                w = word_concat(
-                    words[pt], ((gi, 1),),
-                    word_inverse(words[self.gens[gi].images[pt]]))
-                el = evaluate_word(
-                    w, self.gens, Permutation.identity(self.degree))
-                if el.is_identity() or el in current:
-                    continue
-                kept_gens.append(el)
-                kept_words.append(w)
-                current = GeneratedGroup(kept_gens, self.degree)
-                current.build_chain()
-                if current.order() == target:
-                    return current, kept_words
-        if current.order() != target:
-            raise RuntimeError("stabilizer generation incomplete")
-        return current, kept_words
+        return schreier_stabilizer(
+            order_pts, words, lambda pt, gi: self.gens[gi].images[pt],
+            self.gens, self.degree, self.order() // len(order_pts))
 
     def random_stream(self, seed):
         return RandomStream(self.gens, seed,
@@ -395,6 +421,43 @@ class GeneratedGroup:
 def random_element(group, stream):
     """One product-replacement step; returns (Permutation, Word)."""
     return stream.next()
+
+
+def schreier_stabilizer(points, words, image, gens, degree, target):
+    """Stabilizer of points[0] in <gens> from pruned Schreier generators.
+
+    points is its orbit in BFS order, words[pt] a word in gens taking
+    points[0] to pt and image(pt, i) the image of pt under generator i.
+    Schreier generators are visited point by point, generator by
+    generator; one is kept when it is not yet a member of the group the
+    kept ones generate, which grows by `extend`, until that group reaches
+    the target order.  The kept words depend only on membership and order.
+    Returns (group, kept words); the group's gens are the kept elements.
+    """
+    ident = Permutation.identity(degree)
+    group = GeneratedGroup([], degree)
+    group.build_chain()
+    kept = []
+    elements = {}
+
+    def element(pt):
+        if pt not in elements:
+            elements[pt] = evaluate_word(words[pt], gens, ident)
+        return elements[pt]
+
+    for pt in points:
+        if group.order() == target:
+            break
+        for gi, g in enumerate(gens):
+            img = image(pt, gi)
+            if group.extend(element(pt) * g * element(img).inverse()):
+                kept.append(word_concat(words[pt], ((gi, 1),),
+                                        word_inverse(words[img])))
+                if group.order() == target:
+                    break
+    if group.order() != target:
+        raise RuntimeError("stabilizer generation incomplete")
+    return group, kept
 
 
 def closure_elements(gens, degree, limit=None):
@@ -437,7 +500,3 @@ def group_to_json(group):
         "generators": [[i + 1 for i in g.images] for g in group.gens],
     }
 
-
-def load_group(path):
-    with open(path) as fh:
-        return group_from_json(json.load(fh))

@@ -84,6 +84,11 @@ class SchurContext:
         self.enum_cutoff = enum_cutoff
         self.walk_budget = walk_budget
         self.rng = random.Random(seed_mix(seed, 0x5C47))
+        # stored key -> orbit number; the stores are disjoint subsets of
+        # distinct H-orbits, so a hit is still a proof
+        self.index = {key: k
+                      for k, rec in enumerate(partition.records, start=1)
+                      for key in rec.store}
         self._orbit_cache = {}
         self._reacher_cache = {}
 
@@ -122,14 +127,17 @@ class SchurContext:
         return self._reacher_cache[i]
 
     def locate(self, x, rounds=5):
-        """Index k with x in O_k, by certified membership with escalating
-        walk budgets; None when every round stays unknown."""
+        """Index k with x in O_k; None when every round misses.
+
+        Each round is one H-walk (`orbenum.walk`) looked up against the
+        stored keys of all r orbits at once, with the walk budget
+        quadrupling from round to round."""
         budget = self.walk_budget
         for _ in range(rounds):
-            for k, rec in enumerate(self.partition.records, start=1):
-                if orbenum.membership(self.ctx, self.helper, rec, x,
-                                      self.rng, budget) is True:
-                    return k
+            k = orbenum.walk(self.ctx, self.helper, self.index, x, self.rng,
+                             budget)
+            if k is not None:
+                return k
             budget *= 4
         return None
 

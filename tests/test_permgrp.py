@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from endoperm.corpus import all_instances
 from endoperm.permgrp import (GeneratedGroup, Permutation, closure_elements,
                               dump_word_json, evaluate_word, group_from_json,
                               group_to_json, load_word_json, random_element,
@@ -123,3 +124,104 @@ def test_word_json_roundtrip():
     assert load_word_json(data) == word
     assert load_word_json([[2, 2]]) == ((1, 1), (1, 1))
     assert load_word_json([[-2, 1]]) == ((1, -1),)
+
+
+def _random_subgroup_gens(rng, n):
+    """A few generators of a seeded random subgroup of S_n: permutations
+    preserving a random block system, products of disjoint transpositions
+    and short cycles, so the orders range well below n!."""
+    pts = rng.sample(range(n), n)
+    size = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+    blocks = [pts[i:i + size] for i in range(0, n, size)]
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.randrange(3)
+        img = list(range(n))
+        if kind == 0:
+            order = rng.sample(range(len(blocks)), len(blocks))
+            for src, dst in zip(blocks, (blocks[i] for i in order)):
+                shuffled = rng.sample(dst, len(dst))
+                for a, b in zip(src, shuffled):
+                    img[a] = b
+        elif kind == 1:
+            moved = rng.sample(range(n), 2 * rng.randrange(1, n // 2 + 1))
+            for a, b in zip(moved[::2], moved[1::2]):
+                img[a], img[b] = b, a
+        else:
+            cyc = rng.sample(range(n), rng.randrange(2, 6))
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                img[a] = b
+        gens.append(Permutation(img))
+    return gens
+
+
+def _probes(rng, gens, n, count=12):
+    """Members (random words in gens) and mostly non-members (random
+    permutations) to test `in` on."""
+    out = []
+    for _ in range(count):
+        word = tuple((rng.randrange(len(gens)), rng.choice([1, -1]))
+                     for _ in range(rng.randrange(1, 15)))
+        out.append(evaluate_word(word, gens, Permutation.identity(n)))
+        out.append(Permutation(rng.sample(range(n), n)))
+    return out
+
+
+def _assert_extend_matches_scratch(gens, n, rng):
+    scratch = GeneratedGroup(gens, n)
+    scratch.build_chain()
+    grown = GeneratedGroup([], n)
+    grown.build_chain()
+    for g in gens:
+        grown.extend(g)
+        partial = GeneratedGroup(grown.gens, n)
+        assert grown.order() == partial.order()
+    assert grown.order() == scratch.order()
+    for p in _probes(rng, gens, n):
+        assert (p in grown) == (p in scratch)
+    return scratch
+
+
+def test_extend_matches_build_chain_on_random_subgroups():
+    rng = random.Random(2509)
+    for n in range(8, 13):
+        for _ in range(4):
+            gens = _random_subgroup_gens(rng, n)
+            scratch = _assert_extend_matches_scratch(gens, n, rng)
+            if scratch.order() <= 20000:
+                assert scratch.order() == len(
+                    closure_elements(gens, n, limit=20000))
+
+
+def test_extend_matches_build_chain_on_corpus_groups():
+    rng = random.Random(5805)
+    for inst in all_instances():
+        G = inst.group
+        scratch = _assert_extend_matches_scratch(G.gens, G.degree, rng)
+        assert scratch.order() == G.order()
+
+
+def test_extend_by_a_member_leaves_the_chain_unchanged():
+    rng = random.Random(11)
+    for n in (8, 10, 12):
+        gens = _random_subgroup_gens(rng, n)[:1]
+        g = GeneratedGroup(gens, n)
+        g.build_chain()
+
+        def snapshot():
+            return (list(g.gens), list(g.base), list(g.strong),
+                    [dict(t) for t in g.transversals])
+
+        before = snapshot()
+        for member in _probes(rng, gens, n)[::2]:
+            assert g.extend(member) is False
+            assert snapshot() == before
+        # a cyclic group of degree n >= 8 misses some random permutation
+        outside = next(p for p in (Permutation(rng.sample(range(n), n))
+                                   for _ in range(100)) if p not in g)
+        order = g.order()
+        assert g.extend(outside) is True
+        assert g.gens[-1] == outside and g.order() > order
+        # transversal entries are only ever added
+        for old, new in zip(before[3], g.transversals):
+            assert all(new[pt] == rep for pt, rep in old.items())

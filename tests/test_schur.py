@@ -1,9 +1,15 @@
+from itertools import combinations
+from math import comb, factorial
+
+import numpy as np
 import pytest
 
-from endoperm import oracle
+from endoperm import oracle, orbenum
 from endoperm.corpus import build_context, named_instances
-from endoperm.orbenum import classify
-from endoperm.permgrp import GeneratedGroup, Permutation
+from endoperm.gfmat import FqMatrix
+from endoperm.orbenum import (ActionContext, HelperSetup, VectorDomain,
+                              classify)
+from endoperm.permgrp import GeneratedGroup, Permutation, evaluate_word
 from endoperm.schur import (AlgebraClosure, IntegralityError,
                             IntersectionMatrix, SchurContext,
                             algebra_closure, all_intersection_matrices,
@@ -109,3 +115,107 @@ def test_generate_stops_at_full_dimension():
     closure, computed = generate_endomorphism_ring(sctx)
     assert closure.dimension == sctx.r
     assert 1 in computed
+
+
+# ---------------------------------------------------------------------------
+# locate on an F_2 vector domain: S_n by permutation matrices on the weight-k
+# vectors, H = S_k x S_(n-k) fixing e_0 + ... + e_(k-1), K = S_k with the
+# projection onto the first k coordinates as helper.  The H-orbits are the
+# k+1 classes of |support meet {0..k-1}|.
+
+def _transposition_word(i):
+    """(i i+1) as a word in a = (0 1) and b = (0 1 ... n-1)."""
+    return ((1, -1),) * i + ((0, 1),) + ((1, 1),) * i
+
+
+def vector_scenario(n, k, seed=0):
+    a = Permutation([1, 0] + list(range(2, n)))
+    b = Permutation([(i + 1) % n for i in range(n)])
+    h_words = [_transposition_word(i) for i in range(n - 1) if i != k - 1]
+    faithful = GeneratedGroup([evaluate_word(w, [a, b]) for w in h_words], n)
+    assert faithful.order() == factorial(k) * factorial(n - k)
+    mats = []
+    for g in (a, b):
+        m = np.zeros((n, n), dtype=np.int64)
+        m[np.arange(n), list(g.images)] = 1
+        mats.append(FqMatrix(2, m))
+    h_mats = [evaluate_word(w, mats, FqMatrix.identity(2, n))
+              for w in h_words]
+    dom = VectorDomain(2, n)
+    v1 = dom.encode([1] * k + [0] * (n - k))
+    ctx = ActionContext(dom, mats, h_mats, v1, h_words=h_words,
+                        faithful_h=faithful, target_index=comb(n, k))
+    proj = np.zeros((n, k), dtype=np.int64)
+    proj[np.arange(k), np.arange(k)] = 1
+    helper = HelperSetup(ctx, [((i, 1),) for i in range(k - 1)],
+                         FqMatrix(2, proj))
+    part = classify(ctx, helper, seed=seed)
+    return ctx, SchurContext(ctx, helper, part, seed=seed)
+
+
+def weight_vectors(n, k):
+    for support in combinations(range(n), k):
+        v = [0] * n
+        for i in support:
+            v[i] = 1
+        yield bytes(v)
+
+
+@pytest.fixture
+def counted_walks(monkeypatch):
+    """Count the calls to orbenum.walk; the list holds each call's budget."""
+    budgets = []
+    real = orbenum.walk
+
+    def counting(ctx, helper, index, x, rng, budget=200):
+        budgets.append(budget)
+        return real(ctx, helper, index, x, rng, budget)
+
+    monkeypatch.setattr(orbenum, "walk", counting)
+    return budgets
+
+
+@pytest.mark.parametrize("n,k", [(7, 2), (8, 3)])
+def test_locate_agrees_with_exhaustive_orbits(n, k, counted_walks):
+    ctx, sctx = vector_scenario(n, k, seed=3)
+    assert sctx.r == k + 1
+    orbit_of = {}
+    for j in range(1, sctx.r + 1):
+        for x in sctx.orbit_points(j):
+            orbit_of[x] = j
+    points = list(weight_vectors(n, k))
+    assert sorted(orbit_of) == sorted(points)
+    for x in points:
+        del counted_walks[:]
+        assert sctx.locate(x) == orbit_of[x]
+        # one walk per round, however many orbits there are
+        assert 1 <= len(counted_walks) <= 5
+        assert counted_walks == [200 * 4 ** i
+                                 for i in range(len(counted_walks))]
+
+
+def test_locate_returns_none_only_after_every_round_fails(monkeypatch):
+    ctx, sctx = vector_scenario(7, 2, seed=1)
+    real = orbenum.walk
+    budgets, misses = [], []
+
+    def flaky(ctx, helper, index, x, rng, budget=200):
+        """orbenum.walk, made to miss while `misses` has entries."""
+        budgets.append(budget)
+        if misses:
+            misses.pop()
+            return None
+        return real(ctx, helper, index, x, rng, budget)
+
+    monkeypatch.setattr(orbenum, "walk", flaky)
+    outside = bytes([1, 1, 1, 0, 0, 0, 0])     # weight 3: in no H-orbit
+    assert sctx.locate(outside, rounds=3) is None
+    assert budgets == [200, 800, 3200]
+    # a point of orbit 2 whose first two walks miss is found in round 3
+    x = next(iter(sctx.partition.records[1].store))
+    budgets[:], misses[:] = [], [None] * 2
+    assert sctx.locate(x, rounds=3) == 2
+    assert budgets == [200, 800, 3200]
+    budgets[:], misses[:] = [], [None] * 3
+    assert sctx.locate(x, rounds=3) is None
+    assert budgets == [200, 800, 3200]
