@@ -4,15 +4,29 @@ indecomposable character of the trivial module.
 The projective character is a sub-sum of the permutation character, so its
 coefficient vector d lives in the box 0 <= d_i <= m_i with d_1 = 1; two
 exact filters cut the box down: projective characters vanish on p-singular
-classes, and psi(g)/|C_G(g)|_p must be an algebraic integer.  Also here:
-the index-sum search used to pin down missing orbit lengths.
+classes, and psi(g)/|C_G(g)|_p must be an algebraic integer.
+
+The vanishing test runs on integer arrays.  On a singular class, a class
+sum sum_i d_i chi_i(g) is a combination of the radicals sqrt(n) of the
+constituents' fields, and it is zero exactly when every radical's
+coefficient is; each (class, radical) pair gives one integer column of the
+constituents' coefficients over a common denominator.  The box is walked in
+chunks of CHUNK points, decoded from flat indices in mixed radix (the order
+of itertools.product), and multiplied by those columns, in int64 when a
+bound rules out overflow and in Python ints otherwise.  Only the survivors
+get the exact defect check on their class sums.  Also here: the index-sum
+search used to pin down missing orbit lengths.
 """
 
-import itertools
-import json
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from .quadfield import QuadraticNumber, RadicalSum
+
+# box points per chunk of the vanishing test: memory is O(CHUNK), not O(box)
+CHUNK = 1024
 
 
 class OrdinaryCharTableG:
@@ -132,36 +146,66 @@ def admissible_candidates(tbl, constituents, p, use_defect=True):
 
     constituents: list of (label, multiplicity); the first must be the
     trivial character (its coefficient is pinned to 1).  Candidates must
-    vanish exactly on every flagged p-singular class; when centralizer
-    orders are supplied the defect-integrality filter runs as well.
-    Returns (box size before filtering, surviving CandidateVectors).
-    Missing class values make that constraint a warning, not a wrong
-    answer: the output stays a superset.
+    vanish exactly on every flagged p-singular class, which is tested in
+    chunks on integer columns (see the module docstring); when centralizer
+    orders are supplied the defect-integrality filter then runs on the
+    survivors' exact class sums.  Returns (box size before filtering,
+    surviving CandidateVectors), in itertools.product order.
     """
     labels = [c[0] for c in constituents]
     mults = [c[1] for c in constituents]
     if mults[0] != 1:
         raise ValueError("the trivial constituent must have multiplicity 1")
-    singular = tbl.singular_classes()
-    ranges = [range(1, 2)] + [range(0, m + 1) for m in mults[1:]]
-    box = 1
-    for rng in ranges[1:]:
-        box *= len(rng)
-    out = []
+    radix = [1] + [max(m + 1, 0) for m in mults[1:]]
+    box = math.prod(radix)
+    columns = _vanishing_columns(tbl, labels)
+    # every coefficient is below max(radix), so this bounds every partial sum
+    bound = max(radix) * max((sum(map(abs, col)) for col in columns.T),
+                             default=0)
+    if bound < 2 ** 63:
+        columns = columns.astype(np.int64)
     centralizers = [c["centralizer"] for c in tbl.classes]
-    for coeffs in itertools.product(*ranges):
-        ok = True
-        for ci in singular:
-            if not _class_sum(tbl, labels, coeffs, ci).is_zero():
-                ok = False
-                break
-        if ok and use_defect and any(c is not None for c in centralizers):
-            values = [_class_sum(tbl, labels, coeffs, ci)
-                      for ci in range(len(tbl.classes))]
-            ok = defect_integrality(values, centralizers, p)
-        if ok:
+    defect = use_defect and any(c is not None for c in centralizers)
+    out = []
+    for start in range(0, box, CHUNK):
+        digits = _decode(start, min(start + CHUNK, box), radix)
+        sums = digits.astype(columns.dtype, copy=False) @ columns
+        for coeffs in map(tuple, digits[~sums.any(axis=1)].tolist()):
+            if defect:
+                values = [_class_sum(tbl, labels, coeffs, ci)
+                          for ci in range(len(tbl.classes))]
+                if not defect_integrality(values, centralizers, p):
+                    continue
             out.append(CandidateVector(labels, coeffs))
     return box, out
+
+
+def _vanishing_columns(tbl, labels):
+    """Integer matrix, one row per constituent and one column per
+    (singular class, radical): a box point's class sums all vanish exactly
+    when its coefficient vector times this matrix is zero."""
+    cols = []
+    for ci in tbl.singular_classes():
+        by_radical = {}
+        for i, label in enumerate(labels):
+            for d, c in RadicalSum.from_quadratic(
+                    tbl.value(label, ci)).terms.items():
+                by_radical.setdefault(d, [Fraction(0)] * len(labels))[i] = c
+        for d in sorted(by_radical):
+            col = by_radical[d]
+            den = math.lcm(*(c.denominator for c in col))
+            cols.append([c.numerator * (den // c.denominator) for c in col])
+    return np.array(cols, dtype=object).reshape(len(cols), len(labels)).T
+
+
+def _decode(start, stop, radix):
+    """Box points with flat indices start..stop-1 as rows of digits, the
+    last coordinate varying fastest."""
+    flat = np.arange(start, stop, dtype=np.int64)
+    digits = np.ones((stop - start, len(radix)), dtype=np.int64)
+    for i in range(len(radix) - 1, 0, -1):
+        flat, digits[:, i] = np.divmod(flat, radix[i])
+    return digits
 
 
 def conjugation_closure(candidates, pairs=None):
@@ -205,8 +249,3 @@ def partition_search(target, allowed, k):
 
     rec(0, target, k, [])
     return out
-
-
-def candidates_to_jsonl(candidates):
-    return "\n".join(json.dumps(c.as_dict(), sort_keys=True)
-                     for c in candidates)

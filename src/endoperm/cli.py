@@ -188,9 +188,10 @@ def cmd_candidates(args):
             data = json.load(fh)
         tbl = candfilter.OrdinaryCharTableG.from_json(data)
         constituents = [(c["chi"], c["m"]) for c in data["constituents"]]
+        box, cands = candfilter.admissible_candidates(tbl, constituents,
+                                                     args.p)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise CliError(f"bad table file: {exc}", EXIT_INPUT)
-    box, cands = candfilter.admissible_candidates(tbl, constituents, args.p)
     out = {
         "p": args.p,
         "box_size": box,

@@ -275,7 +275,3 @@ def _psi_columns_match(cols, psi_fix, dec_fix):
         if got_amb != {c for c in want_amb}:
             return False
     return True
-
-
-def suite_passes():
-    return all(c.ok for c in run_suite())

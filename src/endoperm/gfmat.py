@@ -11,7 +11,6 @@ matrices of algebra regular modules.
 Row-vector convention throughout: vectors act from the left, x . M.
 """
 
-import json
 import random
 
 import numpy as np
@@ -97,10 +96,6 @@ class FqMatrix:
     @classmethod
     def zeros(cls, p, r, c):
         return cls(p, np.zeros((r, c), dtype=np.int64))
-
-    @classmethod
-    def from_array(cls, p, arr):
-        return cls(p, arr)
 
     def toarray(self):
         """Entries as a uint8 numpy array (unpacked)."""
@@ -815,10 +810,6 @@ def _poly_of_matrix(mat, poly):
     return out
 
 
-def _coords_in_wrapped(e, w, p):
-    return _coords_in(e, w, p)
-
-
 def split_by_idempotents(rep, theta):
     """Split along the primary decomposition of theta's minimal polynomial.
 
@@ -945,11 +936,6 @@ def _match_constituent(c2, cons, seed):
     raise AssertionError("constituent not found among regular constituents")
 
 
-def is_local_algebra(regular, seed=0, endo=None):
-    """Local <=> the regular module has a single isomorphism class of simples."""
-    return len(chop(regular, seed)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Memory estimate utility and file formats
 
@@ -989,8 +975,3 @@ def rep_to_json(rep):
         "generators": [a.toarray().astype(int).reshape(-1).tolist()
                        for a in rep.actions],
     }
-
-
-def load_rep(path):
-    with open(path) as fh:
-        return rep_from_json(json.load(fh))

@@ -50,11 +50,3 @@ NOT_DESK_REPRODUCIBLE = [
                       "collapses 2 -> 1",
     },
 ]
-
-
-def statement():
-    lines = ["Not reproducible at desk scale:"]
-    for item in NOT_DESK_REPRODUCIBLE:
-        lines.append(f"- {item['fact']} ({item['scale']}); covered by "
-                     f"{item['covered_by']}")
-    return "\n".join(lines)

@@ -1,13 +1,23 @@
-"""Exact arithmetic in Q and real quadratic fields, plus generic exact
-linear algebra over such fields.
+"""Exact arithmetic in Q and real quadratic fields, plus exact linear
+algebra over such fields.
 
 A QuadraticNumber is a + b*sqrt(n) with rational a, b and squarefree n > 0;
 b = 0 encodes a rational (normalized to n = 1).  Arithmetic mixing two
 different irrational radicands is refused, except inside RadicalSum, the
 accumulator used by orthogonality checks where cross products like
 sqrt(3)*sqrt(33) = 3*sqrt(11) genuinely occur.
+
+The linear algebra (mat_mul, rref and what is built on it) has one integer
+kernel, and the entry type selects the path.  A matrix whose entries are
+all ints and Fractions is scaled to integer rows: products are integer dot
+products over one common denominator, and elimination is fraction-free on
+primitive integer rows, with Fractions made only for the results.  Any
+other entries, QuadraticNumbers in particular, go through the generic
+loops.  Both paths return the same values.
 """
 
+import math
+import operator
 from fractions import Fraction
 
 
@@ -234,11 +244,30 @@ class RadicalSum:
 # Exact linear algebra over Fraction or QuadraticNumber entries.
 # Matrices are lists of lists (row-major); row vectors act on the left.
 
+_RATIONAL = frozenset((int, Fraction))
+
+
 def _zero_like(x):
     return x - x
 
 
+def _is_rational(*mats):
+    return all(type(x) in _RATIONAL for M in mats for row in M for x in row)
+
+
+def _int_rows(M):
+    """(rows, den): integer rows with M = rows / den, one den for all."""
+    den = math.lcm(*{x.denominator for row in M for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in M], den
+
+
 def mat_mul(A, B):
+    """A . B.  Rational operands multiply as integer rows over one common
+    denominator each; an entry is an int exactly when its row of A and its
+    column of B hold only ints, as in the generic loop."""
+    if _is_rational(A, B):
+        return _mat_mul_rational(A, B)
     rows, inner, cols = len(A), len(B), len(B[0])
     out = []
     for i in range(rows):
@@ -253,12 +282,33 @@ def mat_mul(A, B):
     return out
 
 
+def _mat_mul_rational(A, B):
+    Ai, da = _int_rows(A)
+    Bi, db = _int_rows(B)
+    cols = list(zip(*Bi))
+    prods = [[sum(map(operator.mul, row, col)) for col in cols]
+             for row in Ai]
+    den = da * db
+    int_rows = [all(type(x) is int for x in row) for row in A]
+    int_cols = [all(type(x) is int for x in col) for col in zip(*B)]
+    if all(int_rows) and all(int_cols):
+        return prods
+    return [[s // den if ri and cj else Fraction(s, den)
+             for s, cj in zip(row, int_cols)]
+            for row, ri in zip(prods, int_rows)]
+
+
 def mat_from_int(M):
     return [[Fraction(c) for c in row] for row in M]
 
 
 def rref(M):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    All rows come back, the zero rows after the pivot rows.  Rational
+    input is eliminated fraction-free (_rref_int) and returns Fractions."""
+    if M and _is_rational(M):
+        return _rref_int(M)
     M = [list(r) for r in M]
     if not M:
         return M, []
@@ -285,11 +335,49 @@ def rref(M):
         r += 1
         if r == len(M):
             break
-    return M[:r] + [row for row in M[r:]], pivots
+    return M, pivots
 
 
-def rank(M):
-    return len(rref(M)[1])
+def _rref_int(M):
+    """Fraction-free Gauss-Jordan on primitive integer rows.
+
+    A row is reduced by cross-multiplying with the pivot row, so entries
+    stay integers (the idea of Bareiss, Math. Comp. 22, 1968); their growth
+    is kept down by dividing each new row by its content rather than by
+    Bareiss's exact division by the previous pivot.  Pivot rows become
+    Fractions only at the end.  The reduced row echelon form is unique, so
+    this is the generic loop's answer."""
+    rows = [_primitive(row) for row in _int_rows(M)[0]]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive(
+                    [a * x - b * y for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = [[Fraction(x, rows[i][c]) for x in rows[i]]
+           for i, c in enumerate(pivots)]
+    out += [[Fraction(0)] * ncols for _ in range(nrows - r)]
+    return out, pivots
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def right_nullspace(M):
@@ -299,7 +387,7 @@ def right_nullspace(M):
     R, pivots = rref(M)
     ncols = len(M[0])
     free = [c for c in range(ncols) if c not in pivots]
-    zero = _zero_like(M[0][0])
+    zero = _zero_like(R[0][0])
     one = zero + 1
     basis = []
     for f in free:
@@ -319,52 +407,49 @@ def left_nullspace(M):
     return right_nullspace(T)
 
 
-def express_in_rows(B, v):
-    """Coefficients x with x . B = v, or None when v is outside the span."""
-    R, pivots = rref(_augment(B))
-    # R rows: [reduced row | coefficients in the original rows]
-    n = len(B[0])
-    zero = _zero_like(B[0][0])
-    v = list(v)
-    coeff = [zero] * len(B)
-    for r, c in enumerate(pivots):
-        if c >= n:
-            break
-        if v[c] != 0:
-            f = v[c]
-            for j in range(n):
-                v[j] = v[j] - f * R[r][j]
-            for j in range(len(B)):
-                coeff[j] = coeff[j] + f * R[r][n + j]
-    if any(x != 0 for x in v):
-        return None
-    return coeff
+def _solve_rows(B, V):
+    """(X, pivots of B) with X . B = V, or (None, pivots) when some row of
+    V is outside the row space of B.
 
-
-def _augment(B):
-    n = len(B)
+    One elimination of [B | I] gives B's pivot columns P and E with
+    E . B = rref(B); the first rank(B) rows of E invert B[:, P], so
+    X = V[:, P] . E[:rank], checked by multiplying back."""
+    n, k = len(B[0]), len(B)
     zero = _zero_like(B[0][0])
     one = zero + 1
-    out = []
-    for i, row in enumerate(B):
-        ident = [zero] * n
-        ident[i] = one
-        out.append(list(row) + ident)
-    return out
+    aug = [list(row) + [one if t == i else zero for t in range(k)]
+           for i, row in enumerate(B)]
+    R, pivots = rref(aug)
+    pivots = [c for c in pivots if c < n]
+    if not pivots:
+        X = [[zero] * k for _ in V]
+        ok = all(x == 0 for v in V for x in v)
+    else:
+        E = [R[t][n:] for t in range(len(pivots))]
+        X = mat_mul([[v[c] for c in pivots] for v in V], E)
+        ok = mat_mul(X, B) == [list(v) for v in V]
+    return (X if ok else None), pivots
+
+
+def express_in_rows(B, v):
+    """Coefficients x with x . B = v, or None when v is outside the span."""
+    X, _ = _solve_rows(B, [v])
+    return None if X is None else X[0]
 
 
 def solve_action(B, M):
     """C with C . B = B . M; the action of M restricted to the row space B.
 
-    Raises ValueError when the row space is not M-invariant.
+    B must have full row rank (every caller passes a basis).  It is
+    eliminated once: with P its pivot columns, C = (B M)[:, P] . B[:, P]^-1,
+    and C . B = B . M is checked.  Raises ValueError when the row space is
+    not M-invariant.
     """
-    BM = mat_mul(B, M)
-    C = []
-    for row in BM:
-        x = express_in_rows(B, row)
-        if x is None:
-            raise ValueError("row space is not invariant under the action")
-        C.append(x)
+    C, pivots = _solve_rows(B, mat_mul(B, M))
+    if len(pivots) != len(B):
+        raise AssertionError("solve_action needs a basis of full row rank")
+    if C is None:
+        raise ValueError("row space is not invariant under the action")
     return C
 
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import zpoly
-from .quadfield import (QuadraticNumber, RadicalSum, left_nullspace,
-                        mat_from_int, mat_mul, mat_trace, rref, solve_action,
-                        squarefree_part)
+from .quadfield import (QuadraticNumber, RadicalSum, express_in_rows,
+                        left_nullspace, mat_mul, mat_trace, right_nullspace,
+                        rref, solve_action, squarefree_part)
 
 
 class UnsupportedComponentError(ValueError):
@@ -152,26 +152,26 @@ class HomogeneousComponent:
         return f"HomogeneousComponent(dim={self.dim}, {fs})"
 
 
-def _poly_of_int_matrix(P, poly, power=1):
-    r = len(P)
-    out = [[0] * r for _ in range(r)]
-    pw = [[int(i == j) for j in range(r)] for i in range(r)]
-    for c in poly:
-        if c:
-            for i in range(r):
-                for j2 in range(r):
-                    out[i][j2] += c * pw[i][j2]
-        pw = _int_mat_mul(pw, P)
-    total = out
+def _int_entries(P):
+    """The entries of an intersection matrix as lists of Python ints."""
+    return [[int(x) for x in row] for row in getattr(P, "entries", P)]
+
+
+def _poly_at(C, poly, power=1):
+    """poly(C)^power, for a constant-first coefficient list, by Horner's
+    rule; the entries keep C's type (int, Fraction or QuadraticNumber)."""
+    d = len(C)
+    zero = C[0][0] - C[0][0]
+    F = [[zero + poly[-1] if i == j else zero for j in range(d)]
+         for i in range(d)]
+    for c in poly[-2::-1]:
+        F = mat_mul(F, C)
+        for i in range(d):
+            F[i][i] = F[i][i] + c
+    total = F
     for _ in range(power - 1):
-        total = _int_mat_mul(total, out)
+        total = mat_mul(total, F)
     return total
-
-
-def _int_mat_mul(A, B):
-    r = len(A)
-    return [[sum(A[i][t] * B[t][k] for t in range(r)) for k in range(r)]
-            for i in range(r)]
 
 
 def _intersect_rowspaces(U, V):
@@ -179,7 +179,6 @@ def _intersect_rowspaces(U, V):
     if not U or not V:
         return []
     # x in rowspace(V)  <=>  x . Z = 0 for Z spanning the right nullspace
-    from .quadfield import right_nullspace
     Z = right_nullspace(V)
     if not Z:
         return [list(r) for r in U]
@@ -214,13 +213,12 @@ def homogeneous_components(gen_mats, r, seed=1):
     comps = [HomogeneousComponent(
         [], [[Fraction(int(i == j)) for j in range(r)] for i in range(r)])]
     for j, P in gen_mats:
-        entries = getattr(P, "entries", P)
+        entries = _int_entries(P)
         cp = char_poly(entries)
         facs = factor_over_Z(cp, seed=seed).factors
         kernels = []
         for f, m in facs:
-            FM = _poly_of_int_matrix(entries, f, power=m)
-            K = left_nullspace(mat_from_int(FM))
+            K = left_nullspace(_poly_at(entries, f, power=m))
             kernels.append((f, m, K))
         refined = []
         for comp in comps:
@@ -249,7 +247,7 @@ def homogeneous_components_center(all_mats, r, seed=1):
     multiplications always tiles and lands exactly on the homogeneous
     components.
     """
-    Ps = [mat_from_int(getattr(P, "entries", P)) for P in all_mats]
+    Ps = [_int_entries(P) for P in all_mats]
     # left multiplications: L_i[j][k] = p_ijk = P_j[i][k]
     Ls = [[[Ps[j][i][k] for k in range(r)] for j in range(r)]
           for i in range(r)]
@@ -258,9 +256,11 @@ def homogeneous_components_center(all_mats, r, seed=1):
     center = left_nullspace(stacked)
     comps = [HomogeneousComponent(
         [], [[Fraction(int(i == j)) for j in range(r)] for i in range(r)])]
+    # Rz = sum_t z[t] P_t, one row of products over the flattened P_t
+    flat = [[x for row in P for x in row] for P in Ps]
     for z in center:
-        Rz = [[sum(z[t] * Ps[t][i][k] for t in range(r)) for k in range(r)]
-              for i in range(r)]
+        rz = mat_mul([z], flat)[0]
+        Rz = [rz[i * r:(i + 1) * r] for i in range(r)]
         refined = []
         for comp in comps:
             C = solve_action(comp.basis, Rz)
@@ -270,8 +270,7 @@ def homogeneous_components_center(all_mats, r, seed=1):
                 refined.append(comp)
                 continue
             for f, m in facs:
-                FC = _eval_fraction_poly(C, f, m)
-                K = left_nullspace(FC)
+                K = left_nullspace(_poly_at(C, f, m))
                 if K:
                     refined.append(HomogeneousComponent(
                         comp.factors, mat_mul(K, comp.basis)))
@@ -287,16 +286,18 @@ def _min_poly_fraction(C):
     """Minimal polynomial of a rational matrix, as a primitive integer
     tuple (asserted monic over Z: the use sites only see algebraic-integer
     eigenvalues)."""
-    from .quadfield import express_in_rows
     d = len(C)
     poly = (1,)
+    F = None
     for start in range(d):
-        v = [Fraction(int(i == start)) for i in range(d)]
-        if not any(_apply_fraction_poly(C, poly, v)):
+        # e_start . poly(C) is row `start` of poly(C)
+        if F is None:
+            F = _poly_at(C, poly)
+        if not any(F[start]):
             continue
-        krylov = [v]
+        krylov = [[Fraction(int(i == start)) for i in range(d)]]
         while True:
-            nxt = _vec_mat_fraction(krylov[-1], C)
+            nxt = mat_mul(krylov[-1:], C)[0]
             coeff = express_in_rows(krylov, nxt)
             if coeff is not None:
                 loc = [-c for c in coeff] + [Fraction(1)]
@@ -313,40 +314,10 @@ def _min_poly_fraction(C):
                 "restricted minimal polynomial is not integral")
         g = zpoly.gcd(poly, iloc)
         poly = zpoly.exact_div(zpoly.mul(poly, iloc), g)
+        F = None
         if zpoly.deg(poly) == d:
             break
     return poly
-
-
-def _vec_mat_fraction(v, C):
-    d = len(C)
-    return [sum(v[i] * C[i][k] for i in range(d)) for k in range(d)]
-
-
-def _apply_fraction_poly(C, poly, v):
-    out = [Fraction(0)] * len(v)
-    pw = list(v)
-    for c in poly:
-        if c:
-            out = [a + c * b for a, b in zip(out, pw)]
-        pw = _vec_mat_fraction(pw, C)
-    return out
-
-
-def _eval_fraction_poly(C, f, power=1):
-    d = len(C)
-    out = [[Fraction(0)] * d for _ in range(d)]
-    pw = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for c in f:
-        if c:
-            for i in range(d):
-                for j2 in range(d):
-                    out[i][j2] += c * pw[i][j2]
-        pw = mat_mul(pw, C)
-    total = out
-    for _ in range(power - 1):
-        total = mat_mul(total, out)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +369,7 @@ class CharRow:
 
 def _component_actions(comp, all_mats):
     B = comp.basis
-    return [solve_action(B, mat_from_int(getattr(P, "entries", P)))
-            for P in all_mats]
+    return [solve_action(B, _int_entries(P)) for P in all_mats]
 
 
 def split_component(comp, all_mats):
@@ -482,7 +452,7 @@ def _find_quadratic_driver(actions):
 def _stable_kernel(Cq, f1, want):
     """ker f1(C)^e over the quadratic field, with e raised until the
     dimension stabilizes; None unless it stabilizes at `want`."""
-    F = _poly_of_quad_matrix(Cq, f1)
+    F = _poly_at(Cq, f1)
     M = F
     prev = -1
     for _ in range(len(Cq)):
@@ -494,24 +464,6 @@ def _stable_kernel(Cq, f1, want):
         prev = len(U)
         M = mat_mul(M, F)
     return None
-
-
-def _poly_of_quad_matrix(C, poly, power=1):
-    d = len(C)
-    zero = QuadraticNumber(0)
-    one = QuadraticNumber(1)
-    out = [[zero] * d for _ in range(d)]
-    pw = [[one if i == t else zero for t in range(d)] for i in range(d)]
-    for c in poly:
-        if c != 0:
-            for i in range(d):
-                for t in range(d):
-                    out[i][t] = out[i][t] + pw[i][t] * c
-        pw = mat_mul(pw, C)
-    total = out
-    for _ in range(power - 1):
-        total = mat_mul(total, out)
-    return total
 
 
 def _quadratic_factor(f):

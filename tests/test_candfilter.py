@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from endoperm import candfilter
 from endoperm.candfilter import (OrdinaryCharTableG, admissible_candidates,
                                  conjugation_closure, defect_integrality,
                                  partition_search, p_part)
@@ -98,3 +99,89 @@ def test_partition_search_matches_direct_loop():
 def test_p_part():
     assert p_part(1331 * 6, 11) == 1331
     assert p_part(7, 11) == 1
+
+
+def quadratic_table(seed, scale=1):
+    """Seeded table over Q(r5) and Q(r13): constituents x1/x2 and x3/x4 are
+    Galois-conjugate pairs, 3a and 6a are 3-singular, and the centralizer
+    of 1a has 3-part 3.  A planted point with equal coefficients on each
+    pair and coefficient 1 on x5 vanishes on both singular classes.
+    Values on the singular classes are multiplied by `scale`, which leaves
+    the vanishing set unchanged."""
+    rng = random.Random(seed)
+    fields = [1, 5, 5, 13, 13, 1, 1]
+    mults = [1, 2, 2, 1, 1, 3, 2]
+    conj = {2: 1, 4: 3}
+    labels = [f"x{i}" for i in range(len(fields))]
+    pair, quad = rng.randint(0, 2), rng.randint(0, 1)
+    planted = [1, pair, pair, quad, quad, 1, rng.randint(0, 2)]
+    classes = [{"name": "1a", "centralizer": 24, "p_singular": False},
+               {"name": "2a", "centralizer": None, "p_singular": False},
+               {"name": "3a", "centralizer": None, "p_singular": True},
+               {"name": "6a", "centralizer": None, "p_singular": True}]
+    chars = {label: [] for label in labels}
+    for cls in classes:
+        col = []
+        for i, n in enumerate(fields):
+            if i in conj:
+                col.append(col[conj[i]].conjugate())
+            elif cls["p_singular"]:
+                col.append(Q(rng.randint(-1, 1), rng.choice((-1, 1)) if n > 1
+                             else 0, n))
+            else:
+                col.append(Q(rng.randint(-9, 9)))
+        if cls["p_singular"]:
+            rest = sum((d * v for i, (d, v) in enumerate(zip(planted, col))
+                        if i != 5), Q(0))
+            col[5] = -rest
+        for label, v in zip(labels, col):
+            chars[label].append(v * scale if cls["p_singular"] else v)
+    return OrdinaryCharTableG(classes, chars), list(zip(labels, mults))
+
+
+def direct_filter(tbl, constituents, p):
+    """The exact filter point by point, in itertools.product order."""
+    labels = [label for label, _ in constituents]
+    ranges = [range(1, 2)] + [range(m + 1) for _, m in constituents[1:]]
+    centralizers = [c["centralizer"] for c in tbl.classes]
+    out = []
+    for coeffs in itertools.product(*ranges):
+        if not all(candfilter._class_sum(tbl, labels, coeffs, ci).is_zero()
+                   for ci in tbl.singular_classes()):
+            continue
+        values = [candfilter._class_sum(tbl, labels, coeffs, ci)
+                  for ci in range(len(tbl.classes))]
+        if defect_integrality(values, centralizers, p):
+            out.append(coeffs)
+    return out
+
+
+def test_chunked_filter_matches_direct_loop(monkeypatch):
+    # box 3*3*2*2*4*3 = 432 points: 8 chunks of 50 and a remainder of 32
+    monkeypatch.setattr(candfilter, "CHUNK", 50)
+    survivors = 0
+    vanishing = 0
+    for seed in range(6):
+        tbl, cons = quadratic_table(seed)
+        box, fast = admissible_candidates(tbl, cons, 3)
+        slow = direct_filter(tbl, cons, 3)
+        assert box == 432
+        assert [c.coeffs for c in fast] == slow
+        assert all(type(d) is int for c in fast for d in c.coeffs)
+        survivors += len(slow)
+        vanishing += len(admissible_candidates(tbl, cons, 3,
+                                               use_defect=False)[1])
+    # both filters cut: some points vanish, and the defect drops some
+    assert 0 < survivors < vanishing
+
+
+def test_python_int_fallback_beyond_int64():
+    # singular values are multiples of 2^62: the int64 bound fails, and in
+    # int64 they would overflow or their sums wrap around to false zeros
+    for seed in range(3):
+        tbl, cons = quadratic_table(seed)
+        big, _ = quadratic_table(seed, scale=2 ** 62)
+        want = admissible_candidates(tbl, cons, 3)
+        got = admissible_candidates(big, cons, 3)
+        assert [c.coeffs for c in got[1]] == [c.coeffs for c in want[1]]
+        assert [c.coeffs for c in got[1]] == direct_filter(big, cons, 3)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from endoperm.quadfield import (QuadraticNumber, RadicalSum,
                                 express_in_rows, left_nullspace, mat_mul,
@@ -111,3 +112,143 @@ def test_express_and_solve_action():
     bad = [[Fraction(1), Fraction(1), Fraction(1)]]
     with pytest.raises(ValueError):
         solve_action(bad, M)
+
+
+# ---------------------------------------------------------------------------
+# The rational kernel against sympy, an independent exact reference
+
+def _to_sympy(M):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in M])
+
+
+def _from_sympy(S):
+    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)]
+            for i in range(S.rows)]
+
+
+def _random_rational(rng, rows, cols, rank=None):
+    """A rows x cols rational matrix of the given rank (full when None),
+    with a zero row mixed in now and then."""
+    def entry():
+        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+    rank = min(rows, cols) if rank is None else rank
+    left = [[entry() for _ in range(rank)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank)]
+    M = [[sum((row[t] * right[t][j] for t in range(rank)), Fraction(0))
+          for j in range(cols)] for row in left]
+    if rows > 1 and rng.random() < 0.3:
+        M[rng.randrange(rows)] = [Fraction(0)] * cols
+    return M
+
+
+def _random_cases(seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        rank = rng.randrange(0, min(rows, cols) + 1)
+        yield rng, _random_rational(rng, rows, cols, rank)
+
+
+def _loop_mat_mul(A, B):
+    """The plain triple loop, kept here as the reference for entry types."""
+    out = []
+    for row in A:
+        out.append([])
+        for j in range(len(B[0])):
+            acc = row[0] * B[0][j]
+            for k in range(1, len(B)):
+                acc = acc + row[k] * B[k][j]
+            out[-1].append(acc)
+    return out
+
+
+def test_mat_mul_matches_sympy_and_keeps_entry_types():
+    for rng, A in _random_cases(11):
+        B = _random_rational(rng, len(A[0]), rng.randrange(1, 6))
+        assert mat_mul(A, B) == _from_sympy(_to_sympy(A) * _to_sympy(B))
+    rng = random.Random(12)
+    for _ in range(20):
+        A = [[rng.randrange(-9, 10) for _ in range(4)] for _ in range(3)]
+        B = [[rng.randrange(-9, 10) for _ in range(5)] for _ in range(4)]
+        out = mat_mul(A, B)
+        assert all(type(x) is int for row in out for x in row)
+        # one Fraction in row 0 of A and one in column 2 of B
+        A[0][1] = Fraction(A[0][1], 3)
+        B[3][2] = Fraction(1, 2)
+        out, ref = mat_mul(A, B), _loop_mat_mul(A, B)
+        assert out == ref
+        assert [[type(x) for x in row] for row in out] == \
+            [[type(x) for x in row] for row in ref]
+
+
+def test_rref_and_nullspaces_match_sympy():
+    for _, M in _random_cases(13):
+        R, pivots = rref(M)
+        SR, spivots = _to_sympy(M).rref()
+        assert pivots == list(spivots)
+        assert R == _from_sympy(SR)
+        assert all(type(x) is Fraction for row in R for x in row)
+        S = _to_sympy(M)
+        assert right_nullspace(M) == [[Fraction(int(x.p), int(x.q))
+                                       for x in v] for v in S.nullspace()]
+        assert left_nullspace(M) == [[Fraction(int(x.p), int(x.q))
+                                      for x in v] for v in S.T.nullspace()]
+
+
+def test_generic_path_agrees_with_the_integer_path():
+    # the same rational matrices as QuadraticNumber entries take the
+    # generic loop; both paths must give equal answers
+    for _, M in _random_cases(14, count=15):
+        Mq = [[QuadraticNumber(x) for x in row] for row in M]
+        R, pivots = rref(M)
+        Rq, pivots_q = rref(Mq)
+        assert (Rq, pivots_q) == (R, pivots)
+        assert left_nullspace(Mq) == left_nullspace(M)
+
+
+def test_express_in_rows_matches_sympy():
+    for rng, B in _random_cases(15):
+        S = _to_sympy(B)
+        inside = [Fraction(rng.randrange(-4, 5)) for _ in B]
+        v = mat_mul([inside], B)[0]
+        x = express_in_rows(B, v)
+        assert x is not None and mat_mul([x], B)[0] == v
+        if S.rank() == len(B):
+            sol, _ = S.T.gauss_jordan_solve(_to_sympy([v]).T)
+            assert x == [row[0] for row in _from_sympy(sol)]
+        w = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+             for _ in B[0]]
+        in_span = S.col_join(_to_sympy([w])).rank() == S.rank()
+        assert (express_in_rows(B, w) is not None) == in_span
+
+
+def test_solve_action_matches_sympy():
+    rng = random.Random(16)
+    for _ in range(25):
+        n = rng.randrange(2, 7)
+        k = rng.randrange(1, n + 1)
+        B = _random_rational(rng, k, n)
+        if _to_sympy(B).rank() < k:
+            continue
+        # S: B's rows plus unit rows, invertible; T block lower triangular
+        # with C in the corner, so M = S^-1 T S has B M = C B
+        S = _to_sympy(B)
+        for i in range(n):
+            unit = sympy.Matrix([[int(i == j) for j in range(n)]])
+            if S.col_join(unit).rank() > S.rank():
+                S = S.col_join(unit)
+        C = _random_rational(rng, k, k)
+        T = sympy.zeros(n, n)
+        T[:k, :k] = _to_sympy(C)
+        T[k:, :] = _to_sympy(_random_rational(rng, n - k, n)) if n > k \
+            else T[k:, :]
+        M = _from_sympy(S.inv() * T * S)
+        assert solve_action(B, M) == C
+        assert _to_sympy(C) * _to_sympy(B) == _to_sympy(B) * _to_sympy(M)
+        if k < n:
+            N = _random_rational(rng, n, n)
+            SB = _to_sympy(B)
+            if SB.col_join(SB * _to_sympy(N)).rank() > k:
+                with pytest.raises(ValueError):
+                    solve_action(B, N)
