@@ -1,12 +1,14 @@
 """Matrices and modules over small prime fields: a mini MeatAxe.
 
-Supports any prime p < 256.  For p = 2 matrix rows are bit-packed into
-64-bit words and multiplication works word-wise; for odd p entries live in
-byte arrays with int64 accumulation.  On top of the matrix layer sit the
-module operations: spin, standard basis, fixed spaces, duals and quotients,
-the Norton irreducibility test, chopping into constituents, direct-summand
+Supports any prime p < 256.  A matrix stores one byte per entry (a uint8
+array) for every p, and a product is one int64 matmul reduced mod p; the
+matrices here are small, so per-object overhead dominates and no packed
+form pays off.  On top of the matrix layer sit the module operations:
+spin, standard basis, fixed spaces, duals and quotients, the Norton
+irreducibility test, chopping into constituents, direct-summand
 decomposition through idempotents of random endomorphisms, and Cartan
-matrices of algebra regular modules.
+matrices of algebra regular modules.  Their vector loops work on int64
+arrays and the stacked generator matrices, not on 1-row matrices.
 
 Row-vector convention throughout: vectors act from the left, x . M.
 """
@@ -31,63 +33,47 @@ class UnsupportedCharacteristic(ValueError):
     pass
 
 
+_PRIMES = frozenset(p for p in range(2, 256)
+                   if all(p % d for d in range(2, int(p ** .5) + 1)))
+
+
 def _check_prime(p):
-    if p < 2 or p >= 256 or any(p % d == 0 for d in range(2, int(p ** .5) + 1)):
+    if p not in _PRIMES:
         raise UnsupportedCharacteristic(
             f"unsupported characteristic {p} (need a prime < 256)")
 
 
-def _pack2(arr):
-    arr = np.asarray(arr, dtype=np.uint8) & 1
-    nbytes = ((arr.shape[1] + 63) // 64) * 8
-    packed = np.packbits(arr, axis=1, bitorder="little")
-    out = np.zeros((arr.shape[0], nbytes), dtype=np.uint8)
-    out[:, :packed.shape[1]] = packed
-    return out.view(np.uint64)
-
-
-def _unpack2(words, ncols):
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :ncols].astype(np.uint8)
-
-
 def row_times(x, mat):
     """x . mat for a row vector x encoded one byte per entry, returned in
-    the same encoding; mat is read in its stored form.
+    the same encoding.
 
-    For p = 2 the packed rows of mat picked out by the odd entries of x are
-    XORed and the sum is unpacked once; for odd p it is one int64 product
-    mod p.
+    For p = 2 the rows of mat picked out by the odd entries of x are XORed;
+    for odd p it is one int64 product mod p.
     """
     v = np.frombuffer(x, dtype=np.uint8)
     if len(v) != mat.nrows:
         raise ValueError("shape mismatch")
     if mat.p == 2:
-        acc = np.bitwise_xor.reduce(mat.data[np.flatnonzero(v & 1)], axis=0)
-        return np.unpackbits(acc.view(np.uint8), bitorder="little",
-                             count=mat.ncols).tobytes()
+        return np.bitwise_xor.reduce(mat.data[(v & 1).view(bool)],
+                                     axis=0).tobytes()
     prod = v.astype(np.int64) @ mat.data.astype(np.int64)
     return (prod % mat.p).astype(np.uint8).tobytes()
 
 
 class FqMatrix:
-    """Immutable-by-convention matrix over F_p."""
+    """Immutable-by-convention matrix over F_p; `data` is a uint8 array of
+    its entries in 0..p-1."""
 
     __slots__ = ("p", "nrows", "ncols", "data")
 
-    def __init__(self, p, rows, _packed=None):
+    def __init__(self, p, rows):
         _check_prime(p)
-        self.p = p
-        if _packed is not None:
-            self.nrows, self.ncols = _packed[1], _packed[2]
-            self.data = _packed[0]
-            return
         arr = np.asarray(rows, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("need a 2-d array of entries")
-        arr = np.mod(arr, p).astype(np.uint8)
+        self.p = p
+        self.data = np.mod(arr, p).astype(np.uint8)
         self.nrows, self.ncols = arr.shape
-        self.data = _pack2(arr) if p == 2 else arr
 
     @classmethod
     def identity(cls, p, n):
@@ -98,13 +84,8 @@ class FqMatrix:
         return cls(p, np.zeros((r, c), dtype=np.int64))
 
     def toarray(self):
-        """Entries as a uint8 numpy array (unpacked)."""
-        if self.p == 2:
-            return _unpack2(self.data, self.ncols)
+        """Entries as a uint8 numpy array (a copy)."""
         return self.data.copy()
-
-    def row(self, i):
-        return self.toarray()[i]
 
     def __eq__(self, other):
         return (isinstance(other, FqMatrix) and self.p == other.p
@@ -116,19 +97,11 @@ class FqMatrix:
 
     def __add__(self, other):
         self._compat(other)
-        if self.p == 2:
-            return FqMatrix(2, None,
-                            _packed=(self.data ^ other.data,
-                                     self.nrows, self.ncols))
-        return FqMatrix(self.p, self.data.astype(np.int64)
-                        + other.data.astype(np.int64))
+        return FqMatrix(self.p, self.data.astype(np.int64) + other.data)
 
     def __sub__(self, other):
         self._compat(other)
-        if self.p == 2:
-            return self + other
-        return FqMatrix(self.p, self.data.astype(np.int64)
-                        - other.data.astype(np.int64))
+        return FqMatrix(self.p, self.data.astype(np.int64) - other.data)
 
     def _compat(self, other):
         if not isinstance(other, FqMatrix) or other.p != self.p:
@@ -136,38 +109,20 @@ class FqMatrix:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return FqMatrix(self.p, self.toarray().astype(np.int64) * other)
+            return FqMatrix(self.p, self.data.astype(np.int64)
+                            * (other % self.p))
         self._compat(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        if self.p == 2:
-            bits = _unpack2(self.data, self.ncols)
-            out = np.zeros((self.nrows, other.data.shape[1]), dtype=np.uint64)
-            for i in range(self.nrows):
-                idx = np.nonzero(bits[i])[0]
-                if len(idx):
-                    out[i] = np.bitwise_xor.reduce(other.data[idx], axis=0)
-            return FqMatrix(2, None, _packed=(out, self.nrows, other.ncols))
-        prod = self.data.astype(np.int64) @ other.data.astype(np.int64)
-        return FqMatrix(self.p, prod)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = FqMatrix.identity(self.p, self.nrows)
-        b = self
-        while e:
-            if e & 1:
-                out = out * b
-            b = b * b
-            e >>= 1
-        return out
+        return FqMatrix(self.p, self.data.astype(np.int64)
+                        @ other.data.astype(np.int64))
 
     def transpose(self):
-        return FqMatrix(self.p, self.toarray().T)
+        return FqMatrix(self.p, self.data.T)
 
     def is_identity(self):
-        return self == FqMatrix.identity(self.p, self.nrows)
+        return (self.nrows == self.ncols
+                and np.array_equal(self.data, np.eye(self.nrows)))
 
     def is_zero(self):
         return not self.data.any()
@@ -175,27 +130,31 @@ class FqMatrix:
     # -- elimination --------------------------------------------------------
 
     def rref(self):
-        R, pivots = _rref(self.toarray(), self.p)
+        R, pivots = _rref(self.data, self.p)
         return FqMatrix(self.p, R), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
+    def row_basis(self):
+        """The nonzero rows of the reduced row echelon form."""
+        R, pivots = _rref(self.data, self.p)
+        return FqMatrix(self.p, R[:len(pivots)])
+
     def left_nullspace(self):
         """Rows v with v . M = 0."""
-        basis = _nullspace(self.toarray().T, self.p)
-        return FqMatrix(self.p, basis.reshape(-1, self.nrows))
+        return FqMatrix(self.p, _nullspace(self.data.T, self.p))
 
     def right_nullspace(self):
-        basis = _nullspace(self.toarray(), self.p)
-        return FqMatrix(self.p, basis.reshape(-1, self.ncols))
+        """Rows v with M . v^T = 0."""
+        return FqMatrix(self.p, _nullspace(self.data, self.p))
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
         aug = np.concatenate(
-            [self.toarray(), np.eye(n, dtype=np.uint8)], axis=1)
+            [self.data, np.eye(n, dtype=np.uint8)], axis=1)
         R, pivots = _rref(aug, self.p)
         if pivots[:n] != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
@@ -203,13 +162,6 @@ class FqMatrix:
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def stack(self, other):
-        return FqMatrix(self.p, np.concatenate(
-            [self.toarray(), other.toarray()], axis=0))
-
-    def take_rows(self, idx):
-        return FqMatrix(self.p, self.toarray()[list(idx)])
 
     def __repr__(self):
         return f"FqMatrix(p={self.p}, {self.nrows}x{self.ncols})"
@@ -245,57 +197,62 @@ def _nullspace(arr, p):
     """Right nullspace basis (as rows) of a uint8 array mod p."""
     R, pivots = _rref(arr, p)
     nc = arr.shape[1]
-    free = [c for c in range(nc) if c not in pivots]
+    free = np.ones(nc, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((len(free), nc), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, c in enumerate(pivots):
-            basis[k, c] = (-int(R[r, f])) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -R[:len(pivots), free].T.astype(np.int64) % p
     return basis.astype(np.uint8)
 
 
 class EchelonBasis:
-    """Incremental row echelon over F_p for spinning."""
+    """Incremental reduced row echelon form over F_p, for spinning.
+
+    `rows` is an int64 array; row i has a 1 in column `pivots[i]` and 0 in
+    every other row's pivot column, so v reduces in one product:
+    v - v[pivots] . rows.
+    """
 
     def __init__(self, p, ncols):
         self.p = p
         self.ncols = ncols
-        self.rows = []      # echelonized rows, pivot ascending insert order
         self.pivots = []
+        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
+
+    @property
+    def rows(self):
+        return self._rows[:len(self.pivots)]
 
     def reduce(self, v):
-        v = v.astype(np.int64) % self.p
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % self.p
+        v = np.asarray(v, dtype=np.int64) % self.p
+        if self.pivots:
+            v = (v - v[self.pivots] @ self.rows) % self.p
         return v
 
     def add(self, v):
         """Reduce v; if independent, insert and return True."""
         v = self.reduce(v)
-        nz = np.nonzero(v)[0]
+        nz = v.nonzero()[0]
         if len(nz) == 0:
             return False
         c = int(nz[0])
-        v = (v * pow(int(v[c]), -1, self.p)) % self.p
-        for i in range(len(self.rows)):
-            if self.rows[i][c]:
-                self.rows[i] = (self.rows[i] - self.rows[i][c] * v) % self.p
-        self.rows.append(v)
+        v = v * pow(int(v[c]), -1, self.p) % self.p
+        rows = self.rows
+        rows -= rows[:, c, None] * v
+        rows %= self.p
+        self._rows[len(self.pivots)] = v
         self.pivots.append(c)
         return True
 
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def contains(self, v):
         return not self.reduce(v).any()
 
     def matrix(self):
-        order = np.argsort(np.array(self.pivots)) if self.pivots else []
-        rows = [self.rows[i] for i in order]
-        return FqMatrix(self.p, np.array(rows, dtype=np.int64)
-                        if rows else np.zeros((0, self.ncols), np.int64))
+        return FqMatrix(self.p, self.rows[np.argsort(self.pivots)])
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +272,11 @@ class ModuleRep:
                 raise ValueError("actions must be square of equal size")
         self.dim = dim
 
+    def stacked(self):
+        """The generators' entries as one int64 array of shape (r, d, d)."""
+        return np.array([a.data for a in self.actions],
+                        dtype=np.int64).reshape(-1, self.dim, self.dim)
+
     def __repr__(self):
         return f"ModuleRep(p={self.p}, dim={self.dim}, gens={len(self.actions)})"
 
@@ -322,25 +284,22 @@ class ModuleRep:
 def spin(seeds, rep):
     """Echelonized basis of the smallest invariant subspace containing seeds.
 
-    Seeds may be an FqMatrix of rows or a list of vectors.
+    Seeds may be an FqMatrix of rows or a list of vectors.  Every vector
+    that enlarges the space is queued, and its images under all generators
+    are one product with the stacked generators.
     """
     if isinstance(seeds, FqMatrix):
-        seeds = list(seeds.toarray())
-    ech = EchelonBasis(rep.p, rep.dim)
-    queue = []
-    for v in seeds:
-        v = np.asarray(v, dtype=np.int64) % rep.p
-        if ech.add(v.astype(np.uint8)):
-            queue.append(ech.rows[-1])
+        seeds = seeds.data
+    p = rep.p
+    ech = EchelonBasis(p, rep.dim)
+    queue = [v for v in seeds if ech.add(v)]
+    gens = rep.stacked()
     qi = 0
     while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        vm = FqMatrix(rep.p, v.reshape(1, -1))
-        for a in rep.actions:
-            w = (vm * a).toarray()[0]
+        for w in np.asarray(queue[qi], dtype=np.int64) @ gens % p:
             if ech.add(w):
-                queue.append(ech.rows[-1])
+                queue.append(w)
+        qi += 1
     return ech.matrix()
 
 
@@ -356,24 +315,23 @@ def standard_basis(seed, rep):
     they are independent of what came before.  Two isomorphic modules given
     corresponding seeds therefore produce identical rebased actions.
     """
-    seed = np.asarray(seed, dtype=np.int64) % rep.p
-    ech = EchelonBasis(rep.p, rep.dim)
-    if not ech.add(seed.astype(np.uint8)):
+    p = rep.p
+    seed = np.asarray(seed, dtype=np.int64) % p
+    ech = EchelonBasis(p, rep.dim)
+    if not ech.add(seed):
         raise SeedDoesNotGenerate("zero seed")
-    basis = [seed.astype(np.uint8)]
+    basis = [seed]
+    gens = rep.stacked()
     qi = 0
     while qi < len(basis):
-        v = basis[qi]
-        qi += 1
-        vm = FqMatrix(rep.p, v.reshape(1, -1))
-        for a in rep.actions:
-            w = (vm * a).toarray()[0]
+        for w in basis[qi] @ gens % p:
             if ech.add(w):
                 basis.append(w)
+        qi += 1
     if len(basis) != rep.dim:
         raise SeedDoesNotGenerate(
             f"seed spins to dimension {len(basis)} < {rep.dim}")
-    return FqMatrix(rep.p, np.array(basis, dtype=np.int64))
+    return FqMatrix(p, np.array(basis))
 
 
 def rebase(basis, rep):
@@ -384,55 +342,32 @@ def rebase(basis, rep):
 
 
 def restrict(rep, basis):
-    """Action on an invariant row space, in basis coordinates."""
+    """Action on an invariant row space, in basis coordinates.
+
+    The basis rows B must be independent.  With E the reduced echelon rows
+    of their span and P its pivot columns, a vector w of the span has
+    coordinates w[P] against E and w[P] . T against B, T = B[:, P]^-1.
+    """
     if basis.nrows == 0:
         return ModuleRep(rep.p, [], 0), basis
-    arr = basis.toarray()
-    ech = EchelonBasis(rep.p, rep.dim)
-    for v in arr:
+    p = rep.p
+    ech = EchelonBasis(p, rep.dim)
+    for v in basis.data:
         ech.add(v)
-    acts = []
-    for a in rep.actions:
-        img = (basis * a).toarray()
-        rows = []
-        for w in img:
-            coeff = _coords_in(ech, w, rep.p)
-            if coeff is None:
-                raise ValueError("basis is not invariant under the action")
-            rows.append(coeff)
-        # coords are w.r.t. ech rows; convert to basis rows
-        T = _transition(ech, arr, rep.p)
-        acts.append(FqMatrix(rep.p, np.array(rows, dtype=np.int64)) * T)
-    return ModuleRep(rep.p, acts, basis.nrows), basis
-
-
-def _coords_in(ech, v, p):
-    v = v.astype(np.int64) % p
-    coeff = np.zeros(len(ech.rows), dtype=np.int64)
-    for i, (row, c) in enumerate(zip(ech.rows, ech.pivots)):
-        if v[c]:
-            coeff[i] = v[c]
-            v = (v - v[c] * row) % p
-    if v.any():
-        return None
-    return coeff
-
-
-def _transition(ech, basis_rows, p):
-    """Matrix T with (coords w.r.t. ech rows) * T = coords w.r.t. basis_rows."""
-    # express each ech row in basis_rows by solving basis_rows^T x = row
-    B = FqMatrix(p, np.array(basis_rows, dtype=np.int64))
-    E = FqMatrix(p, np.array(ech.rows, dtype=np.int64)
-                 if ech.rows else np.zeros((0, ech.ncols), np.int64))
-    # solve X B = E  =>  B^T X^T = E^T
-    Xt = _solve(B.transpose(), E.transpose())
-    return FqMatrix(p, Xt.toarray().T)
+    P = ech.pivots
+    T = FqMatrix(p, basis.data[:, P]).inverse().data.astype(np.int64)
+    img = basis.data.astype(np.int64) @ rep.stacked() % p
+    coords = img[:, :, P]
+    if ((img - coords @ ech.rows) % p).any():
+        raise ValueError("basis is not invariant under the action")
+    acts = [FqMatrix(p, c @ T) for c in coords]
+    return ModuleRep(p, acts, basis.nrows), basis
 
 
 def _solve(A, B):
     """X with A X = B (A of full column rank on its pivot columns)."""
     p = A.p
-    aug = np.concatenate([A.toarray(), B.toarray()], axis=1)
+    aug = np.concatenate([A.data, B.data], axis=1)
     R, pivots = _rref(aug, p)
     n = A.ncols
     X = np.zeros((n, B.ncols), dtype=np.int64)
@@ -440,8 +375,7 @@ def _solve(A, B):
         if c >= n:
             raise ValueError("inconsistent system")
         X[c] = R[r, n:]
-    if not np.array_equal((A.toarray().astype(np.int64) @ X) % p,
-                          B.toarray().astype(np.int64) % p):
+    if not np.array_equal(A.data.astype(np.int64) @ X % p, B.data):
         raise ValueError("inconsistent system")
     return FqMatrix(p, X)
 
@@ -455,8 +389,7 @@ def fixed_space(rep):
             break
         N = (current * (a - ident)).left_nullspace()
         current = N * current
-    return current.rref()[0].take_rows(range(current.rank())) \
-        if current.nrows else current
+    return current.row_basis()
 
 
 def dual(rep):
@@ -472,7 +405,7 @@ def quotient(rep, sub_basis):
     quotient coordinates and commutes with the actions.
     """
     p = rep.p
-    sub = sub_basis.toarray()
+    sub = sub_basis.data
     ech = EchelonBasis(p, rep.dim)
     for v in sub:
         ech.add(v)
@@ -485,17 +418,14 @@ def quotient(rep, sub_basis):
             comp.append(e)
     full = FqMatrix(p, np.array(list(sub) + comp, dtype=np.int64)
                     if (len(sub) + len(comp)) else np.zeros((0, rep.dim)))
-    inv = full.inverse()
-    proj = FqMatrix(p, inv.toarray()[:, k:])
-    acts = []
-    for a in rep.actions:
-        m = full * a * inv
-        acts.append(FqMatrix(p, m.toarray()[k:, k:]))
-    quo = ModuleRep(p, acts, rep.dim - k)
-    for a, q in zip(rep.actions, quo.actions):
-        if a * proj != proj * q:
-            raise AssertionError("projection does not commute with action")
-    return quo, proj
+    inv = full.inverse().data.astype(np.int64)
+    proj = inv[:, k:]
+    gens = rep.stacked()
+    quo = (full.data.astype(np.int64) @ gens % p @ inv % p)[:, k:, k:]
+    if ((gens @ proj - proj @ quo) % p).any():
+        raise AssertionError("projection does not commute with action")
+    return (ModuleRep(p, [FqMatrix(p, q) for q in quo], rep.dim - k),
+            FqMatrix(p, proj))
 
 
 # ---------------------------------------------------------------------------
@@ -738,25 +668,28 @@ def chop(rep, seed=0):
 # Endomorphism rings, summands, Cartan matrices
 
 def hom_basis(m1, m2):
-    """Basis of Hom(m1, m2): matrices F with A1_g F = F A2_g for all g."""
+    """Basis of Hom(m1, m2): matrices F with A1_g F = F A2_g for all g.
+
+    The equations for F, flattened row-major, are L . vec(F) = 0 with
+    L = A1 (x) I - I (x) A2^T for each generator; L is filled in place as a
+    (d1, d2, d1, d2) array.
+    """
     p = m1.p
     d1, d2 = m1.dim, m2.dim
     if d1 == 0 or d2 == 0:
         return []
+    i1, i2 = np.arange(d1), np.arange(d2)
     blocks = []
-    for a1, a2 in zip(m1.actions, m2.actions):
-        A = a1.toarray().astype(np.int64)
-        B = a2.toarray().astype(np.int64)
-        L = np.kron(A, np.eye(d2, dtype=np.int64)) \
-            - np.kron(np.eye(d1, dtype=np.int64), B.T)
-        blocks.append(L % p)
+    for A, B in zip(m1.stacked(), m2.stacked()):
+        L = np.zeros((d1, d2, d1, d2), dtype=np.int64)
+        L[:, i2, :, i2] += A
+        L[i1, :, i1, :] -= B.T
+        blocks.append(L.reshape(d1 * d2, d1 * d2) % p)
     if not blocks:
         return [FqMatrix(p, m) for m in np.eye(d1 * d2, dtype=np.int64)
                 .reshape(d1 * d2, d1, d2)] if d1 == d2 else []
-    big = np.concatenate(blocks, axis=0)
-    basis = _nullspace(big, p)
-    return [FqMatrix(p, vec.astype(np.int64).reshape(d1, d2))
-            for vec in basis]
+    basis = _nullspace(np.concatenate(blocks, axis=0), p)
+    return [FqMatrix(p, vec.reshape(d1, d2)) for vec in basis]
 
 
 def endomorphism_basis(rep):
@@ -764,50 +697,47 @@ def endomorphism_basis(rep):
 
 
 def min_poly(mat):
-    """Minimal polynomial: lcm of local minimal polynomials of unit vectors."""
+    """Minimal polynomial: lcm of local minimal polynomials of unit vectors.
+
+    A unit vector e_start already killed by the lcm so far is skipped: that
+    is row `start` of poly(mat), recomputed only when poly grows.
+    """
     p, d = mat.p, mat.nrows
+    M = mat.data.astype(np.int64)
     poly = (1,)
+    at = _poly_at(M, poly, p)
     for start in range(d):
-        v = np.zeros(d, dtype=np.int64)
-        v[start] = 1
-        vm = FqMatrix(p, v.reshape(1, -1))
-        if _apply_poly(mat, poly, vm).is_zero():
+        if not at[start].any():
             continue
         ech = EchelonBasis(p, d)
         krylov = []
-        w = vm
-        while ech.add(w.toarray()[0]):
-            krylov.append(w.toarray()[0])
-            w = w * mat
-        K = FqMatrix(p, np.array(krylov, dtype=np.int64))
-        coeff = _solve(K.transpose(), w.transpose()).toarray()[:, 0]
+        w = np.zeros(d, dtype=np.int64)
+        w[start] = 1
+        while ech.add(w):
+            krylov.append(w)
+            w = w @ M % p
+        K = FqMatrix(p, np.array(krylov))
+        coeff = _solve(K.transpose(), FqMatrix(p, w.reshape(-1, 1))).data[:, 0]
         loc = zpoly.fp_trim([(-int(c)) % p for c in coeff] + [1], p)
         g = zpoly.fp_gcd(poly, loc, p)
         poly = zpoly.fp_mul(poly, zpoly.fp_divmod(loc, g, p)[0], p)
         if zpoly.deg(poly) == d:
             break
+        at = _poly_at(M, poly, p)
     return poly
 
 
-def _apply_poly(mat, poly, vec):
-    out = FqMatrix.zeros(mat.p, 1, mat.nrows)
-    pw = vec
-    for c in poly:
-        if c:
-            out = out + pw * int(c)
-        pw = pw * mat
-    return out
+def _poly_at(M, poly, p):
+    """poly(M) mod p by Horner, for a square int64 array M."""
+    out = np.zeros_like(M)
+    for c in reversed(poly):
+        out = out @ M % p
+        out.flat[::len(M) + 1] += int(c)
+    return out % p
 
 
 def _poly_of_matrix(mat, poly):
-    p, d = mat.p, mat.nrows
-    out = FqMatrix.zeros(p, d, d)
-    pw = FqMatrix.identity(p, d)
-    for c in poly:
-        if c:
-            out = out + pw * int(c)
-        pw = pw * mat
-    return out
+    return FqMatrix(mat.p, _poly_at(mat.data.astype(np.int64), poly, mat.p))
 
 
 def split_by_idempotents(rep, theta):
@@ -836,8 +766,7 @@ def split_by_idempotents(rep, theta):
         # u with u*g = 1 mod q
         s, t = zpoly._fp_ext_gcd(zpoly.fp_divmod(g, q, p)[1], q, p)
         eps = _poly_of_matrix(theta, zpoly.fp_mul(s, g, p))
-        img = eps.rref()[0].take_rows(range(eps.rank()))
-        bases.append(img)
+        bases.append(eps.row_basis())
     if sum(b.nrows for b in bases) != rep.dim:
         raise AssertionError("idempotent split does not cover the module")
     return bases

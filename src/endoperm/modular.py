@@ -29,10 +29,12 @@ class SqrtConvention:
 
     Default: the root in {1..(p-1)/2}; p | n reduces to 0 (ramified);
     non-residues raise InertFieldError.  Overrides pin specific choices,
-    e.g. {3: 6} at p = 11.
+    e.g. {3: 6} at p = 11.  p must be a prime below 256, as for FqMatrix;
+    anything else raises UnsupportedCharacteristic before any reduction.
     """
 
     def __init__(self, p, overrides=None):
+        gfmat._check_prime(p)
         self.p = p
         self.overrides = dict(overrides or {})
         for n, s in self.overrides.items():

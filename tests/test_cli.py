@@ -3,6 +3,7 @@ import json
 from endoperm import cli
 from endoperm.candfilter import (OrdinaryCharTableG, admissible_candidates,
                                  conjugation_closure)
+from endoperm.corpus import instance_scenario, named_instances
 
 S5_TABLE = {
     "classes": [
@@ -57,3 +58,20 @@ def test_malformed_tables_are_input_errors(tmp_path, capsys):
 def test_fixtures_suite_exits_ok(capsys):
     assert cli.main(["fixtures"]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip()
+
+
+def test_decomp_and_verdict_reject_bad_characteristic(tmp_path, capsys):
+    scenario = tmp_path / "s4.json"
+    inst = next(i for i in named_instances() if i.name == "S4/S3")
+    scenario.write_text(json.dumps(instance_scenario(inst)))
+    for command in ("decomp", "verdict"):
+        for p in ("1", "4", "257"):
+            out = tmp_path / f"{command}-{p}.json"
+            assert cli.main([command, str(scenario), "--p", p,
+                             "--out", str(out)]) == cli.EXIT_INPUT
+            assert "unsupported characteristic" in capsys.readouterr().err
+            assert not out.exists()
+    out = tmp_path / "decomp-3.json"
+    assert cli.main(["decomp", str(scenario), "--p", "3",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["p"] == 3

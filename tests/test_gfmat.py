@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from endoperm.gfmat import (EchelonBasis, FqMatrix, ModuleRep,
-                            RetryBudgetExhausted, cartan_matrix, chop, dual,
-                            endomorphism_basis, fixed_space, hom_basis,
-                            is_irreducible, isomorphic, min_poly,
-                            quotient, rebase, rep_from_json, rep_to_json,
-                            restrict, spin, standard_basis, summands,
-                            vector_bytes)
+from endoperm.gfmat import (FqMatrix, ModuleRep, RetryBudgetExhausted,
+                            UnsupportedCharacteristic, _nullspace,
+                            cartan_matrix, chop, dual, endomorphism_basis,
+                            fixed_space, hom_basis, is_irreducible,
+                            isomorphic, min_poly, quotient, rebase,
+                            rep_from_json, rep_to_json, restrict, row_times,
+                            spin, standard_basis, summands, vector_bytes)
 from endoperm import zpoly
 
 
@@ -288,3 +288,197 @@ def test_rep_json_and_hex():
     assert rep2.actions[0] == ident
     with pytest.raises(ValueError):
         rep_from_json({"p": 3, "dim": 2, "generators": [packed]})
+
+
+# -- the matrix kernel against plain Python-int arithmetic --------------------
+
+KERNEL_PRIMES = (2, 3, 11, 251)
+KERNEL_SHAPES = ((0, 3), (3, 0), (0, 0), (1, 1), (2, 5), (5, 2), (4, 4),
+                 (7, 7))
+
+
+def ref_mul(A, B, p, inner, ncols):
+    return [[sum(A[i][k] * B[k][j] for k in range(inner)) % p
+             for j in range(ncols)] for i in range(len(A))]
+
+
+def ref_rref(A, p, ncols):
+    M = [[x % p for x in row] for row in A]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = pow(M[r][c], -1, p)
+        M[r] = [x * inv % p for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return M, pivots
+
+
+def ref_nullspace(A, p, ncols):
+    """Rows v with A v^T = 0: one per free column f, 1 at f, 0 at the other
+    free columns."""
+    R, pivots = ref_rref(A, p, ncols)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][f] % p
+        out.append(v)
+    return out
+
+
+def ref_transpose(A, nrows, ncols):
+    return [[A[i][j] for i in range(nrows)] for j in range(ncols)]
+
+
+def as_matrix(p, rows, nrows, ncols):
+    return FqMatrix(p, np.array(rows, dtype=np.int64).reshape(nrows, ncols))
+
+
+def as_lists(M):
+    return M.toarray().astype(int).tolist()
+
+
+def random_rows(rng, p, m, n, rank=None):
+    """An m x n matrix of Python ints, of rank at most `rank`."""
+    if rank is None:
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    return ref_mul(random_rows(rng, p, m, rank),
+                   random_rows(rng, p, rank, n), p, rank, n)
+
+
+def test_kernel_matches_python_int_reference():
+    rng = random.Random(4)
+    for p in KERNEL_PRIMES:
+        for m, n in KERNEL_SHAPES:
+            for rank in (None, 1, max(min(m, n) - 1, 0)):
+                A = random_rows(rng, p, m, n, rank)
+                B = random_rows(rng, p, m, n)
+                C = random_rows(rng, p, n, 3)
+                FA, FB = as_matrix(p, A, m, n), as_matrix(p, B, m, n)
+                FC = as_matrix(p, C, n, 3)
+                assert as_lists(FA * FC) == ref_mul(A, C, p, n, 3)
+                assert as_lists(FA + FB) == [
+                    [(a + b) % p for a, b in zip(ra, rb)]
+                    for ra, rb in zip(A, B)]
+                assert as_lists(FA - FB) == [
+                    [(a - b) % p for a, b in zip(ra, rb)]
+                    for ra, rb in zip(A, B)]
+                for c in (0, 1, p - 1, 7 * p + 3, -5):
+                    assert as_lists(FA * c) == [[a * c % p for a in row]
+                                                for row in A]
+                R, pivots = FA.rref()
+                want_R, want_pivots = ref_rref(A, p, n)
+                assert as_lists(R) == want_R and pivots == want_pivots
+                right = FA.right_nullspace()
+                assert right.ncols == n
+                assert as_lists(right) == ref_nullspace(A, p, n)
+                left = FA.left_nullspace()
+                assert left.ncols == m
+                assert as_lists(left) == ref_nullspace(
+                    ref_transpose(A, m, n), p, m)
+                if m == n:
+                    aug = [row + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(A)]
+                    R2, piv2 = ref_rref(aug, p, 2 * n)
+                    if piv2[:n] == list(range(n)):
+                        assert as_lists(FA.inverse()) == [row[n:]
+                                                          for row in R2]
+                    else:
+                        with pytest.raises(ZeroDivisionError):
+                            FA.inverse()
+
+
+def test_row_times_matches_vector_product():
+    rng = random.Random(8)
+    for p in KERNEL_PRIMES:
+        for m, n in KERNEL_SHAPES:
+            M = random_rows(rng, p, m, n)
+            FM = as_matrix(p, M, m, n)
+            for _ in range(4):
+                x = [rng.randrange(p) for _ in range(m)]
+                got = row_times(bytes(x), FM)
+                assert list(got) == ref_mul([x], M, p, m, n)[0]
+            with pytest.raises(ValueError):
+                row_times(bytes(m + 1), FM)
+
+
+def test_equal_matrices_hash_equal():
+    rng = random.Random(2)
+    for p in KERNEL_PRIMES:
+        for m, n in KERNEL_SHAPES:
+            A = random_rows(rng, p, m, n)
+            direct = as_matrix(p, A, m, n)
+            shifted = as_matrix(
+                p, [[a + p * rng.randrange(-3, 4) for a in row] for row in A],
+                m, n)
+            via_product = direct * FqMatrix.identity(p, n)
+            via_sum = direct + FqMatrix.zeros(p, m, n)
+            for other in (shifted, via_product, via_sum):
+                assert other == direct and hash(other) == hash(direct)
+
+
+def test_characteristic_must_be_a_prime_below_256():
+    for p in (0, 1, 4, 255, 256, 257):
+        with pytest.raises(UnsupportedCharacteristic):
+            FqMatrix(p, [[1]])
+    for p in (2, 251):
+        assert FqMatrix(p, [[p + 1]]).toarray().tolist() == [[1]]
+
+
+def kron_hom_basis(m1, m2):
+    """Hom(m1, m2) from the Kronecker-product equations, vec row-major."""
+    p, d1, d2 = m1.p, m1.dim, m2.dim
+    blocks = [(np.kron(a1.toarray().astype(np.int64), np.eye(d2, dtype=int))
+               - np.kron(np.eye(d1, dtype=int),
+                         a2.toarray().astype(np.int64).T)) % p
+              for a1, a2 in zip(m1.actions, m2.actions)]
+    return [FqMatrix(p, v.reshape(d1, d2))
+            for v in _nullspace(np.concatenate(blocks), p)]
+
+
+def random_invertible(rs, p, d):
+    while True:
+        T = FqMatrix(p, rs.randint(0, p, (d, d)))
+        if T.is_invertible():
+            return T
+
+
+def test_hom_basis_matches_kronecker_equations():
+    """Random modules S + T1 and S + T2 (conjugated, dims differ) share the
+    summand S, so Hom is nonzero and its basis is compared exactly."""
+    rs = np.random.RandomState(6)
+    for p in (2, 3, 11):
+        for s, t1, t2 in ((1, 2, 0), (2, 1, 3), (2, 3, 1), (3, 0, 2)):
+            gens = 2
+            S = [rs.randint(0, p, (s, s)) for _ in range(gens)]
+
+            def module(t):
+                d = s + t
+                T = random_invertible(rs, p, d)
+                acts = []
+                for g in range(gens):
+                    block = np.zeros((d, d), dtype=np.int64)
+                    block[:s, :s] = S[g]
+                    block[s:, s:] = rs.randint(0, p, (t, t))
+                    acts.append(T * FqMatrix(p, block) * T.inverse())
+                return ModuleRep(p, acts, d)
+
+            m1, m2 = module(t1), module(t2)
+            got = hom_basis(m1, m2)
+            assert got == kron_hom_basis(m1, m2)
+            assert len(got) >= 1
+            for F in got:
+                for a1, a2 in zip(m1.actions, m2.actions):
+                    assert a1 * F == F * a2
