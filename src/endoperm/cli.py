@@ -43,7 +43,10 @@ def _load_scenario(args):
         with open(args.scenario) as fh:
             data = json.load(fh)
         ctx, helper = orbenum.load_scenario(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        if ctx.target_index is None:
+            raise ValueError("scenario needs the index [G:H]")
+    except (OSError, json.JSONDecodeError, KeyError, IndexError,
+            ValueError) as exc:
         raise CliError(f"bad scenario: {exc}", EXIT_INPUT)
     if args.seed is not None:
         ctx.seed = args.seed

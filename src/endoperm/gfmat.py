@@ -248,9 +248,6 @@ class EchelonBasis:
     def dim(self):
         return len(self.pivots)
 
-    def contains(self, v):
-        return not self.reduce(v).any()
-
     def matrix(self):
         return FqMatrix(self.p, self.rows[np.argsort(self.pivots)])
 

@@ -225,16 +225,17 @@ def decomposition_matrix(table, reduced, basic, p):
                 f"row phi_{row.origin + 1}: lifted entries weigh {mult_sum}"
                 f" != multiplicity {row.mult}; p = {p} is too small")
         entries.append(x)
-    blocks = _column_blocks(entries, len(reduced))
+    blocks = _column_blocks(entries)
     return DecompositionMatrixE(entries,
                                 [r.origin for r in reduced],
                                 [reduced[i].origin for i in basic],
                                 blocks)
 
 
-def _column_blocks(entries, nrows):
-    """Connected components of rows linked through shared nonzero columns."""
-    k = len(entries[0]) if entries else 0
+def _components(k, edges):
+    """Connected components of the graph on 0..k-1 with the given edges
+    (pairs), each in ascending order, listed by their smallest vertex.
+    Union-find with path halving."""
     parent = list(range(k))
 
     def find(x):
@@ -243,15 +244,21 @@ def _column_blocks(entries, nrows):
             x = parent[x]
         return x
 
-    for row in entries:
-        nz = [c for c, e in enumerate(row) if e]
-        for c in nz[1:]:
-            parent[find(c)] = find(nz[0])
+    for a, b in edges:
+        parent[find(a)] = find(b)
     groups = {}
-    for c in range(k):
-        groups.setdefault(find(c), []).append(c)
+    for x in range(k):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
+def _column_blocks(entries):
+    """Connected components of rows linked through shared nonzero columns."""
+    k = len(entries[0]) if entries else 0
+    nonzero = [[c for c, e in enumerate(row) if e] for row in entries]
     blocks = []
-    for cols in groups.values():
+    for cols in _components(k, ((nz[0], c) for nz in nonzero
+                                for c in nz[1:])):
         rows = [i for i, row in enumerate(entries)
                 if any(row[c] for c in cols)]
         blocks.append(sorted(rows))
@@ -404,23 +411,10 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None,
 
 
 def _block_diag_blocks(C):
+    """Blocks of a square matrix: indices linked by nonzero entries."""
     k = len(C)
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(k):
-        for j in range(k):
-            if C[i][j]:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    return _components(k, ((i, j) for i in range(k) for j in range(k)
+                           if C[i][j]))
 
 
 def _cartan_multiset(C):

@@ -18,8 +18,15 @@ stored key -> orbit index, tests a point against every record at once
 (`walk`; Mueller, Neunhoeffer, Wilson, J. Algebra 314, 2007).  The
 accumulated stabilizer of a record grows by `GeneratedGroup.extend`, one
 Schreier generator at a time.
+
+The engine treats points as opaque hashable, ordered keys.  The two domain
+classes, `PermutationDomain` (integer points) and `VectorDomain` (byte-
+encoded F_p vectors), own the point format: they alone know how a point is
+stored, acted on, listed, fixed, read from a scenario file and projected to
+a helper's quotient set.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -48,24 +55,17 @@ class NotCertifiedMember(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Domains: how points are represented, acted on, and hashed.
+# Domains: the point format.
 
 class PermutationDomain:
     """Points are integers 0..degree-1; actors are Permutations."""
 
-    kind = "permutation"
-
     def __init__(self, degree):
         self.degree = degree
+        self.size = degree
 
     def apply(self, x, actor):
         return actor.images[x]
-
-    def key(self, x):
-        return x
-
-    def from_key(self, key):
-        return key
 
     def identity(self):
         return Permutation.identity(self.degree)
@@ -73,27 +73,74 @@ class PermutationDomain:
     def point_bytes(self):
         return 12
 
-    def sort_key(self, key):
-        return (0, key)
+    def points(self):
+        return list(range(self.degree))
+
+    def fixed_points(self, gens):
+        return [x for x in range(self.degree)
+                if all(g.images[x] == x for g in gens)]
+
+    def base_point(self, h_gens):
+        """The unique point fixed by every H-generator."""
+        fixed = self.fixed_points(h_gens)
+        if len(fixed) != 1:
+            raise ValueError(
+                f"need a unique H-fixed point, found {len(fixed)}; "
+                "specify base_point")
+        return fixed[0]
+
+    def parse_point(self, value):
+        """A scenario file's 1-indexed point number."""
+        if type(value) is not int or not 1 <= value <= self.degree:
+            raise ValueError(
+                f"base point must be a point number 1..{self.degree}")
+        return value - 1
+
+    def parse_quotient(self, value):
+        """A scenario file's {"mapping": [1-indexed class of each point]}."""
+        mapping = value.get("mapping") if isinstance(value, dict) else None
+        if not isinstance(mapping, list) or any(
+                type(q) is not int or q < 1 for q in mapping):
+            raise ValueError("quotient must be a mapping to classes 1, 2, ...")
+        return [q - 1 for q in mapping]
+
+    def quotient(self, k_gens, mapping):
+        """(quotient domain, projection, K-generators on the quotient) for a
+        list sending each point to its class 0..nq-1; None is the identity.
+        """
+        if mapping is None:
+            return self, lambda x: x, k_gens
+        mapping = list(mapping)
+        if len(mapping) != self.degree:
+            raise ValueError("quotient mapping must cover the domain")
+        nq = max(mapping) + 1
+        if set(mapping) != set(range(nq)):
+            raise ValueError("quotient mapping is not surjective")
+        q_gens = []
+        for k in k_gens:
+            images = [None] * nq
+            for x in range(self.degree):
+                q, qi = mapping[x], mapping[k.images[x]]
+                if images[q] is None:
+                    images[q] = qi
+                elif images[q] != qi:
+                    raise HelperNotEquivariant(
+                        "mapping is not a map of K-sets")
+            q_gens.append(Permutation(images))
+        return PermutationDomain(nq), lambda x: mapping[x], q_gens
 
 
 class VectorDomain:
-    """Points are byte-encoded F_p row vectors; actors are FqMatrix."""
-
-    kind = "vector"
+    """Points are F_p row vectors encoded one byte per entry (`encode`);
+    actors are FqMatrix."""
 
     def __init__(self, p, dim):
         self.p = p
         self.dim = dim
+        self.size = p ** dim
 
     def apply(self, x, actor):
         return gfmat.row_times(x, actor)
-
-    def key(self, x):
-        return x
-
-    def from_key(self, key):
-        return key
 
     def identity(self):
         return FqMatrix.identity(self.p, self.dim)
@@ -101,14 +148,70 @@ class VectorDomain:
     def point_bytes(self):
         return gfmat.vector_bytes(self.p, self.dim)
 
-    def sort_key(self, key):
-        return (0, key)
-
     def encode(self, vec):
         return np.asarray(vec, dtype=np.uint8).tobytes()
 
-    def decode(self, key):
-        return np.frombuffer(key, dtype=np.uint8)
+    def points(self):
+        return [bytes(v) for v in _all_vectors(self.p, self.dim)]
+
+    def fixed_points(self, gens):
+        """The nonzero vectors fixed by every generator."""
+        basis = gfmat.fixed_space(ModuleRep(self.p, gens, self.dim))
+        basis = basis.toarray().astype(np.int64)
+        return [self.encode(np.array(c) @ basis % self.p)
+                for c in _all_vectors(self.p, len(basis)) if any(c)]
+
+    def base_point(self, h_gens):
+        """A spanning vector of the H-fixed space, which must be a line."""
+        basis = gfmat.fixed_space(ModuleRep(self.p, h_gens, self.dim))
+        if basis.nrows != 1:
+            raise ValueError(
+                f"need a 1-dimensional H-fixed space, found {basis.nrows}; "
+                "specify base_point")
+        return self.encode(basis.toarray()[0])
+
+    def parse_point(self, value):
+        """A scenario file's {"vector": [entries in 0..p-1]}."""
+        vec = np.asarray(value.get("vector") if isinstance(value, dict)
+                         else None)
+        if vec.shape != (self.dim,) or vec.dtype.kind not in "iu" \
+                or ((vec < 0) | (vec >= self.p)).any():
+            raise ValueError(
+                f"base point must be {{\"vector\": [{self.dim} entries "
+                f"in 0..{self.p - 1}]}}")
+        return self.encode(vec)
+
+    def parse_quotient(self, value):
+        """A scenario file's {"projection": dim x w matrix}."""
+        if not isinstance(value, dict) or "projection" not in value:
+            raise ValueError("quotient must be a projection matrix")
+        return FqMatrix(self.p, value["projection"])
+
+    def quotient(self, k_gens, proj):
+        """(quotient domain, projection, K-generators on the quotient) for
+        x -> x . proj onto F_p^w; None is the identity."""
+        if proj is None:
+            return self, lambda x: x, k_gens
+        if not isinstance(proj, FqMatrix):
+            proj = FqMatrix(self.p, proj)
+        if proj.nrows != self.dim:
+            raise ValueError("projection must have one row per coordinate")
+        if proj.rank() != proj.ncols:
+            raise ValueError("projection is not surjective")
+        q_gens = []
+        for k in k_gens:
+            try:
+                q_gens.append(gfmat._solve(proj, k * proj))
+            except ValueError:
+                raise HelperNotEquivariant(
+                    "projection does not intertwine the K-action") from None
+        return (VectorDomain(self.p, proj.ncols),
+                lambda x: gfmat.row_times(x, proj), q_gens)
+
+
+def _all_vectors(p, dim):
+    """Every vector of F_p^dim as a tuple, the first entry varying fastest."""
+    return (v[::-1] for v in itertools.product(range(p), repeat=dim))
 
 
 class ActionContext:
@@ -128,7 +231,7 @@ class ActionContext:
         self.g_gens = list(g_gens)
         self.h_gens = list(h_gens)
         self.h_words = h_words
-        self.v1 = domain.key(v1)
+        self.v1 = v1
         self.faithful_h = faithful_h
         self.target_index = target_index
         self.memory_limit = memory_limit
@@ -156,9 +259,6 @@ class ActionContext:
             x = self.domain.apply(x, self.h_gens[i] if e > 0
                                   else self._h_inv[i])
         return x
-
-    def apply_element(self, x, el):
-        return self.domain.apply(x, el)
 
     def h_word_perm(self, word):
         """Evaluate an H-word in the faithful permutation action."""
@@ -196,8 +296,6 @@ class HelperSetup:
         self.k_gens = [evaluate_word(w, ctx.h_gens, ident)
                        for w in self.k_words]
         self._k_inv = [k.inverse() for k in self.k_gens]
-        # expansion of each K-generator into H-letters
-        self.k_h_words = [tuple(w) for w in self.k_words]
         if ctx.faithful_h is not None:
             perms = [ctx.h_word_perm(w) for w in self.k_words]
             self.k_group = GeneratedGroup(perms or [],
@@ -207,98 +305,21 @@ class HelperSetup:
         else:
             self.k_group = None
             self.k_order = None
-        self._setup_quotient(quotient)
-        self._build_orbit_table(q_limit)
+        self.q_domain, self.project, self.q_gens = ctx.domain.quotient(
+            self.k_gens, quotient)
+        if self.q_domain.size > q_limit:
+            raise ValueError("quotient set exceeds the enumeration budget")
+        self._build_orbit_table()
 
-    # -- quotient -----------------------------------------------------------
-
-    def _setup_quotient(self, quotient):
-        ctx = self.ctx
-        dom = ctx.domain
-        if quotient is None:
-            # identity map; Q is the point domain itself
-            self.q_kind = "identity"
-            if dom.kind == "vector" and ctx.domain.p ** ctx.domain.dim > 2 ** 20:
-                raise ValueError(
-                    "identity quotient needs an enumerable vector domain; "
-                    "supply a projection")
-            self.q_apply = [(g, gi) for gi, g in enumerate(self.k_gens)]
-            self.project = lambda x: x
-            self._q_gens = self.k_gens
-            self._q_inv = self._k_inv
-            self._q_points = self._domain_points()
-            return
-        if dom.kind == "permutation":
-            mapping = list(quotient)
-            if len(mapping) != dom.degree:
-                raise ValueError("quotient mapping must cover the domain")
-            nq = max(mapping) + 1
-            q_gens = []
-            for k in self.k_gens:
-                images = [None] * nq
-                for x in range(dom.degree):
-                    q, qi = mapping[x], mapping[k.images[x]]
-                    if images[q] is None:
-                        images[q] = qi
-                    elif images[q] != qi:
-                        raise HelperNotEquivariant(
-                            "mapping is not a map of K-sets")
-                if any(i is None for i in images):
-                    raise ValueError("quotient mapping is not surjective")
-                q_gens.append(Permutation(images))
-            self.q_kind = "permutation"
-            self.project = lambda x: mapping[x]
-            self._q_gens = q_gens
-            self._q_inv = [g.inverse() for g in q_gens]
-            self._q_points = list(range(nq))
-            return
-        # vector domain with a projection matrix
-        proj = quotient
-        if not isinstance(proj, FqMatrix):
-            proj = FqMatrix(dom.p, proj)
-        if proj.nrows != dom.dim:
-            raise ValueError("projection must have one row per coordinate")
-        dimw = proj.ncols
-        if dom.p ** dimw > 2 ** 20:
-            raise ValueError("quotient set too large to enumerate")
-        q_gens = []
-        for k in self.k_gens:
-            kw = gfmat._solve(proj, k * proj)
-            if k * proj != proj * kw:
-                raise HelperNotEquivariant(
-                    "projection does not intertwine the K-action")
-            q_gens.append(kw)
-        wdom = VectorDomain(dom.p, dimw)
-        self.q_kind = "vector"
-        self.w_domain = wdom
-        self.project = lambda x: gfmat.row_times(x, proj)
-        self._q_gens = q_gens
-        self._q_inv = [g.inverse() for g in q_gens]
-        self._q_points = [wdom.encode(v) for v in
-                          _all_vectors(dom.p, dimw)]
-
-    def _domain_points(self):
-        dom = self.ctx.domain
-        if dom.kind == "permutation":
-            return list(range(dom.degree))
-        return [dom.encode(v) for v in _all_vectors(dom.p, dom.dim)]
-
-    def _q_act(self, q, gi, inverse=False):
-        gen = self._q_inv[gi] if inverse else self._q_gens[gi]
-        if self.q_kind == "permutation" or (
-                self.q_kind == "identity"
-                and self.ctx.domain.kind == "permutation"):
-            return gen.images[q]
-        return gfmat.row_times(q, gen)
+    def _q_act(self, q, gi):
+        return self.q_domain.apply(q, self.q_gens[gi])
 
     # -- K-orbit table --------------------------------------------------------
 
-    def _build_orbit_table(self, q_limit):
-        if len(self._q_points) > q_limit:
-            raise ValueError("quotient set exceeds the enumeration budget")
+    def _build_orbit_table(self):
         self.orbit_of = {}
         self.orbits = []
-        for q0 in self._q_points:
+        for q0 in self.q_domain.points():
             if q0 in self.orbit_of:
                 continue
             orb = _KOrbit(q0)
@@ -353,7 +374,7 @@ class HelperSetup:
         """Rewrite a K-word as an H-word."""
         out = []
         for i, e in word:
-            w = self.k_h_words[i]
+            w = self.k_words[i]
             out.extend(w if e > 0 else word_inverse(w))
         return tuple(out)
 
@@ -367,19 +388,6 @@ class HelperSetup:
         """Fiber-stabilizer generators as H-words, cached per K-orbit."""
         orb = self.orbits[oid]
         return [self.expand_k_word(w) for w in orb.stab_words]
-
-
-def _all_vectors(p, dim):
-    total = p ** dim
-    v = np.zeros(dim, dtype=np.uint8)
-    out = []
-    for idx in range(total):
-        t = idx
-        for i in range(dim):
-            v[i] = t % p
-            t //= p
-        out.append(v.copy())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +448,7 @@ def enumerate_suborbit(ctx, helper, v, reach_word=(), full=False):
     record is completed by exhaustion and flagged uncertified.
     """
     dom = ctx.domain
-    record = OrbitRecord(dom.key(v), reach_word)
+    record = OrbitRecord(v, reach_word)
     certify = ctx.faithful_h is not None and not full
     h_order = ctx.h_order
     stab_group = None
@@ -558,15 +566,14 @@ def walk(ctx, helper, index, x, rng, budget=200):
     most `budget` random H-generator steps.  Returns the value of the first
     hit, which proves the point lies in that stored key's H-orbit, or None.
     """
-    y = ctx.domain.key(x)
-    z, _ = normalize_point(helper, y)
+    z, _ = normalize_point(helper, x)
     hit = index.get(z)
     nh = len(ctx.h_gens)
     if hit is not None or nh == 0:
         return hit
     for _ in range(budget):
-        y = ctx.domain.apply(y, ctx.h_gens[rng.randrange(nh)])
-        z, _ = normalize_point(helper, y)
+        x = ctx.domain.apply(x, ctx.h_gens[rng.randrange(nh)])
+        z, _ = normalize_point(helper, x)
         hit = index.get(z)
         if hit is not None:
             return hit
@@ -592,7 +599,7 @@ def disjoint(rec_a, rec_b):
 
 def trace_word(ctx, helper, record, x):
     """H-word w with rep . w = x, for certified members only."""
-    z, wq = normalize_point(helper, ctx.domain.key(x))
+    z, wq = normalize_point(helper, x)
     if z not in record.store:
         raise NotCertifiedMember("point does not normalize into the store")
     parts = []
@@ -602,7 +609,7 @@ def trace_word(ctx, helper, record, x):
         parts.append(node.edge)
         key = node.parent
     word = word_concat(*reversed(parts), helper.expand_k_word(wq))
-    if ctx.apply_h_word(record.rep, word) != ctx.domain.key(x):
+    if ctx.apply_h_word(record.rep, word) != x:
         raise AssertionError("traced word does not evaluate back to the point")
     return word
 
@@ -654,20 +661,7 @@ def orbit_min_key(ctx, record, cap=10 ** 6):
     """Minimal point of the orbit (seed-independent canonical tiebreak)."""
     if record.length is not None and record.length > cap:
         return min(record.store)
-    dom = ctx.domain
-    seen = {record.rep}
-    frontier = [record.rep]
-    best = record.rep
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for h in ctx.h_gens:
-                img = dom.apply(y, h)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return min(seen, key=dom.sort_key)
+    return min(_h_orbit(ctx, record.rep))
 
 
 def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
@@ -705,13 +699,13 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
             and probes < probe_budget:
         el, word = stream.next()
         probes += 1
-        x = ctx.apply_element(ctx.v1, el)
+        x = ctx.domain.apply(ctx.v1, el)
         if find(x) is not None:
             continue
         rec, fresh = add_new(x, word)
         if not fresh:
             continue
-        xinv = ctx.apply_element(ctx.v1, el.inverse())
+        xinv = ctx.domain.apply(ctx.v1, el.inverse())
         partner = find(xinv)
         if partner is None:
             partner, fresh2 = add_new(xinv, word_inverse(word))
@@ -719,8 +713,7 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
         partner.pair_rec = rec
     # canonical ordering and index assignment
     first, rest = records[0], records[1:]
-    rest.sort(key=lambda r: (r.length, ctx.domain.sort_key(
-        orbit_min_key(ctx, r))))
+    rest.sort(key=lambda r: (r.length, orbit_min_key(ctx, r)))
     ordered = [first] + rest
     for i, rec in enumerate(ordered):
         rec.index = i + 1
@@ -751,23 +744,23 @@ def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
     reaching word v1 . (g_j h g^{-1}) = v.  Returns (v, word) or None.
     """
     dom = ctx.domain
-    candidates = _fixed_points(ctx, s_gens)
+    candidates = dom.fixed_points(s_gens)
     rng = random.Random(seed_mix(seed, 0xF17ED))
     stream = ctx.g_stream(seed + 1)
     index = {key: rec for rec in partition.records for key in rec.store}
     for v in candidates:
-        if _orbit_length_capped(ctx, v, target_length) != target_length:
+        if len(_h_orbit(ctx, v, target_length)) != target_length:
             continue
         for _ in range(probes):
             el, gword = stream.next()
-            x = ctx.apply_element(v, el)
+            x = dom.apply(v, el)
             rec = walk(ctx, helper, index, x, rng, walk_budget)
             if rec is None:
                 continue
             h_word = trace_word(ctx, helper, rec, x)
             word = word_concat(rec.reach_word, _h_to_g(ctx, h_word),
                                word_inverse(gword))
-            if ctx.apply_g_word(ctx.v1, word) != dom.key(v):
+            if ctx.apply_g_word(ctx.v1, word) != v:
                 raise AssertionError(
                     "reaching word does not evaluate to the vector")
             return v, word
@@ -784,37 +777,21 @@ def _h_to_g(ctx, h_word):
     return tuple(out)
 
 
-def _fixed_points(ctx, s_gens):
-    dom = ctx.domain
-    if dom.kind == "permutation":
-        return [x for x in range(dom.degree)
-                if all(dom.apply(x, s) == x for s in s_gens)]
-    rep = ModuleRep(dom.p, s_gens, dom.dim)
-    basis = gfmat.fixed_space(rep)
-    out = []
-    for coeffs in _all_vectors(dom.p, basis.nrows):
-        if not coeffs.any():
-            continue
-        v = (coeffs.astype(np.int64) @ basis.toarray().astype(np.int64)) \
-            % dom.p
-        out.append(dom.encode(v))
-    return out
-
-
-def _orbit_length_capped(ctx, v, cap):
-    dom = ctx.domain
-    seen = {dom.key(v)}
-    frontier = [dom.key(v)]
-    while frontier and len(seen) <= cap:
+def _h_orbit(ctx, v, cap=None):
+    """The H-orbit of v by breadth-first search, or, given a cap, the
+    levels searched until more than cap points are seen."""
+    seen = {v}
+    frontier = [v]
+    while frontier and (cap is None or len(seen) <= cap):
         nxt = []
         for y in frontier:
             for h in ctx.h_gens:
-                img = dom.apply(y, h)
+                img = ctx.domain.apply(y, h)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return len(seen)
+    return seen
 
 
 def memory_estimate(ctx):
@@ -828,30 +805,56 @@ def memory_estimate(ctx):
 # Scenario files
 
 def load_scenario(data):
-    """Build (ctx, helper) from a scenario dict; see README for the schema."""
+    """Build (ctx, helper) from a scenario dict (a parsed JSON object).
+
+    Keys:
+
+    - "group": G as a permutation group, {"degree": n, "generators":
+      [[image of 1, ..., image of n], ...]} on the points 1..n; or
+      "matrix_group": G acting on F_p^dim, {"p": p, "dim": dim,
+      "generators": [dim x dim entries, row-major, or for p = 2 a hex
+      string of bit-packed rows]}.
+    - "h_words": generators of H as words in G's generators, each
+      [[generator, exponent], ...] with 1-indexed generators, negated for
+      the inverse.
+    - "k_words" (optional, default none): generators of the helper K <= H
+      as words in the H-generators.
+    - "faithful_h" (optional): H as a permutation group with one generator
+      per H-generator, in the format of "group"; it certifies orbit
+      lengths.
+    - "base_point" (optional): v1, a 1-indexed point number for "group",
+      {"vector": [dim entries in 0..p-1]} for "matrix_group".  Without it,
+      the unique H-fixed point or the H-fixed line is used.
+    - "quotient" (optional, default the identity): K's quotient map,
+      {"mapping": [1-indexed class of each point]} for "group",
+      {"projection": dim x w matrix of rank w} for "matrix_group".
+    - "index": [G:H], the total length of the H-orbits.  Classifying needs
+      it.
+    - "seed" (optional, default 0).
+    - "budgets" (optional): {"memory_points": stored points per orbit
+      (default 10^7), "q_limit": largest quotient set listed (default
+      2^20)}.
+    """
     seed = data.get("seed", 0)
     budgets = data.get("budgets", {})
     if "group" in data:
         G = group_from_json(data["group"])
         dom = PermutationDomain(G.degree)
         g_gens = G.gens
-        ident = Permutation.identity(G.degree)
     else:
         rep = gfmat.rep_from_json(data["matrix_group"])
         dom = VectorDomain(rep.p, rep.dim)
         g_gens = rep.actions
-        ident = FqMatrix.identity(rep.p, rep.dim)
     h_words = [load_word_json(w) for w in data["h_words"]]
-    h_gens = [evaluate_word(w, g_gens, ident) for w in h_words]
+    h_gens = [evaluate_word(w, g_gens, dom.identity()) for w in h_words]
     faithful = None
     if "faithful_h" in data:
         faithful = group_from_json(data["faithful_h"])
         faithful.build_chain()
     if "base_point" in data:
-        bp = data["base_point"]
-        v1 = (bp - 1) if isinstance(bp, int) else dom.encode(bp["vector"])
+        v1 = dom.parse_point(data["base_point"])
     else:
-        v1 = _find_base_point(dom, h_gens)
+        v1 = dom.base_point(h_gens)
     ctx = ActionContext(
         dom, g_gens, h_gens, v1, h_words=h_words, faithful_h=faithful,
         target_index=data.get("index"),
@@ -859,29 +862,7 @@ def load_scenario(data):
     k_words = [load_word_json(w) for w in data.get("k_words", [])]
     quotient = None
     if data.get("quotient"):
-        qd = data["quotient"]
-        if "mapping" in qd:
-            quotient = [q - 1 for q in qd["mapping"]]
-        else:
-            quotient = FqMatrix(dom.p, qd["projection"])
+        quotient = dom.parse_quotient(data["quotient"])
     helper = HelperSetup(ctx, k_words, quotient,
                          q_limit=budgets.get("q_limit", 2 ** 20))
     return ctx, helper
-
-
-def _find_base_point(dom, h_gens):
-    if dom.kind == "permutation":
-        fixed = [x for x in range(dom.degree)
-                 if all(g.images[x] == x for g in h_gens)]
-        if len(fixed) != 1:
-            raise ValueError(
-                f"need a unique H-fixed point, found {len(fixed)}; "
-                "specify base_point")
-        return fixed[0]
-    rep = ModuleRep(dom.p, h_gens, dom.dim)
-    basis = gfmat.fixed_space(rep)
-    if basis.nrows != 1:
-        raise ValueError(
-            f"need a 1-dimensional H-fixed space, found {basis.nrows}; "
-            "specify base_point")
-    return basis.toarray()[0].tobytes()

@@ -210,9 +210,3 @@ def _trace_identity(table):
                 or any(d != 1 for d in acc.terms)):
             return False
     return True
-
-
-def run_and_compare(inst, primes=None, seed=0):
-    run = run_instance(inst, primes=primes, seed=seed)
-    orc = oracle_instance(inst, primes=primes, seed=seed)
-    return run, orc, compare(run, orc)

@@ -223,22 +223,6 @@ class _FractionEchelon:
         self.pivots.append(piv)
         return True
 
-    def dim(self):
-        return len(self.rows)
-
-    def coords(self, v):
-        """x with x . basis_rows = v (w.r.t. insertion order), or None."""
-        v = [Fraction(c) for c in v]
-        coeff = [Fraction(0)] * len(self.rows)
-        for i, (row, c) in enumerate(zip(self.rows, self.pivots)):
-            if v[c]:
-                f = v[c]
-                coeff[i] = f
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return coeff
-
 
 class AlgebraClosure:
     """Standard-form basis of the unital algebra generated by a set of

@@ -58,10 +58,6 @@ def scale(p, c):
     return tuple(a * c for a in p)
 
 
-def shift(p, k):
-    return trim([0] * k + list(p))
-
-
 def evaluate(p, x):
     out = 0
     for c in reversed(p):
@@ -71,21 +67,6 @@ def evaluate(p, x):
 
 def deriv(p):
     return trim([i * c for i, c in enumerate(p)][1:])
-
-
-def monic_divmod(p, q):
-    """Division with remainder; q must be monic."""
-    if not q or q[-1] != 1:
-        raise ValueError("divisor must be monic")
-    p = list(p)
-    quo = [0] * max(0, len(p) - len(q) + 1)
-    for i in range(len(p) - len(q), -1, -1):
-        c = p[i + len(q) - 1]
-        if c:
-            quo[i] = c
-            for j, b in enumerate(q):
-                p[i + j] -= c * b
-    return trim(quo), trim(p)
 
 
 def divides(q, p):

@@ -6,6 +6,7 @@ import pytest
 from endoperm import oracle
 from endoperm.modular import (DecompositionMatrixE, InertFieldError,
                               LiftValidationError, SqrtConvention,
+                              _block_diag_blocks, _column_blocks,
                               _sqrt_mod, basic_set, cartan_from_decomposition,
                               cartan_from_regular, correspond_projectives,
                               decomposition_matrix, is_local,
@@ -184,3 +185,42 @@ def test_lift_validation_error_reported():
         permutation_verdict(tbl, mats, 2, h_order=H.order())
     reg = cartan_from_regular(mats, 2)
     assert len(reg["constituents"]) == 1  # still answers locality
+
+
+def _brute_components(n, linked):
+    """Connected components of the graph on 0..n-1 with edge i - j when
+    linked(i, j), by depth-first search; each sorted, by smallest vertex."""
+    seen, comps = set(), []
+    for s in range(n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, stack = [], [s]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(n):
+                if j not in seen and (linked(i, j) or linked(j, i)):
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_blocks_match_brute_force_components():
+    rng = random.Random(20)
+    for trial in range(200):
+        n, k = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.05, 0.15, 0.3, 0.6])
+        C = [[int(rng.random() < density) for _ in range(n)]
+             for _ in range(n)]
+        assert _block_diag_blocks(C) == _brute_components(
+            n, lambda i, j: C[i][j])
+        # a decomposition matrix: every column has a nonzero entry
+        D = [[int(rng.random() < density) for _ in range(k)]
+             for _ in range(n)]
+        for c in range(k):
+            D[rng.randrange(n)][c] = 1
+        rows = _brute_components(
+            n, lambda i, j: any(D[i][c] and D[j][c] for c in range(k)))
+        assert _column_blocks(D) == [b for b in rows if any(D[b[0]])]

@@ -216,3 +216,68 @@ def test_scenario_roundtrip():
     part = classify(ctx, helper, seed=5)
     assert part.lengths() == [1, 4]
     assert ctx.h_order == 24
+
+
+def _perm_matrix(p, images):
+    M = np.zeros((len(images), len(images)), dtype=int)
+    M[np.arange(len(images)), images] = 1
+    return FqMatrix(p, M)
+
+
+def _permutation_case():
+    dom = PermutationDomain(7)
+    k = Permutation([1, 0, 2, 3, 4, 6, 5])
+    gens = [k, Permutation([0, 1, 3, 2, 4, 5, 6])]
+    return dict(
+        dom=dom, gens=gens, k=k, nonzero=lambda x: True,
+        point=(3, 2), foreign_point={"vector": [1, 0, 0, 0, 0, 0, 0]},
+        foreign_quotient={"projection": [[1]] * 7},
+        equivariant=[0, 0, 1, 2, 3, 4, 4],
+        not_equivariant=[0, 1, 1, 2, 3, 4, 4],
+        not_surjective=[0, 0, 2, 2, 3, 4, 4])
+
+
+def _vector_case(p, dim):
+    dom = VectorDomain(p, dim)
+    k = _perm_matrix(p, [1, 0] + list(range(2, dim)))
+    cycle = _perm_matrix(p, [0, 1] + [2 + (i + 1) % (dim - 2)
+                                      for i in range(dim - 2)])
+    e0 = [1] + [0] * (dim - 1)
+    zero = dom.encode([0] * dim)
+    return dict(
+        dom=dom, gens=[k, cycle], k=k, nonzero=lambda x: x != zero,
+        point=({"vector": e0}, dom.encode(e0)), foreign_point=1,
+        foreign_quotient={"mapping": [1] * dim},
+        equivariant=[[1], [1]] + [[0]] * (dim - 2),
+        not_equivariant=[[1]] + [[0]] * (dim - 1),
+        not_surjective=[[1, 1], [1, 1]] + [[0, 0]] * (dim - 2))
+
+
+@pytest.mark.parametrize("make", [
+    _permutation_case, lambda: _vector_case(2, 5),
+    lambda: _vector_case(3, 3)], ids=["perm-7", "F2^5", "F3^3"])
+def test_domain_contract(make):
+    case = make()
+    dom, k = case["dom"], case["k"]
+    points = dom.points()
+    assert len(points) == len(set(points)) == dom.size
+    for gens in ([], case["gens"][:1], case["gens"]):
+        want = [x for x in points if case["nonzero"](x)
+                and all(dom.apply(x, g) == x for g in gens)]
+        assert sorted(dom.fixed_points(gens)) == sorted(want)
+    assert dom.quotient([k], None)[0] is dom
+    q_dom, project, (q_k,) = dom.quotient([k], case["equivariant"])
+    assert {project(x) for x in points} == set(q_dom.points())
+    for x in points:
+        assert project(dom.apply(x, k)) == q_dom.apply(project(x), q_k)
+    with pytest.raises(HelperNotEquivariant):
+        dom.quotient([k], case["not_equivariant"])
+    with pytest.raises(ValueError) as exc:
+        dom.quotient([k], case["not_surjective"])
+    assert not isinstance(exc.value, HelperNotEquivariant)
+    text, point = case["point"]
+    assert dom.parse_point(text) == point
+    with pytest.raises(ValueError):
+        dom.parse_point(case["foreign_point"])
+    with pytest.raises(ValueError):
+        dom.parse_quotient(case["foreign_quotient"])
