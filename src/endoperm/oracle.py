@@ -8,14 +8,15 @@ decompositions computed directly from the explicit commutant.  The rest of
 the package is validated stage by stage against these results.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import gfmat
 from .permgrp import GeneratedGroup, Permutation, word_concat
-from .quadfield import (QuadraticNumber, left_nullspace, mat_from_int,
-                        mat_mul, rref, solve_action, squarefree_part)
+from .quadfield import (QuadraticNumber, left_nullspace, mat_mul, poly_at,
+                        solve_action, solve_actions, squarefree_part)
 from . import zpoly
 
 
@@ -219,7 +220,7 @@ def char_table_commutative(basis):
                     "orbital matrices do not commute")
     comps = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
     for B in mats[1:]:
-        BQ = mat_from_int(B)
+        BQ = B.tolist()
         refined = []
         for comp in comps:
             C = solve_action(comp, BQ)
@@ -229,7 +230,7 @@ def char_table_commutative(basis):
                 refined.append(comp)
                 continue
             for f, mult in facs:
-                FC = _eval_poly_mat(C, f, mult)
+                FC = poly_at(C, f, mult)
                 K = left_nullspace(FC)
                 if K:
                     refined.append(mat_mul(K, comp))
@@ -238,7 +239,7 @@ def char_table_commutative(basis):
         raise AssertionError("eigenspace refinement lost dimensions")
     rows = []
     for comp in comps:
-        actions = [solve_action(comp, mat_from_int(B)) for B in mats]
+        actions = solve_actions(comp, [B.tolist() for B in mats])
         quad = None
         for C in actions:
             if not _is_scalar(C):
@@ -251,17 +252,15 @@ def char_table_commutative(basis):
         # split over the quadratic field of the first non-scalar action
         lam, lam_bar = _quadratic_eigenvalues(quad)
         for root in (lam, lam_bar):
-            Cq = [[QuadraticNumber(x) for x in row] for row in quad]
-            d = len(Cq)
-            M = [[Cq[i][j] - (root if i == j else 0) for j in range(d)]
+            d = len(quad)
+            M = [[quad[i][j] - (root if i == j else 0) for j in range(d)]
                  for i in range(d)]
             E = left_nullspace(M)
             if not E:
                 raise AssertionError("missing quadratic eigenspace")
             values = []
             for C in actions:
-                Cq2 = [[QuadraticNumber(x) for x in row] for row in C]
-                img = mat_mul(E, Cq2)
+                img = mat_mul(E, C)
                 lam_k = None
                 for a, b in zip(E, img):
                     for x, y in zip(a, b):
@@ -299,41 +298,30 @@ def _is_scalar(C):
 
 
 def _char_poly_fraction(C):
-    """Characteristic polynomial of a Fraction matrix, as integer tuple."""
+    """Characteristic polynomial of a Fraction matrix, as integer tuple.
+
+    Faddeev-LeVerrier on the integer matrix s C, s the common denominator:
+    its coefficients c_k are integers, and C's are c_k / s^k."""
     d = len(C)
-    # Faddeev-LeVerrier over Fractions
-    M = [[Fraction(0)] * d for _ in range(d)]
-    coeffs = [Fraction(1)]
+    s = math.lcm(*(x.denominator for row in C for x in row))
+    Cs = [[int(x * s) for x in row] for row in C]
+    M = [[0] * d for _ in range(d)]
+    coeffs = [1]
     for k in range(1, d + 1):
         for i in range(d):
             M[i][i] += coeffs[-1]
-        M = mat_mul(C, M)
-        c = -sum(M[i][i] for i in range(d)) / k
+        M = mat_mul(Cs, M)
+        c, rem = divmod(-sum(M[i][i] for i in range(d)), k)
+        if rem:
+            raise AssertionError("Faddeev-LeVerrier trace is not divisible")
         coeffs.append(c)
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // __import__("math").gcd(
-            denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    if denom != 1:
-        raise AssertionError("characteristic polynomial is not integral")
+    ints = []
+    for k, c in enumerate(coeffs):
+        q, rem = divmod(c, s ** k)
+        if rem:
+            raise AssertionError("characteristic polynomial is not integral")
+        ints.append(q)
     return tuple(reversed(ints))
-
-
-def _eval_poly_mat(C, f, power):
-    d = len(C)
-    out = [[Fraction(0)] * d for _ in range(d)]
-    pw = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for c in f:
-        if c:
-            for i in range(d):
-                for j in range(d):
-                    out[i][j] += c * pw[i][j]
-        pw = mat_mul(pw, C)
-    total = out
-    for _ in range(power - 1):
-        total = mat_mul(total, out)
-    return total
 
 
 def _quadratic_eigenvalues(C):

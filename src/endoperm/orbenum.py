@@ -835,6 +835,10 @@ def load_scenario(data):
       (default 10^7), "q_limit": largest quotient set listed (default
       2^20)}.
     """
+    if not isinstance(data, dict):
+        raise ValueError("a scenario is a JSON object")
+    if not isinstance(data.get("h_words"), list):
+        raise ValueError("h_words must be a list of words")
     seed = data.get("seed", 0)
     budgets = data.get("budgets", {})
     if "group" in data:

@@ -10,6 +10,7 @@ still compared through the field-free regular-module route.
 
 from . import modular, oracle, orbenum, schur, splitchar
 from .corpus import build_context
+from .quadfield import RadicalVector
 
 
 class ClassifyIncomplete(RuntimeError):
@@ -197,16 +198,10 @@ def compare(run, orc):
 def _trace_identity(table):
     """sum over rows of degree * value(A_j) is n at j = 1 and 0 elsewhere
     (the trace of the orbital basis on the permutation module)."""
-    from .quadfield import RadicalSum
-    from fractions import Fraction
     n = table.n
+    degrees = RadicalVector([row.degree for row in table.rows])
     for j in range(table.r):
-        acc = RadicalSum()
-        for row in table.rows:
-            acc = acc + RadicalSum.from_quadratic(
-                row.values[j]).scale(Fraction(row.degree))
-        want = Fraction(n) if j == 0 else Fraction(0)
-        if (acc.terms.get(1, Fraction(0)) != want
-                or any(d != 1 for d in acc.terms)):
+        acc = RadicalVector([row.values[j] for row in table.rows])
+        if acc.dot(degrees).terms != ({1: n} if j == 0 else {}):
             return False
     return True

@@ -5,15 +5,20 @@ A QuadraticNumber is a + b*sqrt(n) with rational a, b and squarefree n > 0;
 b = 0 encodes a rational (normalized to n = 1).  Arithmetic mixing two
 different irrational radicands is refused, except inside RadicalSum, the
 accumulator used by orthogonality checks where cross products like
-sqrt(3)*sqrt(33) = 3*sqrt(11) genuinely occur.
+sqrt(3)*sqrt(33) = 3*sqrt(11) genuinely occur.  RadicalVector holds a
+vector of such numbers as one integer vector per radicand, so a weighted
+sum of products is a few integer dot products and one RadicalSum.
 
-The linear algebra (mat_mul, rref and what is built on it) has one integer
-kernel, and the entry type selects the path.  A matrix whose entries are
-all ints and Fractions is scaled to integer rows: products are integer dot
-products over one common denominator, and elimination is fraction-free on
-primitive integer rows, with Fractions made only for the results.  Any
-other entries, QuadraticNumbers in particular, go through the generic
-loops.  Both paths return the same values.
+The linear algebra (mat_mul, poly_at, rref and what is built on it) has
+one kernel on integer pairs.  A matrix over Q(sqrt(n)) is held as integer
+rows A, B over one denominator d, the matrix (A + B sqrt(n)) / d.  A
+product is four integer products; elimination is fraction-free
+Gauss-Jordan on primitive pair rows, each pivot row multiplied by its
+pivot's conjugate so that every pivot is a rational integer.  A rational
+matrix is the case B = 0 and skips the B products.  Entries are made only
+for the results: QuadraticNumbers when an operand holds one, else ints and
+Fractions as the plain loops over those types would give.  Two irrational
+radicands in one operation raise ValueError.
 """
 
 import math
@@ -41,7 +46,7 @@ class QuadraticNumber:
         a, b = Fraction(a), Fraction(b)
         if n <= 0:
             raise ValueError("radicand must be positive")
-        if b and n != 1:
+        if b:
             s, k = squarefree_part(n)
             if s == 1:
                 a, b, n = a + b * k, Fraction(0), 1
@@ -52,8 +57,12 @@ class QuadraticNumber:
         self.a, self.b, self.n = a, b, n
 
     @classmethod
-    def rational(cls, q):
-        return cls(q, 0, 1)
+    def _unchecked(cls, a, b, n):
+        """a + b sqrt(n) from Fractions a, b and a squarefree n, with no
+        normalization but n = 1 for b = 0."""
+        x = object.__new__(cls)
+        x.a, x.b, x.n = a, b, (n if b else 1)
+        return x
 
     def is_rational(self):
         return self.b == 0
@@ -64,7 +73,7 @@ class QuadraticNumber:
         return self.a
 
     def conjugate(self):
-        return QuadraticNumber(self.a, -self.b, self.n)
+        return QuadraticNumber._unchecked(self.a, -self.b, self.n)
 
     def _coerce(self, other):
         if isinstance(other, QuadraticNumber):
@@ -84,12 +93,13 @@ class QuadraticNumber:
         if other is None:
             return NotImplemented
         n = self._join(other)
-        return QuadraticNumber(self.a + other.a, self.b + other.b, n)
+        return QuadraticNumber._unchecked(self.a + other.a, self.b + other.b,
+                                          n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.n)
+        return QuadraticNumber._unchecked(-self.a, -self.b, self.n)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -105,7 +115,7 @@ class QuadraticNumber:
         if other is None:
             return NotImplemented
         n = self._join(other)
-        return QuadraticNumber(
+        return QuadraticNumber._unchecked(
             self.a * other.a + self.b * other.b * n,
             self.a * other.b + self.b * other.a, n)
 
@@ -115,7 +125,8 @@ class QuadraticNumber:
         denom = self.a * self.a - self.b * self.b * self.n
         if denom == 0:
             raise ZeroDivisionError("zero or non-field element")
-        return QuadraticNumber(self.a / denom, -self.b / denom, self.n)
+        return QuadraticNumber._unchecked(self.a / denom, -self.b / denom,
+                                          self.n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -231,148 +242,282 @@ class RadicalSum:
     def is_zero(self):
         return not self.terms
 
-    def rational_value(self):
-        if set(self.terms) - {1}:
-            raise ValueError(f"not rational: {self.terms}")
-        return self.terms.get(1, Fraction(0))
-
     def __repr__(self):
         return f"RadicalSum({self.terms})"
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Fraction or QuadraticNumber entries.
-# Matrices are lists of lists (row-major); row vectors act on the left.
+# Orthogonality sums over vectors of quadratic numbers
 
-_RATIONAL = frozenset((int, Fraction))
+class RadicalVector:
+    """A vector of rationals and QuadraticNumbers, of any radicands, as
+    integer vectors: it is the sum over s of parts[s] * sqrt(s) / den.
+
+    dot() multiplies the parts pairwise, so a weighted sum of products
+    costs one integer dot product per pair of radicands (four for two rows
+    over Q(sqrt(n))) and one RadicalSum at the end."""
+
+    __slots__ = ("parts", "den")
+
+    def __init__(self, values, weights=None):
+        cols = {1: [x.a if type(x) is QuadraticNumber else x
+                    for x in values]}
+        for j, x in enumerate(values):
+            if type(x) is QuadraticNumber and x.b:
+                cols.setdefault(x.n, [0] * len(values))[j] = x.b
+        self.den = math.lcm(*{x.denominator for col in cols.values()
+                              for x in col})
+        if weights is None:
+            weights = [1] * len(values)
+        self.parts = {
+            s: [x.numerator * (self.den // x.denominator) * w
+                for x, w in zip(col, weights)]
+            for s, col in cols.items()}
+
+    def dot(self, other):
+        """sum_j self_j * other_j as a RadicalSum."""
+        terms = {}
+        for s, x in self.parts.items():
+            for t, y in other.parts.items():
+                c = sum(map(operator.mul, x, y))
+                if c:
+                    # s, t squarefree: s t = u g^2 with g = gcd(s, t)
+                    g = math.gcd(s, t)
+                    u = (s // g) * (t // g)
+                    terms[u] = terms.get(u, 0) + c * g
+        den = self.den * other.den
+        return RadicalSum({u: Fraction(c, den) for u, c in terms.items()})
 
 
-def _zero_like(x):
-    return x - x
+# ---------------------------------------------------------------------------
+# Exact linear algebra over Q(sqrt(n)): the integer pair kernel.
+# Matrices are lists of lists (row-major) of ints, Fractions and
+# QuadraticNumbers; row vectors act on the left.
+
+_ZERO = Fraction(0)
+_INT, _FRACTION, _QUADRATIC = 0, 1, 2
 
 
-def _is_rational(*mats):
-    return all(type(x) in _RATIONAL for M in mats for row in M for x in row)
+def _kind(types):
+    """The result type of an entry made from values of the given types: a
+    QuadraticNumber if one is, else an int if all are ints, else a
+    Fraction."""
+    if QuadraticNumber in types:
+        return _QUADRATIC
+    return _INT if types <= {int} else _FRACTION
 
 
-def _int_rows(M):
-    """(rows, den): integer rows with M = rows / den, one den for all."""
-    den = math.lcm(*{x.denominator for row in M for x in row})
-    return [[x.numerator * (den // x.denominator) for x in row]
-            for row in M], den
+class _Pairs:
+    """A matrix as integer rows: M = (a + b sqrt(n)) / den, one den for
+    all entries; b is None (and n is 1) when no entry is irrational.
+    kind is _kind of all the entries, and uniform tells whether they are
+    all of one type."""
+
+    __slots__ = ("a", "b", "den", "n", "kind", "uniform")
+
+    def __init__(self, M):
+        types = {type(x) for row in M for x in row}
+        self.kind = _kind(types)
+        self.uniform = len(types) <= 1
+        self.b, self.den, self.n = None, 1, 1
+        if self.kind == _INT:
+            self.a = [list(row) for row in M]
+            return
+        ra = M
+        if self.kind == _QUADRATIC:
+            ns = {x.n for row in M for x in row
+                  if type(x) is QuadraticNumber} - {1}
+            if len(ns) > 1:
+                n1, n2 = sorted(ns)[:2]
+                raise ValueError(f"mixed radicands sqrt({n1}) and sqrt({n2})")
+            ra = [[x.a if type(x) is QuadraticNumber else x for x in row]
+                  for row in M]
+            if ns:
+                self.n = ns.pop()
+                self.b = [[x.b if type(x) is QuadraticNumber else 0
+                           for x in row] for row in M]
+        den = math.lcm(*{x.denominator for row in ra for x in row},
+                       *{x.denominator for row in self.b or () for x in row})
+        self.den = den
+        self.a = [[x.numerator * (den // x.denominator) for x in row]
+                  for row in ra]
+        if self.b is not None:
+            self.b = [[x.numerator * (den // x.denominator) for x in row]
+                      for row in self.b]
+
+
+def _join(n1, n2):
+    if n1 != 1 and n2 != 1 and n1 != n2:
+        raise ValueError(f"mixed radicands sqrt({n1}) and sqrt({n2})")
+    return n1 if n1 != 1 else n2
+
+
+def _int_product(X, Y):
+    cols = list(zip(*Y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in X]
+
+
+def _pair_product(A1, B1, A2, B2, n):
+    """(P, Q) with (A1 + B1 r)(A2 + B2 r) = P + Q r for r = sqrt(n); a B
+    that is None is zero, and Q is None when both are."""
+    if B1 is None and B2 is None:
+        return _int_product(A1, A2), None
+    if B1 is None:
+        return _int_product(A1, A2), _int_product(A1, B2)
+    if B2 is None:
+        return _int_product(A1, A2), _int_product(B1, A2)
+    # the four products as two of twice the length:
+    # [A1 | B1] against [A2 ; n B2] and against [B2 ; A2]
+    left = [a + b for a, b in zip(A1, B1)]
+    nB2 = [[n * x for x in row] for row in B2]
+    return _int_product(left, A2 + nB2), _int_product(left, B2 + A2)
+
+
+def _entry(a, b, den, n, kind):
+    if kind == _QUADRATIC:
+        return QuadraticNumber._unchecked(
+            Fraction(a, den), Fraction(b, den) if b else _ZERO, n)
+    return a // den if kind == _INT else Fraction(a, den)
+
+
+def _entries(P, Q, den, n, kind):
+    """The rows (P + Q sqrt(n)) / den, every entry of one kind."""
+    if kind == _INT:
+        return P if den == 1 else [[a // den for a in row] for row in P]
+    if kind == _FRACTION:
+        return [[Fraction(a, den) for a in row] for row in P]
+    make = QuadraticNumber._unchecked
+    if Q is None:
+        return [[make(Fraction(a, den), _ZERO, 1) for a in row] for row in P]
+    return [[make(Fraction(a, den), Fraction(b, den), n)
+             for a, b in zip(pr, qr)] for pr, qr in zip(P, Q)]
 
 
 def mat_mul(A, B):
-    """A . B.  Rational operands multiply as integer rows over one common
-    denominator each; an entry is an int exactly when its row of A and its
-    column of B hold only ints, as in the generic loop."""
-    if _is_rational(A, B):
-        return _mat_mul_rational(A, B)
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = []
-    for i in range(rows):
-        row = []
-        ai = A[i]
-        for j in range(cols):
-            acc = ai[0] * B[0][j]
-            for k in range(1, inner):
-                acc = acc + ai[k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """A . B as integer products over one common denominator per operand.
+
+    With A = (A1 + B1 r) / d1 and B = (A2 + B2 r) / d2, r = sqrt(n), the
+    product is (A1 A2 + n B1 B2 + (A1 B2 + B1 A2) r) / (d1 d2); a rational
+    operand skips its B products.  An entry is a QuadraticNumber when its
+    row of A or its column of B holds one, else an int when both hold only
+    ints, else a Fraction: the types of the plain triple loop."""
+    pa, pb = _Pairs(A), _Pairs(B)
+    n = _join(pa.n, pb.n)
+    P, Q = _pair_product(pa.a, pa.b, pb.a, pb.b, n)
+    den = pa.den * pb.den
+    if pa.uniform and pb.uniform:
+        return _entries(P, Q, den, n, max(pa.kind, pb.kind))
+    kr = [_kind(set(map(type, row))) for row in A]
+    kc = [_kind(set(map(type, col))) for col in zip(*B)]
+    if Q is None:
+        Q = [[0] * len(row) for row in P]
+    return [[_entry(a, b, den, n, max(ki, kj))
+             for a, b, kj in zip(pr, qr, kc)]
+            for pr, qr, ki in zip(P, Q, kr)]
 
 
-def _mat_mul_rational(A, B):
-    Ai, da = _int_rows(A)
-    Bi, db = _int_rows(B)
-    cols = list(zip(*Bi))
-    prods = [[sum(map(operator.mul, row, col)) for col in cols]
-             for row in Ai]
-    den = da * db
-    int_rows = [all(type(x) is int for x in row) for row in A]
-    int_cols = [all(type(x) is int for x in col) for col in zip(*B)]
-    if all(int_rows) and all(int_cols):
-        return prods
-    return [[s // den if ri and cj else Fraction(s, den)
-             for s, cj in zip(row, int_cols)]
-            for row, ri in zip(prods, int_rows)]
+def poly_at(C, poly, power=1):
+    """poly(C)^power for a constant-first coefficient list, by Horner's
+    rule on integer pairs: with C = C' / d and poly = g / e (C' and g
+    integral), poly(C) = (sum_k g_k d^(deg - k) C'^k) / (e d^deg).
+
+    The entries are QuadraticNumbers when C or poly holds one, else ints
+    when both hold only ints, else Fractions."""
+    pc, pg = _Pairs(C), _Pairs([poly])
+    n = _join(pc.n, pg.n)
+    ga, gb = pg.a[0], (pg.b or [[0] * len(poly)])[0]
+    size, d, deg = len(C), pc.den, len(poly) - 1
+
+    def scalar(k):
+        s = d ** (deg - k)
+        return ga[k] * s, gb[k] * s
+
+    a, b = scalar(deg)
+    P = [[a if i == j else 0 for j in range(size)] for i in range(size)]
+    Q = [[b if i == j else 0 for j in range(size)] for i in range(size)] \
+        if n != 1 else None
+    for k in range(deg - 1, -1, -1):
+        P, Q = _pair_product(P, Q, pc.a, pc.b, n)
+        a, b = scalar(k)
+        for i in range(size):
+            P[i][i] += a
+            if Q is not None:
+                Q[i][i] += b
+    den = pg.den * d ** deg
+    F, G, total = P, Q, den
+    for _ in range(power - 1):
+        P, Q = _pair_product(P, Q, F, G, n)
+        total *= den
+    kind = max(pc.kind, pg.kind)
+    return _entries(P, Q, total, n, kind)
 
 
-def mat_from_int(M):
-    return [[Fraction(c) for c in row] for row in M]
+def _echelon(M):
+    """(rows, pivots, width, n, kind): M eliminated by _eliminate, with the
+    result kind, QuadraticNumber when M holds one and Fraction otherwise."""
+    pm = _Pairs(M)
+    rows = pm.a if pm.b is None else [a + b for a, b in zip(pm.a, pm.b)]
+    w = len(M[0])
+    kind = _QUADRATIC if pm.kind == _QUADRATIC else _FRACTION
+    return _eliminate(rows, w, pm.n) + (w, pm.n, kind)
 
 
-def rref(M):
-    """Reduced row echelon form; returns (rows, pivot column list).
+def _eliminate(rows, w, n):
+    """Fraction-free Gauss-Jordan on integer pair rows; (rows, pivots).
 
-    All rows come back, the zero rows after the pivot rows.  Rational
-    input is eliminated fraction-free (_rref_int) and returns Fractions."""
-    if M and _is_rational(M):
-        return _rref_int(M)
-    M = [list(r) for r in M]
-    if not M:
-        return M, []
-    ncols = len(M[0])
+    A row is the list a + b (b omitted when n = 1) of the row a + b sqrt(n)
+    of width w, up to a rational factor, and it is kept primitive (divided
+    by its content).  A pivot row is first multiplied by its pivot's
+    conjugate, so the pivot is the rational integer a^2 - n b^2; every
+    other row with an entry f in the pivot column becomes pivot * row -
+    f * pivot row, which keeps entries integral (the idea of Bareiss,
+    Math. Comp. 22, 1968, with content division in place of Bareiss's
+    exact division).  Pivot row t ends with the rational integer
+    rows[t][pivots[t]] at its pivot; the reduced row echelon form is
+    unique, so these are its rows up to that factor."""
+    quad = n != 1
+    rows = [_primitive(row) for row in rows]
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(M)):
-            if M[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = 1 / M[r][c] if not hasattr(M[r][c], "inverse") \
-            else M[r][c].inverse()
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    return M, pivots
-
-
-def _rref_int(M):
-    """Fraction-free Gauss-Jordan on primitive integer rows.
-
-    A row is reduced by cross-multiplying with the pivot row, so entries
-    stay integers (the idea of Bareiss, Math. Comp. 22, 1968); their growth
-    is kept down by dividing each new row by its content rather than by
-    Bareiss's exact division by the previous pivot.  Pivot rows become
-    Fractions only at the end.  The reduced row echelon form is unique, so
-    this is the generic loop's answer."""
-    rows = [_primitive(row) for row in _int_rows(M)[0]]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+    for c in range(w):
+        cb = c + w
+        pr = next((i for i in range(r, nrows)
+                   if rows[i][c] or quad and rows[i][cb]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
+        if quad and prow[cb]:
+            pa, pb = prow[c], prow[cb]
+            ra, rb = prow[:w], prow[w:]
+            prow = rows[r] = _primitive(
+                [pa * x - n * pb * y for x, y in zip(ra, rb)]
+                + [pa * y - pb * x for x, y in zip(ra, rb)])
         p = prow[c]
+        ra_p, rb_p = prow[:w], prow[w:]
         for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                g = math.gcd(p, f)
-                a, b = p // g, f // g
-                rows[i] = _primitive(
-                    [a * x - b * y for x, y in zip(rows[i], prow)])
+            row = rows[i]
+            fa = row[c]
+            fb = row[cb] if quad else 0
+            if i == r or not (fa or fb):
+                continue
+            g = math.gcd(p, fa, fb)
+            s, fa, fb = p // g, fa // g, fb // g
+            if fb:
+                nfb = n * fb
+                row = ([s * x - fa * y - nfb * z
+                        for x, y, z in zip(row[:w], ra_p, rb_p)]
+                       + [s * x - fa * z - fb * y
+                          for x, y, z in zip(row[w:], ra_p, rb_p)])
+            else:
+                row = [s * x - fa * y for x, y in zip(row, prow)]
+            rows[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    out = [[Fraction(x, rows[i][c]) for x in rows[i]]
-           for i, c in enumerate(pivots)]
-    out += [[Fraction(0)] * ncols for _ in range(nrows - r)]
-    return out, pivots
+    return rows, pivots
 
 
 def _primitive(row):
@@ -380,21 +525,36 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def rref(M):
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    All rows come back, the zero rows after the pivot rows.  The entries
+    are QuadraticNumbers when M holds any, else Fractions."""
+    if not M:
+        return [], []
+    rows, pivots, w, n, kind = _echelon(M)
+    out = [_entries([rows[t][:w]], [rows[t][w:]] if n != 1 else None,
+                    rows[t][c], n, kind)[0] for t, c in enumerate(pivots)]
+    zero = _entry(0, 0, 1, n, kind)
+    out += [[zero] * w for _ in range(len(rows) - len(pivots))]
+    return out, pivots
+
+
 def right_nullspace(M):
     """Basis of column vectors v with M v = 0, echelonized, as row lists."""
     if not M:
         return []
-    R, pivots = rref(M)
-    ncols = len(M[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    zero = _zero_like(R[0][0])
-    one = zero + 1
+    rows, pivots, w, n, kind = _echelon(M)
+    zero, one = _entry(0, 0, 1, n, kind), _entry(1, 0, 1, n, kind)
+    quad = n != 1
     basis = []
-    for f in free:
-        v = [zero] * ncols
+    for f in (c for c in range(w) if c not in pivots):
+        v = [zero] * w
         v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = zero - R[r][f]
+        for t, c in enumerate(pivots):
+            row = rows[t]
+            v[c] = _entry(-row[f], -row[f + w] if quad else 0, row[c], n,
+                          kind)
         basis.append(v)
     return basis
 
@@ -403,54 +563,109 @@ def left_nullspace(M):
     """Basis of row vectors v with v M = 0."""
     if not M:
         return []
-    T = [[M[i][j] for i in range(len(M))] for j in range(len(M[0]))]
-    return right_nullspace(T)
+    return right_nullspace([list(col) for col in zip(*M)])
 
 
-def _solve_rows(B, V):
-    """(X, pivots of B) with X . B = V, or (None, pivots) when some row of
-    V is outside the row space of B.
+class _RowSolver:
+    """B eliminated once, to solve X . B = V for any number of V.
 
     One elimination of [B | I] gives B's pivot columns P and E with
     E . B = rref(B); the first rank(B) rows of E invert B[:, P], so
-    X = V[:, P] . E[:rank], checked by multiplying back."""
-    n, k = len(B[0]), len(B)
-    zero = _zero_like(B[0][0])
-    one = zero + 1
-    aug = [list(row) + [one if t == i else zero for t in range(k)]
-           for i, row in enumerate(B)]
-    R, pivots = rref(aug)
-    pivots = [c for c in pivots if c < n]
-    if not pivots:
-        X = [[zero] * k for _ in V]
-        ok = all(x == 0 for v in V for x in v)
-    else:
-        E = [R[t][n:] for t in range(len(pivots))]
-        X = mat_mul([[v[c] for c in pivots] for v in V], E)
-        ok = mat_mul(X, B) == [list(v) for v in V]
-    return (X if ok else None), pivots
+    X = V[:, P] . E[:rank], checked by multiplying back, all on integers."""
+
+    def __init__(self, B):
+        self.pb = pb = _Pairs(B)
+        w, k = len(B[0]), len(B)
+        self.zero = B[0][0] - B[0][0]
+        self.k = k
+        self.quadratic = pb.kind == _QUADRATIC
+        # den(B) [B | I] as integer pair rows: it has the reduced row
+        # echelon form of [B | I]
+        eye = [[pb.den if t == i else 0 for t in range(k)] for i in range(k)]
+        if pb.b is None:
+            aug = [a + e for a, e in zip(pb.a, eye)]
+        else:
+            aug = [a + e + b + [0] * k for a, e, b in zip(pb.a, eye, pb.b)]
+        rows, pivots = _eliminate(aug, w + k, pb.n)
+        self.pivots = pivots = [c for c in pivots if c < w]
+        # E[:rank] = (Ea + Eb sqrt(n)) / L over L = lcm of the pivots
+        self.L = math.lcm(*(rows[t][c] for t, c in enumerate(pivots)))
+        self.Ea, self.Eb = [], None if pb.b is None else []
+        for t, c in enumerate(pivots):
+            row, s = rows[t], self.L // rows[t][c]
+            self.Ea.append([s * x for x in row[w:w + k]])
+            if pb.b is not None:
+                self.Eb.append([s * x for x in row[2 * w + k:]])
+
+    def solve(self, va, vb, dv, n, quadratic):
+        """X with X . B = V for V = (va + vb sqrt(n)) / dv, or None when
+        some row of V is outside the row space of B.  The entries are
+        QuadraticNumbers when B holds one or quadratic is set, else
+        Fractions."""
+        pivots, pb = self.pivots, self.pb
+        if not pivots:
+            ok = not any(map(any, va)) and not (vb and any(map(any, vb)))
+            return [[self.zero] * self.k for _ in va] if ok else None
+        Xa, Xb = _pair_product([[row[c] for c in pivots] for row in va],
+                               vb and [[row[c] for c in pivots]
+                                       for row in vb],
+                               self.Ea, self.Eb, n)
+        # X . B = V  <=>  (Xa + Xb r)(Ba + Bb r) = L den(B) (va + vb r)
+        Pa, Pb = _pair_product(Xa, Xb, pb.a, pb.b, n)
+        s = self.L * pb.den
+        if not (_equal_scaled(Pa, va, s) and _equal_scaled(Pb, vb, s)):
+            return None
+        kind = _QUADRATIC if self.quadratic or quadratic else _FRACTION
+        return _entries(Xa, Xb, dv * self.L, n, kind)
+
+
+def _equal_scaled(P, V, s):
+    """P == s V for integer matrices, None standing for zero."""
+    if V is None:
+        return P is None or not any(map(any, P))
+    if P is None:
+        return not any(map(any, V))
+    return P == [[s * x for x in row] for row in V]
 
 
 def express_in_rows(B, v):
     """Coefficients x with x . B = v, or None when v is outside the span."""
-    X, _ = _solve_rows(B, [v])
+    solver, pv = _RowSolver(B), _Pairs([v])
+    X = solver.solve(pv.a, pv.b, pv.den, _join(solver.pb.n, pv.n),
+                     pv.kind == _QUADRATIC)
     return None if X is None else X[0]
 
 
-def solve_action(B, M):
-    """C with C . B = B . M; the action of M restricted to the row space B.
+def solve_actions(B, Ms):
+    """[C for M in Ms] with C . B = B . M: the actions of the Ms
+    restricted to the row space B.
 
     B must have full row rank (every caller passes a basis).  It is
-    eliminated once: with P its pivot columns, C = (B M)[:, P] . B[:, P]^-1,
-    and C . B = B . M is checked.  Raises ValueError when the row space is
-    not M-invariant.
+    eliminated once for all the Ms: with P its pivot columns,
+    C = (B M)[:, P] . B[:, P]^-1, and C . B = B . M is checked.  Raises
+    ValueError when the row space is not invariant under some M.  The
+    entries are QuadraticNumbers when B or M holds one, else Fractions.
     """
-    C, pivots = _solve_rows(B, mat_mul(B, M))
-    if len(pivots) != len(B):
+    solver = _RowSolver(B)
+    if len(solver.pivots) != len(B):
         raise AssertionError("solve_action needs a basis of full row rank")
-    if C is None:
-        raise ValueError("row space is not invariant under the action")
-    return C
+    pb = solver.pb
+    out = []
+    for M in Ms:
+        pm = _Pairs(M)
+        n = _join(pb.n, pm.n)
+        va, vb = _pair_product(pb.a, pb.b, pm.a, pm.b, n)
+        C = solver.solve(va, vb, pb.den * pm.den, n,
+                         pm.kind == _QUADRATIC)
+        if C is None:
+            raise ValueError("row space is not invariant under the action")
+        out.append(C)
+    return out
+
+
+def solve_action(B, M):
+    """solve_actions for one M."""
+    return solve_actions(B, [M])[0]
 
 
 def mat_trace(M):

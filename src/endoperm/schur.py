@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import orbenum
 from .permgrp import evaluate_word, seed_mix
+from .quadfield import express_in_rows, mat_mul
 
 
 class PartialCountsError(RuntimeError):
@@ -245,10 +246,10 @@ class AlgebraClosure:
             vec, mat = self.basis[qi], self.mats[qi]
             qi += 1
             for g in gens:
-                new_vec = _vec_mat(vec, g)
+                new_vec = mat_mul([vec], g)[0]
                 if self._ech.add(new_vec):
                     self.basis.append(tuple(new_vec))
-                    self.mats.append(_mat_mul_int(mat, g))
+                    self.mats.append(mat_mul(mat, g))
             if target is not None and len(self.basis) >= target:
                 break
 
@@ -265,42 +266,17 @@ class AlgebraClosure:
                 f"closure has dimension {self.dimension} < {self.r}; "
                 "add generators before recovering")
         ej = [1 if i == j - 1 else 0 for i in range(self.r)]
-        # coords w.r.t. echelon rows, then convert to raw basis rows
-        coords = self._raw_coords(ej)
+        coords = express_in_rows(self.basis, ej)
         if coords is None:
             raise ValueError(f"unit vector e_{j} is outside the closure")
-        entries = [[Fraction(0)] * self.r for _ in range(self.r)]
-        for lam, M in zip(coords, self.mats):
-            if lam:
-                for a in range(self.r):
-                    for b in range(self.r):
-                        entries[a][b] += lam * M[a][b]
-        out = []
-        for row in entries:
-            irow = []
-            for x in row:
-                if x.denominator != 1:
-                    raise IntegralityError(
-                        f"recovered P_{j} is not integral")
-                irow.append(int(x))
-            out.append(irow)
+        # one row of products over the flattened realizing matrices
+        r = self.r
+        flat = mat_mul([coords], [[x for row in M for x in row]
+                                  for M in self.mats])[0]
+        if any(x.denominator != 1 for x in flat):
+            raise IntegralityError(f"recovered P_{j} is not integral")
+        out = [[int(x) for x in flat[a * r:(a + 1) * r]] for a in range(r)]
         return IntersectionMatrix(j, out, lengths=self.lengths)
-
-    def _raw_coords(self, v):
-        from .quadfield import express_in_rows
-        B = [[Fraction(x) for x in row] for row in self.basis]
-        return express_in_rows(B, [Fraction(x) for x in v])
-
-
-def _vec_mat(v, M):
-    r = len(v)
-    return [sum(v[i] * M[i][k] for i in range(r)) for k in range(r)]
-
-
-def _mat_mul_int(A, B):
-    r = len(A)
-    return [[sum(A[i][t] * B[t][k] for t in range(r)) for k in range(r)]
-            for i in range(r)]
 
 
 def algebra_closure(mats, r, lengths=None, target=None):

@@ -15,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import zpoly
-from .quadfield import (QuadraticNumber, RadicalSum, express_in_rows,
-                        left_nullspace, mat_mul, mat_trace, right_nullspace,
-                        rref, solve_action, squarefree_part)
+from .quadfield import (QuadraticNumber, RadicalVector, express_in_rows,
+                        left_nullspace, mat_mul, mat_trace, poly_at,
+                        right_nullspace, rref, solve_action, solve_actions,
+                        squarefree_part)
 
 
 class UnsupportedComponentError(ValueError):
@@ -157,23 +158,6 @@ def _int_entries(P):
     return [[int(x) for x in row] for row in getattr(P, "entries", P)]
 
 
-def _poly_at(C, poly, power=1):
-    """poly(C)^power, for a constant-first coefficient list, by Horner's
-    rule; the entries keep C's type (int, Fraction or QuadraticNumber)."""
-    d = len(C)
-    zero = C[0][0] - C[0][0]
-    F = [[zero + poly[-1] if i == j else zero for j in range(d)]
-         for i in range(d)]
-    for c in poly[-2::-1]:
-        F = mat_mul(F, C)
-        for i in range(d):
-            F[i][i] = F[i][i] + c
-    total = F
-    for _ in range(power - 1):
-        total = mat_mul(total, F)
-    return total
-
-
 def _intersect_rowspaces(U, V):
     """Basis of rowspace(U) meet rowspace(V), rows over Fraction."""
     if not U or not V:
@@ -218,7 +202,7 @@ def homogeneous_components(gen_mats, r, seed=1):
         facs = factor_over_Z(cp, seed=seed).factors
         kernels = []
         for f, m in facs:
-            K = left_nullspace(_poly_at(entries, f, power=m))
+            K = left_nullspace(poly_at(entries, f, power=m))
             kernels.append((f, m, K))
         refined = []
         for comp in comps:
@@ -270,7 +254,7 @@ def homogeneous_components_center(all_mats, r, seed=1):
                 refined.append(comp)
                 continue
             for f, m in facs:
-                K = left_nullspace(_poly_at(C, f, m))
+                K = left_nullspace(poly_at(C, f, m))
                 if K:
                     refined.append(HomogeneousComponent(
                         comp.factors, mat_mul(K, comp.basis)))
@@ -292,7 +276,7 @@ def _min_poly_fraction(C):
     for start in range(d):
         # e_start . poly(C) is row `start` of poly(C)
         if F is None:
-            F = _poly_at(C, poly)
+            F = poly_at(C, poly)
         if not any(F[start]):
             continue
         krylov = [[Fraction(int(i == start)) for i in range(d)]]
@@ -368,8 +352,7 @@ class CharRow:
 
 
 def _component_actions(comp, all_mats):
-    B = comp.basis
-    return [solve_action(B, _int_entries(P)) for P in all_mats]
+    return solve_actions(comp.basis, [_int_entries(P) for P in all_mats])
 
 
 def split_component(comp, all_mats):
@@ -408,19 +391,12 @@ def split_component(comp, all_mats):
                 comp.factors, d)
         Cd, f = driver
         n, f1 = _quadratic_factor(f)
-        Cq = [[QuadraticNumber(x) for x in row] for row in Cd]
-        U = _stable_kernel(Cq, f1, d // 2)
+        U = _stable_kernel(Cd, f1, d // 2)
         if U is None:
             raise UnsupportedComponentError(
                 f"quadratic cut of {zpoly.poly_str(f)} does not reach "
                 f"dimension {d // 2}", comp.factors, d)
-        values = []
-        for C in actions:
-            Cq2 = [[QuadraticNumber(x) for x in row] for row in C]
-            T = solve_action(U, Cq2)
-            tr = mat_trace(T)
-            val = tr / m
-            values.append(val)
+        values = [mat_trace(T) / m for T in solve_actions(U, actions)]
         row_plus = CharRow(values, m)
         row_minus = CharRow([v.conjugate() for v in values], m)
         lead = next((v for v in values if v.b), None)
@@ -449,13 +425,13 @@ def _find_quadratic_driver(actions):
     return None
 
 
-def _stable_kernel(Cq, f1, want):
+def _stable_kernel(C, f1, want):
     """ker f1(C)^e over the quadratic field, with e raised until the
     dimension stabilizes; None unless it stabilizes at `want`."""
-    F = _poly_at(Cq, f1)
+    F = poly_at(C, f1)
     M = F
     prev = -1
-    for _ in range(len(Cq)):
+    for _ in range(len(C)):
         U = left_nullspace(M)
         if len(U) == want:
             return U
@@ -677,21 +653,19 @@ def verify_table(table):
             if row.values[pairing[jj] - 1] != row.values[jj]:
                 fail(f"row {i}: value at paired orbit {jj + 1} differs")
                 break
+    # weights L / n_j with L = lcm(n_j) keep the sums integral
+    L = math.lcm(*lengths)
+    weights = [L // x for x in lengths]
+    vecs = [RadicalVector(row.values) for row in rows]
+    stars = [RadicalVector([row.values[pairing[jj] - 1] for jj in range(r)],
+                           weights) for row in rows]
     for i in range(len(rows)):
         for k in range(i, len(rows)):
-            acc = RadicalSum()
-            for jj in range(r):
-                vstar = RadicalSum.from_quadratic(
-                    rows[i].values[pairing[jj] - 1])
-                v = RadicalSum.from_quadratic(rows[k].values[jj])
-                acc = acc + (vstar * v).scale(Fraction(1, lengths[jj]))
-            acc = acc.scale(Fraction(1, n))
+            acc = stars[i].dot(vecs[k]).scale(Fraction(1, L * n))
             if i == k:
-                want = Fraction(rows[i].mult, rows[i].degree) \
-                    if rows[i].degree else None
-                if want is None:
+                if not rows[i].degree:
                     continue
-                if acc.is_zero() or acc.rational_value() != want:
+                if acc.terms != {1: Fraction(rows[i].mult, rows[i].degree)}:
                     fail(f"self-orthogonality fails for row {i}")
             elif not acc.is_zero():
                 fail(f"rows {i} and {k} are not orthogonal")

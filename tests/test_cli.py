@@ -188,6 +188,8 @@ MALFORMED = {
     "h-word generator out of range": lambda: dict(
         s4_scenario(), h_words=[[[9, 1]]]),
     "no index": lambda: _without(s4_scenario(), "index"),
+    "top level is a list": lambda: [],
+    "h_words is a number": lambda: dict(s4_scenario(), h_words=5),
 }
 
 

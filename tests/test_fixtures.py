@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from endoperm import fixtures, schur
+from endoperm import cli, fixtures, schur, splitchar
 from endoperm.modular import SqrtConvention, reduce_table
+from endoperm.quadfield import QuadraticNumber
 
 
 def test_full_suite_passes():
@@ -33,3 +36,47 @@ def test_convention_is_forced_by_the_reduced_rows():
 def test_corpus_manifest_verifies():
     from endoperm.corpus import verify_against_manifest
     assert verify_against_manifest() == []
+
+
+def corrupted_table(seed):
+    """The bundled E_C table with one value changed by a nonzero amount in
+    the row's field (any of Q, Q(r3), Q(r5), Q(r33) for a rational row),
+    at an orbit and at its paired orbit alike; (table, row, orbit)."""
+    table = fixtures.load_chartable()
+    rng = random.Random(seed)
+    i, j = rng.randrange(len(table.rows)), rng.randrange(table.r)
+    row = table.rows[i]
+    n = row.field if row.field != 1 else rng.choice([1, 3, 5, 33])
+    a = b = 0
+    while not (a or b):
+        a, b = rng.randint(-3, 3), rng.randint(-2, 2) if n != 1 else 0
+    value = row.values[j] + QuadraticNumber(a, b, n)
+    for jj in {j, table.pairing[j] - 1}:
+        row.values[jj] = value
+    return table, i, j
+
+
+def test_verify_table_reports_every_corruption():
+    rational = [row.field == 1 for row in fixtures.load_chartable().rows]
+    irrational = 0
+    for seed in range(40):
+        table, i, _ = corrupted_table(seed)
+        report = splitchar.verify_table(table)
+        assert not report["ok"], seed
+        # a rational row given an irrational value has an irrational
+        # self-orthogonality sum, which used to raise
+        if rational[i] and table.rows[i].field != 1:
+            irrational += 1
+            assert f"self-orthogonality fails for row {i}" in \
+                report["failures"]
+    assert irrational
+
+
+def test_fixtures_on_a_corrupted_table_exits_2(monkeypatch, capsys):
+    tables = [corrupted_table(seed)[0] for seed in range(4)]
+    for table in tables:
+        monkeypatch.setattr(fixtures, "load_chartable", lambda: table)
+        assert cli.main(["fixtures"]) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "FAIL" in captured.out or "invariant violation" in captured.err

@@ -16,3 +16,11 @@ def test_pipeline_agrees_with_oracle(inst):
     assert checks
     failed = [(name, detail) for name, ok, detail in checks if not ok]
     assert failed == []
+
+
+def test_trace_identity_detects_a_changed_value():
+    inst = next(i for i in FAST if i.name == "random-5-quaternion-regular")
+    table = pipeline.run_instance(inst).table
+    assert pipeline._trace_identity(table)
+    table.rows[-1].values[1] = table.rows[-1].values[1] + 1
+    assert not pipeline._trace_identity(table)
