@@ -5,10 +5,10 @@ array) for every p, and a product is one int64 matmul reduced mod p; the
 matrices here are small, so per-object overhead dominates and no packed
 form pays off.  On top of the matrix layer sit the module operations:
 spin, standard basis, fixed spaces, duals and quotients, the Norton
-irreducibility test, chopping into constituents, direct-summand
-decomposition through idempotents of random endomorphisms, and Cartan
-matrices of algebra regular modules.  Their vector loops work on int64
-arrays and the stacked generator matrices, not on 1-row matrices.
+irreducibility test with the Holt-Rees criterion, chopping into
+constituents, and Cartan matrices of algebra regular modules from lifted
+idempotents of A/J.  Their vector loops work on int64 arrays and the
+stacked generator matrices, not on 1-row matrices.
 
 Row-vector convention throughout: vectors act from the left, x . M.
 """
@@ -211,14 +211,16 @@ class EchelonBasis:
 
     `rows` is an int64 array; row i has a 1 in column `pivots[i]` and 0 in
     every other row's pivot column, so v reduces in one product:
-    v - v[pivots] . rows.
+    v - v[pivots] . rows.  The row store doubles as it fills: a space of
+    rank k over many columns (an algebra basis as flattened d x d
+    matrices) holds k rows, not ncols.
     """
 
     def __init__(self, p, ncols):
         self.p = p
         self.ncols = ncols
         self.pivots = []
-        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
+        self._rows = np.zeros((0, ncols), dtype=np.int64)
 
     @property
     def rows(self):
@@ -241,7 +243,12 @@ class EchelonBasis:
         rows = self.rows
         rows -= rows[:, c, None] * v
         rows %= self.p
-        self._rows[len(self.pivots)] = v
+        k = len(self.pivots)
+        if k == len(self._rows):
+            more = min(max(k, 8), self.ncols - k)
+            self._rows = np.concatenate(
+                [self._rows, np.zeros((more, self.ncols), dtype=np.int64)])
+        self._rows[k] = v
         self.pivots.append(c)
         return True
 
@@ -442,14 +449,13 @@ def random_algebra_element(rep, rng, words=4, length=4):
 
 
 def singular_elements(rep, rng):
-    """Yield singular algebra elements: f(a) for random a and irreducible
-    factors f of a's minimal polynomial (Cayley-Hamilton makes each
-    singular)."""
+    """Yield (f, f(a)) for a random algebra element a and the irreducible
+    factors f of its minimal polynomial, each f(a) singular."""
     a = random_algebra_element(rep, rng)
     mp = min_poly(a)
     _, facs = zpoly.fp_factor(mp, rep.p)
     for f, _ in sorted(facs, key=lambda fm: len(fm[0])):
-        yield _poly_of_matrix(a, f)
+        yield f, _poly_of_matrix(a, f)
 
 
 def is_irreducible(rep, seed=0, budget=30, enum_cap=4096):
@@ -458,12 +464,15 @@ def is_irreducible(rep, seed=0, budget=30, enum_cap=4096):
     Returns (True, witness) where the witness is a singular algebra element
     theta such that every kernel vector of theta spins to the full space
     and every kernel vector of its transpose spins to the full transposed
-    module, or (False, proper submodule basis).  Kernel vectors are
-    enumerated projectively, which makes the positive answer rigorous; an
-    element whose kernel is too big to enumerate is skipped in favour of
-    the next one.  Raises RetryBudgetExhausted when the budget runs out;
-    that error signals "increase the random element budget", never a wrong
-    answer.
+    module, or (False, proper submodule basis).  When theta = f(a) has
+    nullity deg f (Holt-Rees), its kernel is one line over F_p[a]/(f), all
+    of whose nonzero vectors spin to the same submodule, so one kernel
+    vector and one transpose-kernel vector decide.  Otherwise kernel
+    vectors are enumerated projectively, which makes the positive answer
+    rigorous; such an element whose kernel is too big to enumerate is
+    skipped in favour of the next one.  Raises RetryBudgetExhausted when
+    the budget runs out; that error signals "increase the random element
+    budget", never a wrong answer.
     """
     if rep.dim == 0:
         raise ValueError("zero module")
@@ -477,7 +486,7 @@ def is_irreducible(rep, seed=0, budget=30, enum_cap=4096):
     transposed = ModuleRep(rep.p, [a.transpose() for a in rep.actions],
                            rep.dim)
     for _ in range(budget):
-        for theta in singular_elements(rep, rng):
+        for f, theta in singular_elements(rep, rng):
             ker = theta.left_nullspace()
             if ker.nrows == 0:
                 continue
@@ -486,14 +495,17 @@ def is_irreducible(rep, seed=0, budget=30, enum_cap=4096):
                 sp = spin([v], rep)
                 if sp.nrows < rep.dim:
                     return False, sp
-            if rep.p ** ker.nrows > enum_cap:
-                continue
-            proper = _kernel_spin_proper(ker, rep, skip_basis=True)
-            if proper is not None:
-                return False, proper
             ker_t = theta.transpose().left_nullspace()
-            if rep.p ** ker_t.nrows > enum_cap:
+            if ker.nrows == zpoly.deg(f):
+                # Holt-Rees: the scan above settled ker; one vector
+                # settles ker_t
+                ker_t = FqMatrix(rep.p, ker_t.data[:1])
+            elif rep.p ** ker.nrows > enum_cap:
                 continue
+            else:
+                proper = _kernel_spin_proper(ker, rep, skip_basis=True)
+                if proper is not None:
+                    return False, proper
             proper_t = _kernel_spin_proper(ker_t, transposed)
             if proper_t is not None:
                 return False, proper_t.transpose().left_nullspace()
@@ -662,7 +674,7 @@ def chop(rep, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Endomorphism rings, summands, Cartan matrices
+# Homomorphisms, minimal polynomials, Cartan matrices
 
 def hom_basis(m1, m2):
     """Basis of Hom(m1, m2): matrices F with A1_g F = F A2_g for all g.
@@ -687,10 +699,6 @@ def hom_basis(m1, m2):
                 .reshape(d1 * d2, d1, d2)] if d1 == d2 else []
     basis = _nullspace(np.concatenate(blocks, axis=0), p)
     return [FqMatrix(p, vec.reshape(d1, d2)) for vec in basis]
-
-
-def endomorphism_basis(rep):
-    return hom_basis(rep, rep)
 
 
 def min_poly(mat):
@@ -737,129 +745,107 @@ def _poly_of_matrix(mat, poly):
     return FqMatrix(mat.p, _poly_at(mat.data.astype(np.int64), poly, mat.p))
 
 
-def split_by_idempotents(rep, theta):
-    """Split along the primary decomposition of theta's minimal polynomial.
-
-    Returns a list of invariant bases (one per primary part), or None when
-    the minimal polynomial is primary (no split from this element).
-    """
-    p = rep.p
-    mp = min_poly(theta)
-    _, facs = zpoly.fp_factor(mp, p)
-    if len(facs) <= 1:
-        return None
-    parts = []
-    for f, e in facs:
-        q = (1,)
-        for _ in range(e):
-            q = zpoly.fp_mul(q, f, p)
-        parts.append(q)
-    bases = []
-    for q in parts:
-        g = (1,)
-        for other in parts:
-            if other is not q:
-                g = zpoly.fp_mul(g, other, p)
-        # u with u*g = 1 mod q
-        s, t = zpoly._fp_ext_gcd(zpoly.fp_divmod(g, q, p)[1], q, p)
-        eps = _poly_of_matrix(theta, zpoly.fp_mul(s, g, p))
-        bases.append(eps.row_basis())
-    if sum(b.nrows for b in bases) != rep.dim:
-        raise AssertionError("idempotent split does not cover the module")
-    return bases
-
-
-def summands(rep, seed=0, budget=30, endo=None):
-    """Indecomposable direct summands, as (basis in parent, rep) pairs.
-
-    Idempotents come from factored minimal polynomials of random elements
-    of the endomorphism ring; iterated until no summand splits further.
-    The endomorphism basis may be supplied (for algebra regular modules it
-    is the left multiplications); otherwise it is solved for.
-    """
-    out = []
-    first = FqMatrix.identity(rep.p, rep.dim)
-    work = [(first, rep, endo)]
-    while work:
-        basis, sub, endo_b = work.pop()
-        if sub.dim == 0:
-            continue
-        if endo_b is None:
-            endo_b = endomorphism_basis(sub)
-        if len(endo_b) == 1:
-            out.append((basis, sub))
-            continue
-        rng = random.Random(seed_mix(seed, sub.dim, len(out), len(work)))
-        pieces = None
-        for attempt in range(budget + len(endo_b)):
-            if attempt < len(endo_b):
-                theta = endo_b[attempt]
-            else:
-                theta = FqMatrix.zeros(sub.p, sub.dim, sub.dim)
-                for e in endo_b:
-                    theta = theta + e * rng.randrange(sub.p)
-            if theta.is_zero():
-                continue
-            pieces = split_by_idempotents(sub, theta)
-            if pieces:
-                break
-        if not pieces:
-            out.append((basis, sub))
-            continue
-        for piece in pieces:
-            piece_rep, _ = restrict(sub, piece)
-            lifted = piece * basis
-            # endomorphism rings of summands are recomputed from scratch:
-            # left multiplications do not restrict without a projector
-            work.append((lifted, piece_rep, None))
-    out.sort(key=lambda bs: -bs[1].dim)
-    return out
-
-
-def cartan_matrix(regular, seed=0, endo=None):
+def cartan_matrix(regular, seed=0):
     """Cartan matrix of an algebra regular module.
 
-    Entry (i, j) is the multiplicity of the simple S_j in the projective
-    indecomposable P_i; rows and columns are ordered by constituent label.
+    Entry (j, i) is the multiplicity of the simple S_i in the projective
+    indecomposable P_j; rows and columns are ordered by constituent label.
     Returns (labels, matrix, pim_dims, constituents).
+
+    The simples come from one chop; the rest is deterministic.  The
+    algebra A spanned by the words in the generators has the regular
+    module V as a faithful module, so dim A = dim V, and A maps onto
+    A/J = End_{D_1}(S_1) + ... + End_{D_k}(S_k), D_i = End_A(S_i) of
+    dimension e_i, S_i = D_i^{n_i}.  One solve gives elements of A that map
+    to the central idempotents of A/J; e <- 3e^2 - 2e^3 lifts them to
+    idempotents eps_j (Curtis and Reiner, Methods of Representation Theory
+    I, sec. 6).  Then eps_j A is P_j^{n_j}, and dim eps_j A eps_i =
+    dim Hom_A(eps_i A, eps_j A) = n_i n_j e_i C[j][i] is read as the rank
+    of the vectors v0 eps_j B_t eps_i over a basis B_t of A, for a vector
+    v0 that generates V.  Every step is checked and raises AssertionError.
     """
     cons = chop(regular, seed)
-    labels = [c.label for c in cons]
-    pieces = summands(regular, seed, endo=endo)
-    heads = []
-    for basis, sub in pieces:
-        tops = [i for i, c in enumerate(cons) if len(hom_basis(sub, c.rep))]
-        if len(tops) != 1:
-            raise AssertionError(
-                f"summand of dim {sub.dim} has {len(tops)} simple quotients; "
-                "not an indecomposable projective decomposition")
-        heads.append(tops[0])
-    r = len(cons)
-    C = [[0] * r for _ in range(r)]
-    dims = [0] * r
-    seen = [0] * r
-    for (basis, sub), h in zip(pieces, heads):
-        seen[h] += 1
-        if seen[h] > 1:
-            continue
-        dims[h] = sub.dim
-        for c2 in chop(sub, seed):
-            j = _match_constituent(c2, cons, seed)
-            C[h][j] = c2.multiplicity
-    for i, c in enumerate(cons):
-        # a simple with endomorphism field F_{p^e} heads dim(S)/e summands
-        e = len(hom_basis(c.rep, c.rep))
-        if seen[i] * e != c.rep.dim:
-            raise AssertionError(
-                "projective multiplicities do not match simple dimensions")
-    return labels, C, dims, cons
+    p, d = regular.p, regular.dim
+    simples = [c.rep for c in cons]
+    basis, *images = _algebra_basis(regular, simples)
+    if len(basis) != d:
+        raise AssertionError(
+            f"the generators span an algebra of dimension {len(basis)} "
+            f"!= {d}: not a regular module")
+    # eps_j maps to the identity on S_j and to zero on the other simples
+    R = np.concatenate([im.reshape(d, -1) for im in images], axis=1)
+    targets = np.zeros((len(cons), R.shape[1]), dtype=np.int64)
+    col = 0
+    for j, s in enumerate(simples):
+        targets[j, col:col + s.dim ** 2] = np.eye(s.dim).reshape(-1)
+        col += s.dim ** 2
+    try:
+        coeffs = _solve(FqMatrix(p, R.T), FqMatrix(p, targets.T)).data
+    except ValueError:
+        raise AssertionError(
+            "no algebra element maps to a central idempotent of A/J")
+    eps = [_lift_idempotent(np.tensordot(c, basis, axes=1) % p, p)
+           for c in coeffs.T.astype(np.int64)]
+    v0 = next((u for u in range(d)
+               if len(_rref(basis[:, u, :], p)[1]) == d), None)
+    if v0 is None:
+        raise AssertionError("no unit vector generates the regular module")
+    ends = [len(hom_basis(s, s)) for s in simples]
+    mults = [s.dim // e for s, e in zip(simples, ends)]
+    C = []
+    for j, ej in enumerate(eps):
+        span = ej[v0] @ basis % p
+        row = []
+        for i, ei in enumerate(eps):
+            rank = len(_rref(span @ ei % p, p)[1])
+            unit = mults[i] * mults[j] * ends[i]
+            if rank % unit:
+                raise AssertionError(
+                    f"dim eps_{j} A eps_{i} = {rank} is not a multiple of "
+                    f"n_i n_j e_i = {unit}")
+            row.append(rank // unit)
+        C.append(row)
+    dims = [sum(c * s.dim for c, s in zip(row, simples)) for row in C]
+    if sum(n * dim for n, dim in zip(mults, dims)) != d:
+        raise AssertionError(
+            "projective indecomposables do not add up to the regular module")
+    return [c.label for c in cons], C, dims, cons
 
 
-def _match_constituent(c2, cons, seed):
-    for j, c in enumerate(cons):
-        if c.rep.dim == c2.rep.dim and isomorphic(c.rep, c2.rep, seed):
-            return j
-    raise AssertionError("constituent not found among regular constituents")
+def _algebra_basis(rep, simples):
+    """A basis B_t of the algebra spanned by the words in rep's generators,
+    with the images of each B_t on every simple: one (r, m, m) array per
+    module, rep first.
+
+    The identity is spun under right multiplication by the generators in
+    rep + S_1 + ... + S_k.  A product is kept when its block on rep is
+    independent of those kept; that decides for the whole sum as long as
+    rep is faithful, which the dimension check of the caller confirms.
+    """
+    p, d = rep.p, rep.dim
+    gens = [rep.stacked()] + [s.stacked() for s in simples]
+    ech = EchelonBasis(p, d * d)
+    kept = [[np.eye(g.shape[1], dtype=np.int64) for g in gens]]
+    ech.add(kept[0][0].reshape(-1))
+    qi = 0
+    while qi < len(kept):
+        prods = [x @ g % p for x, g in zip(kept[qi], gens)]
+        for gi in range(len(rep.actions)):
+            if ech.add(prods[0][gi].reshape(-1)):
+                kept.append([pr[gi] for pr in prods])
+        qi += 1
+    return [np.array(blocks) for blocks in zip(*kept)]
+
+
+def _lift_idempotent(e, p):
+    """An idempotent from e with e^2 - e nilpotent, by e <- 3e^2 - 2e^3;
+    each round squares e^2 - e, so log2(dim) + 1 rounds suffice."""
+    for _ in range(len(e).bit_length() + 1):
+        e2 = e @ e % p
+        if np.array_equal(e2, e):
+            return e
+        e = (3 * e2 - 2 * (e2 @ e)) % p
+    raise AssertionError("idempotent lift did not converge: e^2 != e")
 
 
 # ---------------------------------------------------------------------------

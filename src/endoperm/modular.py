@@ -2,11 +2,12 @@
 
 Reduces the split character table to F_p under an explicit square-root
 convention, extracts a basic set, solves for the decomposition matrix,
-derives the Cartan matrix both from D^T D and from chopping the regular
-module (the two must agree), matches projective indecomposables to reduced
-characters, of which the locality test and the permutation-module verdict
-are corollaries, and assembles the projective character columns with their
-Fitting correspondents.
+derives the Cartan matrix both from D^T D and from the regular module
+(its simples and lifted idempotents of E_F/J; the two must agree),
+matches projective indecomposables to reduced characters, of which the
+locality test and the permutation-module verdict are corollaries, and
+assembles the projective character columns with their Fitting
+correspondents.
 """
 
 import numpy as np
@@ -271,32 +272,26 @@ def cartan_from_decomposition(D):
 
 
 def regular_rep_mod_p(inter_mats, p):
-    """The regular module of E_F and its left-multiplication endomorphism
-    basis, assembled from all r intersection matrices."""
-    r = len(inter_mats)
-    mats = [np.array(getattr(P, "entries", P), dtype=object) for P in
-            inter_mats]
-    actions = [FqMatrix(p, np.array([[int(x) % p for x in row]
-                                     for row in M])) for M in mats]
-    endo = []
-    for i in range(r):
-        L = [[int(mats[j][i, k]) % p for k in range(r)] for j in range(r)]
-        endo.append(FqMatrix(p, L))
-    return ModuleRep(p, actions, r), endo
+    """The regular module of E_F, acted on by all r intersection
+    matrices."""
+    actions = [FqMatrix(p, [[int(x) % p for x in row]
+                            for row in getattr(P, "entries", P)])
+               for P in inter_mats]
+    return ModuleRep(p, actions, len(inter_mats))
 
 
 def cartan_from_regular(inter_mats, p, seed=0):
-    """Cartan data by chopping the regular module of E_F directly."""
-    regular, endo = regular_rep_mod_p(inter_mats, p)
-    labels, cartan, dims, cons = gfmat.cartan_matrix(regular, seed, endo=endo)
+    """Cartan data from the regular module of E_F directly: its simples
+    and lifted idempotents of E_F/J."""
+    regular = regular_rep_mod_p(inter_mats, p)
+    labels, cartan, dims, cons = gfmat.cartan_matrix(regular, seed)
     return {"labels": labels, "cartan": cartan, "pim_dims": dims,
             "constituents": cons}
 
 
 def is_local(inter_mats, p, seed=0):
     """Local algebra <=> one isomorphism class of simple modules."""
-    regular, _ = regular_rep_mod_p(inter_mats, p)
-    return len(gfmat.chop(regular, seed)) == 1
+    return len(gfmat.chop(regular_rep_mod_p(inter_mats, p), seed)) == 1
 
 
 def correspond_projectives(cartan_data, D, table):

@@ -349,8 +349,7 @@ def direct_endo_decomposition(inter_mats, p, seed=0):
     regular = gfmat.ModuleRep(
         p, [gfmat.FqMatrix(p, np.array(P, dtype=np.int64) % p)
             for P in inter_mats], r)
-    endo = _left_mult_basis(inter_mats, p)
-    labels, cartan, dims, cons = gfmat.cartan_matrix(regular, seed, endo=endo)
+    labels, cartan, dims, cons = gfmat.cartan_matrix(regular, seed)
     local = len(cons) == 1
     return {
         "labels": labels,
@@ -359,17 +358,3 @@ def direct_endo_decomposition(inter_mats, p, seed=0):
         "constituents": [(c.label, c.rep.dim, c.multiplicity) for c in cons],
         "local": local,
     }
-
-
-def _left_mult_basis(inter_mats, p):
-    """Left multiplications L_i[j,k] = p_ijk; the full endomorphism ring of
-    the regular module."""
-    r = len(inter_mats)
-    out = []
-    for i in range(r):
-        L = np.zeros((r, r), dtype=np.int64)
-        for j in range(r):
-            for k in range(r):
-                L[j, k] = inter_mats[j][i][k] % p
-        out.append(gfmat.FqMatrix(p, L))
-    return out

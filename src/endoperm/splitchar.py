@@ -545,19 +545,19 @@ def _verify_quartic_split(f, alpha, beta):
 
 def fitting_degree(row, lengths, pairing=None):
     """Degree of the Fitting correspondent, from self-orthogonality:
-    chi(1) = m n / sum_j phi(A_j*) phi(A_j) / n_j, asserted integral."""
+    chi(1) = m n / sum_j phi(A_j*) phi(A_j) / n_j, asserted integral.
+    The sum is one weighted dot product, weights L / n_j with L the lcm
+    of the n_j, as in verify_table."""
     n = sum(lengths)
-    r = len(lengths)
     if pairing is None:
-        pairing = list(range(1, r + 1))
-    acc = QuadraticNumber(0)
-    for jj in range(r):
-        v = row.values[jj]
-        vstar = row.values[pairing[jj] - 1]
-        acc = acc + (vstar * v) / lengths[jj]
-    if acc.b != 0:
+        pairing = range(1, len(lengths) + 1)
+    L = math.lcm(*lengths)
+    paired = RadicalVector([row.values[j - 1] for j in pairing],
+                           [L // x for x in lengths])
+    acc = paired.dot(RadicalVector(row.values)).scale(Fraction(1, L))
+    if acc.terms.keys() - {1}:
         raise ValueError(f"orthogonality sum {acc} is irrational")
-    degree = Fraction(row.mult * n) / acc.as_fraction()
+    degree = Fraction(row.mult * n) / acc.terms.get(1, 0)
     if degree.denominator != 1 or degree <= 0:
         raise ValueError(f"Fitting degree {degree} is not a positive integer")
     return int(degree)

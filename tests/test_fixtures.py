@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from endoperm import cli, fixtures, schur, splitchar
 from endoperm.modular import SqrtConvention, reduce_table
-from endoperm.quadfield import QuadraticNumber
+from endoperm.quadfield import QuadraticNumber, RadicalSum
 
 
 def test_full_suite_passes():
@@ -80,3 +81,62 @@ def test_fixtures_on_a_corrupted_table_exits_2(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert "FAIL" in captured.out or "invariant violation" in captured.err
+
+
+def test_mod_11_failures_are_reported_after_the_checks_made(monkeypatch,
+                                                           capsys):
+    # seed 15 breaks the reduction at the identity; 32 and 37 break the
+    # lift of the decomposition matrix
+    cases = [(corrupted_table(seed)[0], failing) for seed, failing in (
+        (15, "reduction mod 11"),
+        (32, "decomposition matrix mod 11 lifts"),
+        (37, "decomposition matrix mod 11 lifts"))]
+    for table, failing in cases:
+        monkeypatch.setattr(fixtures, "load_chartable", lambda: table)
+        assert cli.main(["fixtures"]) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "invariant violation" not in captured.err
+        lines = captured.out.splitlines()
+        assert any(line.startswith("FAIL  E_C table: exact orthogonality")
+                   for line in lines)
+        assert lines[-1].startswith(f"FAIL  {failing}  [")
+
+
+def fitting_degree_term_by_term(row, lengths, pairing):
+    """The Fitting degree from one RadicalSum per term of the
+    self-orthogonality sum, or ValueError in fitting_degree's two cases."""
+    acc = RadicalSum()
+    for j, n_j in enumerate(lengths):
+        term = (RadicalSum.from_quadratic(row.values[pairing[j] - 1])
+                * RadicalSum.from_quadratic(row.values[j]))
+        acc = acc + term.scale(Fraction(1, n_j))
+    if acc.terms.keys() - {1}:
+        raise ValueError("irrational")
+    degree = Fraction(row.mult * sum(lengths)) / acc.terms[1]
+    if degree.denominator != 1 or degree <= 0:
+        raise ValueError("not a positive integer")
+    return degree
+
+
+def test_fitting_degree_matches_the_term_by_term_sum():
+    tables = [fixtures.load_chartable()]
+    tables += [corrupted_table(seed)[0] for seed in range(40)]
+    outcomes = set()
+    for table in tables:
+        for row in table.rows:
+            try:
+                want = fitting_degree_term_by_term(row, table.lengths,
+                                                   table.pairing)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    splitchar.fitting_degree(row, table.lengths,
+                                             table.pairing)
+                outcomes.add("raises")
+                continue
+            got = splitchar.fitting_degree(row, table.lengths, table.pairing)
+            assert got == want and type(got) is int
+            outcomes.add("degree")
+    assert outcomes == {"raises", "degree"}
+    assert [row.degree for row in tables[0].rows] == [
+        splitchar.fitting_degree(row, tables[0].lengths, tables[0].pairing)
+        for row in tables[0].rows]

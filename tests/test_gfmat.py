@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from endoperm.gfmat import (FqMatrix, ModuleRep, RetryBudgetExhausted,
-                            UnsupportedCharacteristic, _nullspace,
-                            cartan_matrix, chop, dual, endomorphism_basis,
+                            UnsupportedCharacteristic, _lift_idempotent,
+                            _nullspace, cartan_matrix, chop, dual,
                             fixed_space, hom_basis, is_irreducible,
                             isomorphic, min_poly, quotient, rebase,
                             rep_from_json, rep_to_json, restrict, row_times,
-                            spin, standard_basis, summands, vector_bytes)
+                            spin, standard_basis, vector_bytes)
 from endoperm import zpoly
+from endoperm.permgrp import Permutation, closure_elements
 
 
 def perm_mat(p, images):
@@ -223,17 +224,94 @@ def test_isomorphic_on_conjugated_pairs():
 
 def test_summands_and_cartan():
     c5 = cyclic_rep(5, 5)
-    pieces = summands(c5, seed=1)
-    assert [s.dim for _, s in pieces] == [5]
     labels, C, dims, cons = cartan_matrix(c5, seed=1)
+    # F_5[C_5] is local: one projective indecomposable, the whole module
     assert C == [[5]] and dims == [5]
     c6 = cyclic_rep(5, 6)
     labels, C, dims, cons = cartan_matrix(c6, seed=1)
     k = len(labels)
     assert C == [[int(i == j) for j in range(k)] for i in range(k)]
-    # summands of a semisimple commutative regular module = chop
-    assert sorted(s.dim for _, s in summands(c6, seed=1)) \
-        == sorted(c.rep.dim for c in chop(c6, seed=1))
+    # the projective indecomposables of a semisimple commutative algebra
+    # are its simples
+    assert dims == [c.rep.dim for c in chop(c6, seed=1)]
+    assert sorted(dims) == [1, 1, 2, 2]
+
+
+def group_regular_rep(gens, p):
+    """F_p[G] acting on itself by right multiplication, in the basis of
+    group elements."""
+    gens = [Permutation(g) for g in gens]
+    elems = sorted(closure_elements(gens, gens[0].degree),
+                   key=lambda q: q.images)
+    index = {x.images: i for i, x in enumerate(elems)}
+    return ModuleRep(p, [perm_mat(p, [index[(x * g).images] for x in elems])
+                         for g in gens])
+
+
+S3 = [[1, 0, 2], [1, 2, 0]]
+A4 = [[1, 2, 0, 3], [1, 0, 3, 2]]
+C7 = [[1, 2, 3, 4, 5, 6, 0]]
+
+
+@pytest.mark.parametrize("gens, p, want_dims, want_C, want_pims", [
+    (S3, 2, [1, 2], [[2, 0], [0, 1]], [2, 2]),
+    (S3, 3, [1, 1], [[2, 1], [1, 2]], [3, 3]),
+    # the 2-dim simple of A4 at p = 2 has End = F_4: C is not symmetric,
+    # and row j lists the composition factors of P_j
+    (A4, 2, [1, 2], [[2, 1], [2, 3]], [4, 8]),
+    # x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1) over F_2
+    (C7, 2, [1, 3, 3], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 3, 3]),
+    # p-groups: F_p[G] is local with the single simple the trivial module
+    ([[1, 2, 3, 0], [0, 3, 2, 1]], 2, [1], [[8]], [8]),
+    ([[1, 2, 0, 3, 4, 5, 6, 7, 8], [0, 1, 2, 4, 5, 3, 6, 7, 8],
+      [0, 1, 2, 3, 4, 5, 7, 8, 6]], 3, [1], [[27]], [27]),
+    ([[1, 2, 3, 4, 0]], 5, [1], [[5]], [5]),
+], ids=["S3-p2", "S3-p3", "A4-p2", "C7-p2", "D4-p2", "C3^3-p3", "C5-p5"])
+def test_cartan_known_answers(gens, p, want_dims, want_C, want_pims):
+    reg = group_regular_rep(gens, p)
+    labels, C, dims, cons = cartan_matrix(reg, seed=3)
+    assert [c.rep.dim for c in cons] == want_dims
+    assert C == want_C and dims == want_pims
+    # F_p[G] is P_1^(n_1) + ... + P_k^(n_k), n_j = dim S_j / dim End(S_j)
+    assert sum(dim * c.rep.dim // len(hom_basis(c.rep, c.rep))
+               for dim, c in zip(dims, cons)) == reg.dim
+
+
+def test_cartan_rejects_a_module_that_is_not_regular():
+    # the permutation module of S3 over F_5 is 1 + 2: its algebra has
+    # dimension 1 + 4 = 5, not 3
+    with pytest.raises(AssertionError):
+        cartan_matrix(s3_perm_rep(5), seed=1)
+
+
+def test_lift_idempotent():
+    # an idempotent plus a nilpotent that does not commute with it
+    e = np.diag([1, 1, 0, 0]).astype(np.int64)
+    e[0, 3] = e[1, 2] = e[2, 3] = 1
+    for p in (2, 3, 7):
+        assert not np.array_equal(e @ e % p, e % p)
+        lifted = _lift_idempotent(e % p, p)
+        assert np.array_equal(lifted @ lifted % p, lifted)
+        assert FqMatrix(p, lifted).rank() == 2
+    # I / 2 is fixed by e -> 3e^2 - 2e^3 and is not idempotent
+    with pytest.raises(AssertionError):
+        _lift_idempotent(3 * np.eye(3, dtype=np.int64), 5)
+
+
+def test_chop_with_a_large_endomorphism_field():
+    # x^7 - 1 = (x - 1) * Phi_7 over F_5, Phi_7 irreducible: a 6-dim simple
+    # with End = F_(5^6), whose kernels have 5^6 > enum_cap vectors
+    cons = chop(cyclic_rep(5, 7), seed=0)
+    assert [(c.rep.dim, c.multiplicity) for c in cons] == [(1, 1), (6, 1)]
+    six = cons[1].rep
+    assert len(hom_basis(six, six)) == 6
+    for seed in range(4):
+        ok, theta = is_irreducible(six, seed=seed)
+        assert ok
+        # the witness has nullity deg f = 6 on this module
+        assert theta.left_nullspace().nrows == 6
+    labels, C, dims, _ = cartan_matrix(cyclic_rep(5, 7), seed=0)
+    assert C == [[1, 0], [0, 1]] and dims == [1, 6]
 
 
 def test_cartan_symmetric_on_group_algebras():
@@ -264,7 +342,7 @@ def test_cartan_symmetric_on_group_algebras():
 
 def test_hom_and_endo():
     rep = s3_perm_rep(5)
-    endo = endomorphism_basis(rep)
+    endo = hom_basis(rep, rep)
     assert len(endo) == 2  # rank of the S3 permutation module
     for e in endo:
         for a in rep.actions:

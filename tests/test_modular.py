@@ -224,3 +224,69 @@ def test_blocks_match_brute_force_components():
         rows = _brute_components(
             n, lambda i, j: any(D[i][c] and D[j][c] for c in range(k)))
         assert _column_blocks(D) == [b for b in rows if any(D[b[0]])]
+
+
+def _eye(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+# (labels, cartan, pim_dims) of the regular route on the manifest instances
+# that stay in tier-1, at their listed primes, as computed by splitting the
+# regular module into direct summands with random endomorphisms (the route
+# the lifted idempotents of E/J replaced)
+REGULAR_CARTAN = [
+    ("S4/S3", 2, ['1a'], [[2]], [2]),
+    ("S4/S3", 3, ['1a', '1b'], _eye(2), [1, 1]),
+    ("S5/S4", 5, ['1a'], [[2]], [2]),
+    ("S5/S4", 3, ['1a', '1b'], _eye(2), [1, 1]),
+    ("S5/S4", 2, ['1a', '1b'], _eye(2), [1, 1]),
+    ("S6/S5", 2, ['1a'], [[2]], [2]),
+    ("S6/S5", 3, ['1a'], [[2]], [2]),
+    ("S6/S5", 5, ['1a', '1b'], _eye(2), [1, 1]),
+    ("PSL(2,7)/S4", 7, ['1a'], [[2]], [2]),
+    ("PSL(2,7)/S4", 3, ['1a', '1b'], _eye(2), [1, 1]),
+    ("PSL(2,7)/S4", 2, ['1a', '1b'], _eye(2), [1, 1]),
+    ("PSL(2,11)/A5", 11, ['1a'], [[2]], [2]),
+    ("PSL(2,11)/A5", 5, ['1a', '1b'], _eye(2), [1, 1]),
+    ("PSL(2,11)/A5", 3, ['1a', '1b'], _eye(2), [1, 1]),
+    ("M11/M10", 11, ['1a'], [[2]], [2]),
+    ("M11/M10", 3, ['1a', '1b'], _eye(2), [1, 1]),
+    ("random-1-dihedral-5-points", 2, ['1a', '2a'], _eye(2), [1, 2]),
+    ("random-1-dihedral-5-points", 5, ['1a'], [[3]], [3]),
+    ("random-2-dihedral-8-points", 2, ['1a'], [[5]], [5]),
+    ("random-2-dihedral-8-points", 7,
+     ['1a', '1b', '1c', '1d', '1e'], _eye(5), [1, 1, 1, 1, 1]),
+    ("random-3-dihedral-12-points", 2, ['1a', '1b'], [[4, 0], [0, 3]], [4, 3]),
+    ("random-3-dihedral-12-points", 3,
+     ['1a', '1b', '1c'], [[2, 0, 0], [0, 3, 0], [0, 0, 2]], [2, 3, 2]),
+    ("random-3-dihedral-12-points", 11,
+     ['1a', '1b', '1c', '1d', '1e', '1f', '1g'], _eye(7), [1] * 7),
+    ("random-5-quaternion-regular", 2, ['1a'], [[8]], [8]),
+    ("random-5-quaternion-regular", 3,
+     ['1a', '1b', '1c', '1d', '2a'], _eye(5), [1, 1, 1, 1, 2]),
+    ("random-6-paley-13", 3, ['1a', '1b', '1c'], _eye(3), [1, 1, 1]),
+    ("random-6-paley-13", 13, ['1a'], [[3]], [3]),
+    ("random-8-frobenius-20", 2, ['1a', '1b'], _eye(2), [1, 1]),
+    ("random-8-frobenius-20", 5, ['1a'], [[2]], [2]),
+    ("random-9-product-3x3", 2,
+     ['1a', '1b', '1c', '1d'], _eye(4), [1, 1, 1, 1]),
+    ("random-9-product-3x3", 3, ['1a'], [[4]], [4]),
+    ("random-10-johnson-5-2", 2, ['1a', '1b'], [[1, 0], [0, 2]], [1, 2]),
+    ("random-10-johnson-5-2", 3, ['1a', '1b'], [[2, 0], [0, 1]], [2, 1]),
+    ("random-10-johnson-5-2", 5, ['1a', '1b'], [[2, 0], [0, 1]], [2, 1]),
+]
+
+
+def test_regular_cartan_on_the_corpus_is_pinned():
+    from endoperm import corpus, pipeline
+    instances = {inst.name: inst for inst in corpus.all_instances()}
+    mats = {}
+    for name, p, labels, cartan, pim_dims in REGULAR_CARTAN:
+        if name not in mats:
+            mats[name] = pipeline.oracle_instance(instances[name],
+                                                  primes=[]).inter_mats
+        reg = cartan_from_regular(mats[name], p)
+        assert (reg["labels"], reg["cartan"], reg["pim_dims"]) == \
+            (labels, cartan, pim_dims), (name, p)
+    assert {name for name, *_ in REGULAR_CARTAN} == \
+        set(instances) - {"random-7-paley-17", "random-4-dihedral-16-regular"}
