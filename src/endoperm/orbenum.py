@@ -17,7 +17,8 @@ one walk, normalizing each step and looking it up in a single
 stored key -> orbit index, tests a point against every record at once
 (`walk`; Mueller, Neunhoeffer, Wilson, J. Algebra 314, 2007).  The
 accumulated stabilizer of a record grows by `GeneratedGroup.extend`, one
-Schreier generator at a time.
+Schreier loop at a time, at the end of a chunk and only while the seal
+does not yet hold.
 
 The engine treats points as opaque hashable, ordered keys.  The two domain
 classes, `PermutationDomain` (integer points) and `VectorDomain` (byte-
@@ -266,8 +267,7 @@ class ActionContext:
                              Permutation.identity(self.faithful_h.degree))
 
     def g_stream(self, seed):
-        return RandomStream(self.g_gens, seed,
-                            identity=self.domain.identity())
+        return RandomStream(self.g_gens, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +404,28 @@ class _Node:
 class OrbitRecord:
     """One H-orbit: representative, reaching word, certified length and
     stabilizer order, and the store of distinguished points with their
-    Schreier back-references."""
+    Schreier back-references.
+
+    `classify` also keeps the G-element that reaches the representative
+    (`reach_element`, equal to the evaluated reach word) and the partner
+    record (`pair_rec`).  loops_seen counts the re-found points, each of
+    which closes a Schreier loop; loops_sifted counts the loops that were
+    sifted into the accumulated stabilizer."""
 
     def __init__(self, rep_key, reach_word):
         self.index = None
         self.rep = rep_key
         self.reach_word = tuple(reach_word)
+        self.reach_element = None
         self.length = None
         self.stab_order = None
         self.store = {}
         self.covered = 0
         self.chunks = 0
+        self.loops_seen = 0
+        self.loops_sifted = 0
         self.pair = None
+        self.pair_rec = None
         self.certified = False
 
     @property
@@ -439,22 +449,36 @@ def normalize_point(helper, x):
     return z, w
 
 
-def enumerate_suborbit(ctx, helper, v, reach_word=(), full=False):
+def enumerate_suborbit(ctx, helper, v, reach_word=()):
     """Enumerate the H-orbit of v chunk by chunk, storing only fibers.
 
-    Seals once 2 * covered * |S_acc| > |H| (then n_j = |H| / |S_acc| is
-    certified by orbit-stabilizer), or on full coverage.  With full=True
-    coverage always runs to the end.  Without a faithful H-action the
-    record is completed by exhaustion and flagged uncertified.
+    Seals once 2 * covered * |S_acc| > |H|, where S_acc is the group the
+    Schreier loops sifted so far generate: then n_j = |H| / |S_acc| is
+    certified by orbit-stabilizer.  Otherwise the record ends on full
+    coverage.  Without a faithful H-action the record is completed by
+    exhaustion and flagged uncertified.
+
+    A re-found point closes a loop; the loops are only collected while a
+    chunk is expanded.  At the chunk's end they are skipped when the queue
+    is exhausted (full coverage gives the same n_j and |H_j|) or when the
+    seal already holds; otherwise they are sifted in the order they were
+    found, stopping once the seal holds.  So S_acc is the same group at
+    every seal test as if each loop were sifted when found: a chunk that
+    does not seal has sifted all its loops, and once the seal holds S_acc
+    is all of Stab_H(v) (its index is below 2), so the loops left could
+    not change its order.
     """
     dom = ctx.domain
     record = OrbitRecord(v, reach_word)
-    certify = ctx.faithful_h is not None and not full
+    certify = ctx.faithful_h is not None
     h_order = ctx.h_order
-    stab_group = None
-    if ctx.faithful_h is not None:
+    if certify:
         stab_group = GeneratedGroup([], ctx.faithful_h.degree)
     stab_order = 1
+
+    def edge_word(u, hi, wq):
+        return word_concat(u, ((hi, 1),),
+                           helper.expand_k_word(word_inverse(wq)))
 
     z0, w0 = normalize_point(helper, record.rep)
     record.store[z0] = _Node(None, helper.expand_k_word(word_inverse(w0)))
@@ -482,26 +506,31 @@ def enumerate_suborbit(ctx, helper, v, reach_word=(), full=False):
                     order.append(img)
         record.chunks += 1
         # expand across H-generators
+        loops = []
         for y in order:
             u = helper.expand_k_word(chunk[y])
             for hi in range(len(ctx.h_gens)):
                 x = dom.apply(y, ctx.h_gens[hi])
                 z, wq = normalize_point(helper, x)
-                edge = word_concat(u, ((hi, 1),),
-                                   helper.expand_k_word(word_inverse(wq)))
                 if z not in record.store:
-                    record.store[z] = _Node(root, edge)
+                    record.store[z] = _Node(root, edge_word(u, hi, wq))
                     _store_fiber(ctx, helper, record, z)
                     queue.append(z)
-                elif certify or full:
-                    if ctx.faithful_h is None:
-                        continue
-                    loop = (_node_perm(ctx, record, root)
-                            * ctx.h_word_perm(edge)
-                            * _node_perm(ctx, record, z).inverse())
-                    if stab_group.extend(loop):
-                        stab_order = stab_group.order()
-        if certify and 2 * record.covered * stab_order > h_order:
+                else:
+                    loops.append((z, u, hi, wq))
+        record.loops_seen += len(loops)
+        if not certify or qi == len(queue):
+            continue
+        for z, u, hi, wq in loops:
+            if 2 * record.covered * stab_order > h_order:
+                break
+            loop = (_node_perm(ctx, record, root)
+                    * ctx.h_word_perm(edge_word(u, hi, wq))
+                    * _node_perm(ctx, record, z).inverse())
+            record.loops_sifted += 1
+            if stab_group.extend(loop):
+                stab_order = stab_group.order()
+        if 2 * record.covered * stab_order > h_order:
             record.length = h_order // stab_order
             record.stab_order = stab_order
             record.certified = True
@@ -510,7 +539,7 @@ def enumerate_suborbit(ctx, helper, v, reach_word=(), full=False):
             return record
     # full coverage reached
     record.length = record.covered
-    if ctx.faithful_h is not None:
+    if certify:
         record.stab_order = h_order // record.covered
         if h_order % record.covered:
             raise AssertionError("orbit length does not divide |H|")
@@ -683,16 +712,17 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
     def find(x):
         return walk(ctx, helper, index, x, rng, walk_budget)
 
-    def add_new(x, word):
+    def add_new(x, word, element):
         rec = enumerate_suborbit(ctx, helper, x, word)
         for other in records:
             if not disjoint(rec, other):
                 return other, False
+        rec.reach_element = element
         records.append(rec)
         index.update(dict.fromkeys(rec.store, rec))
         return rec, True
 
-    add_new(ctx.v1, ())
+    add_new(ctx.v1, (), ctx.domain.identity())
     records[0].pair_rec = records[0]
 
     while sum(r.length for r in records) < ctx.target_index \
@@ -702,36 +732,32 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
         x = ctx.domain.apply(ctx.v1, el)
         if find(x) is not None:
             continue
-        rec, fresh = add_new(x, word)
+        rec, fresh = add_new(x, word, el)
         if not fresh:
             continue
-        xinv = ctx.domain.apply(ctx.v1, el.inverse())
+        el_inv = stream.last_inverse()
+        xinv = ctx.domain.apply(ctx.v1, el_inv)
         partner = find(xinv)
         if partner is None:
-            partner, fresh2 = add_new(xinv, word_inverse(word))
+            partner, _ = add_new(xinv, word_inverse(word), el_inv)
         rec.pair_rec = partner
         partner.pair_rec = rec
-    # canonical ordering and index assignment
+    # canonical ordering and index assignment; every kept record was
+    # paired the moment it was kept
     first, rest = records[0], records[1:]
     rest.sort(key=lambda r: (r.length, orbit_min_key(ctx, r)))
     ordered = [first] + rest
     for i, rec in enumerate(ordered):
         rec.index = i + 1
     for rec in ordered:
-        rec.pair = rec.pair_rec.index if hasattr(rec, "pair_rec") else None
-        if rec.pair is None:
-            # never probed as a partner: locate v1 . reach^{-1}
-            xinv = ctx.apply_g_word(ctx.v1, word_inverse(rec.reach_word))
-            partner = find(xinv)
-            rec.pair = partner.index if partner else None
+        rec.pair = rec.pair_rec.index
     part = OrbitPartition(ordered, ctx.target_index)
     for rec in ordered:
-        if rec.pair is not None:
-            mate = ordered[rec.pair - 1]
-            if mate.pair != rec.index:
-                raise AssertionError("orbit pairing is not an involution")
-            if mate.length != rec.length:
-                raise AssertionError("paired orbits differ in length")
+        mate = ordered[rec.pair - 1]
+        if mate.pair != rec.index:
+            raise AssertionError("orbit pairing is not an involution")
+        if mate.length != rec.length:
+            raise AssertionError("paired orbits differ in length")
     return part
 
 

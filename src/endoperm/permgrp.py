@@ -142,25 +142,29 @@ class RandomStream:
     Ten accumulator slots, 50 burn-in multiplications.  The seed is part of
     the construction so every randomized computation downstream is
     replayable.  Elements come back together with the word in the original
-    generators that produces them.
+    generators that produces them.  Each slot also keeps its inverse: the
+    step slot_i <- slot_i * other sets inv_i <- other^-1 * inv_i, so no
+    element is ever inverted after the generators.
     """
 
     SLOTS = 10
     BURN_IN = 50
 
-    def __init__(self, gens, seed, identity=None):
+    def __init__(self, gens, seed):
         if not gens:
             raise ValueError("need at least one generator")
         self.gens = list(gens)
         self.seed = seed
         self.rng = random.Random(seed)
+        gen_inverses = [g.inverse() for g in self.gens]
         self.slots = []
+        self.inverses = []
         self.words = []
         for k in range(self.SLOTS):
             i = k % len(gens)
             self.slots.append(gens[i])
+            self.inverses.append(gen_inverses[i])
             self.words.append(((i, 1),))
-        self._identity = identity
         for _ in range(self.BURN_IN):
             self._step()
 
@@ -170,17 +174,26 @@ class RandomStream:
         j = rng.randrange(self.SLOTS - 1)
         if j >= i:
             j += 1
-        invert = rng.randrange(2)
-        other = self.slots[j].inverse() if invert else self.slots[j]
-        oword = word_inverse(self.words[j]) if invert else self.words[j]
+        if rng.randrange(2):
+            other, other_inv = self.inverses[j], self.slots[j]
+            oword = word_inverse(self.words[j])
+        else:
+            other, other_inv = self.slots[j], self.inverses[j]
+            oword = self.words[j]
         self.slots[i] = self.slots[i] * other
+        self.inverses[i] = other_inv * self.inverses[i]
         self.words[i] = word_concat(self.words[i], oword)
+        self._last = i
         return i
 
     def next(self):
         """Return (element, word) with element == evaluate_word(word, gens)."""
         i = self._step()
         return self.slots[i], self.words[i]
+
+    def last_inverse(self):
+        """The inverse of the element the last `next` returned."""
+        return self.inverses[self._last]
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +225,7 @@ class GeneratedGroup:
                 raise ValueError("generators act on different domains")
         self.gens = gens
         self.degree = degree
+        self._identity_images = tuple(range(degree))
         self.base = None
         self.strong = None
         self.transversals = None
@@ -340,7 +354,7 @@ class GeneratedGroup:
             if back is None:
                 return images, lvl
             images = tuple(map(back.__getitem__, images))
-        if images == tuple(range(self.degree)):
+        if images == self._identity_images:
             return None, None
         return images, len(self.base)
 
@@ -362,9 +376,6 @@ class GeneratedGroup:
         if perm.degree != self.degree:
             return False
         return self._sift(perm.images)[0] is None
-
-    def membership(self, perm):
-        return perm in self
 
     def orbit(self, point):
         """Orbit of a point under the generators, in BFS discovery order."""
@@ -412,15 +423,6 @@ class GeneratedGroup:
         return schreier_stabilizer(
             order_pts, words, lambda pt, gi: self.gens[gi].images[pt],
             self.gens, self.degree, self.order() // len(order_pts))
-
-    def random_stream(self, seed):
-        return RandomStream(self.gens, seed,
-                            identity=Permutation.identity(self.degree))
-
-
-def random_element(group, stream):
-    """One product-replacement step; returns (Permutation, Word)."""
-    return stream.next()
 
 
 def schreier_stabilizer(points, words, image, gens, degree, target):

@@ -91,7 +91,6 @@ class SchurContext:
                       for k, rec in enumerate(partition.records, start=1)
                       for key in rec.store}
         self._orbit_cache = {}
-        self._reacher_cache = {}
 
     def orbit_points(self, j):
         """Explicit point list of O_j (1-indexed j), cached."""
@@ -120,12 +119,9 @@ class SchurContext:
         return out
 
     def reaching_element(self, i):
-        """g_i as a single domain actor, evaluated from the reaching word."""
-        if i not in self._reacher_cache:
-            rec = self.partition.records[i - 1]
-            self._reacher_cache[i] = evaluate_word(
-                rec.reach_word, self.ctx.g_gens, self.ctx.domain.identity())
-        return self._reacher_cache[i]
+        """g_i as a single domain actor: the G-element `classify` kept for
+        the record, which takes v1 to its representative."""
+        return self.partition.records[i - 1].reach_element
 
     def locate(self, x, rounds=5):
         """Index k with x in O_k; None when every round misses.

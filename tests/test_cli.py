@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,24 @@ def test_scenario_subcommands_match_in_process_runs(tmp_path, make):
     want = dict(run.table.to_json(), seed=ctx.seed)
     assert run_cli(tmp_path, "chartab", data) == (cli.EXIT_OK,
                                                   as_json(want))
+
+
+def test_python_m_endoperm_runs_the_cli(tmp_path):
+    data = s4_scenario()
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "endoperm", "orbits", str(scenario)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    ctx, helper = load_scenario(data)
+    part = classify(ctx, helper, seed=ctx.seed)
+    want = dict(part.report(), seed=ctx.seed,
+                memory_estimate=memory_estimate(ctx))
+    assert json.loads(proc.stdout) == as_json(want)
 
 
 def test_exhausted_budgets_exit_3(tmp_path):

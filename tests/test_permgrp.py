@@ -1,12 +1,15 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from endoperm.corpus import all_instances
-from endoperm.permgrp import (GeneratedGroup, Permutation, closure_elements,
-                              dump_word_json, evaluate_word, group_from_json,
-                              group_to_json, load_word_json, random_element,
-                              word_inverse)
+from endoperm.gfmat import FqMatrix
+from endoperm.permgrp import (GeneratedGroup, Permutation, RandomStream,
+                              closure_elements, dump_word_json,
+                              evaluate_word, group_from_json, group_to_json,
+                              load_word_json, word_inverse)
 
 
 def sym(n):
@@ -84,9 +87,9 @@ def test_evaluate_word_identities():
 
 def test_random_element_words_reproduce():
     s4 = sym(4)
-    stream = s4.random_stream(seed=42)
+    stream = RandomStream(s4.gens, seed=42)
     for _ in range(25):
-        el, word = random_element(s4, stream)
+        el, word = stream.next()
         assert evaluate_word(word, s4.gens,
                              Permutation.identity(4)) == el
         assert el in s4
@@ -94,9 +97,54 @@ def test_random_element_words_reproduce():
 
 def test_random_stream_determinism():
     s4 = sym(4)
-    a = [random_element(s4, s4.random_stream(9))[0] for _ in range(10)]
-    b = [random_element(s4, s4.random_stream(9))[0] for _ in range(10)]
+    a = [RandomStream(s4.gens, 9).next()[0] for _ in range(10)]
+    b = [RandomStream(s4.gens, 9).next()[0] for _ in range(10)]
     assert a == b
+
+
+# Generators for the stream test: S_7, and invertible matrices over F_2
+# (a companion matrix and a transvection) and over F_3.
+STREAM_GENS = {
+    "S7": lambda: sym(7).gens,
+    "F2": lambda: [
+        FqMatrix(2, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                     [0, 0, 0, 0, 1], [1, 0, 1, 0, 0]]),
+        FqMatrix(2, np.eye(5, dtype=int) + np.eye(5, k=1, dtype=int))],
+    "F3": lambda: [
+        FqMatrix(3, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                     [1, 2, 0, 0]]),
+        FqMatrix(3, [[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                     [0, 0, 0, 1]])],
+}
+
+# 50 burn-in steps plus 70 draws.  The words in the slots grow about 1.1x
+# per step (around 10^5 letters by the last draw here), which bounds how
+# far the stream can be run in a test.
+STREAM_DRAWS = 70
+
+
+# SHA-256 of the (element, word) pairs, recorded from the stream as it was
+# before it kept the slots' inverses
+STREAM_DIGESTS = {
+    "F2": "4921b3241bc89d8da26e436be67c56345731790b20999419bd5447929fd9a721",
+    "F3": "6e9f2d3f8453a503d6bd5e9be8c81f1343798ded6dbccb9f5ab3fcb45dbe5bad",
+    "S7": "f8b61faa077a214f242501ccb4e6f51aa503006bce52638e9ccf4ab4a9288b00",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_GENS))
+def test_random_stream_keeps_each_slot_inverse(name):
+    stream = RandomStream(STREAM_GENS[name](), seed=5)
+    digest = hashlib.sha256()
+    for _ in range(STREAM_DRAWS):
+        el, word = stream.next()
+        for slot, inv in zip(stream.slots, stream.inverses):
+            assert (slot * inv).is_identity()
+        assert (el * stream.last_inverse()).is_identity()
+        digest.update(bytes(el.images) if isinstance(el, Permutation)
+                      else el.data.tobytes())
+        digest.update(np.array(word, dtype=np.int8).tobytes())
+    assert digest.hexdigest() == STREAM_DIGESTS[name]
 
 
 def test_stabilizer_with_words():

@@ -1,21 +1,18 @@
 from itertools import combinations
-from math import comb, factorial
 
-import numpy as np
 import pytest
 
 from endoperm import oracle, orbenum
 from endoperm.corpus import build_context, named_instances
-from endoperm.gfmat import FqMatrix
-from endoperm.orbenum import (ActionContext, HelperSetup, VectorDomain,
-                              classify)
-from endoperm.permgrp import GeneratedGroup, Permutation, evaluate_word
+from endoperm.orbenum import classify
+from endoperm.permgrp import GeneratedGroup, Permutation
 from endoperm.schur import (AlgebraClosure, IntegralityError,
                             IntersectionMatrix, SchurContext,
                             algebra_closure, all_intersection_matrices,
                             count_images, generate_endomorphism_ring,
                             intersection_matrix, orbit_counting,
                             validate_intersection_matrix)
+from scenarios import johnson_context
 
 
 def setup_instance(name, seed=1):
@@ -118,37 +115,10 @@ def test_generate_stops_at_full_dimension():
 
 
 # ---------------------------------------------------------------------------
-# locate on an F_2 vector domain: S_n by permutation matrices on the weight-k
-# vectors, H = S_k x S_(n-k) fixing e_0 + ... + e_(k-1), K = S_k with the
-# projection onto the first k coordinates as helper.  The H-orbits are the
-# k+1 classes of |support meet {0..k-1}|.
-
-def _transposition_word(i):
-    """(i i+1) as a word in a = (0 1) and b = (0 1 ... n-1)."""
-    return ((1, -1),) * i + ((0, 1),) + ((1, 1),) * i
-
+# locate on the F_2 vector domain of J(n, k) (`scenarios.johnson_context`).
 
 def vector_scenario(n, k, seed=0):
-    a = Permutation([1, 0] + list(range(2, n)))
-    b = Permutation([(i + 1) % n for i in range(n)])
-    h_words = [_transposition_word(i) for i in range(n - 1) if i != k - 1]
-    faithful = GeneratedGroup([evaluate_word(w, [a, b]) for w in h_words], n)
-    assert faithful.order() == factorial(k) * factorial(n - k)
-    mats = []
-    for g in (a, b):
-        m = np.zeros((n, n), dtype=np.int64)
-        m[np.arange(n), list(g.images)] = 1
-        mats.append(FqMatrix(2, m))
-    h_mats = [evaluate_word(w, mats, FqMatrix.identity(2, n))
-              for w in h_words]
-    dom = VectorDomain(2, n)
-    v1 = dom.encode([1] * k + [0] * (n - k))
-    ctx = ActionContext(dom, mats, h_mats, v1, h_words=h_words,
-                        faithful_h=faithful, target_index=comb(n, k))
-    proj = np.zeros((n, k), dtype=np.int64)
-    proj[np.arange(k), np.arange(k)] = 1
-    helper = HelperSetup(ctx, [((i, 1),) for i in range(k - 1)],
-                         FqMatrix(2, proj))
+    ctx, helper = johnson_context(n, k)
     part = classify(ctx, helper, seed=seed)
     return ctx, SchurContext(ctx, helper, part, seed=seed)
 
