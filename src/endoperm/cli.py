@@ -3,9 +3,9 @@
 Subcommands mirror the pipeline stages: orbits, intersect, chartab,
 decomp, verdict on scenario files; candidates on ordinary-table files;
 oracle on corpus instance names; fixtures for the bundled J4 table suite.
-All outputs are JSON with stable key order; --render adds a human-readable
-sketch.  Exit codes: 0 success, 2 invariant violation, 3 budget exhausted,
-4 input error.
+All outputs are JSON with stable key order; --render (orbits, chartab,
+verdict) adds a human-readable sketch on stderr.  Exit codes: 0 success,
+2 invariant violation, 3 budget exhausted, 4 input error.
 """
 
 import argparse
@@ -52,7 +52,7 @@ def _load_scenario(args):
         ctx.seed = args.seed
     if args.budget_memory is not None:
         ctx.memory_limit = args.budget_memory
-    return data, ctx, helper
+    return ctx, helper
 
 
 def _sqrt_overrides(args):
@@ -75,7 +75,7 @@ def _h_order(ctx):
 
 
 def cmd_orbits(args):
-    data, ctx, helper = _load_scenario(args)
+    ctx, helper = _load_scenario(args)
     seed = ctx.seed
     try:
         part = orbenum.classify(ctx, helper, seed=seed,
@@ -103,7 +103,7 @@ def _render_orbits(report):
 
 
 def _pipeline_from_scenario(args, primes):
-    data, ctx, helper = _load_scenario(args)
+    ctx, helper = _load_scenario(args)
     try:
         return run_pipeline(ctx, helper, _h_order(ctx), primes=primes,
                             seed=ctx.seed,
@@ -161,18 +161,13 @@ def cmd_decomp(args):
 def cmd_verdict(args):
     if not args.p:
         raise CliError("--p is required", EXIT_INPUT)
-    data, ctx, helper = _load_scenario(args)
-    try:
-        run = run_pipeline(ctx, helper, _h_order(ctx), primes=[],
-                           seed=ctx.seed, probe_budget=args.budget_probes)
-    except ClassifyIncomplete as exc:
-        raise CliError(str(exc), EXIT_BUDGET)
+    run = _pipeline_from_scenario(args, primes=[])
     conv = modular.SqrtConvention(args.p, _sqrt_overrides(args))
     verdict = modular.permutation_verdict(
         run.table, run.matrices, args.p, conv=conv, h_order=run.h_order,
-        seed=ctx.seed)
+        seed=run.ctx.seed)
     out = verdict.to_json()
-    out["seed"] = ctx.seed
+    out["seed"] = run.ctx.seed
     out["convention"] = conv.to_json()
     _emit(out, args)
     if args.render:
@@ -247,18 +242,19 @@ def build_parser():
                     "modular decomposition")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("scenario", help="scenario JSON file")
+    def common(p, render=False):
+        p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget-probes", type=int, default=10 ** 6)
         p.add_argument("--budget-memory", type=int, default=None)
         p.add_argument("--out", default=None, help="write JSON here")
-        p.add_argument("--render", action="store_true",
-                       help="also print a human-readable table to stderr")
+        if render:
+            p.add_argument("--render", action="store_true",
+                           help="also print a human-readable table to "
+                                "stderr")
 
     p = sub.add_parser("orbits", help="H-orbit decomposition")
-    common(p)
+    common(p, render=True)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("intersect", help="intersection matrices")
@@ -267,7 +263,7 @@ def build_parser():
     p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("chartab", help="split character table of E")
-    common(p)
+    common(p, render=True)
     p.set_defaults(func=cmd_chartab)
 
     p = sub.add_parser("decomp",
@@ -281,7 +277,7 @@ def build_parser():
     p = sub.add_parser("verdict",
                        help="is F_H^G indecomposable; is the projective "
                             "cover a permutation module")
-    common(p)
+    common(p, render=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--sqrt", action="append", metavar="n=s")
     p.set_defaults(func=cmd_verdict)
@@ -291,7 +287,6 @@ def build_parser():
     p.add_argument("table", help="ordinary character table JSON")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--render", action="store_true")
     p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("oracle", help="cross-check one corpus instance")
@@ -299,13 +294,11 @@ def build_parser():
     p.add_argument("--p", dest="p_list", type=int, nargs="*", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--render", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("fixtures",
                        help="run the bundled J4 reference-table suite")
     p.add_argument("--out", default=None)
-    p.add_argument("--render", action="store_true")
     p.set_defaults(func=cmd_fixtures)
     return ap
 

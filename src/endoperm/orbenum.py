@@ -20,6 +20,15 @@ accumulated stabilizer of a record grows by `GeneratedGroup.extend`, one
 Schreier loop at a time, at the end of a chunk and only while the seal
 does not yet hold.
 
+Each stored point keeps one Schreier edge back to the point it was reached
+from: store[key] = (parent, (u, hi, q)) with key = parent . u . h_hi .
+t(q)^-1, where u is a K-word, hi an H-generator index or None, q a
+quotient point or None, and t(q) the K-word of q's Schreier tree (see
+`normalize_point`).  The representative is the parent None.  Only
+`HelperSetup.edge_word` turns an edge into an H-word, and only where one
+is read: the faithful permutations of the sifted loops' end points and
+`trace_word`.
+
 The engine treats points as opaque hashable, ordered keys.  The two domain
 classes, `PermutationDomain` (integer points) and `VectorDomain` (byte-
 encoded F_p vectors), own the point format: they alone know how a point is
@@ -37,8 +46,8 @@ from . import gfmat
 from .gfmat import FqMatrix, ModuleRep
 from .permgrp import (GeneratedGroup, Permutation, RandomStream,
                       evaluate_word, group_from_json, load_word_json,
-                      schreier_stabilizer, seed_mix, word_concat,
-                      word_inverse)
+                      orbit_tree, schreier_stabilizer, seed_mix, tree_word,
+                      word_concat, word_inverse)
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -274,14 +283,13 @@ class ActionContext:
 # Helper setup: the K-orbit table on the quotient set Q.
 
 class _KOrbit:
-    __slots__ = ("dist", "length", "tree", "stab_words", "stab_order")
+    __slots__ = ("length", "tree", "stab_words", "stab_elements")
 
-    def __init__(self, dist):
-        self.dist = dist
-        self.length = 0
-        self.tree = {}       # q-key -> (k-gen index, parent q-key)
-        self.stab_words = []  # words in K-generators
-        self.stab_order = 1
+    def __init__(self, tree):
+        self.length = len(tree)
+        self.tree = tree          # Schreier tree from the distinguished point
+        self.stab_words = []      # its stabilizer's generators, K-words
+        self.stab_elements = []   # the same, evaluated as domain actors
 
 
 class HelperSetup:
@@ -311,9 +319,6 @@ class HelperSetup:
             raise ValueError("quotient set exceeds the enumeration budget")
         self._build_orbit_table()
 
-    def _q_act(self, q, gi):
-        return self.q_domain.apply(q, self.q_gens[gi])
-
     # -- K-orbit table --------------------------------------------------------
 
     def _build_orbit_table(self):
@@ -322,22 +327,9 @@ class HelperSetup:
         for q0 in self.q_domain.points():
             if q0 in self.orbit_of:
                 continue
-            orb = _KOrbit(q0)
-            oid = len(self.orbits)
-            orb.tree[q0] = None
-            order = [q0]
-            self.orbit_of[q0] = oid
-            qi = 0
-            while qi < len(order):
-                q = order[qi]
-                qi += 1
-                for gi in range(len(self.k_gens)):
-                    img = self._q_act(q, gi)
-                    if img not in orb.tree:
-                        orb.tree[img] = (gi, q)
-                        order.append(img)
-                        self.orbit_of[img] = oid
-            orb.length = len(order)
+            order, tree = orbit_tree(q0, self.q_gens, self.q_domain.apply)
+            orb = _KOrbit(tree)
+            self.orbit_of.update(dict.fromkeys(order, len(self.orbits)))
             self._collect_stabilizer(orb, order)
             self.orbits.append(orb)
         if self.k_order is not None:
@@ -347,28 +339,22 @@ class HelperSetup:
                         "K-orbit length does not divide |K|")
 
     def _collect_stabilizer(self, orb, order):
-        """Schreier generators of Stab_K(distinguished point), as K-words."""
+        """Schreier generators of Stab_K(distinguished point), as K-words
+        and as domain actors."""
         if self.k_group is None or not self.k_gens:
-            orb.stab_order = 1
             return
-        words = {orb.dist: ()}
-        for q in order[1:]:
-            gi, parent = orb.tree[q]
-            words[q] = words[parent] + ((gi, 1),)
-        group, orb.stab_words = schreier_stabilizer(
-            order, words, self._q_act, self.k_group.gens,
-            self.k_group.degree, self.k_order // orb.length)
-        orb.stab_order = group.order()
+        _, orb.stab_words = schreier_stabilizer(
+            order, orb.tree,
+            lambda q, gi: self.q_domain.apply(q, self.q_gens[gi]),
+            self.k_group.gens, self.k_group.degree,
+            self.k_order // orb.length)
+        ident = self.ctx.domain.identity()
+        orb.stab_elements = [evaluate_word(w, self.k_gens, ident)
+                             for w in orb.stab_words]
 
     def tree_word(self, q):
-        """K-word w with distinguished . w = q."""
-        orb = self.orbits[self.orbit_of[q]]
-        out = []
-        while orb.tree[q] is not None:
-            gi, parent = orb.tree[q]
-            out.append((gi, 1))
-            q = parent
-        return tuple(reversed(out))
+        """K-word t(q) with distinguished . t(q) = q."""
+        return tree_word(self.orbits[self.orbit_of[q]].tree, q)
 
     def expand_k_word(self, word):
         """Rewrite a K-word as an H-word."""
@@ -378,33 +364,27 @@ class HelperSetup:
             out.extend(w if e > 0 else word_inverse(w))
         return tuple(out)
 
-    def apply_k_word(self, x, word):
-        dom = self.ctx.domain
-        for i, e in word:
-            x = dom.apply(x, self.k_gens[i] if e > 0 else self._k_inv[i])
-        return x
-
-    def stab_h_words(self, oid):
-        """Fiber-stabilizer generators as H-words, cached per K-orbit."""
-        orb = self.orbits[oid]
-        return [self.expand_k_word(w) for w in orb.stab_words]
+    def edge_word(self, u, hi, q):
+        """The H-word u . h_hi . t(q)^-1 of a stored point's edge (see the
+        module docstring); hi or q None leaves its factor out."""
+        word = self.expand_k_word(u)
+        if hi is not None:
+            word += ((hi, 1),)
+        if q is not None:
+            word += self.expand_k_word(word_inverse(self.tree_word(q)))
+        return word
 
 
 # ---------------------------------------------------------------------------
 
-class _Node:
-    __slots__ = ("parent", "edge", "_perm")
-
-    def __init__(self, parent, edge):
-        self.parent = parent   # parent stored key, or None at the root
-        self.edge = edge       # H-word with parent . edge = this point
-        self._perm = None      # cached faithful-H permutation from the rep
-
-
 class OrbitRecord:
     """One H-orbit: representative, reaching word, certified length and
-    stabilizer order, and the store of distinguished points with their
-    Schreier back-references.
+    stabilizer order, and the store of distinguished points.
+
+    store maps each stored point to its Schreier edge (parent, (u, hi, q)),
+    key = parent . u . h_hi . t(q)^-1, with the representative as parent
+    None (module docstring).  No H-word is kept: `HelperSetup.edge_word`
+    builds one from an edge when a loop is sifted or `trace_word` asks.
 
     `classify` also keeps the G-element that reaches the representative
     (`reach_element`, equal to the evaluated reach word) and the partner
@@ -441,12 +421,19 @@ class OrbitRecord:
 
 
 def normalize_point(helper, x):
-    """(z, k_word): z = x . k_word^{-1} lies in the fiber over the
-    distinguished image; x = z . k_word."""
+    """(z, q): q is the image of x in the quotient and z = x . t(q)^-1 lies
+    in the fiber over the distinguished image of q's K-orbit, so that
+    x = z . t(q).  Walks q's Schreier tree up to the distinguished point,
+    applying the inverse K-generators on the way."""
     q = helper.project(x)
-    w = helper.tree_word(q)
-    z = helper.apply_k_word(x, word_inverse(w))
-    return z, w
+    tree = helper.orbits[helper.orbit_of[q]].tree
+    apply, k_inv = helper.ctx.domain.apply, helper._k_inv
+    edge = tree[q]
+    while edge is not None:
+        gi, parent = edge
+        x = apply(x, k_inv[gi])
+        edge = tree[parent]
+    return x, q
 
 
 def enumerate_suborbit(ctx, helper, v, reach_word=()):
@@ -474,15 +461,20 @@ def enumerate_suborbit(ctx, helper, v, reach_word=()):
     h_order = ctx.h_order
     if certify:
         stab_group = GeneratedGroup([], ctx.faithful_h.degree)
+        ident = Permutation.identity(ctx.faithful_h.degree)
     stab_order = 1
+    perms = {}   # stored key -> faithful-H permutation from the rep
 
-    def edge_word(u, hi, wq):
-        return word_concat(u, ((hi, 1),),
-                           helper.expand_k_word(word_inverse(wq)))
+    def node_perm(key):
+        if key not in perms:
+            parent, edge = record.store[key]
+            base = ident if parent is None else node_perm(parent)
+            perms[key] = base * ctx.h_word_perm(helper.edge_word(*edge))
+        return perms[key]
 
-    z0, w0 = normalize_point(helper, record.rep)
-    record.store[z0] = _Node(None, helper.expand_k_word(word_inverse(w0)))
-    _store_fiber(ctx, helper, record, z0)
+    z0, q0 = normalize_point(helper, record.rep)
+    record.store[z0] = (None, ((), None, q0))
+    _store_fiber(helper, record, z0)
     queue = [z0]
     qi = 0
     while qi < len(queue):
@@ -493,40 +485,28 @@ def enumerate_suborbit(ctx, helper, v, reach_word=()):
         root = queue[qi]
         qi += 1
         # transiently enumerate the K-orbit chunk of this root
-        chunk = {root: ()}
-        order = [root]
-        ci = 0
-        while ci < len(order):
-            y = order[ci]
-            ci += 1
-            for gi in range(len(helper.k_gens)):
-                img = dom.apply(y, helper.k_gens[gi])
-                if img not in chunk:
-                    chunk[img] = word_concat(chunk[y], ((gi, 1),))
-                    order.append(img)
+        order, tree = orbit_tree(root, helper.k_gens, dom.apply)
         record.chunks += 1
         # expand across H-generators
         loops = []
         for y in order:
-            u = helper.expand_k_word(chunk[y])
-            for hi in range(len(ctx.h_gens)):
-                x = dom.apply(y, ctx.h_gens[hi])
-                z, wq = normalize_point(helper, x)
+            for hi, h in enumerate(ctx.h_gens):
+                z, q = normalize_point(helper, dom.apply(y, h))
                 if z not in record.store:
-                    record.store[z] = _Node(root, edge_word(u, hi, wq))
-                    _store_fiber(ctx, helper, record, z)
+                    record.store[z] = (root, (tree_word(tree, y), hi, q))
+                    _store_fiber(helper, record, z)
                     queue.append(z)
                 else:
-                    loops.append((z, u, hi, wq))
+                    loops.append((z, y, hi, q))
         record.loops_seen += len(loops)
         if not certify or qi == len(queue):
             continue
-        for z, u, hi, wq in loops:
+        for z, y, hi, q in loops:
             if 2 * record.covered * stab_order > h_order:
                 break
-            loop = (_node_perm(ctx, record, root)
-                    * ctx.h_word_perm(edge_word(u, hi, wq))
-                    * _node_perm(ctx, record, z).inverse())
+            word = helper.edge_word(tree_word(tree, y), hi, q)
+            loop = (node_perm(root) * ctx.h_word_perm(word)
+                    * node_perm(z).inverse())
             record.loops_sifted += 1
             if stab_group.extend(loop):
                 stab_order = stab_group.order()
@@ -550,40 +530,27 @@ def enumerate_suborbit(ctx, helper, v, reach_word=()):
     return record
 
 
-def _node_perm(ctx, record, key):
-    """Faithful-H permutation reaching a stored point from the
-    representative (cached on the node)."""
-    node = record.store[key]
-    if node._perm is None:
-        if node.parent is None:
-            base = Permutation.identity(ctx.faithful_h.degree)
-        else:
-            base = _node_perm(ctx, record, node.parent)
-        node._perm = base * ctx.h_word_perm(node.edge)
-    return node._perm
-
-
-def _store_fiber(ctx, helper, record, z):
+def _store_fiber(helper, record, z):
     """Store the full fiber over the distinguished image: the orbit of z
-    under the stabilizer in K of the distinguished point.
+    under the stabilizer in K of the distinguished point, each generator
+    applied as one element.
 
     Also counts the chunk as covered: the K-orbit chunk of z has exactly
     (quotient-orbit length) * (fiber size) points."""
-    q = helper.project(z)
-    oid = helper.orbit_of[q]
-    words = helper.stab_h_words(oid)
+    orb = helper.orbits[helper.orbit_of[helper.project(z)]]
     fiber = 1
-    if words:
+    if orb.stab_elements:
+        apply = helper.ctx.domain.apply
         frontier = [z]
         while frontier:
             y = frontier.pop()
-            for w in words:
-                img = ctx.apply_h_word(y, w)
+            for w, s in zip(orb.stab_words, orb.stab_elements):
+                img = apply(y, s)
                 if img not in record.store:
-                    record.store[img] = _Node(y, tuple(w))
+                    record.store[img] = (y, (w, None, None))
                     frontier.append(img)
                     fiber += 1
-    record.covered += helper.orbits[oid].length * fiber
+    record.covered += orb.length * fiber
 
 
 def walk(ctx, helper, index, x, rng, budget=200):
@@ -627,17 +594,17 @@ def disjoint(rec_a, rec_b):
 
 
 def trace_word(ctx, helper, record, x):
-    """H-word w with rep . w = x, for certified members only."""
-    z, wq = normalize_point(helper, x)
+    """H-word w with rep . w = x, for certified members only: the edge
+    words from the representative down to x's normal form, then t(q)."""
+    z, q = normalize_point(helper, x)
     if z not in record.store:
         raise NotCertifiedMember("point does not normalize into the store")
-    parts = []
+    parts = [helper.edge_word(helper.tree_word(q), None, None)]
     key = z
     while key is not None:
-        node = record.store[key]
-        parts.append(node.edge)
-        key = node.parent
-    word = word_concat(*reversed(parts), helper.expand_k_word(wq))
+        key, edge = record.store[key]
+        parts.append(helper.edge_word(*edge))
+    word = word_concat(*reversed(parts))
     if ctx.apply_h_word(record.rep, word) != x:
         raise AssertionError("traced word does not evaluate back to the point")
     return word
@@ -690,7 +657,7 @@ def orbit_min_key(ctx, record, cap=10 ** 6):
     """Minimal point of the orbit (seed-independent canonical tiebreak)."""
     if record.length is not None and record.length > cap:
         return min(record.store)
-    return min(_h_orbit(ctx, record.rep))
+    return min(orbit_tree(record.rep, ctx.h_gens, ctx.domain.apply)[0])
 
 
 def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
@@ -775,7 +742,8 @@ def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
     stream = ctx.g_stream(seed + 1)
     index = {key: rec for rec in partition.records for key in rec.store}
     for v in candidates:
-        if len(_h_orbit(ctx, v, target_length)) != target_length:
+        orbit, _ = orbit_tree(v, ctx.h_gens, dom.apply, target_length)
+        if len(orbit) != target_length:
             continue
         for _ in range(probes):
             el, gword = stream.next()
@@ -801,23 +769,6 @@ def _h_to_g(ctx, h_word):
         w = ctx.h_words[i]
         out.extend(w if e > 0 else word_inverse(w))
     return tuple(out)
-
-
-def _h_orbit(ctx, v, cap=None):
-    """The H-orbit of v by breadth-first search, or, given a cap, the
-    levels searched until more than cap points are seen."""
-    seen = {v}
-    frontier = [v]
-    while frontier and (cap is None or len(seen) <= cap):
-        nxt = []
-        for y in frontier:
-            for h in ctx.h_gens:
-                img = ctx.domain.apply(y, h)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
 
 
 def memory_estimate(ctx):
@@ -865,8 +816,18 @@ def load_scenario(data):
         raise ValueError("a scenario is a JSON object")
     if not isinstance(data.get("h_words"), list):
         raise ValueError("h_words must be a list of words")
+    if not isinstance(data.get("k_words", []), list):
+        raise ValueError("k_words must be a list of words")
     seed = data.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError("seed must be an integer")
     budgets = data.get("budgets", {})
+    if not isinstance(budgets, dict) or any(
+            type(b) is not int or b < 1 for b in budgets.values()):
+        raise ValueError("budgets must map names to positive integers")
+    index = data.get("index")
+    if index is not None and (type(index) is not int or index < 1):
+        raise ValueError("index must be a positive integer")
     if "group" in data:
         G = group_from_json(data["group"])
         dom = PermutationDomain(G.degree)
@@ -887,7 +848,7 @@ def load_scenario(data):
         v1 = dom.base_point(h_gens)
     ctx = ActionContext(
         dom, g_gens, h_gens, v1, h_words=h_words, faithful_h=faithful,
-        target_index=data.get("index"),
+        target_index=index,
         memory_limit=budgets.get("memory_points", 10 ** 7), seed=seed)
     k_words = [load_word_json(w) for w in data.get("k_words", [])]
     quotient = None

@@ -118,6 +118,10 @@ def evaluate_word(word, gens, identity=None):
 
 def load_word_json(data):
     """Words in files are [[genIndex, exp], ...] with 1-indexed generators."""
+    if not isinstance(data, list) or not all(
+            isinstance(p, list) and len(p) == 2
+            and all(type(v) is int for v in p) for p in data):
+        raise ValueError("a word is a list of [generator, exponent] pairs")
     out = []
     for i, e in data:
         if i == 0:
@@ -379,18 +383,7 @@ class GeneratedGroup:
 
     def orbit(self, point):
         """Orbit of a point under the generators, in BFS discovery order."""
-        seen = {point}
-        out = [point]
-        i = 0
-        while i < len(out):
-            pt = out[i]
-            i += 1
-            for g in self.gens:
-                img = g.images[pt]
-                if img not in seen:
-                    seen.add(img)
-                    out.append(img)
-        return out
+        return orbit_tree(point, self.gens, _image)[0]
 
     def stabilizer(self, point):
         """Full point stabilizer, with its own chain."""
@@ -409,31 +402,58 @@ class GeneratedGroup:
         words come from a BFS tree.
         """
         self._require_chain()
-        words = {point: ()}
-        order_pts = [point]
-        i = 0
-        while i < len(order_pts):
-            pt = order_pts[i]
-            i += 1
-            for gi, g in enumerate(self.gens):
-                img = g.images[pt]
-                if img not in words:
-                    words[img] = words[pt] + ((gi, 1),)
-                    order_pts.append(img)
+        points, tree = orbit_tree(point, self.gens, _image)
         return schreier_stabilizer(
-            order_pts, words, lambda pt, gi: self.gens[gi].images[pt],
-            self.gens, self.degree, self.order() // len(order_pts))
+            points, tree, lambda pt, gi: self.gens[gi].images[pt],
+            self.gens, self.degree, self.order() // len(points))
 
 
-def schreier_stabilizer(points, words, image, gens, degree, target):
+def _image(pt, g):
+    return g.images[pt]
+
+
+def orbit_tree(start, gens, act, limit=None):
+    """Breadth-first orbit of start with its Schreier tree.
+
+    act(pt, g) is the image of pt under the generator g.  Returns (points
+    in BFS order, tree), where tree maps start to None and every other
+    point to (generator index, parent): parent . gens[index] = point.
+    With a limit, the search stops once more than limit points are found.
+    """
+    tree = {start: None}
+    points = [start]
+    i = 0
+    while i < len(points) and (limit is None or len(points) <= limit):
+        pt = points[i]
+        i += 1
+        for gi, g in enumerate(gens):
+            img = act(pt, g)
+            if img not in tree:
+                tree[img] = (gi, pt)
+                points.append(img)
+    return points, tree
+
+
+def tree_word(tree, pt):
+    """Word w in the generators with root . w = pt, read off an
+    `orbit_tree` tree."""
+    out = []
+    while tree[pt] is not None:
+        gi, pt = tree[pt]
+        out.append((gi, 1))
+    return tuple(reversed(out))
+
+
+def schreier_stabilizer(points, tree, image, gens, degree, target):
     """Stabilizer of points[0] in <gens> from pruned Schreier generators.
 
-    points is its orbit in BFS order, words[pt] a word in gens taking
-    points[0] to pt and image(pt, i) the image of pt under generator i.
-    Schreier generators are visited point by point, generator by
-    generator; one is kept when it is not yet a member of the group the
-    kept ones generate, which grows by `extend`, until that group reaches
-    the target order.  The kept words depend only on membership and order.
+    points is its orbit in BFS order and tree its `orbit_tree` tree, whose
+    generator indices refer to gens; image(pt, i) is the image of pt under
+    generator i.  Schreier generators are visited point by point,
+    generator by generator; one is kept when it is not yet a member of the
+    group the kept ones generate, which grows by `extend`, until that
+    group reaches the target order.  The kept words depend only on
+    membership and order.
     Returns (group, kept words); the group's gens are the kept elements.
     """
     ident = Permutation.identity(degree)
@@ -444,7 +464,7 @@ def schreier_stabilizer(points, words, image, gens, degree, target):
 
     def element(pt):
         if pt not in elements:
-            elements[pt] = evaluate_word(words[pt], gens, ident)
+            elements[pt] = evaluate_word(tree_word(tree, pt), gens, ident)
         return elements[pt]
 
     for pt in points:
@@ -453,8 +473,8 @@ def schreier_stabilizer(points, words, image, gens, degree, target):
         for gi, g in enumerate(gens):
             img = image(pt, gi)
             if group.extend(element(pt) * g * element(img).inverse()):
-                kept.append(word_concat(words[pt], ((gi, 1),),
-                                        word_inverse(words[img])))
+                kept.append(word_concat(tree_word(tree, pt), ((gi, 1),),
+                                        word_inverse(tree_word(tree, img))))
                 if group.order() == target:
                     break
     if group.order() != target:
@@ -485,10 +505,13 @@ def closure_elements(gens, degree, limit=None):
 # Group files: {"degree": n, "generators": [[images, 1-indexed], ...]}
 
 def group_from_json(data):
+    if not isinstance(data, dict) or type(data.get("degree")) is not int \
+            or not isinstance(data.get("generators"), list):
+        raise ValueError('a group is {"degree": n, "generators": [...]}')
     degree = data["degree"]
     gens = []
     for images in data["generators"]:
-        if len(images) != degree:
+        if not isinstance(images, list) or len(images) != degree:
             raise ValueError("generator length does not match degree")
         if sorted(images) != list(range(1, degree + 1)):
             raise ValueError("generator images are not a 1-indexed bijection")

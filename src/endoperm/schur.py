@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from . import orbenum
-from .permgrp import evaluate_word, seed_mix
+from .permgrp import orbit_tree, seed_mix
 from .quadfield import express_in_rows, mat_mul
 
 
@@ -101,18 +101,7 @@ class SchurContext:
             raise ValueError(
                 f"orbit {j} has {rec.length} points, over the counting "
                 f"cutoff {self.enum_cutoff}; use recover_matrix instead")
-        dom = self.ctx.domain
-        seen = {rec.rep}
-        out = [rec.rep]
-        qi = 0
-        while qi < len(out):
-            y = out[qi]
-            qi += 1
-            for h in self.ctx.h_gens:
-                img = dom.apply(y, h)
-                if img not in seen:
-                    seen.add(img)
-                    out.append(img)
+        out, _ = orbit_tree(rec.rep, self.ctx.h_gens, self.ctx.domain.apply)
         if len(out) != rec.length:
             raise AssertionError("explicit enumeration disagrees with n_j")
         self._orbit_cache[j] = out
@@ -140,7 +129,8 @@ class SchurContext:
 
 
 def orbit_counting(sctx, j, k, g):
-    """c_jk(g) = |O_j g  meet  O_k| for a word or explicit element g."""
+    """c_jk(g) = |O_j g  meet  O_k| for an element g of G, given as a
+    domain actor."""
     counts = count_images(sctx, j, g)
     return counts[k - 1]
 
@@ -148,8 +138,6 @@ def orbit_counting(sctx, j, k, g):
 def count_images(sctx, j, g):
     """Distribution of O_j . g over all orbits; certified complete because
     the per-orbit figures must sum to n_j."""
-    if isinstance(g, tuple):
-        g = evaluate_word(g, sctx.ctx.g_gens, sctx.ctx.domain.identity())
     points = sctx.orbit_points(j)
     counts = [0] * sctx.r
     unresolved = 0

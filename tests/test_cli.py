@@ -212,6 +212,15 @@ MALFORMED = {
     "no index": lambda: _without(s4_scenario(), "index"),
     "top level is a list": lambda: [],
     "h_words is a number": lambda: dict(s4_scenario(), h_words=5),
+    "budgets is a number": lambda: dict(s4_scenario(), budgets=5),
+    "memory budget is a string": lambda: dict(
+        s4_scenario(), budgets={"memory_points": "x"}),
+    "index is a string": lambda: dict(s4_scenario(), index="abc"),
+    "index is negative": lambda: dict(s4_scenario(), index=-3),
+    "k_words is a number": lambda: dict(s4_scenario(), k_words=5),
+    "group is a number": lambda: dict(s4_scenario(), group=5),
+    "seed is a string": lambda: dict(s4_scenario(), seed="abc"),
+    "h-word entry is a number": lambda: dict(s4_scenario(), h_words=[[5]]),
 }
 
 

@@ -17,6 +17,7 @@ from endoperm.orbenum import (ActionContext, HelperNotEquivariant,
                               probe_fixed_space, trace_word)
 from endoperm.permgrp import (GeneratedGroup, Permutation, evaluate_word,
                               word_inverse)
+from scenarios import johnson_context
 
 
 def make_ctx(G, point=0, k_words=None, quotient=None, seed=0):
@@ -101,24 +102,55 @@ def test_disjointness_matches_exhaustive_partition():
     assert not disjoint(dup, part.records[1])
 
 
-def test_trace_word_verified_by_evaluation():
-    ctx, helper, H = make_ctx(s5())
+def _s5_context():
+    ctx, helper, _ = make_ctx(s5())
+    return ctx, helper
+
+
+def _fibered_context():
+    """S_6 over H = S_5 on {1, ..., 5} with K = <(1 2 3 4)> and the
+    quotient {0}, {1, 2, 3, 4}, {5}: K fixes every class, so the stored
+    points of {1, 2, 3, 4} form one fiber, each reached from the last."""
+    G = GeneratedGroup([Permutation.from_cycles(6, [[0, 1]]),
+                        Permutation.from_cycles(6, [[0, 1, 2, 3, 4, 5]])])
+    h_gens = [Permutation.from_cycles(6, c)
+              for c in ([[1, 2, 3, 4]], [[1, 2]], [[4, 5]])]
+    ctx = ActionContext(PermutationDomain(6), G.gens, h_gens, 0,
+                        faithful_h=GeneratedGroup(h_gens, 6), target_index=6)
+    return ctx, HelperSetup(ctx, [((0, 1),)], [0, 1, 1, 1, 1, 2])
+
+
+@pytest.mark.parametrize("make", [_s5_context, _fibered_context,
+                                  lambda: johnson_context(8, 3)],
+                         ids=["S5-S4", "S6-S5-fibers", "J(8,3)-vectors"])
+def test_trace_word_verified_by_evaluation(make):
+    ctx, helper = make()
     part = classify(ctx, helper, seed=1)
-    rec = part.records[1]
-    assert trace_word(ctx, helper, rec, rec.rep) == ()
-    for key in rec.store:
-        w = trace_word(ctx, helper, rec, key)
-        assert ctx.apply_h_word(rec.rep, w) == key
-    # random covered points, via a walk
-    pt = rec.rep
-    rng = random.Random(5)
-    for _ in range(10):
-        pt = ctx.domain.apply(pt, ctx.h_gens[rng.randrange(len(ctx.h_gens))])
-        if membership(ctx, helper, rec, pt, rng, 200) is True:
-            w = trace_word(ctx, helper, rec,
-                           normalize_point(helper, pt)[0])
-    with pytest.raises(NotCertifiedMember):
-        trace_word(ctx, helper, rec, ctx.v1)
+    assert trace_word(ctx, helper, part.records[1], part.records[1].rep) == ()
+    for rec in part.records[1:]:
+        for key, (parent, edge) in rec.store.items():
+            start = rec.rep if parent is None else parent
+            assert ctx.apply_h_word(start, helper.edge_word(*edge)) == key
+            w = trace_word(ctx, helper, rec, key)
+            assert ctx.apply_h_word(rec.rep, w) == key
+        # the representative traces to () exactly when it is stored
+        w = trace_word(ctx, helper, rec, rec.rep)
+        assert ctx.apply_h_word(rec.rep, w) == rec.rep
+        assert (w == ()) == (rec.rep in rec.store)
+        # random covered points, via a walk
+        pt = rec.rep
+        rng = random.Random(5)
+        for _ in range(10):
+            h = ctx.h_gens[rng.randrange(len(ctx.h_gens))]
+            pt = ctx.domain.apply(pt, h)
+            z, q = normalize_point(helper, pt)
+            t = helper.edge_word(helper.tree_word(q), None, None)
+            assert ctx.apply_h_word(z, t) == pt
+            if membership(ctx, helper, rec, pt, rng, 200) is True:
+                w = trace_word(ctx, helper, rec, pt)
+                assert ctx.apply_h_word(rec.rep, w) == pt
+        with pytest.raises(NotCertifiedMember):
+            trace_word(ctx, helper, rec, ctx.v1)
 
 
 def test_saving_factor_bounds():

@@ -9,7 +9,8 @@ from endoperm.gfmat import FqMatrix
 from endoperm.permgrp import (GeneratedGroup, Permutation, RandomStream,
                               closure_elements, dump_word_json,
                               evaluate_word, group_from_json, group_to_json,
-                              load_word_json, word_inverse)
+                              load_word_json, orbit_tree, tree_word,
+                              word_inverse)
 
 
 def sym(n):
@@ -153,6 +154,45 @@ def test_stabilizer_with_words():
     assert st.order() == 24
     for w, g in zip(words, st.gens):
         assert evaluate_word(w, s5.gens, Permutation.identity(5)) == g
+
+
+def _act(pt, g):
+    return g.images[pt]
+
+
+def test_orbit_tree_bfs_order_and_words():
+    s4 = sym(4)     # a = (0 1), b = (0 1 2 3)
+    points, tree = orbit_tree(0, s4.gens, _act)
+    assert points == [0, 1, 2, 3]
+    assert tree == {0: None, 1: (0, 0), 2: (1, 1), 3: (1, 2)}
+    assert [tree_word(tree, pt) for pt in points] == [
+        (), ((0, 1),), ((0, 1), (1, 1)), ((0, 1), (1, 1), (1, 1))]
+    rng = random.Random(11)
+    for group in (sym(5), sym(7), *(GeneratedGroup(
+            [Permutation(rng.sample(range(9), 9)) for _ in range(2)])
+            for _ in range(4))):
+        group.build_chain()
+        start = group.base[0]
+        points, tree = orbit_tree(start, group.gens, _act)
+        assert set(points) == set(tree) == set(group.transversals[0])
+        ident = Permutation.identity(group.degree)
+        for pt in points:
+            word = tree_word(tree, pt)
+            assert evaluate_word(word, group.gens, ident).images[start] == pt
+
+
+def test_orbit_tree_stops_past_the_limit():
+    s8 = sym(8)
+    full, _ = orbit_tree(0, s8.gens, _act)
+    assert len(full) == 8
+    for limit in range(8):
+        points, tree = orbit_tree(0, s8.gens, _act, limit)
+        assert limit < len(points) <= limit + len(s8.gens)
+        assert points == full[:len(points)] and set(tree) == set(points)
+    for limit in (8, 100):
+        assert orbit_tree(0, s8.gens, _act, limit)[0] == full
+    cycle = GeneratedGroup([Permutation([(i + 1) % 20 for i in range(20)])])
+    assert orbit_tree(0, cycle.gens, _act, 5)[0] == [0, 1, 2, 3, 4, 5]
 
 
 def test_group_json_roundtrip():
