@@ -3,9 +3,12 @@
 Supports any prime p < 256.  A matrix stores one byte per entry (a uint8
 array) for every p, and a product is one int64 matmul reduced mod p; the
 matrices here are small, so per-object overhead dominates and no packed
-form pays off.  On top of the matrix layer sit the module operations:
-spin, standard basis, fixed spaces, duals and quotients, the Norton
-irreducibility test with the Holt-Rees criterion, chopping into
+form pays off for products.  Moving one vector is different: at p = 2,
+`row_times` XORs the matrix's rows kept as Python ints (one bit per
+entry, built on first use), one operation per selected row in place of
+several numpy calls.  On top of the matrix layer sit the module
+operations: spin, standard basis, fixed spaces, duals and quotients, the
+Norton irreducibility test with the Holt-Rees criterion, chopping into
 constituents, and Cartan matrices of algebra regular modules from lifted
 idempotents of A/J.  Their vector loops work on int64 arrays and the
 stacked generator matrices, not on 1-row matrices.
@@ -13,6 +16,7 @@ stacked generator matrices, not on 1-row matrices.
 Row-vector convention throughout: vectors act from the left, x . M.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -47,24 +51,51 @@ def row_times(x, mat):
     """x . mat for a row vector x encoded one byte per entry, returned in
     the same encoding.
 
-    For p = 2 the rows of mat picked out by the odd entries of x are XORed;
-    for odd p it is one int64 product mod p.
+    For p = 2 the entries of x must be 0 or 1: the result is the XOR of
+    the rows of mat that x's nonzero entries select, taken from the row
+    integers mat caches on its first use here.  For odd p it is one int64
+    product mod p.
     """
-    v = np.frombuffer(x, dtype=np.uint8)
-    if len(v) != mat.nrows:
+    if len(x) != mat.nrows:
         raise ValueError("shape mismatch")
     if mat.p == 2:
-        return np.bitwise_xor.reduce(mat.data[(v & 1).view(bool)],
-                                     axis=0).tobytes()
-    prod = v.astype(np.int64) @ mat.data.astype(np.int64)
-    return (prod % mat.p).astype(np.uint8).tobytes()
+        rows = mat._bit_rows
+        if rows is None:
+            rows = mat._bit_rows = _rows_as_ints(mat)
+        acc = 0
+        for r in itertools.compress(rows, x):
+            acc ^= r
+        # The leading 1 fixes the width at ncols digits, 0 columns too.
+        return bin(acc | 1 << mat.ncols)[3:].encode().translate(_FROM_DIGITS)
+    v = np.frombuffer(x, dtype=np.uint8).astype(np.int64)
+    return (v @ mat.data.astype(np.int64) % mat.p).astype(np.uint8).tobytes()
+
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _rows_as_ints(mat):
+    """The rows of a 0/1 matrix as ints of ncols bits, entry 0 the most
+    significant."""
+    n = mat.ncols
+    if not n:
+        return [0] * mat.nrows
+    digits = mat.data.tobytes().translate(_TO_DIGITS)
+    return [int(digits[i:i + n], 2) for i in range(0, len(digits), n)]
 
 
 class FqMatrix:
-    """Immutable-by-convention matrix over F_p; `data` is a uint8 array of
-    its entries in 0..p-1."""
+    """Immutable matrix over F_p; `data` is a read-only uint8 array of its
+    entries in 0..p-1.
 
-    __slots__ = ("p", "nrows", "ncols", "data")
+    At p = 2, `row_times` caches the rows as ints in `_bit_rows` the first
+    time it moves a vector by the matrix.  The cache is derived from
+    `data`, which is why `data` may never change; `==` and `hash` read
+    `data` alone.
+    """
+
+    __slots__ = ("p", "nrows", "ncols", "data", "_bit_rows")
 
     def __init__(self, p, rows):
         _check_prime(p)
@@ -73,7 +104,9 @@ class FqMatrix:
             raise ValueError("need a 2-d array of entries")
         self.p = p
         self.data = np.mod(arr, p).astype(np.uint8)
+        self.data.setflags(write=False)
         self.nrows, self.ncols = arr.shape
+        self._bit_rows = None
 
     @classmethod
     def identity(cls, p, n):

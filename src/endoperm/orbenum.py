@@ -142,7 +142,12 @@ class PermutationDomain:
 
 class VectorDomain:
     """Points are F_p row vectors encoded one byte per entry (`encode`);
-    actors are FqMatrix."""
+    actors are FqMatrix.
+
+    `encode` accepts exactly `dim` integer entries in 0..p-1 and raises
+    ValueError otherwise, so every vector has one key and, at p = 2, the
+    kernel `gfmat.row_times` sees only 0/1 bytes.
+    """
 
     def __init__(self, p, dim):
         self.p = p
@@ -159,7 +164,13 @@ class VectorDomain:
         return gfmat.vector_bytes(self.p, self.dim)
 
     def encode(self, vec):
-        return np.asarray(vec, dtype=np.uint8).tobytes()
+        vec = np.asarray(vec)
+        if vec.shape != (self.dim,) or vec.dtype.kind not in "iu" \
+                or ((vec < 0) | (vec >= self.p)).any():
+            raise ValueError(
+                f"a vector needs {self.dim} integer entries in "
+                f"0..{self.p - 1}")
+        return vec.astype(np.uint8).tobytes()
 
     def points(self):
         return [bytes(v) for v in _all_vectors(self.p, self.dim)]
@@ -182,14 +193,13 @@ class VectorDomain:
 
     def parse_point(self, value):
         """A scenario file's {"vector": [entries in 0..p-1]}."""
-        vec = np.asarray(value.get("vector") if isinstance(value, dict)
-                         else None)
-        if vec.shape != (self.dim,) or vec.dtype.kind not in "iu" \
-                or ((vec < 0) | (vec >= self.p)).any():
+        try:
+            return self.encode(value.get("vector")
+                               if isinstance(value, dict) else None)
+        except ValueError:
             raise ValueError(
                 f"base point must be {{\"vector\": [{self.dim} entries "
-                f"in 0..{self.p - 1}]}}")
-        return self.encode(vec)
+                f"in 0..{self.p - 1}]}}") from None
 
     def parse_quotient(self, value):
         """A scenario file's {"projection": dim x w matrix}."""

@@ -478,18 +478,41 @@ def test_kernel_matches_python_int_reference():
                             FA.inverse()
 
 
+# At p = 2 row_times works on rows as ints, so these shapes cross the word
+# and byte boundaries of that form; (112, 112) is J4's module.
+ROW_KERNEL_SHAPES_F2 = ((8, 8), (9, 3), (18, 2), (17, 17), (64, 65),
+                        (112, 112))
+
+
 def test_row_times_matches_vector_product():
     rng = random.Random(8)
     for p in KERNEL_PRIMES:
-        for m, n in KERNEL_SHAPES:
+        shapes = KERNEL_SHAPES + (ROW_KERNEL_SHAPES_F2 if p == 2 else ())
+        for m, n in shapes:
             M = random_rows(rng, p, m, n)
             FM = as_matrix(p, M, m, n)
             for _ in range(4):
                 x = [rng.randrange(p) for _ in range(m)]
                 got = row_times(bytes(x), FM)
                 assert list(got) == ref_mul([x], M, p, m, n)[0]
+                assert row_times(bytes(x), FM) == got
+                assert row_times(bytes(x), as_matrix(p, M, m, n)) == got
             with pytest.raises(ValueError):
                 row_times(bytes(m + 1), FM)
+
+
+def test_matrix_data_is_read_only_and_hash_ignores_row_cache():
+    rng = random.Random(6)
+    for m, n in ((3, 4), (18, 18)):
+        M = random_rows(rng, 2, m, n)
+        used, fresh = as_matrix(2, M, m, n), as_matrix(2, M, m, n)
+        row_times(bytes(m), used)
+        assert used == fresh and hash(used) == hash(fresh)
+        for mat in (used, used * fresh.transpose(), used.transpose(),
+                    used + fresh, FqMatrix.identity(3, n)):
+            with pytest.raises(ValueError):
+                mat.data[0, 0] = 1
+    assert used.toarray().flags.writeable
 
 
 def test_equal_matrices_hash_equal():

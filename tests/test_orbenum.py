@@ -221,6 +221,23 @@ def test_vector_domain_with_projection():
     assert part.lengths() == [1, 3]
 
 
+def test_vector_encode_gives_one_key_per_vector():
+    dom = VectorDomain(2, 4)
+    assert dom.encode([1, 0, 1, 0]) == bytes([1, 0, 1, 0])
+    assert dom.encode(np.array([1, 0, 1, 0], dtype=np.uint8)) \
+        == dom.encode(np.array([1, 0, 1, 0], dtype=np.int64))
+    for bad in ([3, 0, 1, 0], [1, 0, 1], [1, 0, 1, 0, 0], [-1, 0, 0, 0],
+                [0.0, 1.0, 0.0, 0.0], [[1, 0], [1, 0]], None, 5):
+        with pytest.raises(ValueError):
+            dom.encode(bad)
+    with pytest.raises(ValueError):
+        VectorDomain(3, 2).encode([0, 3])
+    for p, dim in ((2, 4), (3, 3)):
+        dom = VectorDomain(p, dim)
+        for x in dom.points():
+            assert dom.encode(list(x)) == x
+
+
 def test_quotient_equivariance_checked():
     ctx, helper, H = make_ctx(s5())
     # a mapping that identifies points across K-orbits inconsistently
