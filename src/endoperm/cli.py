@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import candfilter, fixtures, modular, orbenum, schur, splitchar
-from .gfmat import RetryBudgetExhausted, UnsupportedCharacteristic
+from .gfmat import UnsupportedCharacteristic
 from .pipeline import (ClassifyIncomplete, compare, oracle_instance,
                        run_instance, run_pipeline)
 
@@ -164,8 +164,7 @@ def cmd_verdict(args):
     run = _pipeline_from_scenario(args, primes=[])
     conv = modular.SqrtConvention(args.p, _sqrt_overrides(args))
     verdict = modular.permutation_verdict(
-        run.table, run.matrices, args.p, conv=conv, h_order=run.h_order,
-        seed=run.ctx.seed)
+        run.table, run.matrices, args.p, conv=conv, h_order=run.h_order)
     out = verdict.to_json()
     out["seed"] = run.ctx.seed
     out["convention"] = conv.to_json()
@@ -211,7 +210,7 @@ def cmd_oracle(args):
             f"{sorted(instances)}", EXIT_INPUT)
     primes = args.p_list or None
     run = run_instance(inst, primes=primes, seed=args.seed or 0)
-    orc = oracle_instance(inst, primes=primes, seed=args.seed or 0)
+    orc = oracle_instance(inst, primes=primes)
     checks = compare(run, orc)
     out = {
         "instance": inst.name,
@@ -313,8 +312,7 @@ def main(argv=None):
     except (modular.InertFieldError, UnsupportedCharacteristic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (orbenum.MemoryBudgetExceeded, schur.PartialCountsError,
-            RetryBudgetExhausted) as exc:
+    except (orbenum.MemoryBudgetExceeded, schur.PartialCountsError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (AssertionError, schur.IntegralityError,

@@ -1,4 +1,5 @@
-"""Matrices and modules over small prime fields: a mini MeatAxe.
+"""Matrices and modules over small prime fields, and Cartan matrices of
+algebra regular modules.
 
 Supports any prime p < 256.  A matrix stores one byte per entry (a uint8
 array) for every p, and a product is one int64 matmul reduced mod p; the
@@ -7,30 +8,21 @@ form pays off for products.  Moving one vector is different: at p = 2,
 `row_times` XORs the matrix's rows kept as Python ints (one bit per
 entry, built on first use), one operation per selected row in place of
 several numpy calls.  On top of the matrix layer sit the module
-operations: spin, standard basis, fixed spaces, duals and quotients, the
-Norton irreducibility test with the Holt-Rees criterion, chopping into
-constituents, and Cartan matrices of algebra regular modules from lifted
-idempotents of A/J.  Their vector loops work on int64 arrays and the
+operations: fixed spaces, quotients and minimal polynomials, and the
+Cartan matrix of an algebra regular module, computed deterministically
+from the radical of the algebra, the centre of its semisimple quotient
+and lifted idempotents.  Their vector loops work on int64 arrays and the
 stacked generator matrices, not on 1-row matrices.
 
 Row-vector convention throughout: vectors act from the left, x . M.
 """
 
 import itertools
-import random
+import math
 
 import numpy as np
 
 from . import zpoly
-from .permgrp import seed_mix
-
-
-class RetryBudgetExhausted(RuntimeError):
-    """Raised when a randomized search runs out of attempts.
-
-    Retriable: rerun with a larger budget or another seed; never a wrong
-    answer.
-    """
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -193,9 +185,6 @@ class FqMatrix:
             raise ZeroDivisionError("matrix is singular")
         return FqMatrix(self.p, R[:n, n:])
 
-    def is_invertible(self):
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
     def __repr__(self):
         return f"FqMatrix(p={self.p}, {self.nrows}x{self.ncols})"
 
@@ -240,7 +229,8 @@ def _nullspace(arr, p):
 
 
 class EchelonBasis:
-    """Incremental reduced row echelon form over F_p, for spinning.
+    """Incremental reduced row echelon form over F_p, for Krylov spaces
+    and algebra spans.
 
     `rows` is an int64 array; row i has a 1 in column `pivots[i]` and 0 in
     every other row's pivot column, so v reduces in one product:
@@ -288,9 +278,6 @@ class EchelonBasis:
     def dim(self):
         return len(self.pivots)
 
-    def matrix(self):
-        return FqMatrix(self.p, self.rows[np.argsort(self.pivots)])
-
 
 # ---------------------------------------------------------------------------
 
@@ -316,89 +303,6 @@ class ModuleRep:
 
     def __repr__(self):
         return f"ModuleRep(p={self.p}, dim={self.dim}, gens={len(self.actions)})"
-
-
-def spin(seeds, rep):
-    """Echelonized basis of the smallest invariant subspace containing seeds.
-
-    Seeds may be an FqMatrix of rows or a list of vectors.  Every vector
-    that enlarges the space is queued, and its images under all generators
-    are one product with the stacked generators.
-    """
-    if isinstance(seeds, FqMatrix):
-        seeds = seeds.data
-    p = rep.p
-    ech = EchelonBasis(p, rep.dim)
-    queue = [v for v in seeds if ech.add(v)]
-    gens = rep.stacked()
-    qi = 0
-    while qi < len(queue):
-        for w in np.asarray(queue[qi], dtype=np.int64) @ gens % p:
-            if ech.add(w):
-                queue.append(w)
-        qi += 1
-    return ech.matrix()
-
-
-class SeedDoesNotGenerate(ValueError):
-    pass
-
-
-def standard_basis(seed, rep):
-    """Parker's standard basis from a generating seed vector.
-
-    The basis is canonically determined by (seed, generator order): images
-    of basis vectors under the generators are appended, in order, whenever
-    they are independent of what came before.  Two isomorphic modules given
-    corresponding seeds therefore produce identical rebased actions.
-    """
-    p = rep.p
-    seed = np.asarray(seed, dtype=np.int64) % p
-    ech = EchelonBasis(p, rep.dim)
-    if not ech.add(seed):
-        raise SeedDoesNotGenerate("zero seed")
-    basis = [seed]
-    gens = rep.stacked()
-    qi = 0
-    while qi < len(basis):
-        for w in basis[qi] @ gens % p:
-            if ech.add(w):
-                basis.append(w)
-        qi += 1
-    if len(basis) != rep.dim:
-        raise SeedDoesNotGenerate(
-            f"seed spins to dimension {len(basis)} < {rep.dim}")
-    return FqMatrix(p, np.array(basis))
-
-
-def rebase(basis, rep):
-    """Actions of rep in the coordinates of the given (square) basis."""
-    inv = basis.inverse()
-    return ModuleRep(rep.p, [basis * a * inv for a in rep.actions],
-                     rep.dim)
-
-
-def restrict(rep, basis):
-    """Action on an invariant row space, in basis coordinates.
-
-    The basis rows B must be independent.  With E the reduced echelon rows
-    of their span and P its pivot columns, a vector w of the span has
-    coordinates w[P] against E and w[P] . T against B, T = B[:, P]^-1.
-    """
-    if basis.nrows == 0:
-        return ModuleRep(rep.p, [], 0), basis
-    p = rep.p
-    ech = EchelonBasis(p, rep.dim)
-    for v in basis.data:
-        ech.add(v)
-    P = ech.pivots
-    T = FqMatrix(p, basis.data[:, P]).inverse().data.astype(np.int64)
-    img = basis.data.astype(np.int64) @ rep.stacked() % p
-    coords = img[:, :, P]
-    if ((img - coords @ ech.rows) % p).any():
-        raise ValueError("basis is not invariant under the action")
-    acts = [FqMatrix(p, c @ T) for c in coords]
-    return ModuleRep(p, acts, basis.nrows), basis
 
 
 def _solve(A, B):
@@ -427,12 +331,6 @@ def fixed_space(rep):
         N = (current * (a - ident)).left_nullspace()
         current = N * current
     return current.row_basis()
-
-
-def dual(rep):
-    """Contragredient module: generators act by inverse transpose."""
-    return ModuleRep(rep.p,
-                     [a.inverse().transpose() for a in rep.actions], rep.dim)
 
 
 def quotient(rep, sub_basis):
@@ -466,273 +364,7 @@ def quotient(rep, sub_basis):
 
 
 # ---------------------------------------------------------------------------
-# Random algebra elements, Norton test, chop
-
-def random_algebra_element(rep, rng, words=4, length=4):
-    """Sum of up to `words` random generator words with random coefficients."""
-    d, p = rep.dim, rep.p
-    total = FqMatrix.zeros(p, d, d)
-    for _ in range(rng.randrange(1, words + 1)):
-        m = FqMatrix.identity(p, d)
-        for _ in range(rng.randrange(1, length + 1)):
-            m = m * rep.actions[rng.randrange(len(rep.actions))]
-        c = rng.randrange(1, p)
-        total = total + m * c
-    return total
-
-
-def singular_elements(rep, rng):
-    """Yield (f, f(a)) for a random algebra element a and the irreducible
-    factors f of its minimal polynomial, each f(a) singular."""
-    a = random_algebra_element(rep, rng)
-    mp = min_poly(a)
-    _, facs = zpoly.fp_factor(mp, rep.p)
-    for f, _ in sorted(facs, key=lambda fm: len(fm[0])):
-        yield f, _poly_of_matrix(a, f)
-
-
-def is_irreducible(rep, seed=0, budget=30, enum_cap=4096):
-    """Norton irreducibility test.
-
-    Returns (True, witness) where the witness is a singular algebra element
-    theta such that every kernel vector of theta spins to the full space
-    and every kernel vector of its transpose spins to the full transposed
-    module, or (False, proper submodule basis).  When theta = f(a) has
-    nullity deg f (Holt-Rees), its kernel is one line over F_p[a]/(f), all
-    of whose nonzero vectors spin to the same submodule, so one kernel
-    vector and one transpose-kernel vector decide.  Otherwise kernel
-    vectors are enumerated projectively, which makes the positive answer
-    rigorous; such an element whose kernel is too big to enumerate is
-    skipped in favour of the next one.  Raises RetryBudgetExhausted when
-    the budget runs out; that error signals "increase the random element
-    budget", never a wrong answer.
-    """
-    if rep.dim == 0:
-        raise ValueError("zero module")
-    if rep.dim == 1:
-        return True, FqMatrix.zeros(rep.p, 1, 1)
-    if not rep.actions:
-        e = np.zeros(rep.dim, dtype=np.int64)
-        e[0] = 1
-        return False, FqMatrix(rep.p, e.reshape(1, -1))
-    rng = random.Random(seed_mix(seed, rep.dim, rep.p, 0xA11CE))
-    transposed = ModuleRep(rep.p, [a.transpose() for a in rep.actions],
-                           rep.dim)
-    for _ in range(budget):
-        for f, theta in singular_elements(rep, rng):
-            ker = theta.left_nullspace()
-            if ker.nrows == 0:
-                continue
-            # quick reducibility scan on the basis vectors first
-            for v in ker.toarray():
-                sp = spin([v], rep)
-                if sp.nrows < rep.dim:
-                    return False, sp
-            ker_t = theta.transpose().left_nullspace()
-            if ker.nrows == zpoly.deg(f):
-                # Holt-Rees: the scan above settled ker; one vector
-                # settles ker_t
-                ker_t = FqMatrix(rep.p, ker_t.data[:1])
-            elif rep.p ** ker.nrows > enum_cap:
-                continue
-            else:
-                proper = _kernel_spin_proper(ker, rep, skip_basis=True)
-                if proper is not None:
-                    return False, proper
-            proper_t = _kernel_spin_proper(ker_t, transposed)
-            if proper_t is not None:
-                return False, proper_t.transpose().left_nullspace()
-            return True, theta
-    raise RetryBudgetExhausted(
-        "no decisive singular algebra element; increase random element budget")
-
-
-def _kernel_spin_proper(K, rep, skip_basis=False):
-    """Spin every projective point of the kernel row space; return the first
-    proper invariant subspace found, else None."""
-    pts = _projective_points(K, rep.p)
-    basis_keys = {v.tobytes() for v in K.toarray()} if skip_basis else set()
-    for v in pts:
-        if v.tobytes() in basis_keys:
-            continue
-        sp = spin([v], rep)
-        if sp.nrows < rep.dim:
-            return sp
-    return None
-
-
-class Constituent:
-    """An irreducible constituent with its multiplicity and label."""
-
-    def __init__(self, rep, multiplicity, label):
-        self.rep = rep
-        self.multiplicity = multiplicity
-        self.label = label
-
-    def __repr__(self):
-        return f"({self.label})^{self.multiplicity}"
-
-
-def _eval_words(rep, words, coeffs):
-    d, p = rep.dim, rep.p
-    total = FqMatrix.zeros(p, d, d)
-    for w, c in zip(words, coeffs):
-        m = FqMatrix.identity(p, d)
-        for gi in w:
-            m = m * rep.actions[gi]
-        total = total + m * c
-    return total
-
-
-def _projective_points(K, p):
-    """Nonzero vectors in the row space of K, one per scalar class."""
-    k = K.nrows
-    arr = K.toarray().astype(np.int64)
-    out = []
-    for idx in range(1, p ** k):
-        digits = []
-        t = idx
-        for _ in range(k):
-            digits.append(t % p)
-            t //= p
-        lead = next(d for d in reversed(digits) if d)
-        if lead != 1:
-            continue
-        v = np.zeros(K.ncols, dtype=np.int64)
-        for d, row in zip(digits, arr):
-            v += d * row
-        out.append((v % p).astype(np.uint8))
-    return out
-
-
-def isomorphic(m1, m2, seed=0, budget=30):
-    """Isomorphism test for irreducible modules, by standard-basis rebasing.
-
-    A singular word element gives matched kernel seeds in both modules;
-    equality of the rebased generator actions is an explicit isomorphism.
-    Kernel seeds in m2 are tried projectively, so endomorphism fields
-    larger than F_p are handled.
-    """
-    if m1.dim != m2.dim or m1.p != m2.p:
-        return False
-    if len(m1.actions) != len(m2.actions):
-        raise ValueError("modules must share a generator indexing")
-    if m1.dim == 1:
-        return all(a.toarray()[0, 0] == b.toarray()[0, 0]
-                   for a, b in zip(m1.actions, m2.actions))
-    p = m1.p
-    rng = random.Random(seed_mix(seed, m1.dim, 0x15A))
-    best = None
-    for _ in range(budget):
-        words = [[rng.randrange(len(m1.actions))
-                  for _ in range(rng.randrange(1, 5))]
-                 for _ in range(rng.randrange(1, 5))]
-        coeffs = [rng.randrange(1, p) for _ in words]
-        a1 = _eval_words(m1, words, coeffs)
-        mp = min_poly(a1)
-        _, facs = zpoly.fp_factor(mp, p)
-        for f, _ in facs:
-            t1 = _poly_of_matrix(a1, f)
-            k1 = t1.left_nullspace()
-            if k1.nrows == 0:
-                continue
-            if best is None or k1.nrows < best[0]:
-                best = (k1.nrows, words, coeffs, f, k1)
-            if k1.nrows == 1:
-                break
-        if best and best[0] == 1:
-            break
-    if best is None:
-        raise RetryBudgetExhausted("no singular word element found")
-    _, words, coeffs, f, k1 = best
-    t2 = _poly_of_matrix(_eval_words(m2, words, coeffs), f)
-    k2 = t2.left_nullspace()
-    if k2.nrows != k1.nrows:
-        return False
-    try:
-        b1 = standard_basis(k1.toarray()[0], m1)
-    except SeedDoesNotGenerate:
-        raise ValueError("isomorphic() expects irreducible modules")
-    r1 = rebase(b1, m1)
-    for v2 in _projective_points(k2, p):
-        try:
-            b2 = standard_basis(v2, m2)
-        except SeedDoesNotGenerate:
-            raise ValueError("isomorphic() expects irreducible modules")
-        r2 = rebase(b2, m2)
-        if all(a == b for a, b in zip(r1.actions, r2.actions)):
-            return True
-    return False
-
-
-def chop(rep, seed=0):
-    """Irreducible constituents with multiplicities.
-
-    Labels are dimension plus a letter in discovery order ("1a", "2a", ...);
-    isomorphic constituents are identified by standard-basis rebasing.
-    """
-    raw = []
-    stack = [rep]
-    while stack:
-        m = stack.pop()
-        if m.dim == 0:
-            continue
-        ok, witness = is_irreducible(m, seed=seed)
-        if ok:
-            raw.append(m)
-            continue
-        sub_rep, _ = restrict(m, witness)
-        quo_rep, _ = quotient(m, witness)
-        stack.append(sub_rep)
-        stack.append(quo_rep)
-    classes = []
-    for m in raw:
-        for cls in classes:
-            if cls.rep.dim == m.dim and isomorphic(cls.rep, m, seed):
-                cls.multiplicity += 1
-                break
-        else:
-            classes.append(Constituent(m, 1, None))
-    classes.sort(key=lambda c: c.rep.dim)
-    per_dim = {}
-    for cls in classes:
-        i = per_dim.get(cls.rep.dim, 0)
-        per_dim[cls.rep.dim] = i + 1
-        cls.label = f"{cls.rep.dim}{chr(ord('a') + i)}"
-    total = sum(c.multiplicity * c.rep.dim for c in classes)
-    if total != rep.dim:
-        raise AssertionError(
-            f"chop lost dimensions: {total} != {rep.dim}")
-    return classes
-
-
-# ---------------------------------------------------------------------------
-# Homomorphisms, minimal polynomials, Cartan matrices
-
-def hom_basis(m1, m2):
-    """Basis of Hom(m1, m2): matrices F with A1_g F = F A2_g for all g.
-
-    The equations for F, flattened row-major, are L . vec(F) = 0 with
-    L = A1 (x) I - I (x) A2^T for each generator; L is filled in place as a
-    (d1, d2, d1, d2) array.
-    """
-    p = m1.p
-    d1, d2 = m1.dim, m2.dim
-    if d1 == 0 or d2 == 0:
-        return []
-    i1, i2 = np.arange(d1), np.arange(d2)
-    blocks = []
-    for A, B in zip(m1.stacked(), m2.stacked()):
-        L = np.zeros((d1, d2, d1, d2), dtype=np.int64)
-        L[:, i2, :, i2] += A
-        L[i1, :, i1, :] -= B.T
-        blocks.append(L.reshape(d1 * d2, d1 * d2) % p)
-    if not blocks:
-        return [FqMatrix(p, m) for m in np.eye(d1 * d2, dtype=np.int64)
-                .reshape(d1 * d2, d1, d2)] if d1 == d2 else []
-    basis = _nullspace(np.concatenate(blocks, axis=0), p)
-    return [FqMatrix(p, vec.reshape(d1, d2)) for vec in basis]
-
+# Minimal polynomials, the radical, Cartan matrices
 
 def min_poly(mat):
     """Minimal polynomial: lcm of local minimal polynomials of unit vectors.
@@ -778,42 +410,62 @@ def _poly_of_matrix(mat, poly):
     return FqMatrix(mat.p, _poly_at(mat.data.astype(np.int64), poly, mat.p))
 
 
-def cartan_matrix(regular, seed=0):
+def cartan_matrix(regular):
     """Cartan matrix of an algebra regular module.
 
     Entry (j, i) is the multiplicity of the simple S_i in the projective
-    indecomposable P_j; rows and columns are ordered by constituent label.
-    Returns (labels, matrix, pim_dims, constituents).
+    indecomposable P_j; rows and columns are ordered by label, the
+    dimension of S_i plus a letter.  Returns (labels, matrix, pim_dims,
+    simples), where simples lists (label, dim S_i, e_i, n_i, multiplicity
+    of S_i in the regular module) for each simple.
 
-    The simples come from one chop; the rest is deterministic.  The
-    algebra A spanned by the words in the generators has the regular
-    module V as a faithful module, so dim A = dim V, and A maps onto
-    A/J = End_{D_1}(S_1) + ... + End_{D_k}(S_k), D_i = End_A(S_i) of
-    dimension e_i, S_i = D_i^{n_i}.  One solve gives elements of A that map
-    to the central idempotents of A/J; e <- 3e^2 - 2e^3 lifts them to
-    idempotents eps_j (Curtis and Reiner, Methods of Representation Theory
-    I, sec. 6).  Then eps_j A is P_j^{n_j}, and dim eps_j A eps_i =
-    dim Hom_A(eps_i A, eps_j A) = n_i n_j e_i C[j][i] is read as the rank
-    of the vectors v0 eps_j B_t eps_i over a basis B_t of A, for a vector
-    v0 that generates V.  Every step is checked and raises AssertionError.
+    The algebra A spanned by the words in the generators has the regular
+    module V as a faithful module, so dim A = dim V = d, and A/J =
+    End_{D_1}(S_1) + ... + End_{D_k}(S_k) for the radical J, D_i =
+    End_A(S_i) a field of degree e_i over F_p and S_i = D_i^{n_i}.  J comes
+    from the trace ladder of Cohen, Ivanyos and Wales (JPAA 117/118
+    (1997); `_radical`): floor(log_p d) + 1 nullspaces, each cutting the
+    ideal down to the a with Tr((ab)^(p^i)) / p^i = 0 mod p for all b.  The
+    head V/VJ is the regular module of A/J, the sum of the isotypic parts
+    U_i = S_i^{n_i}.  The centre of A/J is D_1 + ... + D_k, so the kernels
+    of the irreducible factors of central elements split the head into the
+    U_i; the centre has rank e_i on U_i, and dim U_i = n_i^2 e_i gives n_i.
+    These are all the Cartan entries need of a simple, so no simple module
+    is built and nothing is random.
+
+    One solve gives elements of A that map to the projections of the head
+    onto the U_i, the central idempotents of A/J; e <- 3e^2 - 2e^3 lifts
+    them to idempotents eps_j (Curtis and Reiner, Methods of
+    Representation Theory I, sec. 6).  Then eps_j A is P_j^{n_j}, and
+    dim eps_j A eps_i = dim Hom_A(eps_i A, eps_j A) = n_i n_j e_i C[j][i] is
+    read as the rank of the vectors v0 eps_j B_t eps_i over a basis B_t of
+    A, for a vector v0 that generates V.  Every step is checked and raises
+    AssertionError.
     """
-    cons = chop(regular, seed)
     p, d = regular.p, regular.dim
-    simples = [c.rep for c in cons]
-    basis, *images = _algebra_basis(regular, simples)
+    basis, = _algebra_basis(regular, [])
     if len(basis) != d:
         raise AssertionError(
             f"the generators span an algebra of dimension {len(basis)} "
             f"!= {d}: not a regular module")
-    # eps_j maps to the identity on S_j and to zero on the other simples
-    R = np.concatenate([im.reshape(d, -1) for im in images], axis=1)
-    targets = np.zeros((len(cons), R.shape[1]), dtype=np.int64)
-    col = 0
-    for j, s in enumerate(simples):
-        targets[j, col:col + s.dim ** 2] = np.eye(s.dim).reshape(-1)
-        col += s.dim ** 2
+    radical = _radical(basis, p)
+    head, _ = quotient(regular,
+                       FqMatrix(p, radical.reshape(-1, d)).row_basis())
+    if head.dim != d - len(radical):
+        raise AssertionError(
+            f"dim V/VJ = {head.dim} != dim A - dim J = {d - len(radical)}")
+    _, images = _algebra_basis(regular, [head])
+    parts, ends, mults = zip(*_isotypic_parts(head, images))
+    # eps_j maps to the projection of the head onto U_j along the others
+    inv = FqMatrix(p, np.concatenate([U.data for U in parts])).inverse()
+    targets, col = [], 0
+    for U in parts:
+        proj = inv.data[:, col:col + U.nrows].astype(np.int64) @ U.data
+        targets.append(proj.reshape(-1) % p)
+        col += U.nrows
     try:
-        coeffs = _solve(FqMatrix(p, R.T), FqMatrix(p, targets.T)).data
+        coeffs = _solve(FqMatrix(p, images.reshape(d, -1).T),
+                        FqMatrix(p, np.array(targets).T)).data
     except ValueError:
         raise AssertionError(
             "no algebra element maps to a central idempotent of A/J")
@@ -823,8 +475,6 @@ def cartan_matrix(regular, seed=0):
                if len(_rref(basis[:, u, :], p)[1]) == d), None)
     if v0 is None:
         raise AssertionError("no unit vector generates the regular module")
-    ends = [len(hom_basis(s, s)) for s in simples]
-    mults = [s.dim // e for s, e in zip(simples, ends)]
     C = []
     for j, ej in enumerate(eps):
         span = ej[v0] @ basis % p
@@ -838,25 +488,123 @@ def cartan_matrix(regular, seed=0):
                     f"n_i n_j e_i = {unit}")
             row.append(rank // unit)
         C.append(row)
-    dims = [sum(c * s.dim for c, s in zip(row, simples)) for row in C]
+    simple_dims = [n * e for n, e in zip(mults, ends)]
+    dims = [sum(c * s for c, s in zip(row, simple_dims)) for row in C]
     if sum(n * dim for n, dim in zip(mults, dims)) != d:
         raise AssertionError(
             "projective indecomposables do not add up to the regular module")
-    return [c.label for c in cons], C, dims, cons
+    labels = [f"{s}{chr(ord('a') + simple_dims[:i].count(s))}"
+              for i, s in enumerate(simple_dims)]
+    simples = [(label, s, e, n, sum(nj * row[i] for nj, row in zip(mults, C)))
+               for i, (label, s, e, n)
+               in enumerate(zip(labels, simple_dims, ends, mults))]
+    return labels, C, dims, simples
 
 
-def _algebra_basis(rep, simples):
+def _radical(basis, p):
+    """The radical J of the algebra A spanned by the d x d matrices in
+    `basis` (shape (k, d, d)), as an (m, d, d) array of basis elements.
+
+    Cohen, Ivanyos and Wales, Finding the radical of an algebra of linear
+    transformations, JPAA 117/118 (1997), after Ronyai, J. Symbolic Comput.
+    9 (1990): with I_{-1} = A and, for i = 0 .. floor(log_p d),
+    I_i = {a in I_{i-1} : g_i(ab) = 0 for every b in A}, where
+    g_i(x) = (Tr(x^(p^i)) mod p^(i+1)) / p^i on the integer lift of x
+    (entries 0..p-1), the last I_i is J.  Each I_i is an ideal and g_i is
+    p^i-semilinear on I_{i-1}, which over F_p is linear, so each step is
+    one nullspace.  Powers are taken mod p^(i+1) <= p d, so one product
+    stays below p^2 d^3; a single a in I_{i-1} is handled at a time, which
+    keeps the temporaries at k d^2 entries.
+    """
+    k, d, _ = basis.shape
+    if p * p * d ** 3 >= 2 ** 63:
+        raise AssertionError(
+            f"trace powers of {d} x {d} matrices mod p^2 d overflow int64")
+    ideal = basis
+    q = 1
+    while q <= d and len(ideal):
+        table = np.empty((len(ideal), k), dtype=np.int64)
+        for row, a in zip(table, ideal):
+            powers = _matrix_power(a @ basis % p, q, q * p)
+            traces = np.trace(powers, axis1=1, axis2=2) % (q * p)
+            if (traces % q).any():
+                raise AssertionError(
+                    f"a trace of a {q}-th power is not divisible by {q}")
+            row[:] = traces // q
+        keep = _nullspace(table.T, p).astype(np.int64)
+        ideal = np.tensordot(keep, ideal, axes=1) % p
+        q *= p
+    return ideal
+
+
+def _matrix_power(x, e, m):
+    """x^e mod m for a stack of square int64 arrays x, e >= 1."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else out @ x % m
+        e >>= 1
+        if not e:
+            return out
+        x = x @ x % m
+
+
+def _isotypic_parts(head, images):
+    """The isotypic parts U_i = S_i^(n_i) of the regular module `head` of a
+    semisimple algebra, as (row basis, e_i, n_i), e_i the degree of
+    End(S_i) over F_p, ordered by dim S_i = n_i e_i and then as split.
+
+    `images` holds the actions of a basis of the algebra on head, shape
+    (d, h, h).  The centre is the span of the combinations of them that
+    commute with every generator.  Each central element z acts on a part
+    as an element of the field End(S_i), so the kernels of the irreducible
+    factors f of its minimal polynomial are sums of parts; refining by every
+    element of a basis of the centre separates all of them.  The centre
+    restricted to U_i is End(S_i), of dimension e_i, and dim U_i = n_i^2 e_i.
+    """
+    p, h = head.p, head.dim
+    d = len(images)
+    coeffs = np.eye(d, dtype=np.int64)
+    for g in head.stacked():
+        comm = (images @ g - g @ images) % p
+        rel = coeffs @ comm.reshape(d, -1) % p
+        coeffs = _nullspace(rel.T, p).astype(np.int64) @ coeffs % p
+    centre = FqMatrix(p, coeffs @ images.reshape(d, -1) % p).row_basis()
+    centre = centre.data.reshape(-1, h, h)
+    parts = [FqMatrix.identity(p, h)]
+    for z in centre:
+        z = FqMatrix(p, z)
+        _, facs = zpoly.fp_factor(min_poly(z), p)
+        at_factors = [_poly_of_matrix(z, f) for f, _ in facs]
+        parts = [K * U for U in parts for K in
+                 ((U * fz).left_nullspace() for fz in at_factors) if K.nrows]
+        if sum(U.nrows for U in parts) != h:
+            raise AssertionError("a central element is not semisimple")
+    out = []
+    for U in parts:
+        restricted = U.data.astype(np.int64) @ centre % p
+        e = len(_rref(restricted.reshape(len(centre), -1), p)[1])
+        n = math.isqrt(U.nrows // e)
+        if n * n * e != U.nrows:
+            raise AssertionError(
+                f"an isotypic part of dimension {U.nrows} is not n^2 e "
+                f"for e = {e}")
+        out.append((U, e, n))
+    return sorted(out, key=lambda part: part[1] * part[2])
+
+
+def _algebra_basis(rep, modules):
     """A basis B_t of the algebra spanned by the words in rep's generators,
-    with the images of each B_t on every simple: one (r, m, m) array per
-    module, rep first.
+    with the images of each B_t on every other module: one (r, m, m) array
+    per module, rep first.
 
     The identity is spun under right multiplication by the generators in
-    rep + S_1 + ... + S_k.  A product is kept when its block on rep is
+    rep + M_1 + ... + M_k.  A product is kept when its block on rep is
     independent of those kept; that decides for the whole sum as long as
     rep is faithful, which the dimension check of the caller confirms.
     """
     p, d = rep.p, rep.dim
-    gens = [rep.stacked()] + [s.stacked() for s in simples]
+    gens = [rep.stacked()] + [m.stacked() for m in modules]
     ech = EchelonBasis(p, d * d)
     kept = [[np.eye(g.shape[1], dtype=np.int64) for g in gens]]
     ech.add(kept[0][0].reshape(-1))

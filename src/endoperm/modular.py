@@ -3,7 +3,8 @@
 Reduces the split character table to F_p under an explicit square-root
 convention, extracts a basic set, solves for the decomposition matrix,
 derives the Cartan matrix both from D^T D and from the regular module
-(its simples and lifted idempotents of E_F/J; the two must agree),
+(its radical, the centre of E_F/J and lifted idempotents; the two must
+agree),
 matches projective indecomposables to reduced characters, of which the
 locality test and the permutation-module verdict are corollaries, and
 assembles the projective character columns with their Fitting
@@ -280,18 +281,15 @@ def regular_rep_mod_p(inter_mats, p):
     return ModuleRep(p, actions, len(inter_mats))
 
 
-def cartan_from_regular(inter_mats, p, seed=0):
-    """Cartan data from the regular module of E_F directly: its simples
-    and lifted idempotents of E_F/J."""
+def cartan_from_regular(inter_mats, p):
+    """Cartan data from the regular module of E_F directly: its radical,
+    the centre of E_F/J and lifted idempotents.  "constituents" lists
+    (label, dim S, e, n, multiplicity) per simple S, and E_F is local
+    exactly when there is one."""
     regular = regular_rep_mod_p(inter_mats, p)
-    labels, cartan, dims, cons = gfmat.cartan_matrix(regular, seed)
+    labels, cartan, dims, simples = gfmat.cartan_matrix(regular)
     return {"labels": labels, "cartan": cartan, "pim_dims": dims,
-            "constituents": cons}
-
-
-def is_local(inter_mats, p, seed=0):
-    """Local algebra <=> one isomorphism class of simple modules."""
-    return len(gfmat.chop(regular_rep_mod_p(inter_mats, p), seed)) == 1
+            "constituents": simples}
 
 
 def correspond_projectives(cartan_data, D, table):
@@ -380,19 +378,18 @@ class Verdict:
         }
 
 
-def permutation_verdict(table, inter_mats, p, conv=None, h_order=None,
-                        seed=0):
+def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     """Full mod-p pipeline: reduce, basic set, D, Cartan both ways, blocks,
     locality, projective columns, answer."""
     reduced = reduce_table(table, p, conv)
     basic = basic_set(reduced, p)
     D = decomposition_matrix(table, reduced, basic, p)
     C_dec = cartan_from_decomposition(D)
-    reg = cartan_from_regular(inter_mats, p, seed=seed)
+    reg = cartan_from_regular(inter_mats, p)
     if _cartan_multiset(C_dec) != _cartan_multiset(reg["cartan"]):
         raise AssertionError(
             f"Cartan matrices disagree: D^T D = {C_dec}, "
-            f"regular chop = {reg['cartan']}")
+            f"regular module = {reg['cartan']}")
     local = len(reg["constituents"]) == 1
     columns = projective_columns(D, table)
     h_is_p_prime = None if h_order is None else (h_order % p != 0)

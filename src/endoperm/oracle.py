@@ -342,19 +342,18 @@ def _quadratic_eigenvalues(C):
 # ---------------------------------------------------------------------------
 # Direct modular decomposition of the explicit commutant
 
-def direct_endo_decomposition(inter_mats, p, seed=0):
-    """Chop, Cartan matrix and locality of E over F_p, straight from the
+def direct_endo_decomposition(inter_mats, p):
+    """Simples, Cartan matrix and locality of E over F_p, straight from the
     regular representation given by the intersection matrices."""
     r = len(inter_mats)
     regular = gfmat.ModuleRep(
         p, [gfmat.FqMatrix(p, np.array(P, dtype=np.int64) % p)
             for P in inter_mats], r)
-    labels, cartan, dims, cons = gfmat.cartan_matrix(regular, seed)
-    local = len(cons) == 1
+    labels, cartan, dims, simples = gfmat.cartan_matrix(regular)
     return {
         "labels": labels,
         "cartan": cartan,
         "pim_dims": dims,
-        "constituents": [(c.label, c.rep.dim, c.multiplicity) for c in cons],
-        "local": local,
+        "constituents": simples,
+        "local": len(simples) == 1,
     }

@@ -588,7 +588,9 @@ def walk(ctx, helper, index, x, rng, budget=200):
 
 def membership(ctx, helper, record, x, rng, budget=200):
     """Randomized membership in one record: True is certain, otherwise
-    'unknown'.  A `walk` against the record's store."""
+    'unknown'.  A `walk` against the record's store.  No program path calls
+    it; it stays because bench/tracer.py patches it by name for the
+    `schur.records_tried_per_locate` metric, and goes with that metric."""
     if walk(ctx, helper, record.store, x, rng, budget) is None:
         return "unknown"
     return True

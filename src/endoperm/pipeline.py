@@ -66,24 +66,21 @@ def run_pipeline(ctx, helper, h_order, primes=None, seed=0, name="scenario",
             f"{name}: classify left {part.residual} points", run)
     run.partition = part
     sctx = schur.SchurContext(ctx, helper, part, seed=seed)
-    closure, computed = schur.generate_endomorphism_ring(sctx)
-    mats = [computed.get(j) or closure.recover(j)
-            for j in range(1, sctx.r + 1)]
+    mats, run.closure, counted = schur.all_intersection_matrices(sctx)
     run.matrices = mats
-    run.closure = closure
-    run.counted = set(computed)
-    gen_mats = [(j, computed[j]) for j in sorted(computed) if j != 1]
+    run.counted = set(counted)
+    gen_mats = [(j, mats[j - 1]) for j in counted if j != 1]
     if not gen_mats:
-        gen_mats = [(1, computed[1])]
+        gen_mats = [(1, mats[0])]
     run.table = splitchar.build_table(
         gen_mats, mats, sctx.lengths, sctx.pairing, seed=seed + 1)
     for p in (primes if primes is not None else primes_default):
         try:
             run.verdicts[p] = modular.permutation_verdict(
-                run.table, mats, p, h_order=run.h_order, seed=seed)
+                run.table, mats, p, h_order=run.h_order)
         except (modular.InertFieldError,
                 modular.LiftValidationError) as exc:
-            reg = modular.cartan_from_regular(mats, p, seed=seed)
+            reg = modular.cartan_from_regular(mats, p)
             run.mod_skips[p] = {
                 "reason": f"{type(exc).__name__}: {exc}",
                 "local": len(reg["constituents"]) == 1,
@@ -103,7 +100,9 @@ def oracle_instance(inst, primes=None, seed=0):
 
     Orbit indexing follows the engine's canonical convention in point
     space (v1's orbit first, then by length and minimal point), so the two
-    routes are comparable entry by entry."""
+    routes are comparable entry by entry.  Nothing here is random: `seed`
+    is accepted, and ignored, so that callers can pass run_instance's
+    arguments unchanged."""
     out = OracleRun(inst.name)
     G = inst.group
     G.build_chain()
@@ -134,8 +133,7 @@ def oracle_instance(inst, primes=None, seed=0):
         out.char_rows = None
     out.modular = {}
     for p in (primes if primes is not None else inst.primes):
-        out.modular[p] = oracle.direct_endo_decomposition(
-            out.inter_mats, p, seed=seed)
+        out.modular[p] = oracle.direct_endo_decomposition(out.inter_mats, p)
     return out
 
 

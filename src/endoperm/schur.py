@@ -128,13 +128,6 @@ class SchurContext:
         return None
 
 
-def orbit_counting(sctx, j, k, g):
-    """c_jk(g) = |O_j g  meet  O_k| for an element g of G, given as a
-    domain actor."""
-    counts = count_images(sctx, j, g)
-    return counts[k - 1]
-
-
 def count_images(sctx, j, g):
     """Distribution of O_j . g over all orbits; certified complete because
     the per-orbit figures must sum to n_j."""
@@ -299,9 +292,10 @@ def generate_endomorphism_ring(sctx, start=2):
 
 
 def all_intersection_matrices(sctx):
-    """Every P_j: counted while the closure grows, recovered afterwards."""
+    """Every P_j: counted while the closure grows, recovered afterwards.
+    Returns (P_1..P_r, closure, the sorted j whose P_j was counted)."""
     closure, computed = generate_endomorphism_ring(sctx)
     out = []
     for j in range(1, sctx.r + 1):
         out.append(computed.get(j) or closure.recover(j))
-    return out, closure
+    return out, closure, sorted(computed)

@@ -12,6 +12,7 @@ from endoperm.candfilter import (OrdinaryCharTableG, admissible_candidates,
                                  conjugation_closure)
 from endoperm.corpus import instance_scenario, named_instances
 from endoperm.gfmat import FqMatrix, ModuleRep, rep_to_json
+from endoperm.modular import SqrtConvention, permutation_verdict
 from endoperm.orbenum import classify, load_scenario, memory_estimate
 from endoperm.permgrp import (GeneratedGroup, Permutation, dump_word_json,
                               evaluate_word, group_to_json)
@@ -164,6 +165,24 @@ def test_scenario_subcommands_match_in_process_runs(tmp_path, make):
     want = dict(run.table.to_json(), seed=ctx.seed)
     assert run_cli(tmp_path, "chartab", data) == (cli.EXIT_OK,
                                                   as_json(want))
+    for p in (2, 3):
+        verdict = permutation_verdict(run.table, run.matrices, p,
+                                      h_order=run.h_order)
+        want = dict(verdict.to_json(), seed=ctx.seed,
+                    convention=SqrtConvention(p).to_json())
+        assert run_cli(tmp_path, "verdict", data, "--p", str(p)) == (
+            cli.EXIT_OK, as_json(want))
+        for seed in range(4):
+            assert run_cli(tmp_path, "verdict", data, "--p", str(p),
+                           "--seed", str(seed)) == (
+                cli.EXIT_OK, as_json(dict(want, seed=seed)))
+
+
+def test_oracle_subcommand_passes_on_s4(tmp_path):
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "S4/S3", "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["all_ok"] and report["checks"]
 
 
 def test_python_m_endoperm_runs_the_cli(tmp_path):

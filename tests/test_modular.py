@@ -9,9 +9,8 @@ from endoperm.modular import (DecompositionMatrixE, InertFieldError,
                               _block_diag_blocks, _column_blocks,
                               _sqrt_mod, basic_set, cartan_from_decomposition,
                               cartan_from_regular, correspond_projectives,
-                              decomposition_matrix, is_local,
-                              permutation_verdict, projective_columns,
-                              reduce_table, reduce_value)
+                              decomposition_matrix, permutation_verdict,
+                              projective_columns, reduce_table, reduce_value)
 from endoperm.permgrp import GeneratedGroup, Permutation
 from endoperm.quadfield import QuadraticNumber
 from endoperm.schur import IntersectionMatrix
@@ -94,7 +93,8 @@ def test_s5s4_local_at_5_split_at_3():
     v3 = permutation_verdict(tbl, mats, 3, h_order=H.order())
     assert not v3.local
     assert v3.projective_cover_answer is None  # 3 divides |S4|
-    assert is_local(mats, 5) and not is_local(mats, 3)
+    assert len(cartan_from_regular(mats, 5)["constituents"]) == 1
+    assert len(cartan_from_regular(mats, 3)["constituents"]) == 2
 
 
 def test_m11_miniature():
@@ -233,7 +233,11 @@ def _eye(k):
 # (labels, cartan, pim_dims) of the regular route on the manifest instances
 # that stay in tier-1, at their listed primes, as computed by splitting the
 # regular module into direct summands with random endomorphisms (the route
-# the lifted idempotents of E/J replaced)
+# the lifted idempotents of E/J replaced).  Simples of equal dimension come
+# in the order the centre of E/J splits the head; three rows were re-pinned
+# when that order replaced the order a seeded random search found them in
+# (random-3-dihedral-12-points at 2 and 3, random-10-johnson-5-2 at 3), each
+# the earlier row under one permutation of equal-dimension simples
 REGULAR_CARTAN = [
     ("S4/S3", 2, ['1a'], [[2]], [2]),
     ("S4/S3", 3, ['1a', '1b'], _eye(2), [1, 1]),
@@ -256,9 +260,9 @@ REGULAR_CARTAN = [
     ("random-2-dihedral-8-points", 2, ['1a'], [[5]], [5]),
     ("random-2-dihedral-8-points", 7,
      ['1a', '1b', '1c', '1d', '1e'], _eye(5), [1, 1, 1, 1, 1]),
-    ("random-3-dihedral-12-points", 2, ['1a', '1b'], [[4, 0], [0, 3]], [4, 3]),
+    ("random-3-dihedral-12-points", 2, ['1a', '1b'], [[3, 0], [0, 4]], [3, 4]),
     ("random-3-dihedral-12-points", 3,
-     ['1a', '1b', '1c'], [[2, 0, 0], [0, 3, 0], [0, 0, 2]], [2, 3, 2]),
+     ['1a', '1b', '1c'], [[3, 0, 0], [0, 2, 0], [0, 0, 2]], [3, 2, 2]),
     ("random-3-dihedral-12-points", 11,
      ['1a', '1b', '1c', '1d', '1e', '1f', '1g'], _eye(7), [1] * 7),
     ("random-5-quaternion-regular", 2, ['1a'], [[8]], [8]),
@@ -272,7 +276,7 @@ REGULAR_CARTAN = [
      ['1a', '1b', '1c', '1d'], _eye(4), [1, 1, 1, 1]),
     ("random-9-product-3x3", 3, ['1a'], [[4]], [4]),
     ("random-10-johnson-5-2", 2, ['1a', '1b'], [[1, 0], [0, 2]], [1, 2]),
-    ("random-10-johnson-5-2", 3, ['1a', '1b'], [[2, 0], [0, 1]], [2, 1]),
+    ("random-10-johnson-5-2", 3, ['1a', '1b'], [[1, 0], [0, 2]], [1, 2]),
     ("random-10-johnson-5-2", 5, ['1a', '1b'], [[2, 0], [0, 1]], [2, 1]),
 ]
 

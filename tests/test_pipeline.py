@@ -24,3 +24,16 @@ def test_trace_identity_detects_a_changed_value():
     assert pipeline._trace_identity(table)
     table.rows[-1].values[1] = table.rows[-1].values[1] + 1
     assert not pipeline._trace_identity(table)
+
+
+@pytest.mark.parametrize("name", ["random-3-dihedral-12-points",
+                                  "random-10-johnson-5-2"])
+def test_verdicts_do_not_depend_on_the_seed(name):
+    # both have simples of equal dimension, whose order once came from a
+    # seeded random search
+    inst = next(i for i in FAST if i.name == name)
+    reports = [pipeline.run_instance(inst, seed=seed).report()
+               for seed in range(4)]
+    for report in reports[1:]:
+        assert report["verdicts"] == reports[0]["verdicts"]
+        assert report["mod_skips"] == reports[0]["mod_skips"]

@@ -10,7 +10,7 @@ from endoperm.schur import (AlgebraClosure, IntegralityError,
                             IntersectionMatrix, SchurContext,
                             algebra_closure, all_intersection_matrices,
                             count_images, generate_endomorphism_ring,
-                            intersection_matrix, orbit_counting,
+                            intersection_matrix,
                             validate_intersection_matrix)
 from scenarios import johnson_context
 
@@ -57,7 +57,7 @@ def test_s5_s4_full_count_table():
         mine = intersection_matrix(sctx, j)
         assert mine.entries == Ps[j - 1]
     # orbit counting number directly
-    assert orbit_counting(sctx, 2, 2, sctx.reaching_element(2)) == 3
+    assert count_images(sctx, 2, sctx.reaching_element(2))[2 - 1] == 3
 
 
 def test_intersection_matrix_validation():
@@ -84,7 +84,7 @@ def test_closure_and_recovery():
 def test_recover_matches_direct_count_everywhere():
     for name in ("S5/S4", "PSL(2,7)/S4"):
         inst, ctx, helper, part, sctx = setup_instance(name)
-        mats, clo = all_intersection_matrices(sctx)
+        mats, clo, _ = all_intersection_matrices(sctx)
         Ps = oracle_mats(inst)
         assert [m.entries for m in mats] == Ps
         # recovery reproduces the counted matrices too
@@ -102,7 +102,7 @@ def test_paired_orbits_have_equal_lengths():
     for j, jstar in enumerate(part.pairing(), start=1):
         assert part.lengths()[j - 1] == part.lengths()[jstar - 1]
     sctx = SchurContext(ctx, helper, part, seed=11)
-    mats, clo = all_intersection_matrices(sctx)
+    mats, clo, _ = all_intersection_matrices(sctx)
     assert clo.dimension == 3
     assert [m.entries for m in mats] == oracle_mats(inst)
 
