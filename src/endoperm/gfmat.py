@@ -438,9 +438,9 @@ def cartan_matrix(regular):
     them to idempotents eps_j (Curtis and Reiner, Methods of
     Representation Theory I, sec. 6).  Then eps_j A is P_j^{n_j}, and
     dim eps_j A eps_i = dim Hom_A(eps_i A, eps_j A) = n_i n_j e_i C[j][i] is
-    read as the rank of the vectors v0 eps_j B_t eps_i over a basis B_t of
-    A, for a vector v0 that generates V.  Every step is checked and raises
-    AssertionError.
+    read as the rank of the rows R of eps_j B_t eps_i over a basis B_t of
+    A, for unit rows R on which A is faithful (`_separating_rows`).  Every
+    step is checked and raises AssertionError.
     """
     p, d = regular.p, regular.dim
     basis, = _algebra_basis(regular, [])
@@ -471,16 +471,13 @@ def cartan_matrix(regular):
             "no algebra element maps to a central idempotent of A/J")
     eps = [_lift_idempotent(np.tensordot(c, basis, axes=1) % p, p)
            for c in coeffs.T.astype(np.int64)]
-    v0 = next((u for u in range(d)
-               if len(_rref(basis[:, u, :], p)[1]) == d), None)
-    if v0 is None:
-        raise AssertionError("no unit vector generates the regular module")
+    rows = _separating_rows(basis, p)
     C = []
     for j, ej in enumerate(eps):
-        span = ej[v0] @ basis % p
+        span = ej[rows] @ basis % p
         row = []
         for i, ei in enumerate(eps):
-            rank = len(_rref(span @ ei % p, p)[1])
+            rank = len(_rref((span @ ei % p).reshape(d, -1), p)[1])
             unit = mults[i] * mults[j] * ends[i]
             if rank % unit:
                 raise AssertionError(
@@ -499,6 +496,23 @@ def cartan_matrix(regular):
                for i, (label, s, e, n)
                in enumerate(zip(labels, simple_dims, ends, mults))]
     return labels, C, dims, simples
+
+
+def _separating_rows(basis, p):
+    """Unit rows R, picked greedily, such that a -> a[R] is injective on
+    the algebra spanned by `basis` (shape (d, d, d), linearly independent):
+    the rank of basis[:, R, :] flattened is d.  One row, a unit vector
+    that generates the regular module, is the usual case; a regular module
+    in another basis may have none, and then more rows are taken."""
+    d = len(basis)
+    rows, rank = [], 0
+    for u in range(basis.shape[1]):
+        grown = len(_rref(basis[:, rows + [u], :].reshape(d, -1), p)[1])
+        if grown > rank:
+            rows, rank = rows + [u], grown
+            if rank == d:
+                return rows
+    raise AssertionError("the algebra basis is not linearly independent")
 
 
 def _radical(basis, p):

@@ -7,25 +7,89 @@ around as words in its generators; seeded product-replacement streams supply
 reproducible random elements together with the words producing them.
 
 Points are 0-indexed internally and 1-indexed in all file formats.
+
+A permutation of degree n <= 256 holds its images as `bytes`, one byte per
+point, and composes with `bytes.translate`; above 256 it holds a tuple of
+ints.  Both index to ints, compare and sort alike, and print the same
+JSON.  A bytes hash is salted per process, so no output may depend on the
+iteration order of a set of permutations.  A *table* is what the
+right-hand factor of a composition is read from: for bytes the images
+padded to 256 bytes with the identity (a `translate` table), for a tuple
+the images themselves.  The stabilizer chain keeps its inverse transversal
+entries as tables, built by `bytes.maketrans`.
 """
 
 import random
 
+_IDENTITY = bytes(range(256))
+
+
+class _ByteForm:
+    """Images as bytes: degree at most 256."""
+
+    @staticmethod
+    def identity(degree):
+        return _IDENTITY[:degree]
+
+    @staticmethod
+    def table(images):
+        return images + _IDENTITY[len(images):]
+
+    compose = bytes.translate   # compose(images, table)
+
+    @staticmethod
+    def inverse_table(images):
+        return bytes.maketrans(images, _IDENTITY[:len(images)])
+
+
+class _TupleForm:
+    """Images as a tuple of ints: degree above 256."""
+
+    @staticmethod
+    def identity(degree):
+        return tuple(range(degree))
+
+    @staticmethod
+    def table(images):
+        return images
+
+    @staticmethod
+    def compose(images, table):
+        return tuple(map(table.__getitem__, images))
+
+    @staticmethod
+    def inverse_table(images):
+        inv = [0] * len(images)
+        for i, j in enumerate(images):
+            inv[j] = i
+        return tuple(inv)
+
+
+def _form(degree):
+    return _ByteForm if degree <= 256 else _TupleForm
+
 
 class Permutation:
-    """A permutation of {0..n-1}, stored as the tuple of images.
+    """A permutation of {0..n-1}, stored as its images: `bytes` when
+    n <= 256, else a tuple of ints (see the module docstring).
 
-    Acts on the right: x * p is p.images[x].
+    Acts on the right: x * p is p.images[x].  `images[x]` is an int in
+    both forms, and permutations of one degree hash, compare and sort as
+    their image sequences.
     """
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        self.images = tuple(images)
+        if type(images) is not bytes:
+            images = tuple(images)
+            if len(images) <= 256:
+                images = bytes(images)
+        self.images = images
 
     @classmethod
     def identity(cls, degree):
-        return cls(range(degree))
+        return cls(_form(degree).identity(degree))
 
     @classmethod
     def from_cycles(cls, degree, cycles):
@@ -47,16 +111,16 @@ class Permutation:
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
-        return Permutation(tuple(map(other.images.__getitem__, self.images)))
+        form = _form(len(other.images))
+        return Permutation(form.compose(self.images, form.table(other.images)))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
+        n = len(self.images)
+        return Permutation(_form(n).inverse_table(self.images)[:n])
 
     def is_identity(self):
-        return self.images == tuple(range(len(self.images)))
+        n = len(self.images)
+        return self.images == _form(n).identity(n)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -96,7 +160,24 @@ def evaluate_word(word, gens, identity=None):
 
     Generators must support * and .inverse().  The empty word returns
     `identity` when supplied, else the identity permutation of gens[0].
+    Permutation images are folded through one table per distinct letter.
     """
+    if gens and isinstance(gens[0], Permutation) and word:
+        n = gens[0].degree
+        form = _form(n)
+        acc = form.identity(n)
+        tables = {}
+        for letter in word:
+            table = tables.get(letter)
+            if table is None:
+                i, e = letter
+                if not 0 <= i < len(gens):
+                    raise IndexError(f"generator index {i} out of range")
+                images = gens[i].images
+                table = tables[letter] = (form.table(images) if e > 0
+                                          else form.inverse_table(images))
+            acc = form.compose(acc, table)
+        return Permutation(acc)
     acc = None
     inverses = {}
     for i, e in word:
@@ -208,8 +289,10 @@ class GeneratedGroup:
     The chain comes from one incremental Schreier-Sims (Seress, Permutation
     Group Algorithms, 2003, ch. 4).  Level i holds the base point base[i],
     the strong generators fixing base[:i], the transversal (orbit point ->
-    element taking base[i] there) with the inverse of each entry, and the
-    (point, generator) Schreier pairs already sifted to the identity.
+    element taking base[i] there) with the inverse of each entry as a
+    table, and the (point, generator) Schreier pairs already sifted to the
+    identity.  The level's strong generators are kept as tables too, and
+    the image form (bytes or tuple) is chosen once, from the degree.
 
     Invariant: transversal entries are only ever added, never replaced, and
     the deeper levels' groups only grow.  So a Schreier generator
@@ -229,7 +312,8 @@ class GeneratedGroup:
                 raise ValueError("generators act on different domains")
         self.gens = gens
         self.degree = degree
-        self._identity_images = tuple(range(degree))
+        self._form = _form(degree)
+        self._identity_images = self._form.identity(degree)
         self.base = None
         self.strong = None
         self.transversals = None
@@ -245,13 +329,10 @@ class GeneratedGroup:
         optional base prefix forces the leading base points, which is how
         point stabilizers are extracted.
         """
-        ident = Permutation.identity(self.degree)
-        self.base = list(base_prefix)
-        self.strong = []
-        self.transversals = [{b: ident} for b in self.base]
-        self._inverses = [{b: ident.images} for b in self.base]
-        self._level_gens = [[] for _ in self.base]
-        self._sifted = [set() for _ in self.base]
+        self.base, self.strong, self.transversals = [], [], []
+        self._inverses, self._level_gens, self._sifted = [], [], []
+        for b in base_prefix:
+            self._open_level(b)
         for g in self.gens:
             self._absorb(g)
         return self
@@ -291,20 +372,22 @@ class GeneratedGroup:
         """Add the permutation with these images, which fixes base[:lvl],
         as a strong generator of levels 0..lvl (opening level lvl when it
         fixes the whole base); returns lvl."""
-        g = Permutation(images)
         if lvl == len(self.base):
-            moved = min(i for i, j in enumerate(images) if i != j)
-            ident = Permutation.identity(self.degree)
-            self.base.append(moved)
-            self.transversals.append({moved: ident})
-            self._inverses.append({moved: ident.images})
-            self._level_gens.append([])
-            self._sifted.append(set())
-        self.strong.append(g)
+            self._open_level(min(i for i, j in enumerate(images) if i != j))
+        self.strong.append(Permutation(images))
+        table = self._form.table(images)
         for j in range(lvl + 1):
-            self._level_gens[j].append(g)
+            self._level_gens[j].append(table)
             self._grow_orbit(j)
         return lvl
+
+    def _open_level(self, point):
+        """Append a level with base point `point` and no generators."""
+        self.base.append(point)
+        self.transversals.append({point: Permutation(self._identity_images)})
+        self._inverses.append({point: self._form.table(self._identity_images)})
+        self._level_gens.append([])
+        self._sifted.append(set())
 
     def _grow_orbit(self, j):
         """Close the level-j transversal under the level's generators after
@@ -313,16 +396,18 @@ class GeneratedGroup:
         sifted at once."""
         trans, inv = self.transversals[j], self._inverses[j]
         gens, sifted = self._level_gens[j], self._sifted[j]
+        compose, inverse_table = self._form.compose, self._form.inverse_table
         frontier = list(trans)
         while frontier:
             nxt = []
             for pt in frontier:
-                rep = trans[pt]
+                rep = trans[pt].images
                 for si, s in enumerate(gens):
-                    img = s.images[pt]
+                    img = s[pt]
                     if img not in trans:
-                        trans[img] = rep * s
-                        inv[img] = trans[img].inverse().images
+                        images = compose(rep, s)
+                        trans[img] = Permutation(images)
+                        inv[img] = inverse_table(images)
                         sifted.add((pt, si))
                         nxt.append(img)
             frontier = nxt
@@ -332,13 +417,13 @@ class GeneratedGroup:
         non-identity residue return (its images, level it stopped at)."""
         trans, inv = self.transversals[i], self._inverses[i]
         gens, sifted = self._level_gens[i], self._sifted[i]
+        compose = self._form.compose
         for pt, rep in trans.items():
+            rep = rep.images
             for si, s in enumerate(gens):
                 if (pt, si) in sifted:
                     continue
-                back = inv[s.images[pt]]
-                schreier = tuple(map(back.__getitem__,
-                                     map(s.images.__getitem__, rep.images)))
+                schreier = compose(compose(rep, s), inv[s[pt]])
                 residue, lvl = self._sift(schreier, i + 1)
                 if residue is not None:
                     return residue, lvl
@@ -349,15 +434,16 @@ class GeneratedGroup:
         """Strip a permutation (as its images) through levels depth..;
         returns (None, None) when it sifts to the identity, else the
         residue's images and the level where it stopped."""
-        for lvl in range(depth, len(self.base)):
-            b = self.base[lvl]
+        compose, base, inverses = self._form.compose, self.base, self._inverses
+        for lvl in range(depth, len(base)):
+            b = base[lvl]
             pt = images[b]
             if pt == b:
                 continue
-            back = self._inverses[lvl].get(pt)
+            back = inverses[lvl].get(pt)
             if back is None:
                 return images, lvl
-            images = tuple(map(back.__getitem__, images))
+            images = compose(images, back)
         if images == self._identity_images:
             return None, None
         return images, len(self.base)

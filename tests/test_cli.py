@@ -203,6 +203,26 @@ def test_python_m_endoperm_runs_the_cli(tmp_path):
     assert json.loads(proc.stdout) == as_json(want)
 
 
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # bytes hash differently in every process, tuples of ints do not
+    inst = next(i for i in named_instances() if i.name == "M11/M10")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(instance_scenario(inst)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command in (["orbits"], ["verdict", "--p", "3"]):
+        outs = []
+        for hash_seed in ("1", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "endoperm", *command, str(scenario)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and json.loads(outs[0])
+
+
 def test_exhausted_budgets_exit_3(tmp_path):
     code, report = run_cli(tmp_path, "orbits", s4_scenario(),
                            "--budget-probes", "0")

@@ -5,9 +5,9 @@ import pytest
 
 from endoperm.gfmat import (FqMatrix, ModuleRep, UnsupportedCharacteristic,
                             _algebra_basis, _lift_idempotent, _matrix_power,
-                            _radical, cartan_matrix, fixed_space, min_poly,
-                            quotient, rep_from_json, rep_to_json, row_times,
-                            vector_bytes)
+                            _radical, _rref, cartan_matrix, fixed_space,
+                            min_poly, quotient, rep_from_json, rep_to_json,
+                            row_times, vector_bytes)
 from endoperm import zpoly
 from endoperm.permgrp import Permutation, closure_elements
 
@@ -162,6 +162,21 @@ def test_cartan_known_answers(gens, p, want_dims, want_ends, want_C,
         assert not _matrix_power(radical, d, p).any()
     # the composition multiplicities of S_i in F_p[G] weigh d
     assert sum(s * m for _, s, _, _, m in simples) == d
+
+
+def test_cartan_on_a_regular_module_no_unit_vector_generates():
+    # F_2[C_7] in another basis: no single unit row separates the algebra,
+    # so the Cartan entries are read on two rows
+    gen = [[1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 0, 1, 0],
+           [1, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0, 1, 0, 1],
+           [0, 0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 1, 0],
+           [1, 0, 1, 1, 0, 1, 0]]
+    reg = ModuleRep(2, [FqMatrix(2, gen)])
+    basis, = _algebra_basis(reg, [])
+    assert all(len(_rref(basis[:, u, :], 2)[1]) < 7 for u in range(7))
+    labels, C, dims, simples = cartan_matrix(reg)
+    assert [s[1] for s in simples] == [1, 3, 3]
+    assert C == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and dims == [1, 3, 3]
 
 
 def test_cartan_rejects_a_module_that_is_not_regular():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -204,6 +205,72 @@ def test_group_json_roundtrip():
         group_from_json({"degree": 3, "generators": [[1, 2]]})
     with pytest.raises(ValueError):
         group_from_json({"degree": 3, "generators": [[0, 1, 2]]})
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_permutation_forms_agree_at_the_byte_boundary(n):
+    rng = random.Random(n)
+    perms = [Permutation(rng.sample(range(n), n)) for _ in range(6)]
+    ident = Permutation.identity(n)
+    for p in perms + [ident]:
+        assert type(p.images) is (bytes if n <= 256 else tuple)
+        assert type(p.images[0]) is int and type(p(n - 1)) is int
+    for p, q in zip(perms, perms[1:]):
+        assert list((p * q).images) == [q.images[p.images[x]]
+                                        for x in range(n)]
+        assert list(p.inverse().images) == sorted(range(n),
+                                                  key=p.images.__getitem__)
+        assert (p * p.inverse()).is_identity() and p.inverse() * p == ident
+        assert not p.is_identity()
+    assert evaluate_word(((0, 1), (1, -1), (0, 1)), perms) \
+        == perms[0] * perms[1].inverse() * perms[0]
+    twin = Permutation(list(perms[0].images))
+    assert twin == perms[0] and hash(twin) == hash(perms[0])
+    assert len({twin, perms[0], perms[1]}) == 2 and twin != perms[1]
+    assert sorted(perms, key=lambda p: p.images) == sorted(
+        perms, key=lambda p: tuple(p.images))
+    group = GeneratedGroup(perms[:2], n)
+    data = json.loads(json.dumps(group_to_json(group)))
+    assert data["generators"][0] == [i + 1 for i in perms[0].images]
+    assert group_from_json(data).gens == group.gens
+
+
+def _embed(perm, degree, offset):
+    """perm acting on offset.. offset+n-1 of {0..degree-1}, fixing the
+    other points."""
+    img = list(range(degree))
+    for x, y in enumerate(perm.images):
+        img[x + offset] = y + offset
+    return Permutation(img)
+
+
+def test_chain_does_not_depend_on_the_image_form():
+    # the same group on 256 points (bytes) and 300 points (tuples)
+    rng = random.Random(300)
+    for n in (9, 12):
+        for _ in range(3):
+            gens = _random_subgroup_gens(rng, n)
+            probes = _probes(rng, gens, n)
+            ref = GeneratedGroup(gens, n)
+            ref.build_chain()
+            draws = RandomStream(gens, 3)
+            draws = [draws.next()[0] for _ in range(5)]
+            for degree, offset in ((256, 0), (256, 256 - n), (300, 0),
+                                   (300, 300 - n)):
+                big = GeneratedGroup([_embed(g, degree, offset)
+                                      for g in gens], degree)
+                big.build_chain()
+                assert big.base == [b + offset for b in ref.base]
+                assert [len(t) for t in big.transversals] == [
+                    len(t) for t in ref.transversals]
+                assert big.order() == ref.order()
+                assert big.strong == [_embed(g, degree, offset)
+                                      for g in ref.strong]
+                for p in probes:
+                    assert (_embed(p, degree, offset) in big) == (p in ref)
+                stream = RandomStream(big.gens, 3)
+                assert [stream.next()[0] for _ in range(5)] == [
+                    _embed(g, degree, offset) for g in draws]
 
 
 def test_word_json_roundtrip():
