@@ -27,6 +27,8 @@ _IDENTITY = bytes(range(256))
 class _ByteForm:
     """Images as bytes: degree at most 256."""
 
+    from_seq = bytes
+
     @staticmethod
     def identity(degree):
         return _IDENTITY[:degree]
@@ -44,6 +46,8 @@ class _ByteForm:
 
 class _TupleForm:
     """Images as a tuple of ints: degree above 256."""
+
+    from_seq = tuple
 
     @staticmethod
     def identity(degree):
@@ -83,8 +87,7 @@ class Permutation:
     def __init__(self, images):
         if type(images) is not bytes:
             images = tuple(images)
-            if len(images) <= 256:
-                images = bytes(images)
+            images = _form(len(images)).from_seq(images)
         self.images = images
 
     @classmethod
@@ -111,6 +114,8 @@ class Permutation:
     def __mul__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
+        if len(self.images) != len(other.images):
+            raise ValueError("permutations act on different domains")
         form = _form(len(other.images))
         return Permutation(form.compose(self.images, form.table(other.images)))
 
@@ -160,24 +165,7 @@ def evaluate_word(word, gens, identity=None):
 
     Generators must support * and .inverse().  The empty word returns
     `identity` when supplied, else the identity permutation of gens[0].
-    Permutation images are folded through one table per distinct letter.
     """
-    if gens and isinstance(gens[0], Permutation) and word:
-        n = gens[0].degree
-        form = _form(n)
-        acc = form.identity(n)
-        tables = {}
-        for letter in word:
-            table = tables.get(letter)
-            if table is None:
-                i, e = letter
-                if not 0 <= i < len(gens):
-                    raise IndexError(f"generator index {i} out of range")
-                images = gens[i].images
-                table = tables[letter] = (form.table(images) if e > 0
-                                          else form.inverse_table(images))
-            acc = form.compose(acc, table)
-        return Permutation(acc)
     acc = None
     inverses = {}
     for i, e in word:

@@ -235,6 +235,12 @@ def test_permutation_forms_agree_at_the_byte_boundary(n):
     assert group_from_json(data).gens == group.gens
 
 
+@pytest.mark.parametrize("m, n", [(5, 3), (3, 5), (300, 256), (256, 300)])
+def test_product_of_different_degrees_raises(m, n):
+    with pytest.raises(ValueError):
+        Permutation.identity(m) * Permutation.identity(n)
+
+
 def _embed(perm, degree, offset):
     """perm acting on offset.. offset+n-1 of {0..degree-1}, fixing the
     other points."""
