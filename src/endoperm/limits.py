@@ -36,9 +36,9 @@ NOT_DESK_REPRODUCIBLE = [
                 "the algebra generated by P_2)",
         "scale": "P_4 is not printed in the reference tables, so no "
                  "fixture-level check is possible",
-        "covered_by": "algebra_closure / recover_matrix are exercised on "
-                      "every desk instance against brute-force structure "
-                      "constants",
+        "covered_by": "algebra_closure / AlgebraClosure.recover are "
+                      "exercised on every desk instance against "
+                      "brute-force structure constants",
     },
     {
         "fact": "the collapse from 884736 candidate projective characters "

@@ -69,11 +69,7 @@ def run_pipeline(ctx, helper, h_order, primes=None, seed=0, name="scenario",
     mats, run.closure, counted = schur.all_intersection_matrices(sctx)
     run.matrices = mats
     run.counted = set(counted)
-    gen_mats = [(j, mats[j - 1]) for j in counted if j != 1]
-    if not gen_mats:
-        gen_mats = [(1, mats[0])]
-    run.table = splitchar.build_table(
-        gen_mats, mats, sctx.lengths, sctx.pairing, seed=seed + 1)
+    run.table = splitchar.build_table(mats, sctx.lengths, sctx.pairing)
     for p in (primes if primes is not None else primes_default):
         try:
             run.verdicts[p] = modular.permutation_verdict(
@@ -158,10 +154,9 @@ def compare(run, orc):
     add("intersection matrices (structure constants)",
         all(m.entries == P for m, P in zip(run.matrices, orc.inter_mats)))
     if orc.char_rows is not None:
-        mine = sorted(
-            ((tuple(row.values), row.mult, row.degree)
-             for row in run.table.rows),
-            key=lambda t: (t[2], [(v.a, v.b, v.n) for v in t[0]]))
+        # both routes list the rows by (degree, values)
+        mine = [(tuple(row.values), row.mult, row.degree)
+                for row in run.table.rows]
         add("character table (vs simultaneous diagonalization)",
             mine == list(orc.char_rows))
     else:

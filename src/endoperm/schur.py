@@ -100,7 +100,8 @@ class SchurContext:
         if rec.length > self.enum_cutoff:
             raise ValueError(
                 f"orbit {j} has {rec.length} points, over the counting "
-                f"cutoff {self.enum_cutoff}; use recover_matrix instead")
+                f"cutoff {self.enum_cutoff}; use AlgebraClosure.recover "
+                "instead")
         out, _ = orbit_tree(rec.rep, self.ctx.h_gens, self.ctx.domain.apply)
         if len(out) != rec.length:
             raise AssertionError("explicit enumeration disagrees with n_j")
@@ -206,7 +207,7 @@ class AlgebraClosure:
     """Standard-form basis of the unital algebra generated by a set of
     intersection matrices, with the matrix word realizing each basis row."""
 
-    def __init__(self, generators, r, lengths=None, target=None):
+    def __init__(self, generators, r, lengths=None):
         self.r = r
         self.lengths = lengths
         gens = [g.entries if isinstance(g, IntersectionMatrix) else g
@@ -227,8 +228,6 @@ class AlgebraClosure:
                 if self._ech.add(new_vec):
                     self.basis.append(tuple(new_vec))
                     self.mats.append(mat_mul(mat, g))
-            if target is not None and len(self.basis) >= target:
-                break
 
     @property
     def dimension(self):
@@ -256,13 +255,13 @@ class AlgebraClosure:
         return IntersectionMatrix(j, out, lengths=self.lengths)
 
 
-def algebra_closure(mats, r, lengths=None, target=None):
+def algebra_closure(mats, r, lengths=None):
     """Dimension and standard-form basis of the algebra the given
     intersection matrices generate."""
-    return AlgebraClosure(mats, r, lengths=lengths, target=target)
+    return AlgebraClosure(mats, r, lengths=lengths)
 
 
-def generate_endomorphism_ring(sctx, start=2):
+def generate_endomorphism_ring(sctx):
     """Count P_j for orbits by increasing length until the closure reaches
     dimension r; returns (closure, computed matrices).
 

@@ -1,12 +1,15 @@
 """Exact splitting of the endomorphism ring over Q and real quadratic fields.
 
-The regular representation (the intersection matrices) is cut into
-simultaneous generalized eigenspaces of a generating set; each component is
-a homogeneous component of the algebra and yields one Galois orbit of
-irreducible characters.  Supported shapes: dimension 1 (rational), 2
-(quadratic conjugate pair), m^2 (rational with multiplicity m), and 2m^2
-(quadratic pair with multiplicity m).  Everything else raises a structured
-error carrying the factor data; the arithmetic is exact throughout.
+The algebra of the intersection matrices is cut into its homogeneous
+components by the primary decompositions of central elements: a central
+element has two-sided kernels, so refining by the irreducible factors of
+its minimal polynomial tiles Q^r and lands exactly on the components.  Each
+component yields one Galois orbit of irreducible characters.  Supported
+shapes: dimension 1 (rational), 2 (quadratic conjugate pair), m^2 (rational
+with multiplicity m), and 2m^2 (quadratic pair with multiplicity m).
+Everything else raises UnsupportedComponentError; the arithmetic is exact
+throughout.  Table rows come in one canonical order: by degree, then by
+values, as in the brute-force oracle.
 """
 
 import math
@@ -17,17 +20,11 @@ import numpy as np
 from . import zpoly
 from .quadfield import (QuadraticNumber, RadicalVector, express_in_rows,
                         left_nullspace, mat_mul, mat_trace, poly_at,
-                        right_nullspace, rref, solve_action, solve_actions,
-                        squarefree_part)
+                        solve_action, solve_actions, squarefree_part)
 
 
 class UnsupportedComponentError(ValueError):
     """Component shape outside {1, 2, m^2, 2m^2} or a non-real field."""
-
-    def __init__(self, message, factors=None, dim=None):
-        super().__init__(message)
-        self.factors = factors
-        self.dim = dim
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +68,12 @@ def char_poly(M):
     lifted to symmetric representatives.
     """
     entries = getattr(M, "entries", M)
-    A = np.array(entries, dtype=object)
-    n = A.shape[0]
+    n = len(entries)
     if n == 0:
         return (1,)
     maxabs = max(1, max(abs(int(x)) for row in entries for x in row))
     # |c_k| <= C(n,k) (n maxabs)^k; bound everything by (2 n maxabs)^n
     bound = (2 * n * maxabs) ** n * 2
-    Aint = np.array([[int(x) for x in row] for row in entries],
-                    dtype=object)
     residues = []
     primes = []
     modulus = 1
@@ -109,48 +103,19 @@ def char_poly(M):
     return poly
 
 
-class FactoredPoly:
-    """Irreducible factorization over Z of a monic integer polynomial."""
-
-    def __init__(self, poly, seed=1):
-        self.poly = tuple(poly)
-        unit, cont, facs = zpoly.factor(self.poly, seed=seed)
-        if unit * cont != 1:
-            raise ValueError("expected a monic polynomial with content 1")
-        self.factors = facs
-
-    def multiset(self):
-        return sorted((f, m) for f, m in self.factors)
-
-    def __repr__(self):
-        parts = [f"({zpoly.poly_str(f)})^{m}" if m > 1
-                 else f"({zpoly.poly_str(f)})" for f, m in self.factors]
-        return " ".join(parts)
-
-
-def factor_over_Z(poly, seed=1):
-    return FactoredPoly(poly, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Homogeneous components
 
 class HomogeneousComponent:
-    """A simultaneous generalized eigenspace of the generating matrices.
+    """A homogeneous component of the algebra: a rational row basis inside
+    Q^r, stable under every intersection matrix."""
 
-    factors: [(generator index j, irreducible factor, multiplicity)], one
-    per generator used; basis: rational row basis inside Q^r.
-    """
-
-    def __init__(self, factors, basis):
-        self.factors = factors
+    def __init__(self, basis):
         self.basis = basis
         self.dim = len(basis)
 
     def __repr__(self):
-        fs = ", ".join(f"P{j}:{zpoly.poly_str(f)}^{m}"
-                       for j, f, m in self.factors)
-        return f"HomogeneousComponent(dim={self.dim}, {fs})"
+        return f"HomogeneousComponent(dim={self.dim})"
 
 
 def _int_entries(P):
@@ -158,78 +123,14 @@ def _int_entries(P):
     return [[int(x) for x in row] for row in getattr(P, "entries", P)]
 
 
-def _intersect_rowspaces(U, V):
-    """Basis of rowspace(U) meet rowspace(V), rows over Fraction."""
-    if not U or not V:
-        return []
-    # x in rowspace(V)  <=>  x . Z = 0 for Z spanning the right nullspace
-    Z = right_nullspace(V)
-    if not Z:
-        return [list(r) for r in U]
-    UZ = mat_mul(U, [[z[i] for z in Z] for i in range(len(Z[0]))])
-    A = left_nullspace(UZ)
-    if not A:
-        return []
-    return mat_mul(A, U)
-
-
-class ComponentsNotHomogeneous(ValueError):
-    """Generator kernels cut below the homogeneous components.
-
-    The simultaneous generalized eigenspaces of a generating set are
-    intersections of left ideals; they coincide with the homogeneous
-    components exactly when their dimensions add up to r (the check the
-    construction hinges on).  When multiplicities exceed one this can
-    fail; the center route below always works.
-    """
-
-
-def homogeneous_components(gen_mats, r, seed=1):
-    """Simultaneous generalized eigenspaces of the generating intersection
-    matrices, with their factor data.
-
-    gen_mats: list of (orbit index j, integer matrix).  The matrices must
-    generate the full algebra, and the eigenspaces must tile (sum of
-    dimensions r, which certifies they are the homogeneous components);
-    otherwise ComponentsNotHomogeneous is raised and the caller should fall
-    back to homogeneous_components_center.
-    """
-    comps = [HomogeneousComponent(
-        [], [[Fraction(int(i == j)) for j in range(r)] for i in range(r)])]
-    for j, P in gen_mats:
-        entries = _int_entries(P)
-        cp = char_poly(entries)
-        facs = factor_over_Z(cp, seed=seed).factors
-        kernels = []
-        for f, m in facs:
-            K = left_nullspace(poly_at(entries, f, power=m))
-            kernels.append((f, m, K))
-        refined = []
-        for comp in comps:
-            for f, m, K in kernels:
-                inter = _intersect_rowspaces(comp.basis, K)
-                if inter:
-                    refined.append(HomogeneousComponent(
-                        comp.factors + [(j, f, m)], inter))
-        comps = refined
-    total = sum(c.dim for c in comps)
-    if total != r:
-        raise ComponentsNotHomogeneous(
-            f"generator eigenspaces cover dimension {total} != {r}")
-    stacked = [row for c in comps for row in c.basis]
-    if len(rref(stacked)[1]) != r:
-        raise AssertionError("components are not linearly independent")
-    comps.sort(key=lambda c: [(zpoly.deg(f), f) for _, f, _ in c.factors])
-    return comps
-
-
-def homogeneous_components_center(all_mats, r, seed=1):
+def homogeneous_components_center(all_mats, r):
     """Homogeneous components through the center of the algebra.
 
     Needs all r intersection matrices.  Central elements have two-sided
     kernels, so refining by the primary decompositions of their right
     multiplications always tiles and lands exactly on the homogeneous
-    components.
+    components.  Components of dimension 1 cannot split and are not
+    refined.
     """
     Ps = [_int_entries(P) for P in all_mats]
     # left multiplications: L_i[j][k] = p_ijk = P_j[i][k]
@@ -239,7 +140,7 @@ def homogeneous_components_center(all_mats, r, seed=1):
                 for k in range(r)] for i in range(r)]
     center = left_nullspace(stacked)
     comps = [HomogeneousComponent(
-        [], [[Fraction(int(i == j)) for j in range(r)] for i in range(r)])]
+        [[Fraction(int(i == j)) for j in range(r)] for i in range(r)])]
     # Rz = sum_t z[t] P_t, one row of products over the flattened P_t
     flat = [[x for row in P for x in row] for P in Ps]
     for z in center:
@@ -247,9 +148,11 @@ def homogeneous_components_center(all_mats, r, seed=1):
         Rz = [rz[i * r:(i + 1) * r] for i in range(r)]
         refined = []
         for comp in comps:
+            if comp.dim == 1:
+                refined.append(comp)
+                continue
             C = solve_action(comp.basis, Rz)
-            poly = _min_poly_fraction(C)
-            _, _, facs = zpoly.factor(poly, seed=seed)
+            _, _, facs = zpoly.factor(_min_poly_fraction(C))
             if len(facs) == 1:
                 refined.append(comp)
                 continue
@@ -257,12 +160,11 @@ def homogeneous_components_center(all_mats, r, seed=1):
                 K = left_nullspace(poly_at(C, f, m))
                 if K:
                     refined.append(HomogeneousComponent(
-                        comp.factors, mat_mul(K, comp.basis)))
+                        mat_mul(K, comp.basis)))
         comps = refined
     total = sum(c.dim for c in comps)
     if total != r:
         raise AssertionError(f"center components cover {total} != {r}")
-    comps.sort(key=lambda c: (c.dim, [[x for x in row] for row in c.basis]))
     return comps
 
 
@@ -351,66 +253,48 @@ class CharRow:
                 f"values={self.values[:4]}...)")
 
 
-def _component_actions(comp, all_mats):
-    return solve_actions(comp.basis, [_int_entries(P) for P in all_mats])
-
-
 def split_component(comp, all_mats):
-    """Character rows of one homogeneous component.
+    """Character rows of one homogeneous component, in no particular order
+    (build_table sorts them).
 
     A component that is rationally split (dimension m^2) gives one row of
     multiplicity m: the traces divided by m.  A component of dimension
     2 m^2 carrying a quadratic field gives a Galois-conjugate pair: it is
     cut over Q(sqrt(n)) by a conjugate factor f1 of the first restricted
     action whose minimal polynomial has an irreducible even-degree factor,
-    and the traces on the cut (divided by m) are the values.  The row with
-    positive radical part at its first irrational value comes first.
-    Anything else raises UnsupportedComponentError with the factor data.
+    and the traces on the cut (divided by m) are the values of one row,
+    their conjugates those of the other.  Anything else raises
+    UnsupportedComponentError.
     """
     d = comp.dim
-    actions = _component_actions(comp, all_mats)
+    actions = solve_actions(comp.basis, [_int_entries(P) for P in all_mats])
     m = math.isqrt(d)
     if m * m == d:
-        values = []
-        ok = True
-        for C in actions:
-            tr = mat_trace(C)
-            val = tr / m
-            if val.denominator != 1:
-                ok = False
-                break
-            values.append(QuadraticNumber(val))
-        if ok:
-            return [CharRow(values, m)]
+        values = [mat_trace(C) / m for C in actions]
+        if all(v.denominator == 1 for v in values):
+            return [CharRow([QuadraticNumber(v) for v in values], m)]
     if d % 2 == 0 and math.isqrt(d // 2) ** 2 == d // 2:
         m = math.isqrt(d // 2)
         driver = _find_quadratic_driver(actions)
         if driver is None:
             raise UnsupportedComponentError(
-                f"no quadratic driver found in component of dimension {d}",
-                comp.factors, d)
+                f"no quadratic driver found in component of dimension {d}")
         Cd, f = driver
-        n, f1 = _quadratic_factor(f)
+        _, f1 = _quadratic_factor(f)
         U = _stable_kernel(Cd, f1, d // 2)
         if U is None:
             raise UnsupportedComponentError(
                 f"quadratic cut of {zpoly.poly_str(f)} does not reach "
-                f"dimension {d // 2}", comp.factors, d)
+                f"dimension {d // 2}")
         values = [mat_trace(T) / m for T in solve_actions(U, actions)]
-        row_plus = CharRow(values, m)
-        row_minus = CharRow([v.conjugate() for v in values], m)
-        lead = next((v for v in values if v.b), None)
-        if lead is not None and lead.b < 0:
-            row_plus, row_minus = row_minus, row_plus
-        for v in row_plus.values:
+        for v in values:
             if not v.is_algebraic_integer():
                 raise UnsupportedComponentError(
-                    f"character value {v} is not an algebraic integer",
-                    comp.factors, d)
-        return [row_plus, row_minus]
+                    f"character value {v} is not an algebraic integer")
+        return [CharRow(values, m),
+                CharRow([v.conjugate() for v in values], m)]
     raise UnsupportedComponentError(
-        f"component dimension {d} is neither m^2 nor 2m^2",
-        comp.factors, d)
+        f"component dimension {d} is neither m^2 nor 2m^2")
 
 
 def _find_quadratic_driver(actions):
@@ -463,7 +347,7 @@ def _quadratic_factor(f):
     if zpoly.deg(f) == 4:
         return _split_quartic(f)
     raise UnsupportedComponentError(
-        f"factor degree {zpoly.deg(f)} unsupported", [f])
+        f"factor degree {zpoly.deg(f)} unsupported")
 
 
 def _split_quartic(f):
@@ -524,7 +408,7 @@ def _split_quartic(f):
                     return nsf, [beta, alpha, QuadraticNumber(1)]
     raise UnsupportedComponentError(
         f"quartic {zpoly.poly_str(f)} does not split over a real quadratic "
-        "field", [f])
+        "field")
 
 
 def _verify_quartic_split(f, alpha, beta):
@@ -592,32 +476,25 @@ class EndoCharTable:
                    data["lengths"], data["pairing"])
 
 
-def build_table(gen_mats, all_mats, lengths, pairing, seed=1):
+def build_table(all_mats, lengths, pairing):
     """Full table: components, split rows, Fitting degrees, conjugate links.
 
-    Components come from the generators' simultaneous generalized
-    eigenspaces when those tile (the multiplicity-free and J4-like cases),
-    else from the center of the algebra.  Rows are ordered component-major,
-    positive radical part first inside each conjugate pair.
+    all_mats are the r intersection matrices P_1..P_r.  The components come
+    from the center of the algebra, each splits into its rows, and the rows
+    are sorted by (degree, values), the brute-force oracle's order, so the
+    order depends on the characters alone.
     """
     r = len(lengths)
-    try:
-        comps = homogeneous_components(gen_mats, r, seed=seed)
-        rows = []
-        for comp in comps:
-            rows.extend(split_component(comp, all_mats))
-    except (ComponentsNotHomogeneous, ValueError) as first_exc:
-        # the generator eigenspaces can tile without being two-sided when
-        # multiplicities exceed one; the center route settles it
-        if len(all_mats) != r or isinstance(first_exc,
-                                            UnsupportedComponentError):
-            raise
-        comps = homogeneous_components_center(all_mats, r, seed=seed)
-        rows = []
-        for comp in comps:
-            rows.extend(split_component(comp, all_mats))
+    if len(all_mats) != r:
+        raise ValueError(
+            f"build_table needs all {r} intersection matrices, got "
+            f"{len(all_mats)}")
+    rows = [row for comp in homogeneous_components_center(all_mats, r)
+            for row in split_component(comp, all_mats)]
     for row in rows:
         row.degree = fitting_degree(row, lengths, pairing)
+    rows.sort(key=lambda row: (row.degree,
+                               [(v.a, v.b, v.n) for v in row.values]))
     for i, row in enumerate(rows):
         if row.conj is not None:
             continue

@@ -29,8 +29,7 @@ def table_for(Ggens, point=0):
     pairing = [p + 1 for p in oracle.orbit_pairing(act, basis.orbits)]
     mats = [IntersectionMatrix(j + 1, P, lengths)
             for j, P in enumerate(Ps)]
-    gens = [(j + 1, mats[j]) for j in range(1, len(mats))]
-    return build_table(gens, mats, lengths, pairing), mats, H
+    return build_table(mats, lengths, pairing), mats, H
 
 
 def test_sqrt_convention():

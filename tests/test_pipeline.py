@@ -37,3 +37,17 @@ def test_verdicts_do_not_depend_on_the_seed(name):
     for report in reports[1:]:
         assert report["verdicts"] == reports[0]["verdicts"]
         assert report["mod_skips"] == reports[0]["mod_skips"]
+
+
+def test_table_rows_come_in_the_oracle_order():
+    # unsorted: build_table lists the rows by (degree, values) itself
+    compared = []
+    for inst in corpus.all_instances():
+        want = pipeline.oracle_instance(inst, primes=()).char_rows
+        if want is None:
+            continue  # non-commutative commutant: no eigenvalue oracle
+        rows = pipeline.run_instance(inst, primes=()).table.rows
+        assert [(tuple(row.values), row.mult, row.degree)
+                for row in rows] == list(want), inst.name
+        compared.append(inst.name)
+    assert len(compared) == 14

@@ -1,20 +1,17 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 
-from endoperm import oracle
+from endoperm import oracle, zpoly
 from endoperm.quadfield import QuadraticNumber
 from endoperm.permgrp import GeneratedGroup, Permutation, closure_elements
 from endoperm.schur import IntersectionMatrix
 from endoperm.splitchar import (CharRow, EndoCharTable,
                                 UnsupportedComponentError, build_table,
-                                char_poly, factor_over_Z, fitting_degree,
-                                homogeneous_components,
-                                homogeneous_components_center,
-                                split_component, verify_table,
+                                char_poly, fitting_degree,
+                                homogeneous_components_center, verify_table,
                                 _split_quartic)
 
 
@@ -50,24 +47,21 @@ def test_char_poly_p1_is_xminus1_power():
     r = 5
     P1 = [[int(i == j) for j in range(r)] for i in range(r)]
     cp = char_poly(P1)
-    facs = factor_over_Z(cp)
-    assert facs.factors == [((-1, 1), r)]
+    assert zpoly.factor(cp)[2] == [((-1, 1), r)]
 
 
 def test_factor_over_Z_examples():
-    assert factor_over_Z((-1, 0, 1)).factors == \
-        [((-1, 1), 1), ((1, 1), 1)]
-    assert factor_over_Z((-45, 0, 1)).factors == [((-45, 0, 1), 1)]
+    assert zpoly.factor((-1, 0, 1))[2] == [((-1, 1), 1), ((1, 1), 1)]
+    assert zpoly.factor((-45, 0, 1))[2] == [((-45, 0, 1), 1)]
 
 
 def test_rank2_components_and_rows():
     mats, lengths, pairing, _ = oracle_setup(
         [Permutation([1, 0, 2, 3, 4]), Permutation([1, 2, 3, 4, 0])])
-    comps = homogeneous_components([(2, mats[1])], 2)
+    comps = homogeneous_components_center(mats, 2)
     assert sorted(c.dim for c in comps) == [1, 1]
-    tbl = build_table([(2, mats[1])], mats, lengths, pairing)
-    rows = sorted(((r.values, r.degree) for r in tbl.rows),
-                  key=lambda t: t[1])
+    tbl = build_table(mats, lengths, pairing)
+    rows = [(r.values, r.degree) for r in tbl.rows]
     assert rows == [([QuadraticNumber(1), QuadraticNumber(4)], 1),
                     ([QuadraticNumber(1), QuadraticNumber(-1)], 4)]
 
@@ -75,20 +69,20 @@ def test_rank2_components_and_rows():
 def test_quadratic_pair_matches_eigen_oracle():
     mats, lengths, pairing, basis = oracle_setup(
         [Permutation([1, 2, 3, 4, 0]), Permutation([0, 4, 3, 2, 1])])
-    tbl = build_table([(2, mats[1])], mats, lengths, pairing)
-    mine = sorted(((tuple(r.values), r.mult, r.degree) for r in tbl.rows),
-                  key=lambda t: (t[2], [(v.a, v.b, v.n) for v in t[0]]))
+    tbl = build_table(mats, lengths, pairing)
+    mine = [(tuple(r.values), r.mult, r.degree) for r in tbl.rows]
     assert mine == list(oracle.char_table_commutative(basis))
     # conjugate rows are linked
     quad = [r for r in tbl.rows if r.field == 5]
     assert len(quad) == 2 and tbl.rows[quad[0].conj] is quad[1]
 
 
-def test_commuting_generators_distinct_eigenvalues_dims_one():
-    A = [[1, 0], [0, 2]]
-    B = [[3, 0], [0, 5]]
-    comps = homogeneous_components([(2, A), (3, B)], 2)
-    assert [c.dim for c in comps] == [1, 1]
+def test_build_table_needs_every_matrix():
+    mats, lengths, pairing, _ = oracle_setup(
+        [Permutation([1, 2, 3, 4, 0]), Permutation([0, 4, 3, 2, 1])])
+    with pytest.raises(ValueError, match="all 3 intersection matrices, "
+                                         "got 2"):
+        build_table(mats[:2], lengths, pairing)
 
 
 def test_complex_field_raises():
@@ -96,7 +90,7 @@ def test_complex_field_raises():
     y = Permutation([(2 * i) % 7 for i in range(7)])
     mats, lengths, pairing, _ = oracle_setup([x, y])
     with pytest.raises(UnsupportedComponentError):
-        build_table([(2, mats[1])], mats, lengths, pairing)
+        build_table(mats, lengths, pairing)
 
 
 def regular_instance(gens, degree):
@@ -112,8 +106,7 @@ def test_rational_multiplicity_two_component():
     G = regular_instance([Permutation([1, 2, 3, 0]),
                           Permutation([0, 3, 2, 1])], 4)
     mats, lengths, pairing, _ = oracle_setup(G.gens)
-    tbl = build_table([(j + 1, mats[j]) for j in range(1, 8)], mats,
-                      lengths, pairing)
+    tbl = build_table(mats, lengths, pairing)
     mult2 = [r for r in tbl.rows if r.mult == 2]
     assert len(mult2) == 1 and mult2[0].degree == 2
     assert sum(r.mult * r.degree for r in tbl.rows) == 8
@@ -124,21 +117,12 @@ def test_quadratic_multiplicity_two_component():
     G = regular_instance([Permutation([1, 2, 3, 4, 5, 6, 7, 0]),
                           Permutation([0, 7, 6, 5, 4, 3, 2, 1])], 8)
     mats, lengths, pairing, _ = oracle_setup(G.gens)
-    tbl = build_table([(j + 1, mats[j]) for j in range(1, 16)], mats,
-                      lengths, pairing)
+    tbl = build_table(mats, lengths, pairing)
     quad = [r for r in tbl.rows if r.field == 2]
     assert len(quad) == 2
     assert all(r.mult == 2 and r.degree == 2 for r in quad)
     assert quad[0].values == [v.conjugate() for v in quad[1].values]
     assert sum(r.mult * r.degree for r in tbl.rows) == 16
-
-
-def test_center_route_agrees_with_generator_route():
-    mats, lengths, pairing, _ = oracle_setup(
-        [Permutation([1, 2, 3, 4, 0]), Permutation([0, 4, 3, 2, 1])])
-    a = homogeneous_components([(2, mats[1])], 3)
-    b = homogeneous_components_center(mats, 3)
-    assert sorted(c.dim for c in a) == sorted(c.dim for c in b)
 
 
 def test_split_quartics_over_real_quadratic():
@@ -157,7 +141,7 @@ def test_split_quartics_over_real_quadratic():
 def test_fitting_degree_and_sensitivity():
     mats, lengths, pairing, _ = oracle_setup(
         [Permutation([1, 0, 2, 3, 4]), Permutation([1, 2, 3, 4, 0])])
-    tbl = build_table([(2, mats[1])], mats, lengths, pairing)
+    tbl = build_table(mats, lengths, pairing)
     triv = next(r for r in tbl.rows
                 if [v.as_fraction() for v in r.values] ==
                 [Fraction(x) for x in lengths])
@@ -174,7 +158,7 @@ def test_fitting_degree_and_sensitivity():
 def test_table_json_roundtrip():
     mats, lengths, pairing, _ = oracle_setup(
         [Permutation([1, 2, 3, 4, 0]), Permutation([0, 4, 3, 2, 1])])
-    tbl = build_table([(2, mats[1])], mats, lengths, pairing)
+    tbl = build_table(mats, lengths, pairing)
     back = EndoCharTable.from_json(tbl.to_json())
     assert back.lengths == tbl.lengths
     for a, b in zip(back.rows, tbl.rows):
