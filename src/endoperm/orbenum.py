@@ -45,9 +45,10 @@ import numpy as np
 from . import gfmat
 from .gfmat import FqMatrix, ModuleRep
 from .permgrp import (GeneratedGroup, Permutation, RandomStream,
-                      evaluate_word, group_from_json, load_word_json,
-                      orbit_tree, schreier_stabilizer, seed_mix, tree_word,
-                      word_concat, word_inverse)
+                      dump_word_json, evaluate_word, group_from_json,
+                      load_word_json, orbit_tree, schreier_stabilizer,
+                      seed_mix, substitute_word, tree_word, word_concat,
+                      word_inverse)
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -366,22 +367,15 @@ class HelperSetup:
         """K-word t(q) with distinguished . t(q) = q."""
         return tree_word(self.orbits[self.orbit_of[q]].tree, q)
 
-    def expand_k_word(self, word):
-        """Rewrite a K-word as an H-word."""
-        out = []
-        for i, e in word:
-            w = self.k_words[i]
-            out.extend(w if e > 0 else word_inverse(w))
-        return tuple(out)
-
     def edge_word(self, u, hi, q):
         """The H-word u . h_hi . t(q)^-1 of a stored point's edge (see the
         module docstring); hi or q None leaves its factor out."""
-        word = self.expand_k_word(u)
+        word = substitute_word(u, self.k_words)
         if hi is not None:
             word += ((hi, 1),)
         if q is not None:
-            word += self.expand_k_word(word_inverse(self.tree_word(q)))
+            word += substitute_word(word_inverse(self.tree_word(q)),
+                                    self.k_words)
         return word
 
 
@@ -657,8 +651,7 @@ class OrbitPartition:
                     "saving_factor": [r.saving_factor().numerator,
                                       r.saving_factor().denominator],
                     "certified": r.certified,
-                    "reach_word": [[i + 1 if e > 0 else -(i + 1), 1]
-                                   for i, e in r.reach_word],
+                    "reach_word": dump_word_json(r.reach_word),
                 }
                 for r in self.records
             ],
@@ -763,24 +756,18 @@ def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
             rec = walk(ctx, helper, index, x, rng, walk_budget)
             if rec is None:
                 continue
+            if ctx.h_words is None:
+                raise ValueError(
+                    "need H-generator words in G to export this word")
             h_word = trace_word(ctx, helper, rec, x)
-            word = word_concat(rec.reach_word, _h_to_g(ctx, h_word),
+            word = word_concat(rec.reach_word,
+                               substitute_word(h_word, ctx.h_words),
                                word_inverse(gword))
             if ctx.apply_g_word(ctx.v1, word) != v:
                 raise AssertionError(
                     "reaching word does not evaluate to the vector")
             return v, word
     return None
-
-
-def _h_to_g(ctx, h_word):
-    if ctx.h_words is None:
-        raise ValueError("need H-generator words in G to export this word")
-    out = []
-    for i, e in h_word:
-        w = ctx.h_words[i]
-        out.extend(w if e > 0 else word_inverse(w))
-    return tuple(out)
 
 
 def memory_estimate(ctx):

@@ -160,6 +160,17 @@ def word_concat(*words):
     return tuple(out)
 
 
+def substitute_word(word, words):
+    """The word with each letter (i, e) replaced by words[i], inverted
+    when e < 0: a word in generators given as words, rewritten as a word
+    in the generators those words are in."""
+    out = []
+    for i, e in word:
+        w = words[i]
+        out.extend(w if e > 0 else word_inverse(w))
+    return tuple(out)
+
+
 def evaluate_word(word, gens, identity=None):
     """Fold a word left to right over generators (permutations or matrices).
 

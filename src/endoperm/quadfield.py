@@ -149,21 +149,6 @@ class QuadraticNumber:
     def __bool__(self):
         return bool(self.a or self.b)
 
-    def is_positive(self):
-        """Sign under the real embedding with sqrt(n) > 0."""
-        if self.b == 0:
-            return self.a > 0
-        if self.a == 0:
-            return self.b > 0
-        if self.a > 0 and self.b > 0:
-            return True
-        if self.a < 0 and self.b < 0:
-            return False
-        # a and b have opposite signs: compare a^2 with b^2 n
-        if self.a > 0:
-            return self.a * self.a > self.b * self.b * self.n
-        return self.a * self.a < self.b * self.b * self.n
-
     def is_algebraic_integer(self):
         a, b, n = self.a, self.b, self.n
         if b == 0:

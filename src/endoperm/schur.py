@@ -12,11 +12,10 @@ All arithmetic is exact; entries are arbitrary-precision integers.
 """
 
 import random
-from fractions import Fraction
 
 from . import orbenum
 from .permgrp import orbit_tree, seed_mix
-from .quadfield import express_in_rows, mat_mul
+from .quadfield import express_in_rows, mat_mul, rref
 
 
 class PartialCountsError(RuntimeError):
@@ -170,42 +169,19 @@ def intersection_matrix(sctx, j):
 
 
 # ---------------------------------------------------------------------------
-# Algebra closure by spinning the first unit vector
-
-class _FractionEchelon:
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    def residue(self, v):
-        v = [Fraction(x) for x in v]
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, v):
-        v = self.residue(v)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = 1 / v[piv]
-        v = [x * inv for x in v]
-        for i in range(len(self.rows)):
-            if self.rows[i][piv]:
-                f = self.rows[i][piv]
-                self.rows[i] = [a - f * b
-                                for a, b in zip(self.rows[i], v)]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
+# Algebra closure by spinning the first unit vector, level by level
 
 class AlgebraClosure:
     """Standard-form basis of the unital algebra generated by a set of
-    intersection matrices, with the matrix word realizing each basis row."""
+    intersection matrices, with the matrix word realizing each basis row.
+
+    The basis is spun from the first unit vector level by level: every row
+    of the newest level is multiplied by every generator, in order, and a
+    candidate is kept when it is independent of the basis and of the
+    candidates kept before it.  Those are the pivot columns of the reduced
+    row echelon form of [basis; candidates] transposed, past the basis's
+    own, so one elimination per level makes the greedy choice of the
+    one-candidate-at-a-time test."""
 
     def __init__(self, generators, r, lengths=None):
         self.r = r
@@ -213,21 +189,21 @@ class AlgebraClosure:
         gens = [g.entries if isinstance(g, IntersectionMatrix) else g
                 for g in generators]
         self.generators = gens
-        e1 = [1 if i == 0 else 0 for i in range(r)]
-        ident = [[int(i == j) for j in range(r)] for i in range(r)]
-        self._ech = _FractionEchelon(r)
-        self._ech.add(e1)
-        self.basis = [tuple(e1)]
-        self.mats = [ident]
-        qi = 0
-        while qi < len(self.basis):
-            vec, mat = self.basis[qi], self.mats[qi]
-            qi += 1
-            for g in gens:
-                new_vec = mat_mul([vec], g)[0]
-                if self._ech.add(new_vec):
-                    self.basis.append(tuple(new_vec))
-                    self.mats.append(mat_mul(mat, g))
+        self.basis = [tuple(int(i == 0) for i in range(r))]
+        self.mats = [[[int(i == j) for j in range(r)] for i in range(r)]]
+        level = [0]
+        while level and len(self.basis) < r:
+            made = [(self.mats[q], g) for q in level for g in gens]
+            cands = [tuple(mat_mul(mat[:1], g)[0]) for mat, g in made]
+            base = len(self.basis)
+            _, pivots = rref([list(col)
+                              for col in zip(*self.basis, *cands)])
+            level = []
+            for c in pivots[base:]:
+                mat, g = made[c - base]
+                level.append(len(self.basis))
+                self.basis.append(cands[c - base])
+                self.mats.append(mat_mul(mat, g))
 
     @property
     def dimension(self):

@@ -3,13 +3,16 @@
 The algebra of the intersection matrices is cut into its homogeneous
 components by the primary decompositions of central elements: a central
 element has two-sided kernels, so refining by the irreducible factors of
-its minimal polynomial tiles Q^r and lands exactly on the components.  Each
-component yields one Galois orbit of irreducible characters.  Supported
-shapes: dimension 1 (rational), 2 (quadratic conjugate pair), m^2 (rational
-with multiplicity m), and 2m^2 (quadratic pair with multiplicity m).
-Everything else raises UnsupportedComponentError; the arithmetic is exact
-throughout.  Table rows come in one canonical order: by degree, then by
-values, as in the brute-force oracle.
+its characteristic polynomial tiles Q^r and lands exactly on the
+components.  The primary component of a factor f is ker f(C)^e, with e the
+multiplicity of f in the characteristic polynomial, so one polynomial gives
+both the factors and the exponents.  Each component yields one Galois
+orbit of irreducible characters.  Supported shapes: dimension 1
+(rational), 2 (quadratic conjugate pair), m^2 (rational with multiplicity
+m), and 2m^2 (quadratic pair with multiplicity m).  Everything else raises
+UnsupportedComponentError; the arithmetic is exact throughout.  Table
+rows come in one canonical order: by degree, then by values, as in the
+brute-force oracle.
 """
 
 import math
@@ -18,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import zpoly
-from .quadfield import (QuadraticNumber, RadicalVector, express_in_rows,
-                        left_nullspace, mat_mul, mat_trace, poly_at,
-                        solve_action, solve_actions, squarefree_part)
+from .quadfield import (QuadraticNumber, RadicalVector, left_nullspace,
+                        mat_mul, mat_trace, poly_at, solve_action,
+                        solve_actions, squarefree_part)
 
 
 class UnsupportedComponentError(ValueError):
@@ -61,25 +64,30 @@ def _charpoly_mod(A, p):
 
 
 def char_poly(M):
-    """Exact characteristic polynomial of an integer matrix.
+    """Exact characteristic polynomial of a rational matrix whose
+    characteristic polynomial is integral.
 
-    Monic of degree n, constant-first coefficient tuple.  Computed modulo
-    enough word-sized primes to exceed the coefficient bound, then CRT
-    lifted to symmetric representatives.
+    Monic of degree n, constant-first coefficient tuple.  With s the common
+    denominator of the entries, the characteristic polynomial of the
+    integer matrix s M is computed modulo enough word-sized primes to
+    exceed the coefficient bound and CRT lifted to symmetric
+    representatives; its coefficient of X^(n-k) is s^k c_k.  Raises
+    AssertionError when some c_k is not an integer.
     """
     entries = getattr(M, "entries", M)
     n = len(entries)
     if n == 0:
         return (1,)
-    maxabs = max(1, max(abs(int(x)) for row in entries for x in row))
+    s = math.lcm(*(x.denominator for row in entries for x in row))
+    ints = [[int(x * s) for x in row] for row in entries]
+    maxabs = max(1, max(abs(x) for row in ints for x in row))
     # |c_k| <= C(n,k) (n maxabs)^k; bound everything by (2 n maxabs)^n
     bound = (2 * n * maxabs) ** n * 2
     residues = []
     primes = []
     modulus = 1
     for p in _crt_primes():
-        Ap = np.array([[int(x) % p for x in row] for row in entries],
-                      dtype=np.int64)
+        Ap = np.array([[x % p for x in row] for row in ints], dtype=np.int64)
         residues.append(_charpoly_mod(Ap, p))
         primes.append(p)
         modulus *= p
@@ -95,7 +103,11 @@ def char_poly(M):
             x = (x + res[k] * q * pow(q, -1, p)) % modulus
         if x > modulus // 2:
             x -= modulus
-        coeffs.append(x)
+        c, rem = divmod(x, s ** k)
+        if rem:
+            raise AssertionError(
+                "characteristic polynomial is not integral")
+        coeffs.append(c)
     # coeffs are [1, c1, ..., cn] for X^n + c1 X^{n-1} + ...; flip order
     poly = tuple(reversed(coeffs))
     if poly[-1] != 1:
@@ -129,8 +141,10 @@ def homogeneous_components_center(all_mats, r):
     Needs all r intersection matrices.  Central elements have two-sided
     kernels, so refining by the primary decompositions of their right
     multiplications always tiles and lands exactly on the homogeneous
-    components.  Components of dimension 1 cannot split and are not
-    refined.
+    components.  A component is cut by the characteristic polynomial of
+    the restricted right multiplication and its multiplicities: each
+    irreducible factor f of multiplicity e gives the piece ker f(C)^e.
+    Components of dimension 1 cannot split and are not refined.
     """
     Ps = [_int_entries(P) for P in all_mats]
     # left multiplications: L_i[j][k] = p_ijk = P_j[i][k]
@@ -152,58 +166,18 @@ def homogeneous_components_center(all_mats, r):
                 refined.append(comp)
                 continue
             C = solve_action(comp.basis, Rz)
-            _, _, facs = zpoly.factor(_min_poly_fraction(C))
+            _, _, facs = zpoly.factor(char_poly(C))
             if len(facs) == 1:
                 refined.append(comp)
                 continue
-            for f, m in facs:
-                K = left_nullspace(poly_at(C, f, m))
-                if K:
-                    refined.append(HomogeneousComponent(
-                        mat_mul(K, comp.basis)))
+            for f, e in facs:
+                K = left_nullspace(poly_at(C, f, e))
+                refined.append(HomogeneousComponent(mat_mul(K, comp.basis)))
         comps = refined
     total = sum(c.dim for c in comps)
     if total != r:
         raise AssertionError(f"center components cover {total} != {r}")
     return comps
-
-
-def _min_poly_fraction(C):
-    """Minimal polynomial of a rational matrix, as a primitive integer
-    tuple (asserted monic over Z: the use sites only see algebraic-integer
-    eigenvalues)."""
-    d = len(C)
-    poly = (1,)
-    F = None
-    for start in range(d):
-        # e_start . poly(C) is row `start` of poly(C)
-        if F is None:
-            F = poly_at(C, poly)
-        if not any(F[start]):
-            continue
-        krylov = [[Fraction(int(i == start)) for i in range(d)]]
-        while True:
-            nxt = mat_mul(krylov[-1:], C)[0]
-            coeff = express_in_rows(krylov, nxt)
-            if coeff is not None:
-                loc = [-c for c in coeff] + [Fraction(1)]
-                break
-            krylov.append(nxt)
-        den = 1
-        for c in loc:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        iloc = zpoly.trim([int(c * den) for c in loc])
-        if iloc[-1] != den:
-            raise AssertionError("minimal polynomial is not monic over Q")
-        if den != 1:
-            raise AssertionError(
-                "restricted minimal polynomial is not integral")
-        g = zpoly.gcd(poly, iloc)
-        poly = zpoly.exact_div(zpoly.mul(poly, iloc), g)
-        F = None
-        if zpoly.deg(poly) == d:
-            break
-    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +234,12 @@ def split_component(comp, all_mats):
     A component that is rationally split (dimension m^2) gives one row of
     multiplicity m: the traces divided by m.  A component of dimension
     2 m^2 carrying a quadratic field gives a Galois-conjugate pair: it is
-    cut over Q(sqrt(n)) by a conjugate factor f1 of the first restricted
-    action whose minimal polynomial has an irreducible even-degree factor,
-    and the traces on the cut (divided by m) are the values of one row,
-    their conjugates those of the other.  Anything else raises
-    UnsupportedComponentError.
+    cut over Q(sqrt(n)) by a conjugate factor f1 of an irreducible factor f
+    of the first restricted action's characteristic polynomial that has
+    degree 2 or 4.  With e the multiplicity of f, the cut is ker f1(C)^e,
+    the f1-primary part; it must have dimension m^2.  The traces on the
+    cut (divided by m) are the values of one row, their conjugates those
+    of the other.  Anything else raises UnsupportedComponentError.
     """
     d = comp.dim
     actions = solve_actions(comp.basis, [_int_entries(P) for P in all_mats])
@@ -279,10 +254,10 @@ def split_component(comp, all_mats):
         if driver is None:
             raise UnsupportedComponentError(
                 f"no quadratic driver found in component of dimension {d}")
-        Cd, f = driver
+        Cd, f, e = driver
         _, f1 = _quadratic_factor(f)
-        U = _stable_kernel(Cd, f1, d // 2)
-        if U is None:
+        U = left_nullspace(poly_at(Cd, f1, e))
+        if len(U) != d // 2:
             raise UnsupportedComponentError(
                 f"quadratic cut of {zpoly.poly_str(f)} does not reach "
                 f"dimension {d // 2}")
@@ -298,31 +273,14 @@ def split_component(comp, all_mats):
 
 
 def _find_quadratic_driver(actions):
-    """First restricted action with an irreducible even-degree minimal
-    polynomial factor of degree 2 or 4."""
+    """(C, f, e): the first restricted action C whose characteristic
+    polynomial has an irreducible factor f of degree 2 or 4, with e the
+    multiplicity of f in it; None when no action has one."""
     for C in actions:
-        mp = _min_poly_fraction(C)
-        _, _, facs = zpoly.factor(mp)
-        for f, _ in facs:
+        _, _, facs = zpoly.factor(char_poly(C))
+        for f, e in facs:
             if zpoly.deg(f) in (2, 4):
-                return C, f
-    return None
-
-
-def _stable_kernel(C, f1, want):
-    """ker f1(C)^e over the quadratic field, with e raised until the
-    dimension stabilizes; None unless it stabilizes at `want`."""
-    F = poly_at(C, f1)
-    M = F
-    prev = -1
-    for _ in range(len(C)):
-        U = left_nullspace(M)
-        if len(U) == want:
-            return U
-        if len(U) == prev:
-            return None
-        prev = len(U)
-        M = mat_mul(M, F)
+                return C, f, e
     return None
 
 
@@ -330,15 +288,12 @@ def _quadratic_factor(f):
     """(n, f1): f1 an irreducible factor of f over Q(sqrt(n)) with the
     conjugate-pair property f = f1 * conj(f1); degree 2 and 4 supported."""
     if zpoly.deg(f) == 2:
-        c0, c1, _ = [Fraction(c) for c in f]
+        c0, c1, _ = f
         disc = c1 * c1 - 4 * c0
         if disc <= 0:
             raise UnsupportedComponentError(
                 f"complex splitting field for {zpoly.poly_str(f)}")
-        nsf, k = squarefree_part(int(disc * disc.denominator ** 2)
-                                 if disc.denominator != 1 else int(disc))
-        if disc.denominator != 1:
-            raise UnsupportedComponentError("non-integral discriminant")
+        nsf, k = squarefree_part(disc)
         if nsf == 1:
             raise UnsupportedComponentError(
                 f"{zpoly.poly_str(f)} is reducible over Q")
@@ -368,9 +323,7 @@ def _split_quartic(f):
     rhs0 = s * t0 - c1 * half
     rhs = [rhs0 * rhs0, s * rhs0, s * s * Fraction(1, 4), Fraction(0)]
     poly = [a - b for a, b in zip(lhs, rhs)]
-    den = 1
-    for c in poly:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in poly))
     ipoly = zpoly.trim([int(c * den) for c in poly])
     candidates = []
     if zpoly.deg(ipoly) >= 1:

@@ -85,23 +85,24 @@ def divides(q, p):
 
 
 def exact_div(p, q):
-    """Exact quotient p/q over Q, asserted to land in Z."""
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    rem = [Fraction(c) for c in p]
-    lead = Fraction(q[-1])
+    """Exact quotient p/q, asserted to land in Z[X].
+
+    Long division on integers: when q divides p in Z[X], every quotient
+    coefficient is an integer, so a leading coefficient that q's leading
+    coefficient does not divide shows that it does not."""
+    out = [0] * max(0, len(p) - len(q) + 1)
+    rem = list(p)
+    lead = q[-1]
     for i in range(len(rem) - len(q), -1, -1):
-        c = rem[i + len(q) - 1] / lead
+        c, r = divmod(rem[i + len(q) - 1], lead)
+        if r:
+            raise ValueError("quotient is not integral")
         out[i] = c
         for j, b in enumerate(q):
             rem[i + j] -= c * b
-    if any(c for c in rem):
+    if any(rem):
         raise ValueError("division is not exact")
-    res = []
-    for c in out:
-        if c.denominator != 1:
-            raise ValueError("quotient is not integral")
-        res.append(int(c))
-    return trim(res)
+    return trim(out)
 
 
 def content(p):

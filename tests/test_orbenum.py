@@ -255,6 +255,10 @@ def test_probe_fixed_space_finds_representative():
     assert found is not None
     v, word = found
     assert ctx.apply_g_word(ctx.v1, word) == v
+    # the reaching word is a G-word, so H's generators must be G-words
+    ctx.h_words = None
+    with pytest.raises(ValueError, match="H-generator words"):
+        probe_fixed_space(ctx, helper, part, S.gens, 4, seed=3)
 
 
 def test_scenario_roundtrip():

@@ -67,13 +67,6 @@ def test_algebraic_integboth():
     assert QuadraticNumber(3, -4, 3).is_algebraic_integer()
 
 
-def test_is_positive_embedding():
-    assert QuadraticNumber(-1, 1, 5).is_positive()
-    assert QuadraticNumber(3, -1, 5).is_positive()
-    assert not QuadraticNumber(2, -1, 5).is_positive()
-    assert not QuadraticNumber(0, -1, 2).is_positive()
-
-
 def test_json_roundtrip():
     x = QuadraticNumber(Fraction(3, 2), Fraction(-1, 2), 13)
     assert QuadraticNumber.from_json(x.to_json()) == x

@@ -1,8 +1,9 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from endoperm import oracle, orbenum
+from endoperm import corpus, oracle, orbenum, pipeline
 from endoperm.corpus import build_context, named_instances
 from endoperm.orbenum import classify
 from endoperm.permgrp import GeneratedGroup, Permutation
@@ -105,6 +106,51 @@ def test_paired_orbits_have_equal_lengths():
     mats, clo, _ = all_intersection_matrices(sctx)
     assert clo.dimension == 3
     assert [m.entries for m in mats] == oracle_mats(inst)
+
+
+def spin_one_at_a_time(gens, r):
+    """Reference closure: spin e_1 breadth first, testing each candidate
+    alone against a Fraction echelon form of the rows kept so far."""
+    echelon = []   # (pivot, row scaled to 1 at the pivot), in order
+
+    def keep(v):
+        v = [Fraction(x) for x in v]
+        for c, row in echelon:
+            if v[c]:
+                f = v[c]
+                v = [a - f * b for a, b in zip(v, row)]
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        echelon.append((c, [x / v[c] for x in v]))
+        return True
+
+    ident = [[int(i == j) for j in range(r)] for i in range(r)]
+    keep(ident[0])
+    basis, mats = [tuple(ident[0])], [ident]
+    q = 0
+    while q < len(basis):
+        mat = mats[q]
+        q += 1
+        for g in gens:
+            prod = [[sum(a * b for a, b in zip(row, col))
+                     for col in zip(*g)] for row in mat]
+            if keep(prod[0]):
+                basis.append(tuple(prod[0]))
+                mats.append(prod)
+    return basis, mats
+
+
+@pytest.mark.parametrize("inst", corpus.all_instances(),
+                         ids=lambda inst: inst.name)
+def test_closure_matches_one_candidate_at_a_time(inst):
+    run = pipeline.run_instance(inst, primes=())
+    r = len(run.matrices)
+    counted = [run.matrices[j - 1] for j in sorted(run.counted)]
+    for mats in (run.matrices, counted, run.matrices[::-1]):
+        clo = AlgebraClosure(mats, r)
+        assert (clo.basis, clo.mats) == spin_one_at_a_time(
+            [m.entries for m in mats], r)
 
 
 def test_generate_stops_at_full_dimension():

@@ -43,6 +43,32 @@ def test_char_poly_basics():
         assert list(mine) == list(reversed([int(c) for c in theirs]))
 
 
+def test_char_poly_is_a_similarity_invariant_over_q():
+    rng = random.Random(31)
+    done = 0
+    while done < 6:
+        n = rng.randrange(2, 6)
+        A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        T = sympy.Matrix(n, n, lambda i, j: sympy.Rational(
+            rng.randrange(-7, 8), rng.randrange(1, 6)))
+        if T.det() == 0:
+            continue
+        conj = T.inv() * sympy.Matrix(A) * T
+        B = [[Fraction(int(x.p), int(x.q)) for x in conj.row(i)]
+             for i in range(n)]
+        assert any(x.denominator != 1 for row in B for x in row)
+        assert char_poly(B) == char_poly(A)
+        done += 1
+
+
+def test_char_poly_rejects_a_non_integral_polynomial():
+    # X - 1/2: the scaled route must not truncate the entry to 0
+    with pytest.raises(AssertionError):
+        char_poly([[Fraction(1, 2)]])
+    with pytest.raises(AssertionError):
+        char_poly([[Fraction(1, 3), 0], [0, 1]])
+
+
 def test_char_poly_p1_is_xminus1_power():
     r = 5
     P1 = [[int(i == j) for j in range(r)] for i in range(r)]

@@ -80,6 +80,10 @@ def test_gcd_and_exact_division():
     assert zp.exact_div(a, (1, 1)) == (2, 0, 1)
     with pytest.raises(ValueError):
         zp.exact_div((1, 0, 1), (1, 1))
+    with pytest.raises(ValueError):
+        zp.exact_div((1, 2), (2, 4))    # 1/2 over Q
+    assert zp.exact_div(zp.mul((3, -2, 5), (-4, 0, 6)), (-4, 0, 6)) == \
+        (3, -2, 5)
 
 
 def test_fp_factor_reconstructs():
