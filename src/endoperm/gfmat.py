@@ -9,10 +9,15 @@ form pays off for products.  Moving one vector is different: at p = 2,
 entry, built on first use), one operation per selected row in place of
 several numpy calls.  On top of the matrix layer sit the module
 operations: fixed spaces, quotients and minimal polynomials, and the
-Cartan matrix of an algebra regular module, computed deterministically
-from the radical of the algebra, the centre of its semisimple quotient
-and lifted idempotents.  Their vector loops work on int64 arrays and the
-stacked generator matrices, not on 1-row matrices.
+Cartan matrix of an algebra regular module, computed deterministically in
+one pass over the algebra: one spin for a basis, the radical from the
+trace form and the trace ladder, one change of basis onto the head, the
+head split by one generic central element (and the centre's basis only
+where that element falls short), and lifted idempotents only when there
+are two simples and a radical.  The simples come in the order that
+refining the head by the centre's reduced echelon basis gives, whatever
+route found them.  The loops work on int64 arrays and the stacked
+generator matrices, not on 1-row matrices.
 
 Row-vector convention throughout: vectors act from the left, x . M.
 """
@@ -252,7 +257,7 @@ class EchelonBasis:
     def reduce(self, v):
         v = np.asarray(v, dtype=np.int64) % self.p
         if self.pivots:
-            v = (v - v[self.pivots] @ self.rows) % self.p
+            v = (v - v[..., self.pivots] @ self.rows) % self.p
         return v
 
     def add(self, v):
@@ -274,9 +279,6 @@ class EchelonBasis:
         self._rows[k] = v
         self.pivots.append(c)
         return True
-
-    def dim(self):
-        return len(self.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -340,61 +342,63 @@ def quotient(rep, sub_basis):
     quotient coordinates and commutes with the actions.
     """
     p = rep.p
-    sub = sub_basis.data
-    ech = EchelonBasis(p, rep.dim)
-    for v in sub:
-        ech.add(v)
-    k = ech.dim()
-    comp = []
-    for j in range(rep.dim):
-        e = np.zeros(rep.dim, dtype=np.uint8)
-        e[j] = 1
-        if ech.add(e):
-            comp.append(e)
-    full = FqMatrix(p, np.array(list(sub) + comp, dtype=np.int64)
-                    if (len(sub) + len(comp)) else np.zeros((0, rep.dim)))
-    inv = full.inverse().data.astype(np.int64)
-    proj = inv[:, k:]
-    gens = rep.stacked()
-    quo = (full.data.astype(np.int64) @ gens % p @ inv % p)[:, k:, k:]
-    if ((gens @ proj - proj @ quo) % p).any():
-        raise AssertionError("projection does not commute with action")
-    return (ModuleRep(p, [FqMatrix(p, q) for q in quo], rep.dim - k),
+    proj, quo = _quotient_action(rep.stacked(), sub_basis.data, p)
+    return (ModuleRep(p, [FqMatrix(p, q) for q in quo], proj.shape[1]),
             FqMatrix(p, proj))
+
+
+def _quotient_action(mats, sub, p):
+    """(proj, quo): the projection onto the quotient by the row space of
+    `sub`, invariant under the d x d matrices `mats` (shape (m, d, d)), and
+    their actions on the quotient, shape (m, h, h).
+
+    The quotient's basis is the images of the unit vectors e_j, j in F,
+    taken greedily: e_j is kept when it is independent of the subspace and
+    the e_j kept before it.  Those F are the pivot columns of the reduced
+    echelon basis N of the subspace's annihilator {y : sub y^T = 0}, and
+    proj = N^T is the map with sub proj = 0 and proj[F] = I.  The action of
+    M on the quotient is then M[F] proj.
+    """
+    if not sub.any():
+        return np.eye(mats.shape[1], dtype=np.int64), mats
+    annihilator, F = _rref(_nullspace(sub, p), p)
+    proj = annihilator.T.astype(np.int64)
+    quo = mats[:, F, :] @ proj % p
+    if ((mats @ proj - proj @ quo) % p).any():
+        raise AssertionError("projection does not commute with action")
+    return proj, quo
 
 
 # ---------------------------------------------------------------------------
 # Minimal polynomials, the radical, Cartan matrices
 
 def min_poly(mat):
-    """Minimal polynomial: lcm of local minimal polynomials of unit vectors.
-
-    A unit vector e_start already killed by the lcm so far is skipped: that
-    is row `start` of poly(mat), recomputed only when poly grows.
-    """
-    p, d = mat.p, mat.nrows
+    """Minimal polynomial: the first dependency of I, M, M^2, ..."""
     M = mat.data.astype(np.int64)
-    poly = (1,)
-    at = _poly_at(M, poly, p)
-    for start in range(d):
-        if not at[start].any():
-            continue
-        ech = EchelonBasis(p, d)
-        krylov = []
-        w = np.zeros(d, dtype=np.int64)
-        w[start] = 1
-        while ech.add(w):
-            krylov.append(w)
-            w = w @ M % p
-        K = FqMatrix(p, np.array(krylov))
-        coeff = _solve(K.transpose(), FqMatrix(p, w.reshape(-1, 1))).data[:, 0]
-        loc = zpoly.fp_trim([(-int(c)) % p for c in coeff] + [1], p)
-        g = zpoly.fp_gcd(poly, loc, p)
-        poly = zpoly.fp_mul(poly, zpoly.fp_divmod(loc, g, p)[0], p)
-        if zpoly.deg(poly) == d:
-            break
-        at = _poly_at(M, poly, p)
-    return poly
+    return _local_min_poly(M, np.eye(len(M), dtype=np.int64), mat.p)
+
+
+def _local_min_poly(M, w, p):
+    """The monic f of least degree with w f(M) = 0, for a nonzero int64
+    array w of rows and a square int64 array M.
+
+    The Krylov arrays w M^k, flattened, enter an echelon basis with the
+    unit vector e_k appended, so the tail of each reduced row records the
+    combination of w, w M, ..., w M^k it is.  The first row to reduce to
+    zero on the left carries the dependency, with coefficient 1 at X^k;
+    it comes by k = len(M), the degree of the minimal polynomial of M.
+    """
+    n, m = w.size, len(M)
+    ech = EchelonBasis(p, n + m + 1)
+    for k in range(m + 1):
+        v = np.zeros(n + m + 1, dtype=np.int64)
+        v[:n], v[n + k] = w.reshape(-1), 1
+        v = ech.reduce(v)
+        if not v[:n].any():
+            return tuple(int(c) for c in v[n:n + k + 1])
+        ech.add(v)
+        w = w @ M % p
+    raise AssertionError("no polynomial of degree <= dim kills the matrix")
 
 
 def _poly_at(M, poly, p):
@@ -404,10 +408,6 @@ def _poly_at(M, poly, p):
         out = out @ M % p
         out.flat[::len(M) + 1] += int(c)
     return out % p
-
-
-def _poly_of_matrix(mat, poly):
-    return FqMatrix(mat.p, _poly_at(mat.data.astype(np.int64), poly, mat.p))
 
 
 def cartan_matrix(regular):
@@ -422,62 +422,56 @@ def cartan_matrix(regular):
     The algebra A spanned by the words in the generators has the regular
     module V as a faithful module, so dim A = dim V = d, and A/J =
     End_{D_1}(S_1) + ... + End_{D_k}(S_k) for the radical J, D_i =
-    End_A(S_i) a field of degree e_i over F_p and S_i = D_i^{n_i}.  J comes
-    from the trace ladder of Cohen, Ivanyos and Wales (JPAA 117/118
-    (1997); `_radical`): floor(log_p d) + 1 nullspaces, each cutting the
-    ideal down to the a with Tr((ab)^(p^i)) / p^i = 0 mod p for all b.  The
-    head V/VJ is the regular module of A/J, the sum of the isotypic parts
-    U_i = S_i^{n_i}.  The centre of A/J is D_1 + ... + D_k, so the kernels
-    of the irreducible factors of central elements split the head into the
-    U_i; the centre has rank e_i on U_i, and dim U_i = n_i^2 e_i gives n_i.
-    These are all the Cartan entries need of a simple, so no simple module
-    is built and nothing is random.
+    End_A(S_i) a field of degree e_i over F_p and S_i = D_i^{n_i}.  One spin
+    gives a basis B_t of A (`_algebra_basis`).  J comes from the trace
+    ladder of Cohen, Ivanyos and Wales (JPAA 117/118 (1997); `_radical`):
+    floor(log_p d) + 1 nullspaces, the first of them on the trace form
+    Tr(B_s B_t).  The head V/VJ is the regular module of A/J, and the
+    change of basis onto it carries the generators and the B_t there in
+    one product (`_quotient_action`).  The head is the sum of the isotypic
+    parts U_i = S_i^{n_i}; the centre of A/J, D_1 + ... + D_k, splits it
+    (`_isotypic_parts`): the centre has rank e_i on U_i, and dim U_i =
+    n_i^2 e_i gives n_i.  These are all the Cartan entries need of a
+    simple, so no simple module is built and nothing is random.
 
     One solve gives elements of A that map to the projections of the head
     onto the U_i, the central idempotents of A/J; e <- 3e^2 - 2e^3 lifts
     them to idempotents eps_j (Curtis and Reiner, Methods of
     Representation Theory I, sec. 6).  Then eps_j A is P_j^{n_j}, and
     dim eps_j A eps_i = dim Hom_A(eps_i A, eps_j A) = n_i n_j e_i C[j][i] is
-    read as the rank of the rows R of eps_j B_t eps_i over a basis B_t of
-    A, for unit rows R on which A is faithful (`_separating_rows`).  Every
-    step is checked and raises AssertionError.
+    read as the rank of the rows R of eps_j B_t eps_i over the B_t, for
+    unit rows R on which A is faithful (`_separating_rows`).  No solve is
+    needed with one simple, where eps_1 = 1, nor with J = 0, where the
+    eps_j are the central idempotents themselves: there the rank is
+    n_i^2 e_i + dim J on the diagonal and 0 off it.  Every step is checked
+    and raises AssertionError.
     """
     p, d = regular.p, regular.dim
-    basis, = _algebra_basis(regular, [])
+    basis = _algebra_basis(regular)
     if len(basis) != d:
         raise AssertionError(
             f"the generators span an algebra of dimension {len(basis)} "
             f"!= {d}: not a regular module")
     radical = _radical(basis, p)
-    head, _ = quotient(regular,
-                       FqMatrix(p, radical.reshape(-1, d)).row_basis())
-    if head.dim != d - len(radical):
+    gens = regular.stacked()
+    _, blocks = _quotient_action(np.concatenate([gens, basis]),
+                                 radical.reshape(-1, d), p)
+    h = blocks.shape[1]
+    if h != d - len(radical):
         raise AssertionError(
-            f"dim V/VJ = {head.dim} != dim A - dim J = {d - len(radical)}")
-    _, images = _algebra_basis(regular, [head])
-    parts, ends, mults = zip(*_isotypic_parts(head, images))
-    # eps_j maps to the projection of the head onto U_j along the others
-    inv = FqMatrix(p, np.concatenate([U.data for U in parts])).inverse()
-    targets, col = [], 0
-    for U in parts:
-        proj = inv.data[:, col:col + U.nrows].astype(np.int64) @ U.data
-        targets.append(proj.reshape(-1) % p)
-        col += U.nrows
-    try:
-        coeffs = _solve(FqMatrix(p, images.reshape(d, -1).T),
-                        FqMatrix(p, np.array(targets).T)).data
-    except ValueError:
-        raise AssertionError(
-            "no algebra element maps to a central idempotent of A/J")
-    eps = [_lift_idempotent(np.tensordot(c, basis, axes=1) % p, p)
-           for c in coeffs.T.astype(np.int64)]
-    rows = _separating_rows(basis, p)
+            f"dim V/VJ = {h} != dim A - dim J = {d - len(radical)}")
+    images = blocks[len(gens):]
+    parts, ends, mults = zip(*_isotypic_parts(blocks[:len(gens)], images, p))
+    if len(parts) > 1 and len(radical):
+        ranks = _idempotent_ranks(basis, images, parts, p)
+    else:
+        ranks = [[len(radical) + n * n * e if i == j else 0
+                  for i, (e, n) in enumerate(zip(ends, mults))]
+                 for j in range(len(parts))]
     C = []
-    for j, ej in enumerate(eps):
-        span = ej[rows] @ basis % p
+    for j, rank_row in enumerate(ranks):
         row = []
-        for i, ei in enumerate(eps):
-            rank = len(_rref((span @ ei % p).reshape(d, -1), p)[1])
+        for i, rank in enumerate(rank_row):
             unit = mults[i] * mults[j] * ends[i]
             if rank % unit:
                 raise AssertionError(
@@ -498,19 +492,47 @@ def cartan_matrix(regular):
     return labels, C, dims, simples
 
 
-def _separating_rows(basis, p):
+def _idempotent_ranks(basis, images, parts, p):
+    """dim eps_j A eps_i for the idempotents eps_j of A that lift the
+    projections of the head onto `parts` (row bases of the U_j)."""
+    d = len(basis)
+    # eps_j maps to the projection of the head onto U_j along the others
+    inv = FqMatrix(p, np.concatenate(parts)).inverse()
+    targets, col = [], 0
+    for U in parts:
+        proj = inv.data[:, col:col + len(U)].astype(np.int64) @ U
+        targets.append(proj.reshape(-1) % p)
+        col += len(U)
+    try:
+        coeffs = _solve(FqMatrix(p, images.reshape(d, -1).T),
+                        FqMatrix(p, np.array(targets).T)).data
+    except ValueError:
+        raise AssertionError(
+            "no algebra element maps to a central idempotent of A/J")
+    eps = [_lift_idempotent(np.tensordot(c, basis, axes=1) % p, p)
+           for c in coeffs.T.astype(np.int64)]
+    rows = _separating_rows(basis, d, p)
+    ranks = []
+    for ej in eps:
+        span = ej[rows] @ basis % p
+        ranks.append([len(_rref((span @ ei % p).reshape(d, -1), p)[1])
+                      for ei in eps])
+    return ranks
+
+
+def _separating_rows(mats, rank, p):
     """Unit rows R, picked greedily, such that a -> a[R] is injective on
-    the algebra spanned by `basis` (shape (d, d, d), linearly independent):
-    the rank of basis[:, R, :] flattened is d.  One row, a unit vector
+    the span of `mats` (shape (k, m, m)), whose dimension is `rank`: the
+    rank of mats[:, R, :] flattened is `rank`.  One row, a unit vector
     that generates the regular module, is the usual case; a regular module
     in another basis may have none, and then more rows are taken."""
-    d = len(basis)
-    rows, rank = [], 0
-    for u in range(basis.shape[1]):
-        grown = len(_rref(basis[:, rows + [u], :].reshape(d, -1), p)[1])
-        if grown > rank:
-            rows, rank = rows + [u], grown
-            if rank == d:
+    k = len(mats)
+    rows, grown = [], 0
+    for u in range(mats.shape[1]):
+        more = len(_rref(mats[:, rows + [u], :].reshape(k, -1), p)[1])
+        if more > grown:
+            rows, grown = rows + [u], more
+            if grown == rank:
                 return rows
     raise AssertionError("the algebra basis is not linearly independent")
 
@@ -526,25 +548,37 @@ def _radical(basis, p):
     g_i(x) = (Tr(x^(p^i)) mod p^(i+1)) / p^i on the integer lift of x
     (entries 0..p-1), the last I_i is J.  Each I_i is an ideal and g_i is
     p^i-semilinear on I_{i-1}, which over F_p is linear, so each step is
-    one nullspace.  Powers are taken mod p^(i+1) <= p d, so one product
-    stays below p^2 d^3; a single a in I_{i-1} is handled at a time, which
-    keeps the temporaries at k d^2 entries.
+    one nullspace.  At i = 0, the only step when p > d, the table is the
+    trace form Tr(a b) of the basis, one product.  At i >= 1, g_i is read
+    on a reduced echelon basis a_u of I_{i-1} alone, from one stack of
+    powers, and carried to the a_u b by linearity: a_u b lies in the ideal
+    I_{i-1}, and its coordinates there are its entries at the basis's
+    pivots.  Powers are taken mod p^(i+1) <= p d, so one product stays
+    below p^2 d^3, and the temporaries stay at k d^2 entries.
     """
     k, d, _ = basis.shape
     if p * p * d ** 3 >= 2 ** 63:
         raise AssertionError(
             f"trace powers of {d} x {d} matrices mod p^2 d overflow int64")
-    ideal = basis
-    q = 1
+    # Tr(a b) = sum_xy a[x, y] b^T[x, y]
+    table = (basis.reshape(k, -1)
+             @ basis.transpose(0, 2, 1).reshape(k, -1).T % p)
+    ideal = np.tensordot(_nullspace(table.T, p).astype(np.int64), basis,
+                         axes=1) % p
+    q = p
     while q <= d and len(ideal):
-        table = np.empty((len(ideal), k), dtype=np.int64)
-        for row, a in zip(table, ideal):
-            powers = _matrix_power(a @ basis % p, q, q * p)
-            traces = np.trace(powers, axis1=1, axis2=2) % (q * p)
-            if (traces % q).any():
-                raise AssertionError(
-                    f"a trace of a {q}-th power is not divisible by {q}")
-            row[:] = traces // q
+        # g_i on a reduced basis a_u of I_{i-1}, and on a b by linearity:
+        # the coordinates of a b in that basis are its pivot entries
+        flat, pivots = _rref(ideal.reshape(len(ideal), -1), p)
+        ideal = flat[:len(pivots)].astype(np.int64).reshape(-1, d, d)
+        traces = np.trace(_matrix_power(ideal, q, q * p),
+                          axis1=1, axis2=2) % (q * p)
+        if (traces % q).any():
+            raise AssertionError(
+                f"a trace of a {q}-th power is not divisible by {q}")
+        xs, ys = np.divmod(pivots, d)
+        coords = np.einsum("suz,tzu->stu", ideal[:, xs, :], basis[:, :, ys])
+        table = coords % p @ (traces // q) % p
         keep = _nullspace(table.T, p).astype(np.int64)
         ideal = np.tensordot(keep, ideal, axes=1) % p
         q *= p
@@ -563,73 +597,138 @@ def _matrix_power(x, e, m):
         x = x @ x % m
 
 
-def _isotypic_parts(head, images):
-    """The isotypic parts U_i = S_i^(n_i) of the regular module `head` of a
-    semisimple algebra, as (row basis, e_i, n_i), e_i the degree of
-    End(S_i) over F_p, ordered by dim S_i = n_i e_i and then as split.
+def _isotypic_parts(gens, images, p):
+    """The isotypic parts U_i = S_i^(n_i) of the regular module of a
+    semisimple algebra B, as (row basis, e_i, n_i), e_i the degree of
+    End(S_i) over F_p.
 
-    `images` holds the actions of a basis of the algebra on head, shape
-    (d, h, h).  The centre is the span of the combinations of them that
-    commute with every generator.  Each central element z acts on a part
-    as an element of the field End(S_i), so the kernels of the irreducible
-    factors f of its minimal polynomial are sums of parts; refining by every
-    element of a basis of the centre separates all of them.  The centre
-    restricted to U_i is End(S_i), of dimension e_i, and dim U_i = n_i^2 e_i.
+    `gens` holds the actions of B's generators and `images` those of a
+    spanning set of B, shapes (r, h, h) and (d, h, h).  The centre Z is
+    the span of the combinations x of `images` with x g = g x for every
+    generator g, tested on unit rows R on which B is faithful; its basis
+    z_1, ..., z_c is the reduced echelon one.  A central element z acts on
+    U_i as an element of the field D_i = End(S_i), so the kernels of the
+    irreducible factors f of its minimal polynomial are sums of parts, and
+    Z restricted to U_i is D_i, of rank e_i, with dim U_i = n_i^2 e_i.
+
+    The generic z = z_1 + ... + z_c splits first.  A kernel V of f(z) is
+    one part, with e = deg f, when Z has rank deg f on V, for then Z on V
+    is the field F_p[z].  Only the other kernels are refined by z_1, z_2,
+    ... in turn, each piece being finished by the same test.
+
+    The parts are ordered by dim S_i = n_i e_i, and then by the tuple over
+    t of the minimal polynomial of z_t on U_i (irreducible, read off one
+    vector of U_i; -lambda + X for a scalar lambda when e_i = 1).  That is
+    the order in which refining the head by z_1, z_2, ..., each time by the
+    factors of the minimal polynomial in sorted order, leaves the parts.
     """
-    p, h = head.p, head.dim
-    d = len(images)
-    coeffs = np.eye(d, dtype=np.int64)
-    for g in head.stacked():
-        comm = (images @ g - g @ images) % p
-        rel = coeffs @ comm.reshape(d, -1) % p
-        coeffs = _nullspace(rel.T, p).astype(np.int64) @ coeffs % p
-    centre = FqMatrix(p, coeffs @ images.reshape(d, -1) % p).row_basis()
-    centre = centre.data.reshape(-1, h, h)
-    parts = [FqMatrix.identity(p, h)]
-    for z in centre:
-        z = FqMatrix(p, z)
-        _, facs = zpoly.fp_factor(min_poly(z), p)
-        at_factors = [_poly_of_matrix(z, f) for f, _ in facs]
-        parts = [K * U for U in parts for K in
-                 ((U * fz).left_nullspace() for fz in at_factors) if K.nrows]
-        if sum(U.nrows for U in parts) != h:
-            raise AssertionError("a central element is not semisimple")
-    out = []
-    for U in parts:
-        restricted = U.data.astype(np.int64) @ centre % p
-        e = len(_rref(restricted.reshape(len(centre), -1), p)[1])
-        n = math.isqrt(U.nrows // e)
-        if n * n * e != U.nrows:
+    d, h, _ = images.shape
+    rows = _separating_rows(images, h, p)
+    # rows R of x g - g x for x = images[t], stacked over g and t
+    comm = (images[:, None, rows, :] @ gens[None]
+            - gens[None, :, rows, :] @ images[:, None]) % p
+    coeffs = _nullspace(comm.reshape(d, -1).T, p).astype(np.int64)
+    centre, pivots = _rref(coeffs @ images.reshape(d, -1) % p, p)
+    centre = centre[:len(pivots)].astype(np.int64).reshape(-1, h, h)
+    # (V, rank of Z on V); Z has rank at least deg f on a kernel of f(z)
+    done, pending = [], [(np.eye(h, dtype=np.int64), len(centre))]
+    for z in [centre.sum(axis=0) % p, *centre]:
+        rank = sum(e for _, e in pending)
+        pieces = [piece for U, _ in pending
+                  for piece in _primary_pieces(U, z, p)]
+        if sum(zpoly.deg(f) for _, f in pieces) == rank:
+            done += [(V, zpoly.deg(f)) for V, f in pieces]
+            pending = []
+            break
+        pending = []
+        for V, f in pieces:
+            e = zpoly.deg(f)
+            if len(pieces) == 1:
+                e = rank
+            elif len(V) != e:
+                e = len(_rref((V @ centre % p).reshape(len(centre), -1),
+                              p)[1])
+            (done if e == zpoly.deg(f) else pending).append((V, e))
+        if not pending:
+            break
+    parts = []
+    for U, e in done + pending:
+        n = math.isqrt(len(U) // e)
+        if n * n * e != len(U):
             raise AssertionError(
-                f"an isotypic part of dimension {U.nrows} is not n^2 e "
+                f"an isotypic part of dimension {len(U)} is not n^2 e "
                 f"for e = {e}")
-        out.append((U, e, n))
-    return sorted(out, key=lambda part: part[1] * part[2])
+        parts.append((U, e, n))
+    sizes = [e * n for _, e, n in parts]
+    return sorted(parts, key=lambda part: (
+        part[1] * part[2],
+        _order_key(part[0][0], part[1], centre, p)
+        if sizes.count(part[1] * part[2]) > 1 else ()))
 
 
-def _algebra_basis(rep, modules):
+def _primary_pieces(U, z, p):
+    """The kernels on the row space of U, invariant under z, of f(z) for
+    the irreducible factors f of the minimal polynomial of z there, as
+    (row basis, f) in the factors' sorted order."""
+    whole = len(U) == len(z)
+    if whole:
+        X = z
+    else:
+        U, pivots = _rref(U, p)
+        U = U.astype(np.int64)
+        X = (U @ z % p)[:, pivots]
+    _, facs = zpoly.fp_factor(
+        _local_min_poly(X, np.eye(len(X), dtype=np.int64), p), p)
+    if any(mult > 1 for _, mult in facs):
+        raise AssertionError("a central element is not semisimple")
+    if len(facs) == 1:
+        return [(U, facs[0][0])]
+    pieces = []
+    for f, _ in facs:
+        K = _nullspace(_poly_at(X, f, p).T, p).astype(np.int64)
+        pieces.append((K if whole else K @ U % p, f))
+    return pieces
+
+
+def _order_key(u, e, centre, p):
+    """The minimal polynomials of the z_t in `centre` on the isotypic part
+    holding the nonzero row u, whose centre has degree e."""
+    if e > 1:
+        return tuple(_local_min_poly(z, u, p) for z in centre)
+    j = np.flatnonzero(u)[0]
+    lam = (u @ centre % p)[:, j] * pow(int(u[j]), -1, p) % p
+    return tuple((-int(x) % p, 1) for x in lam)
+
+
+def _algebra_basis(rep):
     """A basis B_t of the algebra spanned by the words in rep's generators,
-    with the images of each B_t on every other module: one (r, m, m) array
-    per module, rep first.
+    shape (k, d, d).
 
-    The identity is spun under right multiplication by the generators in
-    rep + M_1 + ... + M_k.  A product is kept when its block on rep is
-    independent of those kept; that decides for the whole sum as long as
-    rep is faithful, which the dimension check of the caller confirms.
+    The identity is spun under right multiplication by the generators, and
+    a product is kept when it is independent of those kept before it.  The
+    r products of one kept element are reduced together, and again after
+    each of them that is kept, so the choice is the one-at-a-time one.
     """
     p, d = rep.p, rep.dim
-    gens = [rep.stacked()] + [m.stacked() for m in modules]
+    gens = rep.stacked()
     ech = EchelonBasis(p, d * d)
-    kept = [[np.eye(g.shape[1], dtype=np.int64) for g in gens]]
-    ech.add(kept[0][0].reshape(-1))
+    kept = [np.eye(d, dtype=np.int64)]
+    ech.add(kept[0].reshape(-1))
     qi = 0
     while qi < len(kept):
-        prods = [x @ g % p for x, g in zip(kept[qi], gens)]
-        for gi in range(len(rep.actions)):
-            if ech.add(prods[0][gi].reshape(-1)):
-                kept.append([pr[gi] for pr in prods])
+        prods = kept[qi] @ gens % p
+        flat = prods.reshape(len(prods), -1)
+        start = 0
+        while start < len(flat):
+            fresh = np.flatnonzero(ech.reduce(flat[start:]).any(axis=1))
+            if not len(fresh):
+                break
+            start += fresh[0]
+            ech.add(flat[start])
+            kept.append(prods[start])
+            start += 1
         qi += 1
-    return [np.array(blocks) for blocks in zip(*kept)]
+    return np.array(kept)
 
 
 def _lift_idempotent(e, p):

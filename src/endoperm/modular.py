@@ -386,7 +386,7 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     D = decomposition_matrix(table, reduced, basic, p)
     C_dec = cartan_from_decomposition(D)
     reg = cartan_from_regular(inter_mats, p)
-    if _cartan_multiset(C_dec) != _cartan_multiset(reg["cartan"]):
+    if not cartan_equivalent(C_dec, reg["cartan"]):
         raise AssertionError(
             f"Cartan matrices disagree: D^T D = {C_dec}, "
             f"regular module = {reg['cartan']}")
@@ -409,8 +409,32 @@ def _block_diag_blocks(C):
                            if C[i][j]))
 
 
-def _cartan_multiset(C):
-    """Canonical form of a Cartan matrix up to simultaneous permutation:
-    the sorted multiset of sorted row multisets paired with diagonals."""
-    k = len(C)
-    return sorted((C[i][i], sorted(C[i])) for i in range(k))
+def cartan_equivalent(A, B):
+    """Whether B is A with rows and columns relabelled by one simultaneous
+    permutation pi: B[pi(i)][pi(j)] = A[i][j] for all i, j.
+
+    Backtracking assigns i = 0, 1, ... in turn to an unused index of B
+    with the same diagonal entry and sorted row, and checks the entries
+    against the indices already assigned."""
+    k = len(A)
+    if len(B) != k:
+        return False
+    sig_a = [(A[i][i], sorted(A[i])) for i in range(k)]
+    sig_b = [(B[j][j], sorted(B[j])) for j in range(k)]
+    pi = []
+
+    def extend(i):
+        if i == k:
+            return True
+        for j in range(k):
+            if j in pi or sig_b[j] != sig_a[i]:
+                continue
+            if all(A[i][s] == B[j][t] and A[s][i] == B[t][j]
+                   for s, t in enumerate(pi)):
+                pi.append(j)
+                if extend(i + 1):
+                    return True
+                pi.pop()
+        return False
+
+    return extend(0)

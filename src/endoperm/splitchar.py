@@ -141,10 +141,14 @@ def homogeneous_components_center(all_mats, r):
     Needs all r intersection matrices.  Central elements have two-sided
     kernels, so refining by the primary decompositions of their right
     multiplications always tiles and lands exactly on the homogeneous
-    components.  A component is cut by the characteristic polynomial of
-    the restricted right multiplication and its multiplicities: each
-    irreducible factor f of multiplicity e gives the piece ker f(C)^e.
-    Components of dimension 1 cannot split and are not refined.
+    components.  A component is cut by the irreducible factors f of the
+    characteristic polynomial of the restricted right multiplication C:
+    each gives the piece ker f(C).  The algebra is semisimple and z is
+    central, so C is semisimple and ker f(C) is already the whole f-primary
+    part, which ker f(C)^e at the multiplicity e would also give, at the
+    cost of e - 1 more products.  `split_component` keeps the power: its
+    driver need not be central, so need not act semisimply.  Components of
+    dimension 1 cannot split and are not refined.
     """
     Ps = [_int_entries(P) for P in all_mats]
     # left multiplications: L_i[j][k] = p_ijk = P_j[i][k]
@@ -170,8 +174,8 @@ def homogeneous_components_center(all_mats, r):
             if len(facs) == 1:
                 refined.append(comp)
                 continue
-            for f, e in facs:
-                K = left_nullspace(poly_at(C, f, e))
+            for f, _ in facs:
+                K = left_nullspace(poly_at(C, f))
                 refined.append(HomogeneousComponent(mat_mul(K, comp.basis)))
         comps = refined
     total = sum(c.dim for c in comps)
@@ -237,7 +241,9 @@ def split_component(comp, all_mats):
     cut over Q(sqrt(n)) by a conjugate factor f1 of an irreducible factor f
     of the first restricted action's characteristic polynomial that has
     degree 2 or 4.  With e the multiplicity of f, the cut is ker f1(C)^e,
-    the f1-primary part; it must have dimension m^2.  The traces on the
+    the f1-primary part; it must have dimension m^2.  The power stays: the
+    driver need not be central, so it need not act semisimply, and
+    ker f1(C) alone can fall short.  The traces on the
     cut (divided by m) are the values of one row, their conjugates those
     of the other.  Anything else raises UnsupportedComponentError.
     """

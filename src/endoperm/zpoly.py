@@ -15,6 +15,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 
 def trim(p):
     p = list(p)
@@ -316,13 +318,30 @@ def fp_factor_squarefree(f, p, seed=1):
 
 
 def fp_factor(f, p, seed=1):
-    """Full factorization of f over F_p: (lc, [(monic irreducible, mult)])."""
+    """Full factorization of f over F_p: (lc, [(monic irreducible, mult)]).
+
+    The roots in F_p come first, by evaluating f at every point, and are
+    divided out as often as they go.  A rest of degree 2 or 3 has no root,
+    so it is irreducible; only a larger rest is split by distinct and
+    equal degrees."""
     f = fp_trim(f, p)
     if deg(f) < 1:
         return (f[0] if f else 0), []
     lc = f[-1]
     f = fp_monic(f, p)
     out = {}
+    for root in _fp_roots(f, p):
+        g = (-root % p, 1)
+        out[g] = 0
+        while True:
+            q, r = fp_divmod(f, g, p)
+            if r:
+                break
+            f = q
+            out[g] += 1
+    if deg(f) in (2, 3):
+        out[f] = 1
+        f = (1,)
     while deg(f) > 0:
         sqf = fp_squarefree_part(f, p)
         for g in fp_factor_squarefree(sqf, p, seed):
@@ -335,6 +354,15 @@ def fp_factor(f, p, seed=1):
                 e += 1
             out[g] = out.get(g, 0) + e
     return lc, sorted(out.items())
+
+
+def _fp_roots(f, p):
+    """The roots of f in F_p, ascending: Horner at all p points at once."""
+    x = np.arange(p, dtype=np.int64)
+    value = np.zeros(p, dtype=np.int64)
+    for c in reversed(f):
+        value = (value * x + c) % p
+    return np.flatnonzero(value == 0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +431,47 @@ def _mignotte(f):
     return (2 ** n) * norm * abs(f[-1])
 
 
+def _integer_roots(f):
+    """The integer roots of monic squarefree f over Z, ascending.
+
+    Every root r has |r| <= B = 1 + max |f_i| (Cauchy).  At a prime q at
+    which f stays squarefree, each root of f mod q is simple, so Newton's
+    step a <- a - f(a) / f'(a) lifts it to the one root mod q^(2^k); once
+    q^(2^k) > 2B, an integer root is the symmetric residue of its lift,
+    and each residue is checked by Horner's rule in integers."""
+    bound = 1 + max(abs(c) for c in f[:-1])
+    q = 2
+    while True:
+        q = _next_prime(q)
+        fq = fp_trim(f, q)
+        if deg(fq) == deg(f) and deg(fp_gcd(fq, fp_deriv(fq, q), q)) == 0:
+            break
+    df = deriv(f)
+    out = []
+    for a in _fp_roots(fq, q):
+        m = q
+        while m <= 2 * bound:
+            m *= m
+            a = (a - evaluate(f, a) * pow(evaluate(df, a), -1, m)) % m
+        a = a - m if a > m // 2 else a
+        if not evaluate(f, a):
+            out.append(a)
+    return sorted(out)
+
+
 def _factor_squarefree_monic(f, seed):
+    """Zassenhaus for monic squarefree f over Z, after the linear factors
+    X - a of its integer roots a are divided out."""
+    out = []
+    for a in _integer_roots(f):
+        out.append((-a, 1))
+        f = exact_div(f, (-a, 1))
+    if deg(f) < 1:
+        return out
+    return out + _zassenhaus(f, seed)
+
+
+def _zassenhaus(f, seed):
     """Zassenhaus for monic squarefree f over Z."""
     if deg(f) == 1:
         return [f]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from endoperm.gfmat import (FqMatrix, ModuleRep, UnsupportedCharacteristic,
                             _algebra_basis, _lift_idempotent, _matrix_power,
-                            _radical, _rref, cartan_matrix, fixed_space,
-                            min_poly, quotient, rep_from_json, rep_to_json,
-                            row_times, vector_bytes)
+                            _poly_at, _radical, _rref, cartan_matrix,
+                            fixed_space, min_poly, quotient, rep_from_json,
+                            rep_to_json, row_times, vector_bytes)
 from endoperm import zpoly
 from endoperm.permgrp import Permutation, closure_elements
 
@@ -81,12 +82,12 @@ def test_min_poly_random():
         n = rng.randrange(1, 8)
         A = FqMatrix(p, np.random.RandomState(trial).randint(0, p, (n, n)))
         mp = min_poly(A)
-        from endoperm.gfmat import _poly_of_matrix
-        assert _poly_of_matrix(A, mp).is_zero()
+        M = A.data.astype(np.int64)
+        assert not _poly_at(M, mp, p).any()
         _, facs = zpoly.fp_factor(mp, p)
         for f, e in facs:
             q = zpoly.fp_divmod(mp, f, p)[0]
-            assert not _poly_of_matrix(A, q).is_zero()
+            assert _poly_at(M, q, p).any()
 
 
 def test_summands_and_cartan():
@@ -155,7 +156,7 @@ def test_cartan_known_answers(gens, p, want_dims, want_ends, want_C,
     assert sum(n * dim for n, dim in zip(mults, dims)) == d
     assert all(n * e == s for _, s, e, n, _ in simples)
     # A/J = sum of the End_(D_i)(S_i), of dimension n_i^2 e_i
-    basis, = _algebra_basis(reg, [])
+    basis = _algebra_basis(reg)
     radical = _radical(basis, p)
     assert d - len(radical) == sum(n * n * e for _, _, e, n, _ in simples)
     if len(radical):
@@ -172,7 +173,7 @@ def test_cartan_on_a_regular_module_no_unit_vector_generates():
            [0, 0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 1, 0],
            [1, 0, 1, 1, 0, 1, 0]]
     reg = ModuleRep(2, [FqMatrix(2, gen)])
-    basis, = _algebra_basis(reg, [])
+    basis = _algebra_basis(reg)
     assert all(len(_rref(basis[:, u, :], 2)[1]) < 7 for u in range(7))
     labels, C, dims, simples = cartan_matrix(reg)
     assert [s[1] for s in simples] == [1, 3, 3]
@@ -184,6 +185,99 @@ def test_cartan_rejects_a_module_that_is_not_regular():
     # dimension 1 + 4 = 5, not 3
     with pytest.raises(AssertionError):
         cartan_matrix(s3_perm_rep(5))
+
+
+def _cyclic_closed_form(p, n):
+    """F_p[C_n] for n = p^a m, p not dividing m: the simples are the
+    irreducible factors of X^m - 1, one of degree ord_k(p) for each
+    divisor k of m taken phi(k) / ord_k(p) times, each with n_i = 1 and
+    e_i its degree; C = p^a I and dim P_i = p^a e_i."""
+    a, m = 0, n
+    while m % p == 0:
+        a, m = a + 1, m // p
+    degrees = []
+    for k in range(1, m + 1):
+        if m % k == 0:
+            order = next(t for t in range(1, k + 1) if pow(p, t, k) == 1 % k)
+            phi = sum(math.gcd(i, k) == 1 for i in range(1, k + 1))
+            degrees += [order] * (phi // order)
+    return p ** a, sorted(degrees)
+
+
+@pytest.mark.parametrize("p, n", [(31, 30), (11, 27), (3, 27), (7, 24)])
+def test_cartan_of_cyclic_group_algebras_at_rank_27_to_30(p, n):
+    scale, degrees = _cyclic_closed_form(p, n)
+    labels, C, dims, simples = cartan_matrix(cyclic_rep(p, n))
+    k = len(degrees)
+    assert [e for _, _, e, _, _ in simples] == degrees
+    assert [s for _, s, _, _, _ in simples] == degrees
+    assert all(n_i == 1 and mult == scale for _, _, _, n_i, mult in simples)
+    assert C == [[scale * (i == j) for j in range(k)] for i in range(k)]
+    assert dims == [scale * e for e in degrees]
+
+
+def test_cartan_of_thirty_linear_simples_takes_few_eliminations(monkeypatch):
+    # F_31[C_30] splits into 30 one-dimensional simples; refining the head
+    # by each of the 30 centre basis elements in turn took 12333 nullspaces
+    from endoperm import gfmat
+    calls = []
+
+    def counted(arr, p):
+        calls.append(arr.shape)
+        return nullspace(arr, p)
+
+    nullspace = gfmat._nullspace
+    monkeypatch.setattr(gfmat, "_nullspace", counted)
+    labels, C, dims, simples = cartan_matrix(cyclic_rep(31, 30))
+    assert len(simples) == 30
+    assert len(calls) <= 60
+
+
+def _spin_one_at_a_time(rep):
+    """The algebra basis as the plain spin finds it: each product x g is
+    reduced and kept on its own."""
+    p, d = rep.p, rep.dim
+    kept = [np.eye(d, dtype=np.int64)]
+    rows = FqMatrix(p, kept[0].reshape(1, -1))
+    for x in kept:
+        for g in rep.actions:
+            y = x @ g.data.astype(np.int64) % p
+            grown = FqMatrix(p, np.vstack([rows.data, y.reshape(1, -1)]))
+            if grown.rank() > rows.nrows:
+                kept.append(y)
+                rows = grown
+    return np.array(kept)
+
+
+def _radical_on_every_product(basis, p):
+    """J by the trace ladder as defined: g_i evaluated on every product
+    a b of the current ideal's basis with the algebra's."""
+    d = basis.shape[1]
+    ideal, q = basis, 1
+    while q <= d and len(ideal):
+        table = [[int(np.trace(_matrix_power(a @ b % p, q, q * p))
+                      % (q * p)) // q for b in basis] for a in ideal]
+        keep = FqMatrix(p, table).left_nullspace().data.astype(np.int64)
+        ideal = np.tensordot(keep, ideal, axes=1) % p
+        q *= p
+    return ideal
+
+
+@pytest.mark.parametrize("gens, p", [
+    (S3, 2), (S3, 3), (A4, 2), (A4, 3), (C7, 7),
+    ([[1, 2, 3, 0], [0, 3, 2, 1]], 2),
+    ([[1, 2, 0, 3, 4, 5, 6, 7, 8], [0, 1, 2, 4, 5, 3, 6, 7, 8],
+      [0, 1, 2, 3, 4, 5, 7, 8, 6]], 3),
+])
+def test_spin_and_radical_match_their_definitions(gens, p):
+    reg = group_regular_rep(gens, p)
+    basis = _algebra_basis(reg)
+    assert np.array_equal(basis, _spin_one_at_a_time(reg))
+    d = reg.dim
+    got = FqMatrix(p, _radical(basis, p).reshape(-1, d * d)).row_basis()
+    want = FqMatrix(p, _radical_on_every_product(basis, p).reshape(
+        -1, d * d)).row_basis()
+    assert got == want
 
 
 def test_lift_idempotent():

@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from endoperm import oracle
@@ -8,7 +11,8 @@ from endoperm.modular import (DecompositionMatrixE, InertFieldError,
                               LiftValidationError, SqrtConvention,
                               _block_diag_blocks, _column_blocks,
                               _sqrt_mod, basic_set, cartan_from_decomposition,
-                              cartan_from_regular, correspond_projectives,
+                              cartan_equivalent, cartan_from_regular,
+                              correspond_projectives,
                               decomposition_matrix, permutation_verdict,
                               projective_columns, reduce_table, reduce_value)
 from endoperm.permgrp import GeneratedGroup, Permutation
@@ -293,3 +297,91 @@ def test_regular_cartan_on_the_corpus_is_pinned():
             (labels, cartan, pim_dims), (name, p)
     assert {name for name, *_ in REGULAR_CARTAN} == \
         set(instances) - {"random-7-paley-17", "random-4-dihedral-16-regular"}
+
+
+def _brute_local_rings(mats, p):
+    """(dim eE, dim J(eE)) for each primitive idempotent e of a commutative
+    E_F, found by listing all p^r elements as combinations of the
+    intersection matrices: e runs over the nonzero idempotents under which
+    no other nonzero idempotent lies, dim eE is log_p of the number of
+    products e y, and dim J(eE) is log_p of the nilpotent ones."""
+    P = np.array([getattr(M, "entries", M) for M in mats], dtype=np.int64)
+    r = len(P)
+    coeffs = np.array(list(itertools.product(range(p), repeat=r)))
+    elems = np.tensordot(coeffs, P, axes=1) % p
+    idem = [x for x in elems[1:] if np.array_equal(x @ x % p, x)]
+    primitive = [e for e in idem
+                 if not any(np.array_equal(e @ f % p, f)
+                            and not np.array_equal(e, f) for f in idem)]
+    out = []
+    for e in primitive:
+        prods = {(e @ y % p).tobytes(): e @ y % p for y in elems}
+        nil = 0
+        for x in prods.values():
+            power = x
+            for _ in range(r):
+                power = power @ x % p
+            nil += not power.any()
+        dims = [round(math.log(n, p)) for n in (len(prods), nil)]
+        assert [p ** k for k in dims] == [len(prods), nil]
+        out.append(tuple(dims))
+    return out
+
+
+def test_regular_cartan_against_brute_force_local_rings():
+    # every corpus instance and listed prime with p^r <= 3^7 and E
+    # commutative: E_F is the sum of the local rings eE_F, so C is
+    # diagonal with entry dim eE / (dim eE - dim J(eE)) = [P : S] for the
+    # simple S of dimension dim eE - dim J(eE)
+    from endoperm import corpus, pipeline
+    pairs = 0
+    for inst in corpus.all_instances():
+        mats = pipeline.oracle_instance(inst, primes=[]).inter_mats
+        P = np.array(mats, dtype=np.int64)
+        r = len(P)
+        if any(not np.array_equal(A @ B, B @ A) for A in P for B in P):
+            continue
+        for p in inst.primes:
+            if p ** r > 3 ** 7:
+                continue
+            pairs += 1
+            rings = _brute_local_rings(mats, p)
+            reg = cartan_from_regular(mats, p)
+            C = reg["cartan"]
+            k = len(C)
+            assert all(C[i][j] == 0 for i in range(k) for j in range(k)
+                       if i != j), (inst.name, p)
+            assert sorted(C[i][i] for i in range(k)) == sorted(
+                dim // (dim - nil) for dim, nil in rings), (inst.name, p)
+            assert sorted(reg["pim_dims"]) == sorted(
+                dim for dim, _ in rings), (inst.name, p)
+            assert sum(dim for dim, _ in rings) == r
+    assert pairs == 30
+
+
+def test_cartan_equivalence_is_one_simultaneous_permutation():
+    def cycle_graph(edges, n=6):
+        A = [[3 * (i == j) for j in range(n)] for i in range(n)]
+        for i, j in edges:
+            A[i][j] = A[j][i] = 1
+        return A
+
+    triangles = cycle_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    hexagon = cycle_graph([(i, (i + 1) % 6) for i in range(6)])
+    # equal diagonals and equal sorted rows, so equal multisets of
+    # (diagonal, sorted row), yet no relabelling maps one to the other
+    def signatures(C):
+        return sorted((C[i][i], sorted(C[i])) for i in range(len(C)))
+
+    assert signatures(triangles) == signatures(hexagon)
+    assert not cartan_equivalent(triangles, hexagon)
+    assert not cartan_equivalent(hexagon, triangles)
+    relabel = [4, 0, 5, 2, 1, 3]
+    moved = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(6):
+            moved[relabel[i]][relabel[j]] = hexagon[i][j]
+    assert moved != hexagon and cartan_equivalent(hexagon, moved)
+    assert cartan_equivalent([[2, 1], [0, 3]], [[3, 0], [1, 2]])
+    assert not cartan_equivalent([[2, 1], [0, 3]], [[3, 1], [0, 2]])
+    assert not cartan_equivalent([[1]], [[1, 0], [0, 1]])

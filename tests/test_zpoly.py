@@ -117,3 +117,39 @@ def test_fp_irreducibles_have_no_roots():
                 roots = [x for x in range(p)
                          if (x * x + c1 * x + c0) % p == 0]
                 assert has_root == bool(roots)
+
+
+def _product(*factors):
+    out = (1,)
+    for f in factors:
+        out = zp.mul(out, f)
+    return out
+
+
+@pytest.mark.parametrize("f", [
+    # the root 0, alone and repeated
+    _product((0, 1), (-3, 1), (1, 0, 1)),
+    _product((0, 1), (0, 1), (0, 1), (5, 1)),
+    # roots of size 10^6, two of them adjacent
+    _product((-10 ** 6, 1), (10 ** 6 + 1, 1), (-(10 ** 6) - 1, 1)),
+    _product((-999983, 1), (7, 0, 1)),
+    # repeated rational roots
+    _product((-1, 1), (-1, 1), (8, 1), (8, 1), (8, 1), (-120, 1)),
+    # not monic: rational roots 2/3 and -5/2, content 6
+    _product((6,), (-2, 3), (5, 2), (1, 1), (-2, 0, 1)),
+    # a quartic with no rational root, and one that splits into quadratics
+    (1, 1, 0, 0, 1),
+    _product((-2, 0, 1), (3, 0, 1)),
+    # the cubic with three integer roots
+    _product((-1, 1), (8, 1), (-120, 1)),
+])
+def test_rational_roots_match_sympy(f):
+    unit, cont, facs = zp.factor(f)
+    assert _product((unit * cont,), *[g for g, m in facs for _ in range(m)]) \
+        == zp.trim(f)
+    assert facs == sorted(facs, key=lambda fm: (zp.deg(fm[0]), fm[0]))
+    theirs = sympy.factor_list(to_sympy(f))
+    assert unit * cont == theirs[0]
+    assert sorted((tuple(int(c) for c in
+                         reversed(sympy.Poly(g, X).all_coeffs())), m)
+                  for g, m in theirs[1]) == sorted(facs)
