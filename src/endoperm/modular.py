@@ -151,16 +151,11 @@ def reduce_table(table, p, conv=None):
 
 def basic_set(reduced, p):
     """Indices (into the reduced list) of a greedy maximal F_p-independent
-    subset, scanning rows in table order."""
-    picked = []
-    basis = None
-    for i, row in enumerate(reduced):
-        cand = np.array([row.values], dtype=np.int64)
-        stacked = cand if basis is None else np.concatenate([basis, cand])
-        if len(gfmat._rref(stacked % p, p)[1]) == stacked.shape[0]:
-            picked.append(i)
-            basis = stacked
-    return picked
+    subset, scanning rows in table order: the pivot columns of the reduced
+    rows set side by side as columns, since a column is a pivot exactly
+    when it is independent of the columns before it."""
+    values = np.array([row.values for row in reduced], dtype=np.int64)
+    return gfmat._rref(values.T % p, p)[1]
 
 
 class DecompositionMatrixE:
@@ -209,18 +204,18 @@ def decomposition_matrix(table, reduced, basic, p):
     """
     k = len(basic)
     B = np.array([reduced[i].values for i in basic], dtype=np.int64) % p
+    V = np.array([row.values for row in reduced], dtype=np.int64) % p
+    # one elimination of [B^T | V^T]: with the basic set independent, its
+    # columns are the first k pivots, and column k + j in the pivot rows is
+    # the coordinate vector of row j
+    R, pivots = gfmat._rref(np.concatenate([B, V]).T, p)
+    if pivots != list(range(k)):
+        raise AssertionError("reduced row outside the basic-set span")
+    X = R[:k, k:].T.astype(np.int64)
+    if not np.array_equal(X @ B % p, V):
+        raise AssertionError("basic-set solve failed")
     entries = []
-    for row in reduced:
-        v = np.array(row.values, dtype=np.int64) % p
-        aug = np.concatenate([B.T, v.reshape(-1, 1)], axis=1)
-        R, pivots = gfmat._rref(aug, p)
-        if k in pivots:
-            raise AssertionError("reduced row outside the basic-set span")
-        x = [0] * k
-        for rr, c in enumerate(pivots):
-            x[c] = int(R[rr, k])
-        if not np.array_equal((np.array(x) @ B) % p, v):
-            raise AssertionError("basic-set solve failed")
+    for row, x in zip(reduced, X.tolist()):
         mult_sum = sum(xi * reduced[c].mult for xi, c in zip(x, basic))
         if mult_sum != row.mult:
             raise LiftValidationError(

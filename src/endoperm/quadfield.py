@@ -18,7 +18,9 @@ pivot's conjugate so that every pivot is a rational integer.  A rational
 matrix is the case B = 0 and skips the B products.  Entries are made only
 for the results: QuadraticNumbers when an operand holds one, else ints and
 Fractions as the plain loops over those types would give.  Two irrational
-radicands in one operation raise ValueError.
+radicands in one operation raise ValueError.  The integer entry points
+(int_product, left_kernel, poly_kernel, pivot_columns, RowSolver) run
+the same kernel on matrices of Python ints and make no entries at all.
 """
 
 import math
@@ -337,7 +339,7 @@ def _join(n1, n2):
     return n1 if n1 != 1 else n2
 
 
-def _int_product(X, Y):
+def int_product(X, Y):
     cols = list(zip(*Y))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in X]
 
@@ -346,16 +348,16 @@ def _pair_product(A1, B1, A2, B2, n):
     """(P, Q) with (A1 + B1 r)(A2 + B2 r) = P + Q r for r = sqrt(n); a B
     that is None is zero, and Q is None when both are."""
     if B1 is None and B2 is None:
-        return _int_product(A1, A2), None
+        return int_product(A1, A2), None
     if B1 is None:
-        return _int_product(A1, A2), _int_product(A1, B2)
+        return int_product(A1, A2), int_product(A1, B2)
     if B2 is None:
-        return _int_product(A1, A2), _int_product(B1, A2)
+        return int_product(A1, A2), int_product(B1, A2)
     # the four products as two of twice the length:
     # [A1 | B1] against [A2 ; n B2] and against [B2 ; A2]
     left = [a + b for a, b in zip(A1, B1)]
     nB2 = [[n * x for x in row] for row in B2]
-    return _int_product(left, A2 + nB2), _int_product(left, B2 + A2)
+    return int_product(left, A2 + nB2), int_product(left, B2 + A2)
 
 
 def _entry(a, b, den, n, kind):
@@ -410,8 +412,23 @@ def poly_at(C, poly, power=1):
     when both hold only ints, else Fractions."""
     pc, pg = _Pairs(C), _Pairs([poly])
     n = _join(pc.n, pg.n)
-    ga, gb = pg.a[0], (pg.b or [[0] * len(poly)])[0]
-    size, d, deg = len(C), pc.den, len(poly) - 1
+    P, Q = _horner(pc.a, pc.b, pc.den, pg, n)
+    den = pg.den * pc.den ** (len(poly) - 1)
+    F, G, total = P, Q, den
+    for _ in range(power - 1):
+        P, Q = _pair_product(P, Q, F, G, n)
+        total *= den
+    kind = max(pc.kind, pg.kind)
+    return _entries(P, Q, total, n, kind)
+
+
+def _horner(A, B, d, pg, n):
+    """(P, Q): P + Q sqrt(n) = sum_k g_k d^(deg - k) (A + B sqrt(n))^k,
+    with g the integer pair row of pg (the polynomial's coefficients
+    times pg.den, constant first).  For C = (A + B sqrt(n)) / d that is
+    pg.den d^deg poly(C).  Q is None when n = 1."""
+    ga, gb = pg.a[0], (pg.b or [[0] * len(pg.a[0])])[0]
+    size, deg = len(A), len(ga) - 1
 
     def scalar(k):
         s = d ** (deg - k)
@@ -422,19 +439,13 @@ def poly_at(C, poly, power=1):
     Q = [[b if i == j else 0 for j in range(size)] for i in range(size)] \
         if n != 1 else None
     for k in range(deg - 1, -1, -1):
-        P, Q = _pair_product(P, Q, pc.a, pc.b, n)
+        P, Q = _pair_product(P, Q, A, B, n)
         a, b = scalar(k)
         for i in range(size):
             P[i][i] += a
             if Q is not None:
                 Q[i][i] += b
-    den = pg.den * d ** deg
-    F, G, total = P, Q, den
-    for _ in range(power - 1):
-        P, Q = _pair_product(P, Q, F, G, n)
-        total *= den
-    kind = max(pc.kind, pg.kind)
-    return _entries(P, Q, total, n, kind)
+    return P, Q
 
 
 def _echelon(M):
@@ -461,7 +472,7 @@ def _eliminate(rows, w, n):
     rows[t][pivots[t]] at its pivot; the reduced row echelon form is
     unique, so these are its rows up to that factor."""
     quad = n != 1
-    rows = [_primitive(row) for row in rows]
+    rows = [primitive(row) for row in rows]
     nrows = len(rows)
     pivots = []
     r = 0
@@ -476,7 +487,7 @@ def _eliminate(rows, w, n):
         if quad and prow[cb]:
             pa, pb = prow[c], prow[cb]
             ra, rb = prow[:w], prow[w:]
-            prow = rows[r] = _primitive(
+            prow = rows[r] = primitive(
                 [pa * x - n * pb * y for x, y in zip(ra, rb)]
                 + [pa * y - pb * x for x, y in zip(ra, rb)])
         p = prow[c]
@@ -497,7 +508,7 @@ def _eliminate(rows, w, n):
                           for x, y, z in zip(row[w:], ra_p, rb_p)])
             else:
                 row = [s * x - fa * y for x, y in zip(row, prow)]
-            rows[i] = _primitive(row)
+            rows[i] = primitive(row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -505,7 +516,7 @@ def _eliminate(rows, w, n):
     return rows, pivots
 
 
-def _primitive(row):
+def primitive(row):
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
@@ -530,18 +541,8 @@ def right_nullspace(M):
     if not M:
         return []
     rows, pivots, w, n, kind = _echelon(M)
-    zero, one = _entry(0, 0, 1, n, kind), _entry(1, 0, 1, n, kind)
-    quad = n != 1
-    basis = []
-    for f in (c for c in range(w) if c not in pivots):
-        v = [zero] * w
-        v[f] = one
-        for t, c in enumerate(pivots):
-            row = rows[t]
-            v[c] = _entry(-row[f], -row[f + w] if quad else 0, row[c], n,
-                          kind)
-        basis.append(v)
-    return basis
+    return [_entries([v[:w]], [v[w:]] if n != 1 else None, s, n, kind)[0]
+            for v, s in _null_vectors(rows, pivots, w, n)]
 
 
 def left_nullspace(M):
@@ -551,57 +552,97 @@ def left_nullspace(M):
     return right_nullspace([list(col) for col in zip(*M)])
 
 
-class _RowSolver:
-    """B eliminated once, to solve X . B = V for any number of V.
+def _null_vectors(rows, pivots, w, n):
+    """(v, s) for each non-pivot column f of rows eliminated by
+    _eliminate: v is the integer pair row (a + b when n != 1) of the null
+    vector that is s at f and 0 at the other non-pivot columns, s the lcm
+    of the pivots it divides by.  Divided by s, these are the echelonized
+    basis of the right nullspace."""
+    quad = n != 1
+    free = set(range(w)) - set(pivots)
+    for f in sorted(free):
+        s = math.lcm(*(rows[t][c] for t, c in enumerate(pivots)
+                       if rows[t][f] or quad and rows[t][f + w]))
+        v = [0] * (2 * w if quad else w)
+        v[f] = s
+        for t, c in enumerate(pivots):
+            row, q = rows[t], s // rows[t][c]
+            v[c] = -row[f] * q
+            if quad:
+                v[c + w] = -row[f + w] * q
+        yield v, s
+
+
+class RowSolver:
+    """B = (a + b sqrt(n)) / den eliminated once, to solve X . B = V for
+    any number of V.
 
     One elimination of [B | I] gives B's pivot columns P and E with
     E . B = rref(B); the first rank(B) rows of E invert B[:, P], so
-    X = V[:, P] . E[:rank], checked by multiplying back, all on integers."""
+    X = V[:, P] . E[:rank], checked by multiplying back, all on integers.
+    a and b are integer matrices, b None for a rational B."""
 
-    def __init__(self, B):
-        self.pb = pb = _Pairs(B)
-        w, k = len(B[0]), len(B)
-        self.zero = B[0][0] - B[0][0]
+    def __init__(self, a, b=None, n=1, den=1):
+        self.a, self.b, self.n, self.den = a, b, n, den
+        w, k = len(a[0]), len(a)
         self.k = k
-        self.quadratic = pb.kind == _QUADRATIC
         # den(B) [B | I] as integer pair rows: it has the reduced row
         # echelon form of [B | I]
-        eye = [[pb.den if t == i else 0 for t in range(k)] for i in range(k)]
-        if pb.b is None:
-            aug = [a + e for a, e in zip(pb.a, eye)]
+        eye = [[den if t == i else 0 for t in range(k)] for i in range(k)]
+        if b is None:
+            aug = [ra + e for ra, e in zip(a, eye)]
         else:
-            aug = [a + e + b + [0] * k for a, e, b in zip(pb.a, eye, pb.b)]
-        rows, pivots = _eliminate(aug, w + k, pb.n)
+            aug = [ra + e + rb + [0] * k for ra, e, rb in zip(a, eye, b)]
+        rows, pivots = _eliminate(aug, w + k, n)
         self.pivots = pivots = [c for c in pivots if c < w]
         # E[:rank] = (Ea + Eb sqrt(n)) / L over L = lcm of the pivots
         self.L = math.lcm(*(rows[t][c] for t, c in enumerate(pivots)))
-        self.Ea, self.Eb = [], None if pb.b is None else []
+        self.Ea, self.Eb = [], None if b is None else []
         for t, c in enumerate(pivots):
             row, s = rows[t], self.L // rows[t][c]
             self.Ea.append([s * x for x in row[w:w + k]])
-            if pb.b is not None:
+            if b is not None:
                 self.Eb.append([s * x for x in row[2 * w + k:]])
 
-    def solve(self, va, vb, dv, n, quadratic):
-        """X with X . B = V for V = (va + vb sqrt(n)) / dv, or None when
-        some row of V is outside the row space of B.  The entries are
-        QuadraticNumbers when B holds one or quadratic is set, else
-        Fractions."""
-        pivots, pb = self.pivots, self.pb
+    def solve(self, va, vb, n):
+        """(Xa, Xb) with (Xa + Xb r)(a + b r) = L den (va + vb r) for
+        r = sqrt(n): for V = (va + vb r) / dv, X = (Xa + Xb r) / (dv L)
+        solves X . B = V.  None when some row of V is outside the row
+        space of B."""
+        pivots = self.pivots
         if not pivots:
             ok = not any(map(any, va)) and not (vb and any(map(any, vb)))
-            return [[self.zero] * self.k for _ in va] if ok else None
+            return ([[0] * self.k for _ in va], None) if ok else None
         Xa, Xb = _pair_product([[row[c] for c in pivots] for row in va],
                                vb and [[row[c] for c in pivots]
                                        for row in vb],
                                self.Ea, self.Eb, n)
-        # X . B = V  <=>  (Xa + Xb r)(Ba + Bb r) = L den(B) (va + vb r)
-        Pa, Pb = _pair_product(Xa, Xb, pb.a, pb.b, n)
-        s = self.L * pb.den
+        Pa, Pb = _pair_product(Xa, Xb, self.a, self.b, n)
+        s = self.L * self.den
         if not (_equal_scaled(Pa, va, s) and _equal_scaled(Pb, vb, s)):
             return None
-        kind = _QUADRATIC if self.quadratic or quadratic else _FRACTION
-        return _entries(Xa, Xb, dv * self.L, n, kind)
+        return Xa, Xb
+
+    def act(self, M):
+        """[(Xa, Xb) for each M_j] for the integer matrices M_j set side by
+        side in M = [M_1 | M_2 | ...]: X_j = Xa + Xb sqrt(n) has
+        X_j . B = L den B . M_j, so X_j / (L den) is M_j restricted to the
+        row space of B (Xb is None when B is rational).  One product forms
+        every B M_j and one solve finds every X_j.  Raises ValueError when
+        the row space is not invariant under some M_j."""
+        w, k = len(self.a[0]), self.k
+        va, vb = _pair_product(self.a, self.b, M, None, self.n)
+        blocks = range(0, len(M[0]), w)
+
+        def stacked(V):
+            return V and [row[s:s + w] for s in blocks for row in V]
+
+        X = self.solve(stacked(va), stacked(vb), self.n)
+        if X is None:
+            raise ValueError("row space is not invariant under the action")
+        Xa, Xb = X
+        return [(Xa[t:t + k], Xb and Xb[t:t + k])
+                for t in range(0, len(Xa), k)]
 
 
 def _equal_scaled(P, V, s):
@@ -613,12 +654,21 @@ def _equal_scaled(P, V, s):
     return P == [[s * x for x in row] for row in V]
 
 
+def _solver(B):
+    """The RowSolver of a matrix of entries, and its _Pairs."""
+    pb = _Pairs(B)
+    return RowSolver(pb.a, pb.b, pb.n, pb.den), pb
+
+
 def express_in_rows(B, v):
     """Coefficients x with x . B = v, or None when v is outside the span."""
-    solver, pv = _RowSolver(B), _Pairs([v])
-    X = solver.solve(pv.a, pv.b, pv.den, _join(solver.pb.n, pv.n),
-                     pv.kind == _QUADRATIC)
-    return None if X is None else X[0]
+    (solver, pb), pv = _solver(B), _Pairs([v])
+    n = _join(pb.n, pv.n)
+    X = solver.solve(pv.a, pv.b, n)
+    if X is None:
+        return None
+    kind = _QUADRATIC if _QUADRATIC in (pb.kind, pv.kind) else _FRACTION
+    return _entries(*X, pv.den * solver.L, n, kind)[0]
 
 
 def solve_actions(B, Ms):
@@ -631,20 +681,19 @@ def solve_actions(B, Ms):
     ValueError when the row space is not invariant under some M.  The
     entries are QuadraticNumbers when B or M holds one, else Fractions.
     """
-    solver = _RowSolver(B)
+    solver, pb = _solver(B)
     if len(solver.pivots) != len(B):
         raise AssertionError("solve_action needs a basis of full row rank")
-    pb = solver.pb
     out = []
     for M in Ms:
         pm = _Pairs(M)
         n = _join(pb.n, pm.n)
         va, vb = _pair_product(pb.a, pb.b, pm.a, pm.b, n)
-        C = solver.solve(va, vb, pb.den * pm.den, n,
-                         pm.kind == _QUADRATIC)
-        if C is None:
+        X = solver.solve(va, vb, n)
+        if X is None:
             raise ValueError("row space is not invariant under the action")
-        out.append(C)
+        kind = _QUADRATIC if _QUADRATIC in (pb.kind, pm.kind) else _FRACTION
+        out.append(_entries(*X, pb.den * pm.den * solver.L, n, kind))
     return out
 
 
@@ -653,8 +702,35 @@ def solve_action(B, M):
     return solve_actions(B, [M])[0]
 
 
-def mat_trace(M):
-    t = M[0][0]
-    for i in range(1, len(M)):
-        t = t + M[i][i]
-    return t
+# ---------------------------------------------------------------------------
+# Integer entry points: the kernel above on matrices of Python ints, with
+# no entries made.  A matrix over Q(sqrt(n)) is a pair of integer matrices
+# (A, B) standing for A + B sqrt(n), B None when it is rational; a kernel
+# row is an integer pair row a + b (concatenated when n != 1) standing for
+# a + b sqrt(n), primitive, since a row space does not change when a row
+# is scaled.
+
+def left_kernel(A, B=None, n=1):
+    """Primitive integer pair rows spanning {v : v (A + B sqrt(n)) = 0}."""
+    k = len(A)
+    cols = zip(*A) if B is None else (a + b for a, b in zip(zip(*A),
+                                                             zip(*B)))
+    # zero and repeated columns do not change the kernel
+    rows = [list(col) for col in dict.fromkeys(cols) if any(col)]
+    rows, pivots = _eliminate(rows, k, n)
+    return [primitive(v) for v, _ in _null_vectors(rows, pivots, k, n)]
+
+
+def poly_kernel(X, L, f):
+    """(K, n): K the primitive integer pair rows spanning the left kernel
+    of f(X / L), for an integer matrix X, an integer L > 0 and a
+    polynomial f (constant first) over Q or one Q(sqrt(n)).  Only the
+    integer numerator sum_k g_k L^(deg - k) X^k of f(X / L) is formed."""
+    pg = _Pairs([f])
+    return left_kernel(*_horner(X, None, L, pg, pg.n), pg.n), pg.n
+
+
+def pivot_columns(M):
+    """The pivot columns of an integer matrix, each the first column
+    independent of the columns before it."""
+    return _eliminate([list(row) for row in M], len(M[0]), 1)[1]

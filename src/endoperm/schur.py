@@ -15,7 +15,7 @@ import random
 
 from . import orbenum
 from .permgrp import orbit_tree, seed_mix
-from .quadfield import express_in_rows, mat_mul, rref
+from .quadfield import RowSolver, int_product, pivot_columns
 
 
 class PartialCountsError(RuntimeError):
@@ -194,16 +194,16 @@ class AlgebraClosure:
         level = [0]
         while level and len(self.basis) < r:
             made = [(self.mats[q], g) for q in level for g in gens]
-            cands = [tuple(mat_mul(mat[:1], g)[0]) for mat, g in made]
+            cands = [tuple(int_product(mat[:1], g)[0]) for mat, g in made]
             base = len(self.basis)
-            _, pivots = rref([list(col)
-                              for col in zip(*self.basis, *cands)])
+            pivots = pivot_columns(list(zip(*self.basis, *cands)))
             level = []
             for c in pivots[base:]:
                 mat, g = made[c - base]
                 level.append(len(self.basis))
                 self.basis.append(cands[c - base])
-                self.mats.append(mat_mul(mat, g))
+                self.mats.append(int_product(mat, g))
+        self._solver = None
 
     @property
     def dimension(self):
@@ -212,22 +212,27 @@ class AlgebraClosure:
     def recover(self, j):
         """P_j from the closure: decompose the j-th unit vector (the first
         row of P_j) in the standard basis and take the same combination of
-        the realizing matrices."""
+        the realizing matrices.  The basis is eliminated once per closure:
+        x = X / L solves x . basis = e_j with X integral, and
+        P_j = (X . mats) / L must be integral."""
         if self.dimension < self.r:
             raise ValueError(
                 f"closure has dimension {self.dimension} < {self.r}; "
                 "add generators before recovering")
-        ej = [1 if i == j - 1 else 0 for i in range(self.r)]
-        coords = express_in_rows(self.basis, ej)
-        if coords is None:
+        r = self.r
+        if self._solver is None:
+            self._solver = RowSolver([list(row) for row in self.basis])
+            self._flat = [[x for row in M for x in row] for M in self.mats]
+        solved = self._solver.solve([[int(i == j - 1) for i in range(r)]],
+                                    None, 1)
+        if solved is None:
             raise ValueError(f"unit vector e_{j} is outside the closure")
         # one row of products over the flattened realizing matrices
-        r = self.r
-        flat = mat_mul([coords], [[x for row in M for x in row]
-                                  for M in self.mats])[0]
-        if any(x.denominator != 1 for x in flat):
+        flat = int_product(solved[0], self._flat)[0]
+        L = self._solver.L
+        if any(x % L for x in flat):
             raise IntegralityError(f"recovered P_{j} is not integral")
-        out = [[int(x) for x in flat[a * r:(a + 1) * r]] for a in range(r)]
+        out = [[x // L for x in flat[a * r:(a + 1) * r]] for a in range(r)]
         return IntersectionMatrix(j, out, lengths=self.lengths)
 
 

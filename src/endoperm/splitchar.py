@@ -1,18 +1,26 @@
 """Exact splitting of the endomorphism ring over Q and real quadratic fields.
 
 The algebra of the intersection matrices is cut into its homogeneous
-components by the primary decompositions of central elements: a central
-element has two-sided kernels, so refining by the irreducible factors of
-its characteristic polynomial tiles Q^r and lands exactly on the
-components.  The primary component of a factor f is ker f(C)^e, with e the
-multiplicity of f in the characteristic polynomial, so one polynomial gives
-both the factors and the exponents.  Each component yields one Galois
-orbit of irreducible characters.  Supported shapes: dimension 1
-(rational), 2 (quadratic conjugate pair), m^2 (rational with multiplicity
-m), and 2m^2 (quadratic pair with multiplicity m).  Everything else raises
-UnsupportedComponentError; the arithmetic is exact throughout.  Table
-rows come in one canonical order: by degree, then by values, as in the
-brute-force oracle.
+components by central elements, then each component is split into its
+rows (Ronyai, J. Symbolic Comput. 9, 1990; Eberly and Giesbrecht,
+J. Symbolic Comput. 29, 2000).  A central element z acts on the
+(semisimple) algebra semisimply and has two-sided kernels, so the kernels
+ker f(z) of the irreducible factors f of its characteristic polynomial
+tile Q^r by sums of components.  One generic central element is tried
+first; only when its eigenvalues collide are the pieces refined by the
+centre's basis.  Each component yields one Galois orbit of irreducible
+characters.  Supported shapes: dimension 1 (rational), 2 (quadratic
+conjugate pair), m^2 (rational with multiplicity m), and 2m^2 (quadratic
+pair with multiplicity m, cut in two by a central element).  Everything
+else raises UnsupportedComponentError.
+
+The arithmetic is exact and carried on integers from the intersection
+matrices to the character values: a component basis is primitive integer
+rows (a row space does not change when a row is scaled), every kernel
+comes back as primitive integer rows, and the action restricted to a
+component is an integer matrix over one denominator.  Only the values of
+a CharRow are Fractions or QuadraticNumbers.  Table rows come in one
+canonical order: by degree, then by values, as in the brute-force oracle.
 """
 
 import math
@@ -21,9 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import zpoly
-from .quadfield import (QuadraticNumber, RadicalVector, left_nullspace,
-                        mat_mul, mat_trace, poly_at, solve_action,
-                        solve_actions, squarefree_part)
+from .quadfield import (QuadraticNumber, RadicalVector, RowSolver,
+                        int_product, left_kernel, poly_kernel, primitive,
+                        squarefree_part)
 
 
 class UnsupportedComponentError(ValueError):
@@ -63,32 +71,37 @@ def _charpoly_mod(A, p):
     return coeffs
 
 
-def char_poly(M):
-    """Exact characteristic polynomial of a rational matrix whose
-    characteristic polynomial is integral.
+def char_poly(M, L=1):
+    """Exact characteristic polynomial of M / L, for a matrix M of
+    integers or rationals and an integer L > 0, when that polynomial is
+    integral.
 
     Monic of degree n, constant-first coefficient tuple.  With s the common
     denominator of the entries, the characteristic polynomial of the
-    integer matrix s M is computed modulo enough word-sized primes to
+    integer matrix X = s M is computed modulo enough word-sized primes to
     exceed the coefficient bound and CRT lifted to symmetric
-    representatives; its coefficient of X^(n-k) is s^k c_k.  Raises
-    AssertionError when some c_k is not an integer.
+    representatives; its coefficient of X^(n-k) is c_k(X), and
+    c_k(M / L) = c_k(X) / (s L)^k.  Raises AssertionError when some
+    c_k(M / L) is not an integer.
     """
     entries = getattr(M, "entries", M)
     n = len(entries)
     if n == 0:
         return (1,)
-    s = math.lcm(*(x.denominator for row in entries for x in row))
-    ints = [[int(x * s) for x in row] for row in entries]
-    maxabs = max(1, max(abs(x) for row in ints for x in row))
+    s = 1
+    if any(type(x) is not int for row in entries for x in row):
+        s = math.lcm(*(x.denominator for row in entries for x in row))
+        entries = [[int(x * s) for x in row] for row in entries]
+    scale = s * L
+    maxabs = max(1, max(abs(x) for row in entries for x in row))
     # |c_k| <= C(n,k) (n maxabs)^k; bound everything by (2 n maxabs)^n
     bound = (2 * n * maxabs) ** n * 2
+    ints = np.array(entries, dtype=object)
     residues = []
     primes = []
     modulus = 1
     for p in _crt_primes():
-        Ap = np.array([[x % p for x in row] for row in ints], dtype=np.int64)
-        residues.append(_charpoly_mod(Ap, p))
+        residues.append(_charpoly_mod((ints % p).astype(np.int64), p))
         primes.append(p)
         modulus *= p
         if modulus > bound:
@@ -103,7 +116,7 @@ def char_poly(M):
             x = (x + res[k] * q * pow(q, -1, p)) % modulus
         if x > modulus // 2:
             x -= modulus
-        c, rem = divmod(x, s ** k)
+        c, rem = divmod(x, scale ** k)
         if rem:
             raise AssertionError(
                 "characteristic polynomial is not integral")
@@ -119,12 +132,28 @@ def char_poly(M):
 # Homogeneous components
 
 class HomogeneousComponent:
-    """A homogeneous component of the algebra: a rational row basis inside
-    Q^r, stable under every intersection matrix."""
+    """A homogeneous component of the algebra: primitive integer rows of
+    Z^r spanning it, stable under every intersection matrix.
 
-    def __init__(self, basis):
+    `centre` lists the central elements as coefficient vectors, the
+    generic one first, then the centre's basis; `cut` is (z, f), the
+    central element and the irreducible factor whose kernel ker f(z) the
+    component is.  The basis is eliminated once, in `solver`, which then
+    restricts both the central elements that refine the component and the
+    intersection matrices that split it."""
+
+    def __init__(self, basis, centre, cut):
         self.basis = basis
         self.dim = len(basis)
+        self.centre = centre
+        self.cut = cut
+        self._solver = None
+
+    @property
+    def solver(self):
+        if self._solver is None:
+            self._solver = RowSolver(self.basis)
+        return self._solver
 
     def __repr__(self):
         return f"HomogeneousComponent(dim={self.dim})"
@@ -135,53 +164,90 @@ def _int_entries(P):
     return [[int(x) for x in row] for row in getattr(P, "entries", P)]
 
 
-def homogeneous_components_center(all_mats, r):
-    """Homogeneous components through the center of the algebra.
+def _combination(c, mats):
+    """sum_t c[t] mats[t] for integer matrices of one shape."""
+    terms = [(x, M) for x, M in zip(c, mats) if x]
+    return [[sum(x * M[i][k] for x, M in terms)
+             for k in range(len(mats[0][0]))] for i in range(len(mats[0]))]
 
-    Needs all r intersection matrices.  Central elements have two-sided
-    kernels, so refining by the primary decompositions of their right
-    multiplications always tiles and lands exactly on the homogeneous
-    components.  A component is cut by the irreducible factors f of the
-    characteristic polynomial of the restricted right multiplication C:
-    each gives the piece ker f(C).  The algebra is semisimple and z is
-    central, so C is semisimple and ker f(C) is already the whole f-primary
-    part, which ker f(C)^e at the multiplicity e would also give, at the
-    cost of e - 1 more products.  `split_component` keeps the power: its
-    driver need not be central, so need not act semisimply.  Components of
-    dimension 1 cannot split and are not refined.
+
+def _trace(X):
+    return sum(X[i][i] for i in range(len(X)))
+
+
+def homogeneous_components_center(all_mats, r):
+    """Homogeneous components through the centre of the algebra.
+
+    Needs all r intersection matrices, with Python int entries.  The
+    centre Z is the left kernel of [P_j[i][k] - P_i[j][k]], as primitive
+    integer rows z_1, ..., z_c.  A piece V, a sum of components, is cut
+    by a central element z into the kernels ker f(z|V) of the irreducible
+    factors f of the characteristic polynomial of z restricted to V, an
+    integer matrix X over one denominator L with f(X / L) formed as
+    sum_k f_k L^(deg - k) X^k.  z is central, so it acts semisimply and
+    ker f(z|V) is already the whole f-primary part of V.
+
+    The generic z = z_1 + 2 z_2 + ... + c z_c cuts Q^r first.  Each
+    component's centre is a field, of degree at least deg f on a kernel
+    of f(z), so when the degrees of the factors add up to c the kernels
+    are the components.  Otherwise a kernel of dimension deg f is a
+    component (a field), and the other kernels are refined by z_1, z_2,
+    ... in turn, the same two tests closing each round, with c less the
+    degrees of the closed components in place of c.
     """
-    Ps = [_int_entries(P) for P in all_mats]
-    # left multiplications: L_i[j][k] = p_ijk = P_j[i][k]
-    Ls = [[[Ps[j][i][k] for k in range(r)] for j in range(r)]
-          for i in range(r)]
-    stacked = [[Ps[j][i][k] - Ls[j][i][k] for j in range(r)
-                for k in range(r)] for i in range(r)]
-    center = left_nullspace(stacked)
-    comps = [HomogeneousComponent(
-        [[Fraction(int(i == j)) for j in range(r)] for i in range(r)])]
-    # Rz = sum_t z[t] P_t, one row of products over the flattened P_t
-    flat = [[x for row in P for x in row] for P in Ps]
-    for z in center:
-        rz = mat_mul([z], flat)[0]
-        Rz = [rz[i * r:(i + 1) * r] for i in range(r)]
-        refined = []
-        for comp in comps:
-            if comp.dim == 1:
-                refined.append(comp)
-                continue
-            C = solve_action(comp.basis, Rz)
-            _, _, facs = zpoly.factor(char_poly(C))
-            if len(facs) == 1:
-                refined.append(comp)
-                continue
-            for f, _ in facs:
-                K = left_nullspace(poly_at(C, f))
-                refined.append(HomogeneousComponent(mat_mul(K, comp.basis)))
-        comps = refined
+    Ps = [getattr(P, "entries", P) for P in all_mats]
+    basis = left_kernel([[Ps[j][i][k] - Ps[i][j][k] for j in range(r)
+                          for k in range(r)] for i in range(r)])
+    generic = [sum((t + 1) * z[i] for t, z in enumerate(basis))
+               for i in range(r)]
+    centre = [generic] + basis
+    whole = HomogeneousComponent(
+        [[int(i == j) for j in range(r)] for i in range(r)], centre, None)
+    comps, pending, rank = [], [whole], len(basis)
+    for z in centre:
+        Rz = _combination(z, Ps)
+        pieces = [piece for comp in pending
+                  for piece in _primary_pieces(comp, z, Rz)]
+        if sum(zpoly.deg(piece.cut[1]) for piece in pieces) == rank:
+            comps += pieces
+            pending = []
+            break
+        pending = []
+        for piece in pieces:
+            e = zpoly.deg(piece.cut[1])
+            if piece.dim == e:
+                comps.append(piece)
+                rank -= e
+            else:
+                pending.append(piece)
+    comps += pending
     total = sum(c.dim for c in comps)
     if total != r:
         raise AssertionError(f"center components cover {total} != {r}")
     return comps
+
+
+def _primary_pieces(comp, z, Rz):
+    """The kernels in comp of f(z) for the irreducible factors f of the
+    characteristic polynomial of the central element z on comp; Rz is
+    its right multiplication on Q^r."""
+    whole = comp.dim == len(Rz)
+    if whole:
+        X, L = Rz, 1
+    else:
+        [(X, _)] = comp.solver.act(Rz)
+        L = comp.solver.L
+    _, _, facs = zpoly.factor(char_poly(X, L))
+    if len(facs) == 1:
+        comp.cut = (z, facs[0][0])
+        return [comp]
+    pieces = []
+    for f, _ in facs:
+        K, _ = poly_kernel(X, L, f)
+        if not whole:
+            K = [primitive(row) for row in int_product(K, comp.basis)]
+        pieces.append(HomogeneousComponent(K, comp.centre, (z, f)))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -231,43 +297,49 @@ class CharRow:
                 f"values={self.values[:4]}...)")
 
 
-def split_component(comp, all_mats):
+def split_component(comp, wide):
     """Character rows of one homogeneous component, in no particular order
     (build_table sorts them).
 
-    A component that is rationally split (dimension m^2) gives one row of
-    multiplicity m: the traces divided by m.  A component of dimension
-    2 m^2 carrying a quadratic field gives a Galois-conjugate pair: it is
-    cut over Q(sqrt(n)) by a conjugate factor f1 of an irreducible factor f
-    of the first restricted action's characteristic polynomial that has
-    degree 2 or 4.  With e the multiplicity of f, the cut is ker f1(C)^e,
-    the f1-primary part; it must have dimension m^2.  The power stays: the
-    driver need not be central, so it need not act semisimply, and
-    ker f1(C) alone can fall short.  The traces on the
-    cut (divided by m) are the values of one row, their conjugates those
-    of the other.  Anything else raises UnsupportedComponentError.
+    `wide` is [P_1 | P_2 | ... | P_r], the intersection matrices side by
+    side.  The component's solver restricts them all at once, to integer
+    matrices X_j over one denominator L.  A component that is rationally
+    split (dimension m^2) gives one row of multiplicity m: the values
+    tr(X_j) / (L m).  A component of dimension 2 m^2 carrying a quadratic
+    field gives a Galois-conjugate pair.  Its centre is the field
+    Q(sqrt(n)), so a central element z that is irrational there has an
+    irreducible quadratic f, f = f1 conj(f1) over Q(sqrt(n)), and the cut
+    ker f1(z), one of the two ideals of the component over Q(sqrt(n)), has
+    dimension m^2.  z is the one that cut the component when its factor
+    is quadratic, else the first centre basis element irrational there.
+    The traces on the cut, divided by m, are the values of one row, their
+    conjugates those of the other.  Anything else raises
+    UnsupportedComponentError.
     """
     d = comp.dim
-    actions = solve_actions(comp.basis, [_int_entries(P) for P in all_mats])
+    L = comp.solver.L
+    actions = [X for X, _ in comp.solver.act(wide)]
     m = math.isqrt(d)
     if m * m == d:
-        values = [mat_trace(C) / m for C in actions]
-        if all(v.denominator == 1 for v in values):
-            return [CharRow([QuadraticNumber(v) for v in values], m)]
+        traces = [_trace(X) for X in actions]
+        if all(t % (L * m) == 0 for t in traces):
+            return [CharRow([QuadraticNumber(t // (L * m)) for t in traces],
+                            m)]
     if d % 2 == 0 and math.isqrt(d // 2) ** 2 == d // 2:
         m = math.isqrt(d // 2)
-        driver = _find_quadratic_driver(actions)
-        if driver is None:
-            raise UnsupportedComponentError(
-                f"no quadratic driver found in component of dimension {d}")
-        Cd, f, e = driver
+        Z, f = _quadratic_driver(comp, actions, L)
         _, f1 = _quadratic_factor(f)
-        U = left_nullspace(poly_at(Cd, f1, e))
+        U, n = poly_kernel(Z, L, f1)
         if len(U) != d // 2:
             raise UnsupportedComponentError(
                 f"quadratic cut of {zpoly.poly_str(f)} does not reach "
                 f"dimension {d // 2}")
-        values = [mat_trace(T) / m for T in solve_actions(U, actions)]
+        cut = RowSolver([u[:d] for u in U], [u[d:] for u in U], n)
+        D = cut.L * L * m
+        values = [QuadraticNumber(Fraction(_trace(Ya), D),
+                                  Fraction(_trace(Yb), D), n)
+                  for Ya, Yb in cut.act([[x for X in actions for x in X[i]]
+                                         for i in range(d)])]
         for v in values:
             if not v.is_algebraic_integer():
                 raise UnsupportedComponentError(
@@ -278,16 +350,22 @@ def split_component(comp, all_mats):
         f"component dimension {d} is neither m^2 nor 2m^2")
 
 
-def _find_quadratic_driver(actions):
-    """(C, f, e): the first restricted action C whose characteristic
-    polynomial has an irreducible factor f of degree 2 or 4, with e the
-    multiplicity of f in it; None when no action has one."""
-    for C in actions:
-        _, _, facs = zpoly.factor(char_poly(C))
-        for f, e in facs:
-            if zpoly.deg(f) in (2, 4):
-                return C, f, e
-    return None
+def _quadratic_driver(comp, actions, L):
+    """(Z, f): a central element restricted to the component, the integer
+    matrix Z over L, and an irreducible quadratic factor f of its
+    characteristic polynomial.  The element that cut the component comes
+    first, then the centre's basis."""
+    z, f = comp.cut
+    if zpoly.deg(f) == 2:
+        return _combination(z, actions), f
+    for z in comp.centre[1:]:
+        Z = _combination(z, actions)
+        _, _, facs = zpoly.factor(char_poly(Z, L))
+        if zpoly.deg(facs[0][0]) == 2:
+            return Z, facs[0][0]
+    raise UnsupportedComponentError(
+        f"no central element is irrational on the component of dimension "
+        f"{comp.dim}")
 
 
 def _quadratic_factor(f):
@@ -448,8 +526,10 @@ def build_table(all_mats, lengths, pairing):
         raise ValueError(
             f"build_table needs all {r} intersection matrices, got "
             f"{len(all_mats)}")
-    rows = [row for comp in homogeneous_components_center(all_mats, r)
-            for row in split_component(comp, all_mats)]
+    Ps = [_int_entries(P) for P in all_mats]
+    wide = [[x for P in Ps for x in P[i]] for i in range(r)]
+    rows = [row for comp in homogeneous_components_center(Ps, r)
+            for row in split_component(comp, wide)]
     for row in rows:
         row.degree = fitting_degree(row, lengths, pairing)
     rows.sort(key=lambda row: (row.degree,

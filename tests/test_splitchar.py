@@ -1,11 +1,16 @@
+import hashlib
+import json
 import random
+import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import sympy
 
-from endoperm import oracle, zpoly
-from endoperm.quadfield import QuadraticNumber
+from endoperm import corpus, oracle, pipeline, quadfield, splitchar, zpoly
+from endoperm.quadfield import (QuadraticNumber, left_nullspace, poly_at,
+                                rref, solve_action)
 from endoperm.permgrp import GeneratedGroup, Permutation, closure_elements
 from endoperm.schur import IntersectionMatrix
 from endoperm.splitchar import (CharRow, EndoCharTable,
@@ -13,6 +18,7 @@ from endoperm.splitchar import (CharRow, EndoCharTable,
                                 char_poly, fitting_degree,
                                 homogeneous_components_center, verify_table,
                                 _split_quartic)
+from scenarios import johnson_context
 
 
 def oracle_setup(Ggens, point=0):
@@ -190,3 +196,171 @@ def test_table_json_roundtrip():
     for a, b in zip(back.rows, tbl.rows):
         assert a.values == b.values and a.degree == b.degree
     assert verify_table(back)["ok"]
+
+
+@pytest.fixture(scope="module")
+def corpus_runs():
+    return [pipeline.run_instance(inst, primes=())
+            for inst in corpus.all_instances()]
+
+
+def table_of(run):
+    return build_table(run.matrices, run.table.lengths, run.table.pairing)
+
+
+def test_corpus_tables_are_pinned(corpus_runs):
+    # the 16 corpus tables and four J(18,2) runs, hashed before the split
+    # moved to integer bases and one generic central element
+    ctx, helper = johnson_context(18, 2)
+    johnson = [pipeline.run_pipeline(ctx, helper, ctx.h_order, primes=(),
+                                     seed=seed) for seed in range(4)]
+    digest = hashlib.sha256()
+    for run in corpus_runs + johnson:
+        digest.update(json.dumps(table_of(run).to_json(),
+                                 sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "f43cde7668d57c1385295fd5be0b86edfe6245d0255794173e55d72aff58b838")
+
+
+def refined_by_basis_elements(mats, r):
+    """The components by the old route: the centre's echelon basis
+    elements refine Q^r one after the other, on Fractions."""
+    Ps = [P.entries for P in mats]
+    stacked = [[Ps[j][i][k] - Ps[i][j][k] for j in range(r)
+                for k in range(r)] for i in range(r)]
+    comps = [[[Fraction(int(i == j)) for j in range(r)] for i in range(r)]]
+    for z in left_nullspace(stacked):
+        Rz = [[sum(z[t] * Ps[t][i][k] for t in range(r)) for k in range(r)]
+              for i in range(r)]
+        refined = []
+        for B in comps:
+            C = solve_action(B, Rz)
+            _, _, facs = zpoly.factor(char_poly(C))
+            if len(facs) == 1:
+                refined.append(B)
+                continue
+            for f, _ in facs:
+                K = left_nullspace(poly_at(C, f))
+                refined.append([[sum(k[t] * B[t][i] for t in range(len(B)))
+                                 for i in range(r)] for k in K])
+        comps = refined
+    return comps
+
+
+def row_space(B):
+    return tuple(tuple(row) for row in rref(B)[0])
+
+
+def test_components_match_a_basis_element_refinement(corpus_runs):
+    for run in corpus_runs:
+        r = len(run.matrices)
+        mine = homogeneous_components_center(run.matrices, r)
+        want = refined_by_basis_elements(run.matrices, r)
+        assert sorted(row_space(c.basis) for c in mine) == \
+            sorted(row_space(B) for B in want), run.name
+
+
+def test_colliding_generic_element_falls_back_to_the_basis(corpus_runs,
+                                                           monkeypatch):
+    seen = []
+    primary = splitchar._primary_pieces
+
+    def spy(comp, z, Rz):
+        seen.append(z)
+        return primary(comp, z, Rz)
+
+    monkeypatch.setattr(splitchar, "_primary_pieces", spy)
+    runs = {run.name: run for run in corpus_runs}
+    # dihedral of order 16 acting regularly: the generic element alone
+    run = runs["random-4-dihedral-16-regular"]
+    comps = homogeneous_components_center(run.matrices, 16)
+    assert len(seen) == 1 and seen[0] == comps[0].centre[0]
+    # Q8 acting regularly: the generic element's eigenvalue on the
+    # quaternions is one of a linear character's, so its pieces are
+    # [1, 1, 1, 5] and the centre's basis cuts the 5 into 1 + 4
+    seen.clear()
+    run = runs["random-5-quaternion-regular"]
+    comps = homogeneous_components_center(run.matrices, 8)
+    assert len(seen) > 1 and seen[1] != comps[0].centre[0]
+    assert sorted(c.dim for c in comps) == [1, 1, 1, 1, 4]
+    assert verify_table(table_of(run))["ok"]
+
+
+def test_build_table_eliminations_are_bounded(corpus_runs, monkeypatch):
+    # one for the centre, one per factor of the generic element, one per
+    # component and two for the pair cut; the route through Fractions
+    # made 32
+    calls = []
+    eliminate = quadfield._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(quadfield, "_eliminate", counted)
+    run = next(run for run in corpus_runs
+               if run.name == "random-4-dihedral-16-regular")
+    table_of(run)
+    assert len(calls) <= 15
+
+
+def test_regular_a5_pair_is_cut_by_a_central_element():
+    # Q[A5] has a component M_3(Q(sqrt 5)): every non-central restricted
+    # action met first has complex eigenvalues (elements of order 3), so
+    # only a central element cuts it
+    def even(g):
+        return sum(g[i] > g[j] for i in range(5)
+                   for j in range(i + 1, 5)) % 2 == 0
+
+    G = sorted(g for g in permutations(range(5)) if even(g))
+    index = {g: i for i, g in enumerate(G)}
+
+    def mul(g, h):
+        return tuple(h[g[x]] for x in range(5))
+
+    def inv(g):
+        return tuple(sorted(range(5), key=g.__getitem__))
+
+    r = len(G)
+    mats = [[[int(index[mul(G[i], G[j])] == k) for k in range(r)]
+             for i in range(r)] for j in range(r)]
+    pairing = [index[inv(g)] + 1 for g in G]
+    start = time.perf_counter()
+    table = build_table(mats, [1] * r, pairing)
+    assert time.perf_counter() - start < 5
+    assert verify_table(table)["ok"]
+    # the character table of A5 on the classes 1, 2A, 3A, 5A, 5B
+    cls = {g: frozenset(mul(mul(inv(h), g), h) for h in G) for g in G}
+    g5 = (1, 2, 3, 4, 0)
+    s5 = QuadraticNumber(0, Fraction(1, 2), 5)
+    phi, bar = Fraction(1, 2) + s5, Fraction(1, 2) - s5
+
+    def column(g):
+        order = next(k for k in range(1, 6)
+                     if all(x == i for i, x in enumerate(_power(g, k))))
+        if order == 5:
+            return 3 if g in cls[g5] else 4
+        return {1: 0, 2: 1, 3: 2}[order]
+
+    chars = [(1, 1, 1, 1, 1), (4, 0, 1, -1, -1), (5, 1, -1, 0, 0),
+             (3, -1, 0, phi, bar), (3, -1, 0, bar, phi)]
+
+    def as_json(x):
+        return (QuadraticNumber(x) if type(x) is int else x).to_json()
+
+    want = sorted((tuple(as_json(chi[column(g)]) for g in G), chi[0])
+                  for chi in chars)
+    got = sorted((tuple(v.to_json() for v in row.values), row.mult)
+                 for row in table.rows)
+    assert got == want
+    assert all(row.mult == row.degree for row in table.rows)
+    assert sorted(row.mult for row in table.rows) == [1, 3, 3, 4, 5]
+    pair = [row for row in table.rows if row.field == 5]
+    assert len(pair) == 2 and table.rows[pair[0].conj] is pair[1]
+
+
+def _power(g, k):
+    out = tuple(range(len(g)))
+    for _ in range(k):
+        out = tuple(g[x] for x in out)
+    return out
