@@ -152,7 +152,7 @@ def cmd_decomp(args):
         "reduced_rows": [r.values for r in reduced],
         "basic_set": [b + 1 for b in basic],
         "decomposition": D.to_json(),
-        "cartan": modular.cartan_from_decomposition(D),
+        "cartan": D.transpose_product(),
     }
     _emit(out, args)
     return EXIT_OK

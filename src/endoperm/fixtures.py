@@ -220,7 +220,7 @@ def run_suite():
     checks.append(Check(
         "column-support blocks are {1,3,4,5,6,7,8,14,17}, "
         "{9,11,12,15,16,18}, {2,10,13}", blocks_mine == blocks_fix))
-    C = modular.cartan_from_decomposition(D)
+    C = D.transpose_product()
     Cp = [[C[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
     want_c = [[7, 3, 0, 0], [3, 5, 0, 0], [0, 0, 6, 0], [0, 0, 0, 3]]
     checks.append(Check(

@@ -263,25 +263,16 @@ def _column_blocks(entries):
     return blocks
 
 
-def cartan_from_decomposition(D):
-    return D.transpose_product()
-
-
-def regular_rep_mod_p(inter_mats, p):
-    """The regular module of E_F, acted on by all r intersection
-    matrices."""
+def cartan_from_regular(inter_mats, p):
+    """Cartan data from the regular module of E_F directly, acted on by
+    all r intersection matrices: its radical, the centre of E_F/J and
+    lifted idempotents.  "constituents" lists (label, dim S, e, n,
+    multiplicity) per simple S, and E_F is local exactly when there is
+    one."""
     actions = [FqMatrix(p, [[int(x) % p for x in row]
                             for row in getattr(P, "entries", P)])
                for P in inter_mats]
-    return ModuleRep(p, actions, len(inter_mats))
-
-
-def cartan_from_regular(inter_mats, p):
-    """Cartan data from the regular module of E_F directly: its radical,
-    the centre of E_F/J and lifted idempotents.  "constituents" lists
-    (label, dim S, e, n, multiplicity) per simple S, and E_F is local
-    exactly when there is one."""
-    regular = regular_rep_mod_p(inter_mats, p)
+    regular = ModuleRep(p, actions, len(inter_mats))
     labels, cartan, dims, simples = gfmat.cartan_matrix(regular)
     return {"labels": labels, "cartan": cartan, "pim_dims": dims,
             "constituents": simples}
@@ -379,7 +370,7 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     reduced = reduce_table(table, p, conv)
     basic = basic_set(reduced, p)
     D = decomposition_matrix(table, reduced, basic, p)
-    C_dec = cartan_from_decomposition(D)
+    C_dec = D.transpose_product()
     reg = cartan_from_regular(inter_mats, p)
     if not cartan_equivalent(C_dec, reg["cartan"]):
         raise AssertionError(

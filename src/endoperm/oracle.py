@@ -6,18 +6,24 @@ constants read off from literal matrix products, character tables from
 simultaneous eigenspace splitting of the orbital matrices, and modular
 decompositions computed directly from the explicit commutant.  The rest of
 the package is validated stage by stage against these results.
+
+The exact linear algebra is quadfield's integer entry points: RowSolver
+restricts the orbital matrices to a component, poly_kernel cuts it by a
+polynomial in a restricted action, and int_product and primitive form
+the new component bases.  The characteristic polynomials are the
+oracle's own (Faddeev-LeVerrier in _char_poly), not splitchar.char_poly,
+so the two routes share the kernel but not the polynomial.  The modular
+data comes from modular.cartan_from_regular, the pipeline's regular route.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from . import gfmat
+from . import modular, zpoly
 from .permgrp import GeneratedGroup, Permutation, word_concat
-from .quadfield import (QuadraticNumber, left_nullspace, mat_mul, poly_at,
-                        solve_action, solve_actions, squarefree_part)
-from . import zpoly
+from .quadfield import (QuadraticNumber, RowSolver, int_product, poly_kernel,
+                        primitive, squarefree_part)
 
 
 class CosetAction:
@@ -209,6 +215,15 @@ def char_table_commutative(basis):
     characters); each orbital matrix must act as an exact scalar on each
     final component, which is asserted.  Character values live in Q or a
     real quadratic field; anything else raises.
+
+    A component is primitive integer rows.  RowSolver restricts an
+    orbital matrix to it, as an integer matrix X over the solver's
+    denominator L, and poly_kernel cuts it by f(X / L)^e for each factor
+    f^e of the characteristic polynomial.  The values are the scalars by
+    which the orbital matrices act on the final components; a component
+    with a non-scalar action is cut by poly_kernel into the eigenspaces
+    of that action over Q(sqrt(n)), and a second RowSolver restricts the
+    actions to each.
     """
     mats = basis.mats
     r = len(mats)
@@ -218,68 +233,65 @@ def char_table_commutative(basis):
             if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
                 raise NonCommutativeCommutant(
                     "orbital matrices do not commute")
-    comps = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    comps = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for B in mats[1:]:
-        BQ = B.tolist()
         refined = []
         for comp in comps:
-            C = solve_action(comp, BQ)
-            poly = _char_poly_fraction(C)
-            _, _, facs = zpoly.factor(poly)
+            solver = _basis_solver(comp)
+            [(X, _)] = solver.act(B.tolist())
+            _, _, facs = zpoly.factor(_char_poly(X, solver.L))
             if len(facs) == 1 and facs[0][1] == 1:
                 refined.append(comp)
                 continue
             for f, mult in facs:
-                FC = poly_at(C, f, mult)
-                K = left_nullspace(FC)
+                power = f
+                for _ in range(mult - 1):
+                    power = zpoly.mul(power, f)
+                K, _ = poly_kernel(X, solver.L, power)
                 if K:
-                    refined.append(mat_mul(K, comp))
+                    refined.append([primitive(row)
+                                    for row in int_product(K, comp)])
         comps = refined
     if sum(len(c) for c in comps) != n:
         raise AssertionError("eigenspace refinement lost dimensions")
+    wide = np.hstack(mats).tolist()
     rows = []
     for comp in comps:
-        actions = solve_actions(comp, [B.tolist() for B in mats])
-        quad = None
-        for C in actions:
-            if not _is_scalar(C):
-                quad = C
-                break
+        solver = _basis_solver(comp)
+        L = solver.L
+        actions = [X for X, _ in solver.act(wide)]
+        quad = next((X for X in actions if not _is_scalar(X)), None)
         if quad is None:
-            values = [QuadraticNumber(C[0][0]) for C in actions]
+            values = [QuadraticNumber(Fraction(X[0][0], L)) for X in actions]
             rows.append((tuple(values), 1, len(comp)))
             continue
         # split over the quadratic field of the first non-scalar action
-        lam, lam_bar = _quadratic_eigenvalues(quad)
-        for root in (lam, lam_bar):
-            d = len(quad)
-            M = [[quad[i][j] - (root if i == j else 0) for j in range(d)]
-                 for i in range(d)]
-            E = left_nullspace(M)
+        d = len(comp)
+        wide_quad = [[x for X in actions for x in X[i]] for i in range(d)]
+        for root in _quadratic_eigenvalues(quad, L):
+            E, field = poly_kernel(quad, L, [-root, 1])
             if not E:
                 raise AssertionError("missing quadratic eigenspace")
+            eigen = _basis_solver([v[:d] for v in E], [v[d:] for v in E],
+                                  field)
             values = []
-            for C in actions:
-                img = mat_mul(E, C)
-                lam_k = None
-                for a, b in zip(E, img):
-                    for x, y in zip(a, b):
-                        if x != 0:
-                            cand = y / x
-                            if lam_k is None:
-                                lam_k = cand
-                            elif lam_k != cand:
-                                raise AssertionError(
-                                    "action is not scalar on eigenspace")
-                for a, b in zip(E, img):
-                    for x, y in zip(a, b):
-                        if y != lam_k * x:
-                            raise AssertionError(
-                                "action is not scalar on eigenspace")
-                values.append(lam_k)
+            for Ya, Yb in eigen.act(wide_quad):
+                if not (_is_scalar(Ya) and _is_scalar(Yb)):
+                    raise AssertionError("action is not scalar on eigenspace")
+                den = eigen.L * L
+                values.append(QuadraticNumber(Fraction(Ya[0][0], den),
+                                              Fraction(Yb[0][0], den), field))
             rows.append((tuple(values), 1, len(E)))
     rows.sort(key=_row_sort_key)
     return rows
+
+
+def _basis_solver(a, b=None, n=1):
+    """The RowSolver of the rows a + b sqrt(n), which must be a basis."""
+    solver = RowSolver(a, b, n)
+    if len(solver.pivots) != len(a):
+        raise AssertionError("component rows are not a basis")
+    return solver
 
 
 def _row_sort_key(row):
@@ -287,45 +299,45 @@ def _row_sort_key(row):
     return (degree, [(v.a, v.b, v.n) for v in values])
 
 
-def _is_scalar(C):
-    d = len(C)
-    lam = C[0][0]
+def _is_scalar(X):
+    d = len(X)
+    lam = X[0][0]
     for i in range(d):
         for j in range(d):
-            if C[i][j] != (lam if i == j else 0):
+            if X[i][j] != (lam if i == j else 0):
                 return False
     return True
 
 
-def _char_poly_fraction(C):
-    """Characteristic polynomial of a Fraction matrix, as integer tuple.
+def _char_poly(X, L):
+    """Characteristic polynomial of X / L, for an integer matrix X and an
+    integer L > 0, as an integer tuple (constant first).
 
-    Faddeev-LeVerrier on the integer matrix s C, s the common denominator:
-    its coefficients c_k are integers, and C's are c_k / s^k."""
-    d = len(C)
-    s = math.lcm(*(x.denominator for row in C for x in row))
-    Cs = [[int(x * s) for x in row] for row in C]
+    Faddeev-LeVerrier on X: its coefficients c_k are integers, and those
+    of X / L are c_k / L^k.  The oracle keeps this one, independent of
+    splitchar.char_poly, so the two routes do not share a polynomial."""
+    d = len(X)
     M = [[0] * d for _ in range(d)]
     coeffs = [1]
     for k in range(1, d + 1):
         for i in range(d):
             M[i][i] += coeffs[-1]
-        M = mat_mul(Cs, M)
+        M = int_product(X, M)
         c, rem = divmod(-sum(M[i][i] for i in range(d)), k)
         if rem:
             raise AssertionError("Faddeev-LeVerrier trace is not divisible")
         coeffs.append(c)
     ints = []
     for k, c in enumerate(coeffs):
-        q, rem = divmod(c, s ** k)
+        q, rem = divmod(c, L ** k)
         if rem:
             raise AssertionError("characteristic polynomial is not integral")
         ints.append(q)
     return tuple(reversed(ints))
 
 
-def _quadratic_eigenvalues(C):
-    poly = _char_poly_fraction(C)
+def _quadratic_eigenvalues(X, L):
+    poly = _char_poly(X, L)
     _, _, facs = zpoly.factor(poly)
     quads = [f for f, m in facs if zpoly.deg(f) == 2]
     if not quads or any(zpoly.deg(f) > 2 for f, m in facs):
@@ -345,15 +357,5 @@ def _quadratic_eigenvalues(C):
 def direct_endo_decomposition(inter_mats, p):
     """Simples, Cartan matrix and locality of E over F_p, straight from the
     regular representation given by the intersection matrices."""
-    r = len(inter_mats)
-    regular = gfmat.ModuleRep(
-        p, [gfmat.FqMatrix(p, np.array(P, dtype=np.int64) % p)
-            for P in inter_mats], r)
-    labels, cartan, dims, simples = gfmat.cartan_matrix(regular)
-    return {
-        "labels": labels,
-        "cartan": cartan,
-        "pim_dims": dims,
-        "constituents": simples,
-        "local": len(simples) == 1,
-    }
+    regular = modular.cartan_from_regular(inter_mats, p)
+    return {**regular, "local": len(regular["constituents"]) == 1}

@@ -9,18 +9,21 @@ sqrt(3)*sqrt(33) = 3*sqrt(11) genuinely occur.  RadicalVector holds a
 vector of such numbers as one integer vector per radicand, so a weighted
 sum of products is a few integer dot products and one RadicalSum.
 
-The linear algebra (mat_mul, poly_at, rref and what is built on it) has
-one kernel on integer pairs.  A matrix over Q(sqrt(n)) is held as integer
-rows A, B over one denominator d, the matrix (A + B sqrt(n)) / d.  A
-product is four integer products; elimination is fraction-free
-Gauss-Jordan on primitive pair rows, each pivot row multiplied by its
-pivot's conjugate so that every pivot is a rational integer.  A rational
-matrix is the case B = 0 and skips the B products.  Entries are made only
-for the results: QuadraticNumbers when an operand holds one, else ints and
-Fractions as the plain loops over those types would give.  Two irrational
-radicands in one operation raise ValueError.  The integer entry points
-(int_product, left_kernel, poly_kernel, pivot_columns, RowSolver) run
-the same kernel on matrices of Python ints and make no entries at all.
+The linear algebra works on Python ints and makes no entries; it has one
+kernel on integer pairs.  A matrix over Q(sqrt(n)) is a pair of integer
+matrices (A, B) standing for A + B sqrt(n), B None when it is rational;
+a matrix with a denominator is its integer numerator, and the caller
+carries the denominator.  A product is four integer products, two when
+an operand is rational (int_product, _pair_product).  Elimination
+(_eliminate) is fraction-free Gauss-Jordan on primitive pair rows, each
+pivot row multiplied by its pivot's conjugate so that every pivot is a
+rational integer.  The entry points built on it: left_kernel spans a
+left kernel by primitive integer rows, poly_kernel that of f(X / L) for
+a polynomial f over Q or one Q(sqrt(n)), RowSolver eliminates a basis
+once to solve X . B = V and to restrict actions to its row space, and
+pivot_columns lists the pivots of an integer matrix.  Only poly_kernel's
+coefficients are ever converted from QuadraticNumbers and Fractions; two
+irrational radicands among them raise ValueError.
 """
 
 import math
@@ -277,67 +280,12 @@ class RadicalVector:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q(sqrt(n)): the integer pair kernel.
-# Matrices are lists of lists (row-major) of ints, Fractions and
-# QuadraticNumbers; row vectors act on the left.
-
-_ZERO = Fraction(0)
-_INT, _FRACTION, _QUADRATIC = 0, 1, 2
-
-
-def _kind(types):
-    """The result type of an entry made from values of the given types: a
-    QuadraticNumber if one is, else an int if all are ints, else a
-    Fraction."""
-    if QuadraticNumber in types:
-        return _QUADRATIC
-    return _INT if types <= {int} else _FRACTION
-
-
-class _Pairs:
-    """A matrix as integer rows: M = (a + b sqrt(n)) / den, one den for
-    all entries; b is None (and n is 1) when no entry is irrational.
-    kind is _kind of all the entries, and uniform tells whether they are
-    all of one type."""
-
-    __slots__ = ("a", "b", "den", "n", "kind", "uniform")
-
-    def __init__(self, M):
-        types = {type(x) for row in M for x in row}
-        self.kind = _kind(types)
-        self.uniform = len(types) <= 1
-        self.b, self.den, self.n = None, 1, 1
-        if self.kind == _INT:
-            self.a = [list(row) for row in M]
-            return
-        ra = M
-        if self.kind == _QUADRATIC:
-            ns = {x.n for row in M for x in row
-                  if type(x) is QuadraticNumber} - {1}
-            if len(ns) > 1:
-                n1, n2 = sorted(ns)[:2]
-                raise ValueError(f"mixed radicands sqrt({n1}) and sqrt({n2})")
-            ra = [[x.a if type(x) is QuadraticNumber else x for x in row]
-                  for row in M]
-            if ns:
-                self.n = ns.pop()
-                self.b = [[x.b if type(x) is QuadraticNumber else 0
-                           for x in row] for row in M]
-        den = math.lcm(*{x.denominator for row in ra for x in row},
-                       *{x.denominator for row in self.b or () for x in row})
-        self.den = den
-        self.a = [[x.numerator * (den // x.denominator) for x in row]
-                  for row in ra]
-        if self.b is not None:
-            self.b = [[x.numerator * (den // x.denominator) for x in row]
-                      for row in self.b]
-
-
-def _join(n1, n2):
-    if n1 != 1 and n2 != 1 and n1 != n2:
-        raise ValueError(f"mixed radicands sqrt({n1}) and sqrt({n2})")
-    return n1 if n1 != 1 else n2
-
+# Exact linear algebra over Q(sqrt(n)) on integers.  A matrix over
+# Q(sqrt(n)) is a pair of integer matrices (A, B) standing for
+# A + B sqrt(n), B None when it is rational; a kernel row is an integer
+# pair row a + b (concatenated when n != 1) standing for a + b sqrt(n),
+# primitive, since a row space does not change when a row is scaled.
+# Matrices are lists of rows of Python ints; row vectors act on the left.
 
 def int_product(X, Y):
     cols = list(zip(*Y))
@@ -360,74 +308,30 @@ def _pair_product(A1, B1, A2, B2, n):
     return int_product(left, A2 + nB2), int_product(left, B2 + A2)
 
 
-def _entry(a, b, den, n, kind):
-    if kind == _QUADRATIC:
-        return QuadraticNumber._unchecked(
-            Fraction(a, den), Fraction(b, den) if b else _ZERO, n)
-    return a // den if kind == _INT else Fraction(a, den)
+def _pair_row(f):
+    """(a, b, n): the integer rows with f = (a + b sqrt(n)) / den for one
+    den > 0, for a row f of ints, Fractions and QuadraticNumbers over Q
+    or one Q(sqrt(n)); b is None when f is rational.  Raises ValueError
+    when f holds two irrational radicands."""
+    ns = sorted({x.n for x in f if type(x) is QuadraticNumber} - {1})
+    if len(ns) > 1:
+        raise ValueError(f"mixed radicands sqrt({ns[0]}) and sqrt({ns[1]})")
+    ra = [x.a if type(x) is QuadraticNumber else x for x in f]
+    rb = [x.b if type(x) is QuadraticNumber else 0 for x in f] \
+        if ns else []
+    den = math.lcm(*(x.denominator for x in ra + rb))
+    a, b = ([x.numerator * (den // x.denominator) for x in row]
+            for row in (ra, rb))
+    return a, b or None, ns[0] if ns else 1
 
 
-def _entries(P, Q, den, n, kind):
-    """The rows (P + Q sqrt(n)) / den, every entry of one kind."""
-    if kind == _INT:
-        return P if den == 1 else [[a // den for a in row] for row in P]
-    if kind == _FRACTION:
-        return [[Fraction(a, den) for a in row] for row in P]
-    make = QuadraticNumber._unchecked
-    if Q is None:
-        return [[make(Fraction(a, den), _ZERO, 1) for a in row] for row in P]
-    return [[make(Fraction(a, den), Fraction(b, den), n)
-             for a, b in zip(pr, qr)] for pr, qr in zip(P, Q)]
-
-
-def mat_mul(A, B):
-    """A . B as integer products over one common denominator per operand.
-
-    With A = (A1 + B1 r) / d1 and B = (A2 + B2 r) / d2, r = sqrt(n), the
-    product is (A1 A2 + n B1 B2 + (A1 B2 + B1 A2) r) / (d1 d2); a rational
-    operand skips its B products.  An entry is a QuadraticNumber when its
-    row of A or its column of B holds one, else an int when both hold only
-    ints, else a Fraction: the types of the plain triple loop."""
-    pa, pb = _Pairs(A), _Pairs(B)
-    n = _join(pa.n, pb.n)
-    P, Q = _pair_product(pa.a, pa.b, pb.a, pb.b, n)
-    den = pa.den * pb.den
-    if pa.uniform and pb.uniform:
-        return _entries(P, Q, den, n, max(pa.kind, pb.kind))
-    kr = [_kind(set(map(type, row))) for row in A]
-    kc = [_kind(set(map(type, col))) for col in zip(*B)]
-    if Q is None:
-        Q = [[0] * len(row) for row in P]
-    return [[_entry(a, b, den, n, max(ki, kj))
-             for a, b, kj in zip(pr, qr, kc)]
-            for pr, qr, ki in zip(P, Q, kr)]
-
-
-def poly_at(C, poly, power=1):
-    """poly(C)^power for a constant-first coefficient list, by Horner's
-    rule on integer pairs: with C = C' / d and poly = g / e (C' and g
-    integral), poly(C) = (sum_k g_k d^(deg - k) C'^k) / (e d^deg).
-
-    The entries are QuadraticNumbers when C or poly holds one, else ints
-    when both hold only ints, else Fractions."""
-    pc, pg = _Pairs(C), _Pairs([poly])
-    n = _join(pc.n, pg.n)
-    P, Q = _horner(pc.a, pc.b, pc.den, pg, n)
-    den = pg.den * pc.den ** (len(poly) - 1)
-    F, G, total = P, Q, den
-    for _ in range(power - 1):
-        P, Q = _pair_product(P, Q, F, G, n)
-        total *= den
-    kind = max(pc.kind, pg.kind)
-    return _entries(P, Q, total, n, kind)
-
-
-def _horner(A, B, d, pg, n):
+def _horner(A, B, d, ga, gb, n):
     """(P, Q): P + Q sqrt(n) = sum_k g_k d^(deg - k) (A + B sqrt(n))^k,
-    with g the integer pair row of pg (the polynomial's coefficients
-    times pg.den, constant first).  For C = (A + B sqrt(n)) / d that is
-    pg.den d^deg poly(C).  Q is None when n = 1."""
-    ga, gb = pg.a[0], (pg.b or [[0] * len(pg.a[0])])[0]
+    with g = ga + gb sqrt(n) an integer pair row (a polynomial's
+    coefficients times a common denominator, constant first, gb None
+    when g is rational).  For C = (A + B sqrt(n)) / d that is
+    d^deg g(C).  Q is None when n = 1."""
+    gb = gb or [0] * len(ga)
     size, deg = len(A), len(ga) - 1
 
     def scalar(k):
@@ -446,16 +350,6 @@ def _horner(A, B, d, pg, n):
             if Q is not None:
                 Q[i][i] += b
     return P, Q
-
-
-def _echelon(M):
-    """(rows, pivots, width, n, kind): M eliminated by _eliminate, with the
-    result kind, QuadraticNumber when M holds one and Fraction otherwise."""
-    pm = _Pairs(M)
-    rows = pm.a if pm.b is None else [a + b for a, b in zip(pm.a, pm.b)]
-    w = len(M[0])
-    kind = _QUADRATIC if pm.kind == _QUADRATIC else _FRACTION
-    return _eliminate(rows, w, pm.n) + (w, pm.n, kind)
 
 
 def _eliminate(rows, w, n):
@@ -521,37 +415,6 @@ def primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(M):
-    """Reduced row echelon form; returns (rows, pivot column list).
-
-    All rows come back, the zero rows after the pivot rows.  The entries
-    are QuadraticNumbers when M holds any, else Fractions."""
-    if not M:
-        return [], []
-    rows, pivots, w, n, kind = _echelon(M)
-    out = [_entries([rows[t][:w]], [rows[t][w:]] if n != 1 else None,
-                    rows[t][c], n, kind)[0] for t, c in enumerate(pivots)]
-    zero = _entry(0, 0, 1, n, kind)
-    out += [[zero] * w for _ in range(len(rows) - len(pivots))]
-    return out, pivots
-
-
-def right_nullspace(M):
-    """Basis of column vectors v with M v = 0, echelonized, as row lists."""
-    if not M:
-        return []
-    rows, pivots, w, n, kind = _echelon(M)
-    return [_entries([v[:w]], [v[w:]] if n != 1 else None, s, n, kind)[0]
-            for v, s in _null_vectors(rows, pivots, w, n)]
-
-
-def left_nullspace(M):
-    """Basis of row vectors v with v M = 0."""
-    if not M:
-        return []
-    return right_nullspace([list(col) for col in zip(*M)])
-
-
 def _null_vectors(rows, pivots, w, n):
     """(v, s) for each non-pivot column f of rows eliminated by
     _eliminate: v is the integer pair row (a + b when n != 1) of the null
@@ -578,8 +441,9 @@ class RowSolver:
     any number of V.
 
     One elimination of [B | I] gives B's pivot columns P and E with
-    E . B = rref(B); the first rank(B) rows of E invert B[:, P], so
-    X = V[:, P] . E[:rank], checked by multiplying back, all on integers.
+    E . B the reduced row echelon form of B; the first rank(B) rows of E
+    invert B[:, P], so X = V[:, P] . E[:rank], checked by multiplying
+    back, all on integers.
     a and b are integer matrices, b None for a rational B."""
 
     def __init__(self, a, b=None, n=1, den=1):
@@ -654,62 +518,6 @@ def _equal_scaled(P, V, s):
     return P == [[s * x for x in row] for row in V]
 
 
-def _solver(B):
-    """The RowSolver of a matrix of entries, and its _Pairs."""
-    pb = _Pairs(B)
-    return RowSolver(pb.a, pb.b, pb.n, pb.den), pb
-
-
-def express_in_rows(B, v):
-    """Coefficients x with x . B = v, or None when v is outside the span."""
-    (solver, pb), pv = _solver(B), _Pairs([v])
-    n = _join(pb.n, pv.n)
-    X = solver.solve(pv.a, pv.b, n)
-    if X is None:
-        return None
-    kind = _QUADRATIC if _QUADRATIC in (pb.kind, pv.kind) else _FRACTION
-    return _entries(*X, pv.den * solver.L, n, kind)[0]
-
-
-def solve_actions(B, Ms):
-    """[C for M in Ms] with C . B = B . M: the actions of the Ms
-    restricted to the row space B.
-
-    B must have full row rank (every caller passes a basis).  It is
-    eliminated once for all the Ms: with P its pivot columns,
-    C = (B M)[:, P] . B[:, P]^-1, and C . B = B . M is checked.  Raises
-    ValueError when the row space is not invariant under some M.  The
-    entries are QuadraticNumbers when B or M holds one, else Fractions.
-    """
-    solver, pb = _solver(B)
-    if len(solver.pivots) != len(B):
-        raise AssertionError("solve_action needs a basis of full row rank")
-    out = []
-    for M in Ms:
-        pm = _Pairs(M)
-        n = _join(pb.n, pm.n)
-        va, vb = _pair_product(pb.a, pb.b, pm.a, pm.b, n)
-        X = solver.solve(va, vb, n)
-        if X is None:
-            raise ValueError("row space is not invariant under the action")
-        kind = _QUADRATIC if _QUADRATIC in (pb.kind, pm.kind) else _FRACTION
-        out.append(_entries(*X, pb.den * pm.den * solver.L, n, kind))
-    return out
-
-
-def solve_action(B, M):
-    """solve_actions for one M."""
-    return solve_actions(B, [M])[0]
-
-
-# ---------------------------------------------------------------------------
-# Integer entry points: the kernel above on matrices of Python ints, with
-# no entries made.  A matrix over Q(sqrt(n)) is a pair of integer matrices
-# (A, B) standing for A + B sqrt(n), B None when it is rational; a kernel
-# row is an integer pair row a + b (concatenated when n != 1) standing for
-# a + b sqrt(n), primitive, since a row space does not change when a row
-# is scaled.
-
 def left_kernel(A, B=None, n=1):
     """Primitive integer pair rows spanning {v : v (A + B sqrt(n)) = 0}."""
     k = len(A)
@@ -726,8 +534,8 @@ def poly_kernel(X, L, f):
     of f(X / L), for an integer matrix X, an integer L > 0 and a
     polynomial f (constant first) over Q or one Q(sqrt(n)).  Only the
     integer numerator sum_k g_k L^(deg - k) X^k of f(X / L) is formed."""
-    pg = _Pairs([f])
-    return left_kernel(*_horner(X, None, L, pg, pg.n), pg.n), pg.n
+    ga, gb, n = _pair_row(f)
+    return left_kernel(*_horner(X, None, L, ga, gb, n), n), n
 
 
 def pivot_columns(M):

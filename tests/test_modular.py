@@ -10,8 +10,8 @@ from endoperm import oracle
 from endoperm.modular import (DecompositionMatrixE, InertFieldError,
                               LiftValidationError, SqrtConvention,
                               _block_diag_blocks, _column_blocks,
-                              _sqrt_mod, basic_set, cartan_from_decomposition,
-                              cartan_equivalent, cartan_from_regular,
+                              _sqrt_mod, basic_set, cartan_equivalent,
+                              cartan_from_regular,
                               correspond_projectives,
                               decomposition_matrix, permutation_verdict,
                               projective_columns, reduce_table, reduce_value)
@@ -121,7 +121,7 @@ def test_basic_set_corner_cases():
     assert len(basic11) == 3
     D = decomposition_matrix(tbl, reduced11, basic11, 11)
     assert D.entries == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert cartan_from_decomposition(D) == \
+    assert D.transpose_product() == \
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 

@@ -121,6 +121,19 @@ def test_char_table_refuses_noncommutative():
         oracle.char_table_commutative(basis)
 
 
+def test_char_table_refuses_complex_and_unsupported_fields():
+    # the cyclic group acting regularly: C3's values lie in Q(sqrt(-3)),
+    # C5's in the degree-4 field of fifth roots of unity
+    from endoperm.corpus import _regular_group
+    for n, message in ((3, "complex quadratic"),
+                       (5, "unsupported splitting field")):
+        G = _regular_group([Permutation([(i + 1) % n for i in range(n)])],
+                           n)
+        act = oracle.coset_action(G, G.stabilizer(0))
+        with pytest.raises(ValueError, match=message):
+            oracle.char_table_commutative(oracle.commutant_basis(act, []))
+
+
 def test_direct_endo_decomposition_cases():
     s5 = sym(5)
     h = s5.stabilizer(0)

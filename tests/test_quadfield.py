@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from endoperm.quadfield import (QuadraticNumber, RadicalSum, RadicalVector,
-                                express_in_rows, left_nullspace, mat_mul,
-                                poly_at, right_nullspace, rref, solve_action,
+                                RowSolver, _pair_product, int_product,
+                                left_kernel, pivot_columns, poly_kernel,
                                 squarefree_part)
 
 
@@ -73,40 +74,36 @@ def test_json_roundtrip():
 
 
 def test_exact_linear_algebra():
+    # rank plus nullity: the pivots of M and its left kernel
     rng = random.Random(4)
     for _ in range(20):
         n = rng.randrange(1, 6)
-        M = [[Fraction(rng.randrange(-5, 6)) for _ in range(n)]
-             for _ in range(n + 1)]
-        R, pivots = rref(M)
-        for r, c in enumerate(pivots):
-            assert R[r][c] == 1
-        N = left_nullspace(M)
+        M = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n + 1)]
+        pivots = pivot_columns(M)
+        N = left_kernel(M)
         for v in N:
-            out = [sum(v[i] * M[i][j] for i in range(len(M)))
-                   for j in range(n)]
-            assert all(x == 0 for x in out)
-        rk = len(pivots)
-        assert rk + len(N) == len(M)
+            assert math.gcd(*v) == 1
+            assert all(sum(x * row[j] for x, row in zip(v, M)) == 0
+                       for j in range(n))
+        assert len(pivots) + len(N) == len(M)
 
 
 def test_express_and_solve_action():
-    B = [[Fraction(1), Fraction(2), Fraction(0)],
-         [Fraction(0), Fraction(1), Fraction(1)]]
-    assert express_in_rows(B, [Fraction(2), Fraction(5), Fraction(1)]) == \
-        [Fraction(2), Fraction(1)]
-    assert express_in_rows(B, [Fraction(0), Fraction(0), Fraction(7)]) is None
-    # invariant row space: x-y plane under a rotation-ish map
-    M = [[Fraction(0), Fraction(1), Fraction(0)],
-         [Fraction(1), Fraction(0), Fraction(0)],
-         [Fraction(0), Fraction(0), Fraction(2)]]
-    basis = [[Fraction(1), Fraction(0), Fraction(0)],
-             [Fraction(0), Fraction(1), Fraction(0)]]
-    C = solve_action(basis, M)
-    assert mat_mul(C, basis) == mat_mul(basis, M)
-    bad = [[Fraction(1), Fraction(1), Fraction(1)]]
+    # RowSolver.solve expresses rows in a basis, RowSolver.act restricts
+    B = [[1, 2, 0], [0, 1, 1]]
+    solver = RowSolver(B)
+    Xa, Xb = solver.solve([[2, 5, 1]], None, 1)
+    assert Xb is None
+    assert [Fraction(x, solver.L) for x in Xa[0]] == [2, 1]
+    assert solver.solve([[0, 0, 7]], None, 1) is None
+    # invariant row space: the x-y plane under a swap of x and y
+    M = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
+    plane = RowSolver([[1, 0, 0], [0, 1, 0]])
+    [(C, _)] = plane.act(M)
+    assert int_product(C, plane.a) == [[plane.L * x for x in row]
+                                       for row in int_product(plane.a, M)]
     with pytest.raises(ValueError):
-        solve_action(bad, M)
+        RowSolver([[1, 1, 1]]).act(M)
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +115,20 @@ def _to_sympy(M):
 
 
 def _from_sympy(S):
-    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)]
-            for i in range(S.rows)]
+    return [[int(x) for x in S.row(i)] for i in range(S.rows)]
 
 
-def _random_rational(rng, rows, cols, rank=None):
-    """A rows x cols rational matrix of the given rank (full when None),
+def _random_integer(rng, rows, cols, rank=None):
+    """A rows x cols integer matrix of the given rank (full when None),
     with a zero row mixed in now and then."""
-    def entry():
-        return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
     rank = min(rows, cols) if rank is None else rank
-    left = [[entry() for _ in range(rank)] for _ in range(rows)]
-    right = [[entry() for _ in range(cols)] for _ in range(rank)]
-    M = [[sum((row[t] * right[t][j] for t in range(rank)), Fraction(0))
-          for j in range(cols)] for row in left]
+    left = [[rng.randrange(-4, 5) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(-4, 5) for _ in range(cols)]
+             for _ in range(rank)]
+    M = _from_sympy(_to_sympy(left) * _to_sympy(right)) if rank else \
+        [[0] * cols for _ in range(rows)]
     if rows > 1 and rng.random() < 0.3:
-        M[rng.randrange(rows)] = [Fraction(0)] * cols
+        M[rng.randrange(rows)] = [0] * cols
     return M
 
 
@@ -142,111 +137,129 @@ def _random_cases(seed, count=40):
     for _ in range(count):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         rank = rng.randrange(0, min(rows, cols) + 1)
-        yield rng, _random_rational(rng, rows, cols, rank)
+        yield rng, _random_integer(rng, rows, cols, rank)
 
 
-def _loop_mat_mul(A, B):
-    """The plain triple loop, kept here as the reference for entry types."""
-    out = []
-    for row in A:
-        out.append([])
-        for j in range(len(B[0])):
-            acc = row[0] * B[0][j]
-            for k in range(1, len(B)):
-                acc = acc + row[k] * B[k][j]
-            out[-1].append(acc)
-    return out
+def _with_zero_and_repeated_columns(rng, M):
+    """M with a zero column and a copy of one of its columns put in now
+    and then; neither changes the left kernel."""
+    cols = [list(col) for col in zip(*M)]
+    if rng.random() < 0.5:
+        cols.insert(rng.randrange(len(cols) + 1), [0] * len(M))
+    if rng.random() < 0.5:
+        cols.insert(rng.randrange(len(cols) + 1), rng.choice(cols))
+    return [list(row) for row in zip(*cols)]
 
 
-def test_mat_mul_matches_sympy_and_keeps_entry_types():
+def _same_rows_up_to_positive_scale(got, want):
+    """Each row of got is a positive multiple of the matching sympy row."""
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        w = list(w)
+        f = next(i for i, x in enumerate(w) if x)
+        ratio = sympy.Rational(v[f]) / w[f]
+        assert ratio > 0 and [sympy.Rational(x) for x in v] == \
+            [ratio * x for x in w]
+
+
+def test_int_product_matches_sympy():
     for rng, A in _random_cases(11):
-        B = _random_rational(rng, len(A[0]), rng.randrange(1, 6))
-        assert mat_mul(A, B) == _from_sympy(_to_sympy(A) * _to_sympy(B))
-    rng = random.Random(12)
-    for _ in range(20):
-        A = [[rng.randrange(-9, 10) for _ in range(4)] for _ in range(3)]
-        B = [[rng.randrange(-9, 10) for _ in range(5)] for _ in range(4)]
-        out = mat_mul(A, B)
+        B = _random_integer(rng, len(A[0]), rng.randrange(1, 6))
+        out = int_product(A, B)
+        assert _to_sympy(out) == _to_sympy(A) * _to_sympy(B)
         assert all(type(x) is int for row in out for x in row)
-        # one Fraction in row 0 of A and one in column 2 of B
-        A[0][1] = Fraction(A[0][1], 3)
-        B[3][2] = Fraction(1, 2)
-        out, ref = mat_mul(A, B), _loop_mat_mul(A, B)
-        assert out == ref
-        assert [[type(x) for x in row] for row in out] == \
-            [[type(x) for x in row] for row in ref]
 
 
 def test_rref_and_nullspaces_match_sympy():
-    for _, M in _random_cases(13):
-        R, pivots = rref(M)
-        SR, spivots = _to_sympy(M).rref()
-        assert pivots == list(spivots)
-        assert R == _from_sympy(SR)
-        assert all(type(x) is Fraction for row in R for x in row)
+    # pivot_columns against sympy's rref pivots; left_kernel, of M and of
+    # its transpose, against sympy's echelonized nullspaces: the reduced
+    # basis is unique, so each kernel row is a positive multiple of
+    # sympy's, and primitive
+    for rng, M in _random_cases(13):
         S = _to_sympy(M)
-        assert right_nullspace(M) == [[Fraction(int(x.p), int(x.q))
-                                       for x in v] for v in S.nullspace()]
-        assert left_nullspace(M) == [[Fraction(int(x.p), int(x.q))
-                                      for x in v] for v in S.T.nullspace()]
-
-
-def test_generic_path_agrees_with_the_integer_path():
-    # rational matrices held as QuadraticNumbers give the answers of
-    # their Fraction form
-    for _, M in _random_cases(14, count=15):
-        Mq = [[QuadraticNumber(x) for x in row] for row in M]
-        R, pivots = rref(M)
-        Rq, pivots_q = rref(Mq)
-        assert (Rq, pivots_q) == (R, pivots)
-        assert left_nullspace(Mq) == left_nullspace(M)
+        assert pivot_columns(M) == list(S.rref()[1])
+        left = left_kernel(_with_zero_and_repeated_columns(rng, M))
+        _same_rows_up_to_positive_scale(left, S.T.nullspace())
+        right = left_kernel([list(col) for col in zip(*M)])
+        _same_rows_up_to_positive_scale(right, S.nullspace())
+        assert all(math.gcd(*v) == 1 for v in left + right)
 
 
 def test_express_in_rows_matches_sympy():
+    # RowSolver.solve: X B = L den V for V in the row space of B, and
+    # None for V outside it
     for rng, B in _random_cases(15):
+        den = rng.randrange(1, 4)
         S = _to_sympy(B)
-        inside = [Fraction(rng.randrange(-4, 5)) for _ in B]
-        v = mat_mul([inside], B)[0]
-        x = express_in_rows(B, v)
-        assert x is not None and mat_mul([x], B)[0] == v
+        inside = [[rng.randrange(-4, 5) for _ in B] for _ in range(2)]
+        V = _from_sympy(_to_sympy(inside) * S)
+        solver = RowSolver(B, None, 1, den)
+        Xa, Xb = solver.solve(V, None, 1)
+        assert Xb is None
+        X = _to_sympy(Xa) / (solver.L * den)
+        assert X * S == _to_sympy(V)
         if S.rank() == len(B):
-            sol, _ = S.T.gauss_jordan_solve(_to_sympy([v]).T)
-            assert x == [row[0] for row in _from_sympy(sol)]
-        w = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
-             for _ in B[0]]
+            assert X == _to_sympy(inside)
+        w = [rng.randrange(-4, 5) for _ in B[0]]
         in_span = S.col_join(_to_sympy([w])).rank() == S.rank()
-        assert (express_in_rows(B, w) is not None) == in_span
+        assert (solver.solve([w], None, 1) is not None) == in_span
+
+
+def _invariant_case(rng, n, k):
+    """(B, C, M): a k x n integer basis B, and M rational with
+    B M = C B, from M = S^-1 T S with S = [B; unit rows] invertible and T
+    block lower triangular with C in the corner; None when B is not of
+    full rank."""
+    B = _random_integer(rng, k, n)
+    S = _to_sympy(B)
+    if S.rank() < k:
+        return None
+    for i in range(n):
+        unit = sympy.Matrix([[int(i == j) for j in range(n)]])
+        if S.col_join(unit).rank() > S.rank():
+            S = S.col_join(unit)
+    C = _to_sympy(_random_integer(rng, k, k)) / rng.randrange(1, 3)
+    T = sympy.zeros(n, n)
+    T[:k, :k] = C
+    if n > k:
+        T[k:, :] = _to_sympy(_random_integer(rng, n - k, n))
+    return B, C, S.inv() * T * S
+
+
+def _integral(S):
+    """(M, d): the integer matrix M = d S for d the lcm of the
+    denominators of the sympy matrix S."""
+    d = math.lcm(*(int(x.q) for x in S))
+    return [[int(x * d) for x in S.row(i)] for i in range(S.rows)], d
 
 
 def test_solve_action_matches_sympy():
+    # RowSolver.act on two matrices side by side against the C that
+    # built them; ValueError when the row space is not invariant
     rng = random.Random(16)
+    checked = 0
     for _ in range(25):
         n = rng.randrange(2, 7)
         k = rng.randrange(1, n + 1)
-        B = _random_rational(rng, k, n)
-        if _to_sympy(B).rank() < k:
+        case = _invariant_case(rng, n, k)
+        if case is None:
             continue
-        # S: B's rows plus unit rows, invertible; T block lower triangular
-        # with C in the corner, so M = S^-1 T S has B M = C B
-        S = _to_sympy(B)
-        for i in range(n):
-            unit = sympy.Matrix([[int(i == j) for j in range(n)]])
-            if S.col_join(unit).rank() > S.rank():
-                S = S.col_join(unit)
-        C = _random_rational(rng, k, k)
-        T = sympy.zeros(n, n)
-        T[:k, :k] = _to_sympy(C)
-        T[k:, :] = _to_sympy(_random_rational(rng, n - k, n)) if n > k \
-            else T[k:, :]
-        M = _from_sympy(S.inv() * T * S)
-        assert solve_action(B, M) == C
-        assert _to_sympy(C) * _to_sympy(B) == _to_sympy(B) * _to_sympy(M)
+        B, C, M = case
+        M1, d1 = _integral(M)
+        M2, d2 = _integral(M * M + M)
+        solver = RowSolver(B)
+        (X1, b1), (X2, b2) = solver.act([r1 + r2 for r1, r2 in zip(M1, M2)])
+        assert b1 is None and b2 is None
+        assert _to_sympy(X1) == solver.L * d1 * C
+        assert _to_sympy(X2) == solver.L * d2 * (C * C + C)
+        checked += 1
         if k < n:
-            N = _random_rational(rng, n, n)
+            N = _random_integer(rng, n, n)
             SB = _to_sympy(B)
             if SB.col_join(SB * _to_sympy(N)).rank() > k:
                 with pytest.raises(ValueError):
-                    solve_action(B, N)
+                    solver.act(N)
+    assert checked >= 15
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +280,10 @@ def _element(x, K):
               sympy.QQ(a.numerator, a.denominator)])
 
 
-def _dm(M, n, cols=None):
+def _dm(M, n):
     K = _field(n)
-    cols = len(M[0]) if M else cols
     return DomainMatrix([[_element(x, K) for x in row] for row in M],
-                        (len(M), cols), K)
+                        (len(M), len(M[0])), K)
 
 
 def _value(x, n):
@@ -284,7 +296,7 @@ def _from_dm(D, n):
     return [[_value(x, n) for x in row] for row in D.to_list()]
 
 
-def _entry(rng, n):
+def _number(rng, n):
     """An int, a Fraction or a QuadraticNumber with half-integral parts."""
     kind = rng.randrange(3)
     if kind == 0:
@@ -296,30 +308,44 @@ def _entry(rng, n):
                            n)
 
 
-def _mixed(rng, M):
-    """M's rational QuadraticNumbers as ints or Fractions now and then, so
-    rows mix the three entry types."""
-    def retype(x):
-        if type(x) is not QuadraticNumber or x.b or rng.random() < 0.5:
-            return x
-        return int(x.a) if x.a.denominator == 1 and rng.random() < 0.5 \
-            else x.a
-    return [[retype(x) for x in row] for row in M]
+def _quadratic(A, B, n):
+    """The matrix A + B sqrt(n) of QuadraticNumbers, B None for zero."""
+    B = B or [[0] * len(row) for row in A]
+    return [[QuadraticNumber(a, b, n) for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
+
+
+def _pair_rows(M):
+    """(A, B, d): integer matrices with M = (A + B sqrt(n)) / d, for a
+    matrix M of ints, Fractions and QuadraticNumbers over one
+    Q(sqrt(n))."""
+    M = [[x if type(x) is QuadraticNumber else QuadraticNumber(x)
+          for x in row] for row in M]
+    d = math.lcm(*(x.denominator for row in M for q in row
+                   for x in (q.a, q.b)))
+    return ([[int(q.a * d) for q in row] for row in M],
+            [[int(q.b * d) for q in row] for row in M], d)
+
+
+def _split(rows, w):
+    """(A, B) for kernel pair rows a + b, concatenated, of width 2w."""
+    return [v[:w] for v in rows], [v[w:] for v in rows]
 
 
 def _random_quadratic(rng, n, rows, cols, rank=None):
     """A rows x cols matrix over Q(sqrt(n)) of the given rank (full when
-    None), built in sympy, with a zero row now and then."""
+    None), as QuadraticNumbers built in sympy, with a zero row now and
+    then."""
     rank = min(rows, cols) if rank is None else rank
-    left = [[_entry(rng, n) for _ in range(rank)] for _ in range(rows)]
-    right = [[_entry(rng, n) for _ in range(cols)] for _ in range(rank)]
+    left = [[_number(rng, n) for _ in range(rank)] for _ in range(rows)]
+    right = [[_number(rng, n) for _ in range(cols)] for _ in range(rank)]
     if rank == 0:
         M = [[QuadraticNumber(0)] * cols for _ in range(rows)]
     else:
         M = _from_dm(_dm(left, n) * _dm(right, n), n)
     if rows > 1 and rng.random() < 0.3:
         M[rng.randrange(rows)] = [QuadraticNumber(0)] * cols
-    return _mixed(rng, M)
+    return M
 
 
 def _quadratic_cases(seed, count=30):
@@ -332,132 +358,205 @@ def _quadratic_cases(seed, count=30):
         yield rng, n, _random_quadratic(rng, n, rows, cols, rank)
 
 
-def test_quadratic_mat_mul_matches_sympy_and_the_loop():
-    for rng, n, A in _quadratic_cases(21):
+def test_pair_product_matches_sympy():
+    for rng, n, M in _quadratic_cases(21):
+        A1, B1, _ = _pair_rows(M)
         cols = rng.randrange(1, 5)
-        B = [[_entry(rng, n) for _ in range(cols)] for _ in A[0]]
-        out = mat_mul(A, B)
-        assert out == _from_dm(_dm(A, n) * _dm(B, n), n)
-        ref = _loop_mat_mul(A, B)
-        assert [[type(x) for x in row] for row in out] == \
-            [[type(x) for x in row] for row in ref]
-        assert mat_mul([], B) == []
+        A2 = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in M[0]]
+        B2 = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in M[0]]
+        want = _dm(_quadratic(A1, B1, n), n) * _dm(_quadratic(A2, B2, n), n)
+        P, Q = _pair_product(A1, B1, A2, B2, n)
+        assert _dm(_quadratic(P, Q, n), n) == want
+        # a rational operand
+        P, Q = _pair_product(A1, B1, A2, None, n)
+        assert _dm(_quadratic(P, Q, n), n) == \
+            _dm(_quadratic(A1, B1, n), n) * _dm(A2, n)
+        P, Q = _pair_product(A1, None, A2, None, n)
+        assert Q is None and P == int_product(A1, A2)
 
 
 def test_quadratic_rref_and_nullspaces_match_sympy():
-    for _, n, M in _quadratic_cases(22):
+    # left_kernel over Q(sqrt(n)), of M and of its transpose, against
+    # sympy's nullspaces: primitive rows that annihilate, spanning the
+    # same row space
+    for rng, n, M in _quadratic_cases(22):
         D = _dm(M, n)
-        R, pivots = rref(M)
-        SR, spivots = D.rref()
-        assert pivots == list(spivots)
-        assert R == _from_dm(SR, n)
-        quadratic = any(type(x) is QuadraticNumber for row in M for x in row)
-        assert {type(x) for row in R for x in row} == \
-            {QuadraticNumber if quadratic else Fraction}
-        cols, rank = len(M[0]), D.rank()
-        free = [c for c in range(cols) if c not in pivots]
-        right = right_nullspace(M)
-        left = left_nullspace(M)
-        assert len(right) == cols - rank and len(left) == len(M) - rank
-        # the basis with unit entries at the free columns is unique
-        for v, f in zip(right, free):
-            assert [v[c] for c in free] == [int(c == f) for c in free]
-            assert (D * _dm([[x] for x in v], n)).is_zero_matrix
-        for v in left:
-            assert (_dm([v], n) * D).is_zero_matrix
-    assert rref([]) == ([], [])
-    assert right_nullspace([]) == [] and left_nullspace([]) == []
+        A, B, _ = _pair_rows(M)
+        At, Bt = ([list(c) for c in zip(*X)] for X in (A, B))
+        if rng.random() < 0.5:
+            # a zero column and a repeated one
+            A, B = ([row + [0, row[0]] for row in X] for X in (A, B))
+        k, w = len(M), len(M[0])
+        for got, size, want, zero in (
+                (left_kernel(A, B, n), k, D.transpose().nullspace(),
+                 lambda V: V * D),
+                (left_kernel(At, Bt, n), w, D.nullspace(),
+                 lambda V: D * V.transpose())):
+            assert len(got) == want.shape[0]
+            assert all(math.gcd(*v) == 1 for v in got)
+            if got:
+                V = _dm(_quadratic(*_split(got, size), n), n)
+                assert zero(V).is_zero_matrix
+                assert V.rref()[0] == want.rref()[0]
 
 
 def test_quadratic_express_in_rows_matches_sympy():
-    for rng, n, B in _quadratic_cases(23):
-        D = _dm(B, n)
-        x = [_entry(rng, n) for _ in B]
-        v = _from_dm(_dm([x], n) * D, n)[0]
-        got = express_in_rows(B, v)
-        assert got is not None
-        assert _from_dm(_dm([got], n) * D, n)[0] == v
-        if D.rank() == len(B):
-            assert got == x
-        w = [_entry(rng, n) for _ in B[0]]
-        in_span = _dm(B + [w], n).rank() == D.rank()
-        assert (express_in_rows(B, w) is not None) == in_span
+    # RowSolver.solve over Q(sqrt(n)): X B = L den V inside the row
+    # space of B, None outside it
+    for rng, n, M in _quadratic_cases(23):
+        D = _dm(M, n)
+        A, B, d = _pair_rows(M)
+        den = rng.randrange(1, 3)
+        x = [[_number(rng, n) for _ in M]]
+        va, vb, dv = _pair_rows(_from_dm(_dm(x, n) * D, n))
+        solver = RowSolver(A, B, n, den)
+        Xa, Xb = solver.solve(va, vb, n)
+        X = _from_dm(_dm(_quadratic(Xa, Xb, n), n)
+                     * _dm(_quadratic(A, B, n), n), n)
+        assert X == [[solver.L * den * q for q in row]
+                     for row in _quadratic(va, vb, n)]
+        if D.rank() == len(M):
+            # the solution is unique: x up to the denominators
+            scale = Fraction(d, solver.L * den * dv)
+            assert [[q * scale for q in row]
+                    for row in _quadratic(Xa, Xb, n)] == x
+        w = [[_number(rng, n) for _ in M[0]]]
+        in_span = _dm(M + w, n).rank() == D.rank()
+        wa, wb, _ = _pair_rows(w)
+        assert (solver.solve(wa, wb, n) is not None) == in_span
+
+
+def _eigen_case(rng, n, size):
+    """(M, U, lam): a rational M = P^-1 Dg P, Dg the companion of
+    x^2 - n followed by rationals q_i, and the rows U of its left
+    eigenvectors (sqrt(n), 1, 0, ...) P and e_(i+2) P with eigenvalues
+    lam, as QuadraticNumbers; None when P is singular."""
+    P = _to_sympy(_random_integer(rng, size, size))
+    if P.rank() < size:
+        return None
+    qs = [Fraction(rng.randrange(-4, 5), rng.choice((1, 2)))
+          for _ in range(size - 2)]
+    Dg = sympy.zeros(size, size)
+    Dg[0, 1], Dg[1, 0] = 1, n
+    for i, q in enumerate(qs):
+        Dg[i + 2, i + 2] = sympy.Rational(q.numerator, q.denominator)
+    root = QuadraticNumber(0, 1, n)
+    units = [[root, 1] + [0] * (size - 2)] + \
+        [[int(j == i + 2) for j in range(size)] for i in range(size - 2)]
+    Pq = [[int(x) for x in P.row(i)] for i in range(size)]
+    U = _from_dm(_dm(units, n) * _dm(Pq, n), n)
+    return P.inv() * Dg * P, U, [root] + qs
+
+
+def _diagonal(values):
+    return [[v if i == j else 0 for j in range(len(values))]
+            for i, v in enumerate(values)]
 
 
 def test_quadratic_solve_action_matches_sympy():
+    # RowSolver.act of rational matrices on a basis over Q(sqrt(n)): G
+    # times k left eigenvectors of M carries the action G diag(lam) G^-1
+    # of M, and its square that of M^2; ValueError when the row space is
+    # not invariant
     rng = random.Random(24)
     checked = 0
     for t in range(30):
         n = FIELDS[t % len(FIELDS)]
-        size = rng.randrange(1, 6)
-        k = rng.randrange(1, size + 1)
-        B = _random_quadratic(rng, n, k, size)
-        if _dm(B, n).rank() < k:
+        size = rng.randrange(2, 6)
+        case = _eigen_case(rng, n, size)
+        if case is None:
             continue
-        # S: B's rows plus unit rows, invertible; T block lower triangular
-        # with C in the corner, so M = S^-1 T S has B M = C B
-        S = [list(row) for row in B]
-        for i in range(size):
-            unit = [int(i == j) for j in range(size)]
-            if _dm(S + [unit], n).rank() > len(S):
-                S.append(unit)
-        C = _random_quadratic(rng, n, k, k)
-        T = [row + [0] * (size - k) for row in C] + \
-            _random_quadratic(rng, n, size - k, size) if size > k else C
-        DS = _dm(S, n)
-        M = _from_dm(DS.inv() * _dm(T, n) * DS, n)
-        got = solve_action(B, M)
-        assert got == C
-        assert all(type(x) is QuadraticNumber for row in got for x in row)
+        M, U, lam = case
+        k = rng.randrange(1, size)
+        G = _dm(_random_quadratic(rng, n, k, k), n)
+        if G.rank() < k:
+            continue
+        DB = G * _dm(U[:k], n)
+        C = G * _dm(_diagonal(lam[:k]), n) * G.inv()
+        A, B, _ = _pair_rows(_from_dm(DB, n))
+        M1, d1 = _integral(M)
+        M2, d2 = _integral(M * M)
+        solver = RowSolver(A, B, n)
+        (X1a, X1b), (X2a, X2b) = solver.act(
+            [r1 + r2 for r1, r2 in zip(M1, M2)])
+        assert _quadratic(X1a, X1b, n) == \
+            [[solver.L * d1 * q for q in row] for row in _from_dm(C, n)]
+        assert _quadratic(X2a, X2b, n) == \
+            [[solver.L * d2 * q for q in row] for row in _from_dm(C * C, n)]
         checked += 1
-        if k < size:
-            N = _random_quadratic(rng, n, size, size)
-            DB = _dm(B, n)
-            if _dm(B + _from_dm(DB * _dm(N, n), n), n).rank() > k:
-                with pytest.raises(ValueError):
-                    solve_action(B, N)
+        N = _random_integer(rng, size, size)
+        if DB.vstack(DB * _dm(N, n)).rank() > k:
+            with pytest.raises(ValueError):
+                solver.act(N)
     assert checked >= 15
+
+
+def _sympy_poly_at(f, M, n):
+    """f(M) by Horner's rule in sympy, over K = Q(sqrt(n))."""
+    K = _field(n)
+    size = M.shape[0]
+    F = DomainMatrix.zeros((size, size), K)
+    for c in f[::-1]:
+        F = F * M + DomainMatrix.eye(size, K) * _element(c, K)
+    return F
+
+
+def test_poly_at_matches_sympy():
+    # poly_kernel(X, L, f) against sympy's left nullspace of f(X / L):
+    # f over Q a factor of the characteristic polynomial times a random
+    # linear factor, and f over Q(sqrt(n)) with a root sqrt(n) of X / L
+    rng = random.Random(25)
+    x = sympy.Symbol("x")
+    checked = 0
+    for t in range(24):
+        n = FIELDS[t % len(FIELDS)]
+        size = rng.randrange(2, 5)
+        extra = [_number(rng, n), 1]
+        if t % 2:
+            case = _eigen_case(rng, n, size)
+            if case is None:
+                continue
+            X, L = _integral(case[0])
+            f = [-QuadraticNumber(0, 1, n), 1]
+        else:
+            X, L = _random_integer(rng, size, size), rng.randrange(1, 4)
+            g = rng.choice(sympy.factor_list(
+                (_to_sympy(X) / L).charpoly(x).as_expr())[1])[0]
+            f = [Fraction(int(c.p), int(c.q))
+                 for c in sympy.Poly(g, x).all_coeffs()[::-1]]
+        f = _poly_mul(f, extra)
+        K, field = poly_kernel(X, L, f)
+        quadratic = any(type(c) is QuadraticNumber and c.b for c in f)
+        assert field == (n if quadratic else 1)
+        F = _sympy_poly_at(
+            f, _dm([[Fraction(v, L) for v in row] for row in X], n), n)
+        want = F.transpose().nullspace()
+        assert len(K) == want.shape[0]
+        if K:
+            V = _dm(K, n) if field == 1 else \
+                _dm(_quadratic(*_split(K, size), n), n)
+            assert (V * F).is_zero_matrix
+            assert V.rref()[0] == want.rref()[0]
+            checked += 1
+    assert checked >= 10
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = a * b + out[i + j]
+    return out
 
 
 def test_kernel_refuses_mixed_radicands():
     r2, r3 = QuadraticNumber(0, 1, 2), QuadraticNumber(1, 1, 3)
-    for call in (lambda: mat_mul([[r2]], [[r3]]),
-                 lambda: mat_mul([[r2, r3]], [[1], [1]]),
-                 lambda: rref([[r2, 1], [1, r3]]),
-                 lambda: left_nullspace([[r2], [r3]]),
-                 lambda: solve_action([[1, 0]], [[r2, 0], [0, r3]]),
-                 lambda: express_in_rows([[r2, 1]], [r3, 1])):
+    X = [[1, 0], [0, 2]]
+    for f in ([r2, r3], [r2, 1, r3], [1, r3, QuadraticNumber(0, 1, 5)]):
         with pytest.raises(ValueError, match="mixed radicands"):
-            call()
-
-
-def test_poly_at_matches_sympy():
-    rng = random.Random(25)
-    for t in range(15):
-        n = FIELDS[t % len(FIELDS)]
-        size = rng.randrange(1, 5)
-        C = _mixed(rng, [[_entry(rng, n) for _ in range(size)]
-                         for _ in range(size)])
-        poly = [_entry(rng, n) for _ in range(rng.randrange(1, 5))]
-        power = rng.randrange(1, 3)
-        D = _dm(C, n)
-        K = _field(n)
-        F = DomainMatrix.zeros((size, size), K)
-        for c in poly[::-1]:
-            F = F * D + DomainMatrix.eye(size, K) * _element(c, K)
-        want = F
-        for _ in range(power - 1):
-            want = want * F
-        got = poly_at(C, poly, power)
-        assert got == _from_dm(want, n)
-        types = {type(x) for row in C for x in row} | set(map(type, poly))
-        want_type = QuadraticNumber if QuadraticNumber in types else \
-            int if types == {int} else Fraction
-        assert {type(x) for row in got for x in row} == {want_type}
-    ints = [[1, 2], [3, 4]]
-    assert poly_at(ints, [1, 0, 1]) == [[8, 10], [15, 23]]
-    assert all(type(x) is int for row in poly_at(ints, [1, 0, 1])
-               for x in row)
+            poly_kernel(X, 1, f)
+    # a rational QuadraticNumber mixes with any one radicand
+    assert poly_kernel(X, 1, [QuadraticNumber(2), r2, 1])[1] == 2
 
 
 def test_radical_vector_dot_matches_radical_sums():
@@ -465,7 +564,7 @@ def test_radical_vector_dot_matches_radical_sums():
     rng = random.Random(26)
     for _ in range(40):
         size = rng.randrange(1, 7)
-        x, y = ([_entry(rng, rng.choice((3, 5, 33))) for _ in range(size)]
+        x, y = ([_number(rng, rng.choice((3, 5, 33))) for _ in range(size)]
                 for _ in range(2))
         weights = [rng.randrange(-4, 5) for _ in range(size)]
         want = RadicalSum()

@@ -9,8 +9,7 @@ import pytest
 import sympy
 
 from endoperm import corpus, oracle, pipeline, quadfield, splitchar, zpoly
-from endoperm.quadfield import (QuadraticNumber, left_nullspace, poly_at,
-                                rref, solve_action)
+from endoperm.quadfield import QuadraticNumber
 from endoperm.permgrp import GeneratedGroup, Permutation, closure_elements
 from endoperm.schur import IntersectionMatrix
 from endoperm.splitchar import (CharRow, EndoCharTable,
@@ -223,32 +222,39 @@ def test_corpus_tables_are_pinned(corpus_runs):
 
 
 def refined_by_basis_elements(mats, r):
-    """The components by the old route: the centre's echelon basis
-    elements refine Q^r one after the other, on Fractions."""
-    Ps = [P.entries for P in mats]
-    stacked = [[Ps[j][i][k] - Ps[i][j][k] for j in range(r)
-                for k in range(r)] for i in range(r)]
-    comps = [[[Fraction(int(i == j)) for j in range(r)] for i in range(r)]]
-    for z in left_nullspace(stacked):
-        Rz = [[sum(z[t] * Ps[t][i][k] for t in range(r)) for k in range(r)]
-              for i in range(r)]
+    """The components by the old route, in sympy: the centre's echelon
+    basis elements refine Q^r one after the other, each piece cut by the
+    kernels of f(C) for the irreducible factors f of the characteristic
+    polynomial of C, the element's action on the piece."""
+    x = sympy.Symbol("x")
+    Ps = [sympy.Matrix(P.entries) for P in mats]
+    stacked = sympy.Matrix([[Ps[j][i, k] - Ps[i][j, k] for j in range(r)
+                             for k in range(r)] for i in range(r)])
+    comps = [sympy.eye(r)]
+    for z in stacked.T.nullspace():
+        Rz = sum((z[t] * Ps[t] for t in range(r)), sympy.zeros(r, r))
         refined = []
         for B in comps:
-            C = solve_action(B, Rz)
-            _, _, facs = zpoly.factor(char_poly(C))
+            # C B = B Rz, B of full row rank
+            C = B.T.gauss_jordan_solve((B * Rz).T)[0].T
+            _, facs = sympy.factor_list(C.charpoly(x).as_expr())
             if len(facs) == 1:
                 refined.append(B)
                 continue
             for f, _ in facs:
-                K = left_nullspace(poly_at(C, f))
-                refined.append([[sum(k[t] * B[t][i] for t in range(len(B)))
-                                 for i in range(r)] for k in K])
+                F = sympy.zeros(*C.shape)
+                for c in sympy.Poly(f, x).all_coeffs():
+                    F = F * C + c * sympy.eye(C.rows)
+                K = F.T.nullspace()
+                refined.append(sympy.Matrix.hstack(*K).T * B)
         comps = refined
     return comps
 
 
 def row_space(B):
-    return tuple(tuple(row) for row in rref(B)[0])
+    """The reduced row echelon form of B's rows, as tuples."""
+    R = sympy.Matrix(B).rref()[0]
+    return tuple(tuple(R.row(i)) for i in range(R.rows))
 
 
 def test_components_match_a_basis_element_refinement(corpus_runs):
