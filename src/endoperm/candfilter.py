@@ -6,16 +6,18 @@ coefficient vector d lives in the box 0 <= d_i <= m_i with d_1 = 1; two
 exact filters cut the box down: projective characters vanish on p-singular
 classes, and psi(g)/|C_G(g)|_p must be an algebraic integer.
 
-The vanishing test runs on integer arrays.  On a singular class, a class
-sum sum_i d_i chi_i(g) is a combination of the radicals sqrt(n) of the
-constituents' fields, and it is zero exactly when every radical's
-coefficient is; each (class, radical) pair gives one integer column of the
-constituents' coefficients over a common denominator.  The box is walked in
-chunks of CHUNK points, decoded from flat indices in mixed radix (the order
-of itertools.product), and multiplied by those columns, in int64 when a
-bound rules out overflow and in Python ints otherwise.  Only the survivors
-get the exact defect check on their class sums.  Also here: the index-sum
-search used to pin down missing orbit lengths.
+The constituents' values on a class are one RadicalVector, built once per
+call: one integer vector per radical sqrt(n) of the constituents' fields,
+over a common denominator.  A class sum sum_i d_i chi_i(g) is that
+vector's dot product with d.  The vanishing test runs on integer arrays:
+on a singular class the class sum is zero exactly when every radical's
+coefficient is, so the integer vectors of the singular classes' vectors
+are the columns.  The box is walked in chunks of CHUNK points, decoded
+from flat indices in mixed radix (the order of itertools.product), and
+multiplied by those columns, in int64 when a bound rules out overflow and
+in Python ints otherwise.  Only the survivors get the exact defect check
+on their class sums.  Also here: the index-sum search used to pin down
+missing orbit lengths.
 """
 
 import math
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import QuadraticNumber, RadicalSum
+from .quadfield import QuadraticNumber, RadicalVector
 
 # box points per chunk of the vanishing test: memory is O(CHUNK), not O(box)
 CHUNK = 1024
@@ -90,15 +92,6 @@ class CandidateVector:
         return f"CandidateVector({self.as_dict()})"
 
 
-def _class_sum(tbl, labels, coeffs, class_idx):
-    acc = RadicalSum()
-    for label, d in zip(labels, coeffs):
-        if d:
-            acc = acc + RadicalSum.from_quadratic(
-                tbl.value(label, class_idx)).scale(Fraction(d))
-    return acc
-
-
 def p_part(n, p):
     out = 1
     while n % p == 0:
@@ -109,11 +102,12 @@ def p_part(n, p):
 
 def defect_integrality(values, centralizers, p):
     """Whether value(g) / |C_G(g)|_p is an algebraic integer for every
-    class.  Rational values: exact p-part divisibility; quadratic values:
-    componentwise in the ring of integers of the field.  Sums spreading
-    over more than one radicand only pass the conservative integer
-    componentwise test (soundness note: this can only keep, never drop, a
-    true candidate)."""
+    class.  A value is a QuadraticNumber or a class sum as RadicalVector.dot
+    returns it, {radicand: coefficient}.  Rational values: exact p-part
+    divisibility; quadratic values: componentwise in the ring of integers
+    of the field.  Sums spreading over more than one radicand only pass the
+    conservative integer componentwise test (soundness note: this can only
+    keep, never drop, a true candidate)."""
     for val, cz in zip(values, centralizers):
         if cz is None:
             continue
@@ -121,21 +115,20 @@ def defect_integrality(values, centralizers, p):
         if pk == 1:
             continue
         if isinstance(val, QuadraticNumber):
-            val = RadicalSum.from_quadratic(val)
-        rads = [d for d in val.terms if d != 1]
+            val = {d: c for d, c in ((1, val.a), (val.n, val.b)) if c}
+        rads = [d for d in val if d != 1]
         if not rads:
-            q = val.terms.get(1, Fraction(0)) / pk
+            q = val.get(1, Fraction(0)) / pk
             if q.denominator != 1:
                 return False
         elif len(rads) == 1:
             n = rads[0]
-            scaled = QuadraticNumber(
-                val.terms.get(1, Fraction(0)) / pk,
-                val.terms.get(n, Fraction(0)) / pk, n)
+            scaled = QuadraticNumber(val.get(1, Fraction(0)) / pk,
+                                     val[n] / pk, n)
             if not scaled.is_algebraic_integer():
                 return False
         else:
-            ok = all((c / pk).denominator == 1 for c in val.terms.values())
+            ok = all((c / pk).denominator == 1 for c in val.values())
             if not ok:
                 return False
     return True
@@ -158,9 +151,14 @@ def admissible_candidates(tbl, constituents, p, use_defect=True):
         raise ValueError("the trivial constituent must have multiplicity 1")
     radix = [1] + [max(m + 1, 0) for m in mults[1:]]
     box = math.prod(radix)
-    columns = _vanishing_columns(tbl, labels)
+    vecs = [RadicalVector([tbl.value(label, ci) for label in labels])
+            for ci in range(len(tbl.classes))]
+    # one row per constituent, one column per (singular class, radical)
+    cols = [vecs[ci].parts[s] for ci in tbl.singular_classes()
+            for s in sorted(vecs[ci].parts)]
+    columns = np.array(cols, dtype=object).reshape(len(cols), len(labels)).T
     # every coefficient is below max(radix), so this bounds every partial sum
-    bound = max(radix) * max((sum(map(abs, col)) for col in columns.T),
+    bound = max(radix) * max((sum(map(abs, col)) for col in cols),
                              default=0)
     if bound < 2 ** 63:
         columns = columns.astype(np.int64)
@@ -172,30 +170,12 @@ def admissible_candidates(tbl, constituents, p, use_defect=True):
         sums = digits.astype(columns.dtype, copy=False) @ columns
         for coeffs in map(tuple, digits[~sums.any(axis=1)].tolist()):
             if defect:
-                values = [_class_sum(tbl, labels, coeffs, ci)
-                          for ci in range(len(tbl.classes))]
+                d = RadicalVector(coeffs)
+                values = [vec.dot(d) for vec in vecs]
                 if not defect_integrality(values, centralizers, p):
                     continue
             out.append(CandidateVector(labels, coeffs))
     return box, out
-
-
-def _vanishing_columns(tbl, labels):
-    """Integer matrix, one row per constituent and one column per
-    (singular class, radical): a box point's class sums all vanish exactly
-    when its coefficient vector times this matrix is zero."""
-    cols = []
-    for ci in tbl.singular_classes():
-        by_radical = {}
-        for i, label in enumerate(labels):
-            for d, c in RadicalSum.from_quadratic(
-                    tbl.value(label, ci)).terms.items():
-                by_radical.setdefault(d, [Fraction(0)] * len(labels))[i] = c
-        for d in sorted(by_radical):
-            col = by_radical[d]
-            den = math.lcm(*(c.denominator for c in col))
-            cols.append([c.numerator * (den // c.denominator) for c in col])
-    return np.array(cols, dtype=object).reshape(len(cols), len(labels)).T
 
 
 def _decode(start, stop, radix):

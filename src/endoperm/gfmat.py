@@ -335,18 +335,6 @@ def fixed_space(rep):
     return current.row_basis()
 
 
-def quotient(rep, sub_basis):
-    """Quotient module by an invariant row space, with the projection map.
-
-    Returns (quotient rep, projection); projection maps old coordinates to
-    quotient coordinates and commutes with the actions.
-    """
-    p = rep.p
-    proj, quo = _quotient_action(rep.stacked(), sub_basis.data, p)
-    return (ModuleRep(p, [FqMatrix(p, q) for q in quo], proj.shape[1]),
-            FqMatrix(p, proj))
-
-
 def _quotient_action(mats, sub, p):
     """(proj, quo): the projection onto the quotient by the row space of
     `sub`, invariant under the d x d matrices `mats` (shape (m, d, d)), and
@@ -371,12 +359,6 @@ def _quotient_action(mats, sub, p):
 
 # ---------------------------------------------------------------------------
 # Minimal polynomials, the radical, Cartan matrices
-
-def min_poly(mat):
-    """Minimal polynomial: the first dependency of I, M, M^2, ..."""
-    M = mat.data.astype(np.int64)
-    return _local_min_poly(M, np.eye(len(M), dtype=np.int64), mat.p)
-
 
 def _local_min_poly(M, w, p):
     """The monic f of least degree with w f(M) = 0, for a nonzero int64

@@ -193,6 +193,6 @@ def _trace_identity(table):
     degrees = RadicalVector([row.degree for row in table.rows])
     for j in range(table.r):
         acc = RadicalVector([row.values[j] for row in table.rows])
-        if acc.dot(degrees).terms != ({1: n} if j == 0 else {}):
+        if acc.dot(degrees) != ({1: n} if j == 0 else {}):
             return False
     return True

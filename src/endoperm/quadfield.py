@@ -3,11 +3,12 @@ algebra over such fields.
 
 A QuadraticNumber is a + b*sqrt(n) with rational a, b and squarefree n > 0;
 b = 0 encodes a rational (normalized to n = 1).  Arithmetic mixing two
-different irrational radicands is refused, except inside RadicalSum, the
-accumulator used by orthogonality checks where cross products like
-sqrt(3)*sqrt(33) = 3*sqrt(11) genuinely occur.  RadicalVector holds a
-vector of such numbers as one integer vector per radicand, so a weighted
-sum of products is a few integer dot products and one RadicalSum.
+different irrational radicands is refused.  Sums of radicals, where cross
+products like sqrt(3)*sqrt(33) = 3*sqrt(11) genuinely occur, have one
+form: RadicalVector holds a vector of such numbers as one integer vector
+per radicand, and its dot() returns the weighted sum of products as a
+plain dict {squarefree radicand: Fraction coefficient} with no zero
+coefficients, so {} is zero and {1: q} is the rational q.
 
 The linear algebra works on Python ints and makes no entries; it has one
 kernel on integer pairs.  A matrix over Q(sqrt(n)) is a pair of integer
@@ -189,53 +190,6 @@ class QuadraticNumber:
         return cls(Fraction(an, ad), Fraction(bn, bd), n)
 
 
-class RadicalSum:
-    """Sum of rational multiples of sqrt(d) over squarefree d >= 1."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for d, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[d] = self.terms.get(d, Fraction(0)) + c
-            self.terms = {d: c for d, c in self.terms.items() if c}
-
-    @classmethod
-    def from_quadratic(cls, x):
-        t = {}
-        if x.a:
-            t[1] = x.a
-        if x.b:
-            t[x.n] = x.b
-        return cls(t)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return RadicalSum(out)
-
-    def __mul__(self, other):
-        out = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                s, k = squarefree_part(d1 * d2)
-                out[s] = out.get(s, Fraction(0)) + c1 * c2 * k
-        return RadicalSum(out)
-
-    def scale(self, q):
-        return RadicalSum({d: c * q for d, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"RadicalSum({self.terms})"
-
-
 # ---------------------------------------------------------------------------
 # Orthogonality sums over vectors of quadratic numbers
 
@@ -245,7 +199,7 @@ class RadicalVector:
 
     dot() multiplies the parts pairwise, so a weighted sum of products
     costs one integer dot product per pair of radicands (four for two rows
-    over Q(sqrt(n))) and one RadicalSum at the end."""
+    over Q(sqrt(n))) and one division per radicand at the end."""
 
     __slots__ = ("parts", "den")
 
@@ -265,7 +219,8 @@ class RadicalVector:
             for s, col in cols.items()}
 
     def dot(self, other):
-        """sum_j self_j * other_j as a RadicalSum."""
+        """sum_j self_j * other_j as {squarefree radicand: Fraction
+        coefficient}, zero coefficients left out."""
         terms = {}
         for s, x in self.parts.items():
             for t, y in other.parts.items():
@@ -276,7 +231,7 @@ class RadicalVector:
                     u = (s // g) * (t // g)
                     terms[u] = terms.get(u, 0) + c * g
         den = self.den * other.den
-        return RadicalSum({u: Fraction(c, den) for u, c in terms.items()})
+        return {u: Fraction(c, den) for u, c in terms.items() if c}
 
 
 # ---------------------------------------------------------------------------

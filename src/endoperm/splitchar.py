@@ -475,10 +475,10 @@ def fitting_degree(row, lengths, pairing=None):
     L = math.lcm(*lengths)
     paired = RadicalVector([row.values[j - 1] for j in pairing],
                            [L // x for x in lengths])
-    acc = paired.dot(RadicalVector(row.values)).scale(Fraction(1, L))
-    if acc.terms.keys() - {1}:
-        raise ValueError(f"orthogonality sum {acc} is irrational")
-    degree = Fraction(row.mult * n) / acc.terms.get(1, 0)
+    acc = paired.dot(RadicalVector(row.values))
+    if acc.keys() - {1}:
+        raise ValueError(f"orthogonality sum {acc} / {L} is irrational")
+    degree = Fraction(row.mult * n * L) / acc.get(1, 0)
     if degree.denominator != 1 or degree <= 0:
         raise ValueError(f"Fitting degree {degree} is not a positive integer")
     return int(degree)
@@ -577,13 +577,15 @@ def verify_table(table):
                            weights) for row in rows]
     for i in range(len(rows)):
         for k in range(i, len(rows)):
-            acc = stars[i].dot(vecs[k]).scale(Fraction(1, L * n))
+            # the sum is L n times the inner product
+            acc = stars[i].dot(vecs[k])
             if i == k:
                 if not rows[i].degree:
                     continue
-                if acc.terms != {1: Fraction(rows[i].mult, rows[i].degree)}:
+                if acc != {1: Fraction(rows[i].mult * L * n,
+                                       rows[i].degree)}:
                     fail(f"self-orthogonality fails for row {i}")
-            elif not acc.is_zero():
+            elif acc:
                 fail(f"rows {i} and {k} are not orthogonal")
     nonneg = [i for i, row in enumerate(rows)
               if all(v.is_rational() and v.a.denominator == 1 and v.a >= 0

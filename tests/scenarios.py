@@ -1,8 +1,10 @@
-"""Scenarios shared by several test modules."""
+"""Scenarios and sympy references shared by several test modules."""
 
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+import sympy
 
 from endoperm.gfmat import FqMatrix
 from endoperm.orbenum import ActionContext, HelperSetup, VectorDomain
@@ -41,3 +43,19 @@ def johnson_context(n, k):
     helper = HelperSetup(ctx, [((i, 1),) for i in range(k - 1)],
                          FqMatrix(2, proj))
     return ctx, helper
+
+
+def sym(x):
+    """A QuadraticNumber, Fraction or int as a sympy number."""
+    if not hasattr(x, "b"):
+        return sympy.Rational(x.numerator, x.denominator)
+    return sym(x.a) + sym(x.b) * sympy.sqrt(x.n)
+
+
+def radical_dict(expr):
+    """A sympy sum of rational multiples of square roots as
+    {squarefree radicand: Fraction coefficient}, zero coefficients left
+    out: the form of RadicalVector.dot."""
+    return {int(k ** 2): Fraction(int(c.p), int(c.q))
+            for k, c in sympy.expand(expr).as_coefficients_dict().items()
+            if c}

@@ -1,12 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 from endoperm import candfilter
 from endoperm.candfilter import (OrdinaryCharTableG, admissible_candidates,
                                  conjugation_closure, defect_integrality,
                                  partition_search, p_part)
 from endoperm.quadfield import QuadraticNumber as Q
-from endoperm.quadfield import RadicalSum
+from scenarios import radical_dict, sym
 
 
 def s5_table():
@@ -51,11 +52,8 @@ def test_matches_brute_force_filter():
     _, fast = admissible_candidates(tbl, labels, 5, use_defect=False)
     slow = []
     for d in itertools.product([1], [0, 1]):
-        val = RadicalSum()
-        for (lab, m), c in zip(labels, d):
-            val = val + RadicalSum.from_quadratic(
-                tbl.value(lab, 6)).scale(c)
-        if val.is_zero():
+        if sum(c * sym(tbl.value(lab, 6))
+               for (lab, m), c in zip(labels, d)) == 0:
             slow.append(d)
     assert [c.coeffs for c in fast] == slow
 
@@ -64,6 +62,22 @@ def test_quadratic_defect_componentwise():
     # (11 + 11 r5) / 11 is integral; (11 + r5)/11 is not
     assert defect_integrality([Q(11, 11, 5)], [11], 11)
     assert not defect_integrality([Q(11, 1, 5)], [11], 11)
+
+
+def test_defect_over_two_radicands_is_componentwise_on_integers():
+    # class sums spanning r5 and r13 pass only with every coefficient
+    # divisible by |C(g)|_11 = 11: (11 + 11 r5) / 2 passes alone, since
+    # (1 + r5) / 2 is integral in Q(r5), but not beside 11 r13
+    def value(c1, c5, c13):
+        return {1: Fraction(c1), 5: Fraction(c5), 13: Fraction(c13)}
+
+    centralizers = [None, 2 * 11]
+    assert defect_integrality([{}, value(22, -11, 33)], centralizers, 11)
+    assert not defect_integrality([{}, value(22, 1, 33)], centralizers, 11)
+    half = Fraction(11, 2)
+    assert not defect_integrality([{}, value(half, half, 11)],
+                                  centralizers, 11)
+    assert defect_integrality([Q(half, half, 5)], [11], 11)
 
 
 def test_conjugation_closure_reports_equalities():
@@ -146,11 +160,12 @@ def direct_filter(tbl, constituents, p):
     centralizers = [c["centralizer"] for c in tbl.classes]
     out = []
     for coeffs in itertools.product(*ranges):
-        if not all(candfilter._class_sum(tbl, labels, coeffs, ci).is_zero()
-                   for ci in tbl.singular_classes()):
-            continue
-        values = [candfilter._class_sum(tbl, labels, coeffs, ci)
+        # class sums in sympy, term by term
+        values = [radical_dict(sum(d * sym(tbl.value(label, ci))
+                                   for label, d in zip(labels, coeffs)))
                   for ci in range(len(tbl.classes))]
+        if any(values[ci] for ci in tbl.singular_classes()):
+            continue
         if defect_integrality(values, centralizers, p):
             out.append(coeffs)
     return out

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from endoperm import cli, fixtures, schur, splitchar
 from endoperm.modular import SqrtConvention, reduce_table
-from endoperm.quadfield import QuadraticNumber, RadicalSum
+from endoperm.quadfield import QuadraticNumber
+from scenarios import sym
 
 
 def test_full_suite_passes():
@@ -103,16 +105,14 @@ def test_mod_11_failures_are_reported_after_the_checks_made(monkeypatch,
 
 
 def fitting_degree_term_by_term(row, lengths, pairing):
-    """The Fitting degree from one RadicalSum per term of the
-    self-orthogonality sum, or ValueError in fitting_degree's two cases."""
-    acc = RadicalSum()
-    for j, n_j in enumerate(lengths):
-        term = (RadicalSum.from_quadratic(row.values[pairing[j] - 1])
-                * RadicalSum.from_quadratic(row.values[j]))
-        acc = acc + term.scale(Fraction(1, n_j))
-    if acc.terms.keys() - {1}:
+    """The Fitting degree from the self-orthogonality sum taken term by
+    term in sympy, or ValueError in fitting_degree's two cases."""
+    acc = sympy.expand(sympy.Add(*(
+        sym(row.values[pairing[j] - 1]) * sym(row.values[j]) / n_j
+        for j, n_j in enumerate(lengths))))
+    if not acc.is_Rational:
         raise ValueError("irrational")
-    degree = Fraction(row.mult * sum(lengths)) / acc.terms[1]
+    degree = Fraction(row.mult * sum(lengths)) / Fraction(acc.p, acc.q)
     if degree.denominator != 1 or degree <= 0:
         raise ValueError("not a positive integer")
     return degree

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from endoperm.gfmat import (FqMatrix, ModuleRep, UnsupportedCharacteristic,
-                            _algebra_basis, _lift_idempotent, _matrix_power,
-                            _poly_at, _radical, _rref, cartan_matrix,
-                            fixed_space, min_poly, quotient, rep_from_json,
-                            rep_to_json, row_times, vector_bytes)
+                            _algebra_basis, _lift_idempotent,
+                            _local_min_poly, _matrix_power, _poly_at,
+                            _quotient_action, _radical, _rref, cartan_matrix,
+                            fixed_space, rep_from_json, rep_to_json,
+                            row_times, vector_bytes)
 from endoperm import zpoly
 from endoperm.permgrp import Permutation, closure_elements
 
@@ -63,16 +64,16 @@ def test_fixed_space_examples():
 
 def test_quotient_examples():
     rep = s3_perm_rep(5)
-    full = FqMatrix.identity(5, 3)
-    quo, proj = quotient(rep, full)
-    assert quo.dim == 0
-    # F2 permutation module of S3 modulo the fixed vector: compare with a
-    # directly constructed 2-dimensional action on coset coordinates
+    proj, quo = _quotient_action(rep.stacked(), np.eye(3, dtype=np.int64), 5)
+    assert proj.shape == (3, 0) and quo.shape == (2, 0, 0)
+    # F2 permutation module of S3 modulo the fixed vector: the projection
+    # intertwines each action with its 2-dimensional quotient action
     rep2 = s3_perm_rep(2)
-    quo2, proj2 = quotient(rep2, fixed_space(rep2))
-    assert quo2.dim == 2
-    for a, q in zip(rep2.actions, quo2.actions):
-        assert a * proj2 == proj2 * q
+    sub = fixed_space(rep2).data.astype(np.int64)
+    proj2, quo2 = _quotient_action(rep2.stacked(), sub, 2)
+    assert proj2.shape == (3, 2) and not (sub @ proj2 % 2).any()
+    for a, q in zip(rep2.actions, quo2):
+        assert np.array_equal(a.data @ proj2 % 2, proj2 @ q % 2)
 
 
 def test_min_poly_random():
@@ -81,8 +82,8 @@ def test_min_poly_random():
         p = rng.choice([2, 3, 5, 11])
         n = rng.randrange(1, 8)
         A = FqMatrix(p, np.random.RandomState(trial).randint(0, p, (n, n)))
-        mp = min_poly(A)
         M = A.data.astype(np.int64)
+        mp = _local_min_poly(M, np.eye(n, dtype=np.int64), p)
         assert not _poly_at(M, mp, p).any()
         _, facs = zpoly.fp_factor(mp, p)
         for f, e in facs:

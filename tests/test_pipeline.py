@@ -3,6 +3,7 @@
 import pytest
 
 from endoperm import corpus, pipeline
+from endoperm.permgrp import Permutation
 
 # the two slowest oracle runs (several seconds each) stay out of tier-1
 SLOW = {"random-7-paley-17", "random-4-dihedral-16-regular"}
@@ -51,3 +52,31 @@ def test_table_rows_come_in_the_oracle_order():
                 for row in rows] == list(want), inst.name
         compared.append(inst.name)
     assert len(compared) == 14
+
+
+def _dihedral_8_regular():
+    rotation, reflection = Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])
+    return corpus.Instance(
+        "dihedral-8-regular",
+        corpus._regular_group([rotation, reflection], 4), primes=(2,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: next(i for i in corpus.all_instances()
+                 if i.name == "random-4-dihedral-16-regular"),
+    lambda: next(i for i in FAST if i.name == "random-5-quaternion-regular"),
+    _dihedral_8_regular,
+], ids=["dihedral-16", "quaternion-8", "dihedral-8"])
+def test_regular_route_on_p_groups_is_local(build):
+    # a closed form, not the oracle (compare checks the regular route
+    # against the same function): a p-group P acting regularly has
+    # End(F_p P) = F_p P, a local algebra of dimension |P| at p, so its
+    # Cartan matrix is [[|P|]] with one PIM of dimension |P|
+    inst = build()
+    order = inst.group.order()
+    assert order & (order - 1) == 0 and inst.group.degree == order
+    run = pipeline.run_instance(inst, primes=[2])
+    assert len(run.matrices) == order
+    skip = run.mod_skips[2]
+    assert (skip["local"], skip["cartan"], skip["pim_dims"]) == \
+        (True, [[order]], [order])

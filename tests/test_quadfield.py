@@ -6,10 +6,10 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from endoperm.quadfield import (QuadraticNumber, RadicalSum, RadicalVector,
-                                RowSolver, _pair_product, int_product,
-                                left_kernel, pivot_columns, poly_kernel,
-                                squarefree_part)
+from endoperm.quadfield import (QuadraticNumber, RadicalVector, RowSolver,
+                                _pair_product, int_product, left_kernel,
+                                pivot_columns, poly_kernel, squarefree_part)
+from scenarios import radical_dict, sym
 
 
 def test_squarefree_part():
@@ -50,14 +50,15 @@ def test_mixed_radicands_refused():
         a + b
 
 
-def test_radical_sum_cross_products():
-    a = RadicalSum.from_quadratic(QuadraticNumber(1, 2, 3))
-    b = RadicalSum.from_quadratic(QuadraticNumber(0, 1, 33))
-    prod = a * b
+def test_radical_vector_cross_products():
+    r3, r33 = (RadicalVector([QuadraticNumber(0, 1, n)]) for n in (3, 33))
+    assert r3.dot(r33) == {11: Fraction(3)}
+    a = RadicalVector([QuadraticNumber(1, 2, 3)])
     # (1 + 2 r3) r33 = r33 + 2 r99 = r33 + 6 r11
-    assert prod.terms == {33: Fraction(1), 11: Fraction(6)}
-    conj = RadicalSum.from_quadratic(QuadraticNumber(1, -2, 3))
-    assert (a * conj).terms == {1: Fraction(1 - 12)}
+    assert a.dot(r33) == {33: Fraction(1), 11: Fraction(6)}
+    # (1 + 2 r3)(1 - 2 r3) = -11: the cancelled radical is left out
+    assert a.dot(RadicalVector([QuadraticNumber(1, -2, 3)])) == \
+        {1: Fraction(-11)}
 
 
 def test_algebraic_integboth():
@@ -559,19 +560,14 @@ def test_kernel_refuses_mixed_radicands():
     assert poly_kernel(X, 1, [QuadraticNumber(2), r2, 1])[1] == 2
 
 
-def test_radical_vector_dot_matches_radical_sums():
-    # the term-by-term RadicalSum loop is the reference
+def test_radical_vector_dot_matches_sympy():
+    # the term-by-term sum in sympy is the reference
     rng = random.Random(26)
     for _ in range(40):
         size = rng.randrange(1, 7)
         x, y = ([_number(rng, rng.choice((3, 5, 33))) for _ in range(size)]
                 for _ in range(2))
         weights = [rng.randrange(-4, 5) for _ in range(size)]
-        want = RadicalSum()
-        for a, b, w in zip(x, y, weights):
-            a, b = (RadicalSum.from_quadratic(
-                v if type(v) is QuadraticNumber else QuadraticNumber(v))
-                for v in (a, b))
-            want = want + (a * b).scale(w)
+        want = sum(sym(a) * sym(b) * w for a, b, w in zip(x, y, weights))
         got = RadicalVector(x, weights).dot(RadicalVector(y))
-        assert got.terms == want.terms
+        assert got == radical_dict(want)
