@@ -16,7 +16,8 @@ import random
 from importlib import resources
 
 from .orbenum import ActionContext, HelperSetup, PermutationDomain
-from .permgrp import GeneratedGroup, Permutation, RandomStream
+from .permgrp import (GeneratedGroup, Permutation, RandomStream,
+                      closure_elements)
 
 
 class Instance:
@@ -125,18 +126,7 @@ def _dihedral_on_points(q):
 
 
 def _regular_group(gens, degree):
-    elems = [Permutation.identity(degree)]
-    seen = {elems[0]}
-    qi = 0
-    while qi < len(elems):
-        x = elems[qi]
-        qi += 1
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                seen.add(y)
-                elems.append(y)
-    elems.sort(key=lambda p: p.images)
+    elems = sorted(closure_elements(gens, degree), key=lambda p: p.images)
     idx = {p: i for i, p in enumerate(elems)}
     return GeneratedGroup([
         Permutation([idx[x * g] for x in elems]) for g in gens])

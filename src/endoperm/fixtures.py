@@ -17,7 +17,6 @@ from importlib import resources
 
 from . import modular, schur, splitchar, zpoly
 from .gfmat import vector_bytes
-from .quadfield import QuadraticNumber
 
 
 def _load(name):

@@ -9,15 +9,15 @@ form pays off for products.  Moving one vector is different: at p = 2,
 entry, built on first use), one operation per selected row in place of
 several numpy calls.  On top of the matrix layer sit the module
 operations: fixed spaces, quotients and minimal polynomials, and the
-Cartan matrix of an algebra regular module, computed deterministically in
-one pass over the algebra: one spin for a basis, the radical from the
-trace form and the trace ladder, one change of basis onto the head, the
-head split by one generic central element (and the centre's basis only
-where that element falls short), and lifted idempotents only when there
-are two simples and a radical.  The simples come in the order that
-refining the head by the centre's reduced echelon basis gives, whatever
-route found them.  The loops work on int64 arrays and the stacked
-generator matrices, not on 1-row matrices.
+Cartan matrix of an algebra given by a basis of d x d matrices whose
+first rows are a basis of F_p^d.  That basis is used as it comes, in one
+deterministic pass: the radical from the trace form and the trace
+ladder, one change of basis onto the head, the head split by one generic
+central element (and the centre's basis only where that element falls
+short), and lifted idempotents only when there are two simples and a
+radical.  The simples come in the order that refining the head by the
+centre's reduced echelon basis gives, whatever route found them.  The
+loops work on int64 arrays of stacked matrices, not on 1-row matrices.
 
 Row-vector convention throughout: vectors act from the left, x . M.
 """
@@ -233,54 +233,6 @@ def _nullspace(arr, p):
     return basis.astype(np.uint8)
 
 
-class EchelonBasis:
-    """Incremental reduced row echelon form over F_p, for Krylov spaces
-    and algebra spans.
-
-    `rows` is an int64 array; row i has a 1 in column `pivots[i]` and 0 in
-    every other row's pivot column, so v reduces in one product:
-    v - v[pivots] . rows.  The row store doubles as it fills: a space of
-    rank k over many columns (an algebra basis as flattened d x d
-    matrices) holds k rows, not ncols.
-    """
-
-    def __init__(self, p, ncols):
-        self.p = p
-        self.ncols = ncols
-        self.pivots = []
-        self._rows = np.zeros((0, ncols), dtype=np.int64)
-
-    @property
-    def rows(self):
-        return self._rows[:len(self.pivots)]
-
-    def reduce(self, v):
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if self.pivots:
-            v = (v - v[..., self.pivots] @ self.rows) % self.p
-        return v
-
-    def add(self, v):
-        """Reduce v; if independent, insert and return True."""
-        v = self.reduce(v)
-        nz = v.nonzero()[0]
-        if len(nz) == 0:
-            return False
-        c = int(nz[0])
-        v = v * pow(int(v[c]), -1, self.p) % self.p
-        rows = self.rows
-        rows -= rows[:, c, None] * v
-        rows %= self.p
-        k = len(self.pivots)
-        if k == len(self._rows):
-            more = min(max(k, 8), self.ncols - k)
-            self._rows = np.concatenate(
-                [self._rows, np.zeros((more, self.ncols), dtype=np.int64)])
-        self._rows[k] = v
-        self.pivots.append(c)
-        return True
-
-
 # ---------------------------------------------------------------------------
 
 class ModuleRep:
@@ -297,11 +249,6 @@ class ModuleRep:
             if a.nrows != dim or a.ncols != dim or a.p != p:
                 raise ValueError("actions must be square of equal size")
         self.dim = dim
-
-    def stacked(self):
-        """The generators' entries as one int64 array of shape (r, d, d)."""
-        return np.array([a.data for a in self.actions],
-                        dtype=np.int64).reshape(-1, self.dim, self.dim)
 
     def __repr__(self):
         return f"ModuleRep(p={self.p}, dim={self.dim}, gens={len(self.actions)})"
@@ -364,23 +311,23 @@ def _local_min_poly(M, w, p):
     """The monic f of least degree with w f(M) = 0, for a nonzero int64
     array w of rows and a square int64 array M.
 
-    The Krylov arrays w M^k, flattened, enter an echelon basis with the
-    unit vector e_k appended, so the tail of each reduced row records the
-    combination of w, w M, ..., w M^k it is.  The first row to reduce to
-    zero on the left carries the dependency, with coefficient 1 at X^k;
-    it comes by k = len(M), the degree of the minimal polynomial of M.
+    The Krylov arrays w, w M, ..., w M^m (m = len(M)), flattened, are the
+    columns of one reduced echelon form R.  Its first non-pivot column k
+    is the first w M^k in the span of those before it, which by then are
+    all pivots, so w M^k = sum_(i<k) R[i, k] w M^i; by Cayley-Hamilton
+    k <= m.
     """
-    n, m = w.size, len(M)
-    ech = EchelonBasis(p, n + m + 1)
-    for k in range(m + 1):
-        v = np.zeros(n + m + 1, dtype=np.int64)
-        v[:n], v[n + k] = w.reshape(-1), 1
-        v = ech.reduce(v)
-        if not v[:n].any():
-            return tuple(int(c) for c in v[n:n + k + 1])
-        ech.add(v)
-        w = w @ M % p
-    raise AssertionError("no polynomial of degree <= dim kills the matrix")
+    m = len(M)
+    krylov = [w]
+    for _ in range(m):
+        krylov.append(krylov[-1] @ M % p)
+    R, pivots = _rref(np.array(krylov).reshape(m + 1, -1).T, p)
+    # pivots is increasing with pivots[i] >= i: equality holds up to k
+    k = sum(i == c for i, c in enumerate(pivots))
+    if k > m:
+        raise AssertionError(
+            "no polynomial of degree <= dim kills the matrix")
+    return tuple(-int(c) % p for c in R[:k, k]) + (1,)
 
 
 def _poly_at(M, poly, p):
@@ -392,8 +339,10 @@ def _poly_at(M, poly, p):
     return out % p
 
 
-def cartan_matrix(regular):
-    """Cartan matrix of an algebra regular module.
+def cartan_matrix(basis, p):
+    """Cartan matrix of the algebra A over F_p with basis `basis`, a
+    (d, d, d) int array B_0, ..., B_(d-1), read mod p, whose rows 0 are
+    a basis of F_p^d.
 
     Entry (j, i) is the multiplicity of the simple S_i in the projective
     indecomposable P_j; rows and columns are ordered by label, the
@@ -401,49 +350,59 @@ def cartan_matrix(regular):
     simples), where simples lists (label, dim S_i, e_i, n_i, multiplicity
     of S_i in the regular module) for each simple.
 
-    The algebra A spanned by the words in the generators has the regular
-    module V as a faithful module, so dim A = dim V = d, and A/J =
-    End_{D_1}(S_1) + ... + End_{D_k}(S_k) for the radical J, D_i =
-    End_A(S_i) a field of degree e_i over F_p and S_i = D_i^{n_i}.  One spin
-    gives a basis B_t of A (`_algebra_basis`).  J comes from the trace
-    ladder of Cohen, Ivanyos and Wales (JPAA 117/118 (1997); `_radical`):
-    floor(log_p d) + 1 nullspaces, the first of them on the trace form
-    Tr(B_s B_t).  The head V/VJ is the regular module of A/J, and the
-    change of basis onto it carries the generators and the B_t there in
-    one product (`_quotient_action`).  The head is the sum of the isotypic
-    parts U_i = S_i^{n_i}; the centre of A/J, D_1 + ... + D_k, splits it
-    (`_isotypic_parts`): the centre has rank e_i on U_i, and dim U_i =
-    n_i^2 e_i gives n_i.  These are all the Cartan entries need of a
-    simple, so no simple module is built and nothing is random.
+    That the span is closed under products is the caller's precondition
+    and is not checked here: the intersection matrices P_j of a Schur
+    basis are closed, which `schur` and the oracle check.  The rank of
+    the rows 0 is checked, and the shape: either failing raises
+    AssertionError (a p that is not a prime below 256 raises
+    UnsupportedCharacteristic).  Row 0 of B_t is e_0 B_t, so the rank
+    check says that e_0 generates V = F_p^d, on which A acts by x -> x a,
+    and that a -> e_0 a is injective on A: V is the regular module and
+    row 0 separates A.  Then A/J = End_{D_1}(S_1) + ... + End_{D_k}(S_k) for the radical
+    J, D_i = End_A(S_i) a field of degree e_i over F_p and S_i =
+    D_i^{n_i}.  J comes from the trace ladder of Cohen, Ivanyos and Wales
+    (JPAA 117/118 (1997); `_radical`): floor(log_p d) + 1 nullspaces, the
+    first of them on the trace form Tr(B_s B_t).  The head V/VJ is the
+    regular module of A/J, and the change of basis onto it carries the
+    B_t there in one product (`_quotient_action`).  By Nakayama e_0 is
+    not in VJ, so it is the head's first basis vector and generates it:
+    row 0 separates A/J on the head too, which is checked.  The head is
+    the sum of the isotypic parts U_i = S_i^{n_i}; the centre of A/J,
+    D_1 + ... + D_k, splits it (`_isotypic_parts`): the centre has rank
+    e_i on U_i, and dim U_i = n_i^2 e_i gives n_i.  These are all the
+    Cartan entries need of a simple, so no simple module is built and
+    nothing is random.
 
     One solve gives elements of A that map to the projections of the head
     onto the U_i, the central idempotents of A/J; e <- 3e^2 - 2e^3 lifts
     them to idempotents eps_j (Curtis and Reiner, Methods of
     Representation Theory I, sec. 6).  Then eps_j A is P_j^{n_j}, and
     dim eps_j A eps_i = dim Hom_A(eps_i A, eps_j A) = n_i n_j e_i C[j][i] is
-    read as the rank of the rows R of eps_j B_t eps_i over the B_t, for
-    unit rows R on which A is faithful (`_separating_rows`).  No solve is
-    needed with one simple, where eps_1 = 1, nor with J = 0, where the
-    eps_j are the central idempotents themselves: there the rank is
-    n_i^2 e_i + dim J on the diagonal and 0 off it.  Every step is checked
-    and raises AssertionError.
+    read as the rank of the rows 0 of eps_j B_t eps_i over the B_t.  No
+    solve is needed with one simple, where eps_1 = 1, nor with J = 0,
+    where the eps_j are the central idempotents themselves: there the rank
+    is n_i^2 e_i + dim J on the diagonal and 0 off it.  Every step is
+    checked and raises AssertionError.
     """
-    p, d = regular.p, regular.dim
-    basis = _algebra_basis(regular)
-    if len(basis) != d:
+    _check_prime(p)
+    basis = np.asarray(basis, dtype=np.int64) % p
+    d = len(basis)
+    if basis.shape != (d, d, d):
         raise AssertionError(
-            f"the generators span an algebra of dimension {len(basis)} "
-            f"!= {d}: not a regular module")
+            f"an algebra basis of d x d matrices has shape (d, d, d), "
+            f"not {basis.shape}")
+    if len(_rref(basis[:, 0, :], p)[1]) != d:
+        raise AssertionError(
+            "row 0 of the basis does not generate the regular module")
     radical = _radical(basis, p)
-    gens = regular.stacked()
-    _, blocks = _quotient_action(np.concatenate([gens, basis]),
-                                 radical.reshape(-1, d), p)
-    h = blocks.shape[1]
+    _, images = _quotient_action(basis, radical.reshape(-1, d), p)
+    h = images.shape[1]
     if h != d - len(radical):
         raise AssertionError(
             f"dim V/VJ = {h} != dim A - dim J = {d - len(radical)}")
-    images = blocks[len(gens):]
-    parts, ends, mults = zip(*_isotypic_parts(blocks[:len(gens)], images, p))
+    if len(_rref(images[:, 0, :], p)[1]) != h:
+        raise AssertionError("row 0 does not generate the head V/VJ")
+    parts, ends, mults = zip(*_isotypic_parts(images, p))
     if len(parts) > 1 and len(radical):
         ranks = _idempotent_ranks(basis, images, parts, p)
     else:
@@ -493,30 +452,13 @@ def _idempotent_ranks(basis, images, parts, p):
             "no algebra element maps to a central idempotent of A/J")
     eps = [_lift_idempotent(np.tensordot(c, basis, axes=1) % p, p)
            for c in coeffs.T.astype(np.int64)]
-    rows = _separating_rows(basis, d, p)
     ranks = []
     for ej in eps:
-        span = ej[rows] @ basis % p
+        # rows 0 of eps_j B_t, shape (d, 1, d)
+        span = ej[:1] @ basis % p
         ranks.append([len(_rref((span @ ei % p).reshape(d, -1), p)[1])
                       for ei in eps])
     return ranks
-
-
-def _separating_rows(mats, rank, p):
-    """Unit rows R, picked greedily, such that a -> a[R] is injective on
-    the span of `mats` (shape (k, m, m)), whose dimension is `rank`: the
-    rank of mats[:, R, :] flattened is `rank`.  One row, a unit vector
-    that generates the regular module, is the usual case; a regular module
-    in another basis may have none, and then more rows are taken."""
-    k = len(mats)
-    rows, grown = [], 0
-    for u in range(mats.shape[1]):
-        more = len(_rref(mats[:, rows + [u], :].reshape(k, -1), p)[1])
-        if more > grown:
-            rows, grown = rows + [u], more
-            if grown == rank:
-                return rows
-    raise AssertionError("the algebra basis is not linearly independent")
 
 
 def _radical(basis, p):
@@ -579,19 +521,19 @@ def _matrix_power(x, e, m):
         x = x @ x % m
 
 
-def _isotypic_parts(gens, images, p):
+def _isotypic_parts(images, p):
     """The isotypic parts U_i = S_i^(n_i) of the regular module of a
     semisimple algebra B, as (row basis, e_i, n_i), e_i the degree of
     End(S_i) over F_p.
 
-    `gens` holds the actions of B's generators and `images` those of a
-    spanning set of B, shapes (r, h, h) and (d, h, h).  The centre Z is
-    the span of the combinations x of `images` with x g = g x for every
-    generator g, tested on unit rows R on which B is faithful; its basis
-    z_1, ..., z_c is the reduced echelon one.  A central element z acts on
-    U_i as an element of the field D_i = End(S_i), so the kernels of the
-    irreducible factors f of its minimal polynomial are sums of parts, and
-    Z restricted to U_i is D_i, of rank e_i, with dim U_i = n_i^2 e_i.
+    `images` holds the actions of a spanning set of B, shape (d, h, h),
+    whose rows 0 span F_p^h, so that B is faithful on row 0.  The centre
+    Z is the span of the combinations x of `images` with x b = b x for
+    every b in `images`, tested on row 0; its basis z_1, ..., z_c is the
+    reduced echelon one.  A central element z acts on U_i as an element
+    of the field D_i = End(S_i), so the kernels of the irreducible factors
+    f of its minimal polynomial are sums of parts, and Z restricted to U_i
+    is D_i, of rank e_i, with dim U_i = n_i^2 e_i.
 
     The generic z = z_1 + ... + z_c splits first.  A kernel V of f(z) is
     one part, with e = deg f, when Z has rank deg f on V, for then Z on V
@@ -605,10 +547,9 @@ def _isotypic_parts(gens, images, p):
     factors of the minimal polynomial in sorted order, leaves the parts.
     """
     d, h, _ = images.shape
-    rows = _separating_rows(images, h, p)
-    # rows R of x g - g x for x = images[t], stacked over g and t
-    comm = (images[:, None, rows, :] @ gens[None]
-            - gens[None, :, rows, :] @ images[:, None]) % p
+    # row 0 of x_s x_t - x_t x_s for x = images, at [s, t]
+    comm = (images[:, None, :1, :] @ images[None]
+            - images[None, :, :1, :] @ images[:, None]) % p
     coeffs = _nullspace(comm.reshape(d, -1).T, p).astype(np.int64)
     centre, pivots = _rref(coeffs @ images.reshape(d, -1) % p, p)
     centre = centre[:len(pivots)].astype(np.int64).reshape(-1, h, h)
@@ -680,37 +621,6 @@ def _order_key(u, e, centre, p):
     j = np.flatnonzero(u)[0]
     lam = (u @ centre % p)[:, j] * pow(int(u[j]), -1, p) % p
     return tuple((-int(x) % p, 1) for x in lam)
-
-
-def _algebra_basis(rep):
-    """A basis B_t of the algebra spanned by the words in rep's generators,
-    shape (k, d, d).
-
-    The identity is spun under right multiplication by the generators, and
-    a product is kept when it is independent of those kept before it.  The
-    r products of one kept element are reduced together, and again after
-    each of them that is kept, so the choice is the one-at-a-time one.
-    """
-    p, d = rep.p, rep.dim
-    gens = rep.stacked()
-    ech = EchelonBasis(p, d * d)
-    kept = [np.eye(d, dtype=np.int64)]
-    ech.add(kept[0].reshape(-1))
-    qi = 0
-    while qi < len(kept):
-        prods = kept[qi] @ gens % p
-        flat = prods.reshape(len(prods), -1)
-        start = 0
-        while start < len(flat):
-            fresh = np.flatnonzero(ech.reduce(flat[start:]).any(axis=1))
-            if not len(fresh):
-                break
-            start += fresh[0]
-            ech.add(flat[start])
-            kept.append(prods[start])
-            start += 1
-        qi += 1
-    return np.array(kept)
 
 
 def _lift_idempotent(e, p):

@@ -14,7 +14,6 @@ correspondents.
 import numpy as np
 
 from . import gfmat
-from .gfmat import FqMatrix, ModuleRep
 
 
 class InertFieldError(ValueError):
@@ -264,16 +263,16 @@ def _column_blocks(entries):
 
 
 def cartan_from_regular(inter_mats, p):
-    """Cartan data from the regular module of E_F directly, acted on by
-    all r intersection matrices: its radical, the centre of E_F/J and
-    lifted idempotents.  "constituents" lists (label, dim S, e, n,
-    multiplicity) per simple S, and E_F is local exactly when there is
-    one."""
-    actions = [FqMatrix(p, [[int(x) % p for x in row]
-                            for row in getattr(P, "entries", P)])
-               for P in inter_mats]
-    regular = ModuleRep(p, actions, len(inter_mats))
-    labels, cartan, dims, simples = gfmat.cartan_matrix(regular)
+    """Cartan data of E_F from its regular module: its radical, the centre
+    of E_F/J and lifted idempotents.  The r intersection matrices P_j
+    (`IntersectionMatrix`es or integer r x r arrays) mod p are a basis of
+    E_F on which row 0 generates the regular module, since row 0 of P_j
+    is e_j; gfmat.cartan_matrix takes them as they are.  "constituents"
+    lists (label, dim S, e, n, multiplicity) per simple S, and E_F is
+    local exactly when there is one."""
+    basis = np.array([getattr(P, "entries", P) for P in inter_mats],
+                     dtype=np.int64)
+    labels, cartan, dims, simples = gfmat.cartan_matrix(basis, p)
     return {"labels": labels, "cartan": cartan, "pim_dims": dims,
             "constituents": simples}
 

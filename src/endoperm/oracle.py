@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modular, zpoly
-from .permgrp import GeneratedGroup, Permutation, word_concat
+from .permgrp import Permutation
 from .quadfield import (QuadraticNumber, RowSolver, int_product, poly_kernel,
                         primitive, squarefree_part)
 
@@ -29,15 +29,15 @@ from .quadfield import (QuadraticNumber, RowSolver, int_product, poly_kernel,
 class CosetAction:
     """The action of G on the right cosets of H, fully enumerated.
 
-    Coset 0 is H itself; `reps` hold one group element per coset (coset i
-    is H.reps[i]) and `words` the generator words producing them.
+    Coset 0 is H itself; `reps` hold one group element per coset, the
+    canonical element of coset i = H reps[i], and `gen_perms` the
+    permutations of the cosets by G's generators.
     """
 
-    def __init__(self, degree, gen_perms, reps, words, G, H):
+    def __init__(self, degree, gen_perms, reps, G, H):
         self.degree = degree
         self.gen_perms = gen_perms
         self.reps = reps
-        self.words = words
         self.G = G
         self.H = H
 
@@ -67,17 +67,15 @@ def coset_action(G, H, limit=10 ** 5):
     start = _canonical_rep(H, ident)
     idx = {start.images: 0}
     reps = [start]
-    words = [()]
     i = 0
     while i < len(reps):
         a = reps[i]
         i += 1
-        for si, s in enumerate(G.gens):
+        for s in G.gens:
             c = _canonical_rep(H, a * s)
             if c.images not in idx:
                 idx[c.images] = len(reps)
                 reps.append(c)
-                words.append(word_concat(words[reps.index(a)], ((si, 1),)))
     if len(reps) != index:
         raise AssertionError(
             f"coset enumeration found {len(reps)} cosets, expected {index}")
@@ -85,7 +83,7 @@ def coset_action(G, H, limit=10 ** 5):
     for s in G.gens:
         images = [idx[_canonical_rep(H, a * s).images] for a in reps]
         gen_perms.append(Permutation(images))
-    act = CosetAction(index, gen_perms, reps, words, G, H)
+    act = CosetAction(index, gen_perms, reps, G, H)
     act._index = idx
     return act
 

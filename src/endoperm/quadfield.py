@@ -280,12 +280,12 @@ def _pair_row(f):
     return a, b or None, ns[0] if ns else 1
 
 
-def _horner(A, B, d, ga, gb, n):
-    """(P, Q): P + Q sqrt(n) = sum_k g_k d^(deg - k) (A + B sqrt(n))^k,
-    with g = ga + gb sqrt(n) an integer pair row (a polynomial's
+def _horner(A, d, ga, gb, n):
+    """(P, Q): P + Q sqrt(n) = sum_k g_k d^(deg - k) A^k for an integer
+    matrix A, with g = ga + gb sqrt(n) an integer pair row (a polynomial's
     coefficients times a common denominator, constant first, gb None
-    when g is rational).  For C = (A + B sqrt(n)) / d that is
-    d^deg g(C).  Q is None when n = 1."""
+    when g is rational).  For C = A / d that is d^deg g(C).  Q is None
+    when n = 1."""
     gb = gb or [0] * len(ga)
     size, deg = len(A), len(ga) - 1
 
@@ -298,7 +298,7 @@ def _horner(A, B, d, ga, gb, n):
     Q = [[b if i == j else 0 for j in range(size)] for i in range(size)] \
         if n != 1 else None
     for k in range(deg - 1, -1, -1):
-        P, Q = _pair_product(P, Q, A, B, n)
+        P, Q = _pair_product(P, Q, A, None, n)
         a, b = scalar(k)
         for i in range(size):
             P[i][i] += a
@@ -392,8 +392,8 @@ def _null_vectors(rows, pivots, w, n):
 
 
 class RowSolver:
-    """B = (a + b sqrt(n)) / den eliminated once, to solve X . B = V for
-    any number of V.
+    """B = a + b sqrt(n) eliminated once, to solve X . B = V for any
+    number of V.
 
     One elimination of [B | I] gives B's pivot columns P and E with
     E . B the reduced row echelon form of B; the first rank(B) rows of E
@@ -401,13 +401,12 @@ class RowSolver:
     back, all on integers.
     a and b are integer matrices, b None for a rational B."""
 
-    def __init__(self, a, b=None, n=1, den=1):
-        self.a, self.b, self.n, self.den = a, b, n, den
+    def __init__(self, a, b=None, n=1):
+        self.a, self.b, self.n = a, b, n
         w, k = len(a[0]), len(a)
         self.k = k
-        # den(B) [B | I] as integer pair rows: it has the reduced row
-        # echelon form of [B | I]
-        eye = [[den if t == i else 0 for t in range(k)] for i in range(k)]
+        # [B | I] as integer pair rows
+        eye = [[int(t == i) for t in range(k)] for i in range(k)]
         if b is None:
             aug = [ra + e for ra, e in zip(a, eye)]
         else:
@@ -424,7 +423,7 @@ class RowSolver:
                 self.Eb.append([s * x for x in row[2 * w + k:]])
 
     def solve(self, va, vb, n):
-        """(Xa, Xb) with (Xa + Xb r)(a + b r) = L den (va + vb r) for
+        """(Xa, Xb) with (Xa + Xb r)(a + b r) = L (va + vb r) for
         r = sqrt(n): for V = (va + vb r) / dv, X = (Xa + Xb r) / (dv L)
         solves X . B = V.  None when some row of V is outside the row
         space of B."""
@@ -437,16 +436,16 @@ class RowSolver:
                                        for row in vb],
                                self.Ea, self.Eb, n)
         Pa, Pb = _pair_product(Xa, Xb, self.a, self.b, n)
-        s = self.L * self.den
-        if not (_equal_scaled(Pa, va, s) and _equal_scaled(Pb, vb, s)):
+        if not (_equal_scaled(Pa, va, self.L)
+                and _equal_scaled(Pb, vb, self.L)):
             return None
         return Xa, Xb
 
     def act(self, M):
         """[(Xa, Xb) for each M_j] for the integer matrices M_j set side by
         side in M = [M_1 | M_2 | ...]: X_j = Xa + Xb sqrt(n) has
-        X_j . B = L den B . M_j, so X_j / (L den) is M_j restricted to the
-        row space of B (Xb is None when B is rational).  One product forms
+        X_j . B = L B . M_j, so X_j / L is M_j restricted to the row space
+        of B (Xb is None when B is rational).  One product forms
         every B M_j and one solve finds every X_j.  Raises ValueError when
         the row space is not invariant under some M_j."""
         w, k = len(self.a[0]), self.k
@@ -490,7 +489,7 @@ def poly_kernel(X, L, f):
     polynomial f (constant first) over Q or one Q(sqrt(n)).  Only the
     integer numerator sum_k g_k L^(deg - k) X^k of f(X / L) is formed."""
     ga, gb, n = _pair_row(f)
-    return left_kernel(*_horner(X, None, L, ga, gb, n), n), n
+    return left_kernel(*_horner(X, L, ga, gb, n), n), n
 
 
 def pivot_columns(M):

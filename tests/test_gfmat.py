@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,24 +6,29 @@ import numpy as np
 import pytest
 
 from endoperm.gfmat import (FqMatrix, ModuleRep, UnsupportedCharacteristic,
-                            _algebra_basis, _lift_idempotent,
-                            _local_min_poly, _matrix_power, _poly_at,
-                            _quotient_action, _radical, _rref, cartan_matrix,
-                            fixed_space, rep_from_json, rep_to_json,
-                            row_times, vector_bytes)
+                            _lift_idempotent, _local_min_poly, _matrix_power,
+                            _poly_at, _quotient_action, _radical, _rref,
+                            cartan_matrix, fixed_space, rep_from_json,
+                            rep_to_json, row_times, vector_bytes)
 from endoperm import zpoly
 from endoperm.permgrp import Permutation, closure_elements
 
 
+def perm_array(images):
+    M = np.zeros((len(images), len(images)), dtype=np.int64)
+    M[np.arange(len(images)), images] = 1
+    return M
+
+
 def perm_mat(p, images):
-    M = np.zeros((len(images), len(images)), dtype=int)
-    for i, j in enumerate(images):
-        M[i, j] = 1
-    return FqMatrix(p, M)
+    return FqMatrix(p, perm_array(images))
 
 
-def cyclic_rep(p, n):
-    return ModuleRep(p, [perm_mat(p, [(i + 1) % n for i in range(n)])])
+def shift_powers(n):
+    """F_p[C_n] in the basis of the powers of the shift e_i -> e_(i+1),
+    identity first: row 0 of the k-th power is e_k."""
+    return np.array([perm_array([(i + k) % n for i in range(n)])
+                     for k in range(n)])
 
 
 def s3_perm_rep(p):
@@ -63,41 +69,44 @@ def test_fixed_space_examples():
 
 
 def test_quotient_examples():
-    rep = s3_perm_rep(5)
-    proj, quo = _quotient_action(rep.stacked(), np.eye(3, dtype=np.int64), 5)
+    s3 = np.array([perm_array([1, 0, 2]), perm_array([1, 2, 0])])
+    proj, quo = _quotient_action(s3, np.eye(3, dtype=np.int64), 5)
     assert proj.shape == (3, 0) and quo.shape == (2, 0, 0)
     # F2 permutation module of S3 modulo the fixed vector: the projection
     # intertwines each action with its 2-dimensional quotient action
-    rep2 = s3_perm_rep(2)
-    sub = fixed_space(rep2).data.astype(np.int64)
-    proj2, quo2 = _quotient_action(rep2.stacked(), sub, 2)
+    sub = fixed_space(s3_perm_rep(2)).data.astype(np.int64)
+    proj2, quo2 = _quotient_action(s3, sub, 2)
     assert proj2.shape == (3, 2) and not (sub @ proj2 % 2).any()
-    for a, q in zip(rep2.actions, quo2):
-        assert np.array_equal(a.data @ proj2 % 2, proj2 @ q % 2)
+    for a, q in zip(s3, quo2):
+        assert np.array_equal(a @ proj2 % 2, proj2 @ q % 2)
 
 
 def test_min_poly_random():
+    # w the identity gives the minimal polynomial f of M, and w a single
+    # row u, as _order_key calls it, the least f with u f(M) = 0: either
+    # way w f(M) = 0 and w (f / g)(M) != 0 for each irreducible factor g
     rng = random.Random(0)
     for trial in range(25):
         p = rng.choice([2, 3, 5, 11])
         n = rng.randrange(1, 8)
-        A = FqMatrix(p, np.random.RandomState(trial).randint(0, p, (n, n)))
-        M = A.data.astype(np.int64)
-        mp = _local_min_poly(M, np.eye(n, dtype=np.int64), p)
-        assert not _poly_at(M, mp, p).any()
-        _, facs = zpoly.fp_factor(mp, p)
-        for f, e in facs:
-            q = zpoly.fp_divmod(mp, f, p)[0]
-            assert _poly_at(M, q, p).any()
+        state = np.random.RandomState(trial)
+        M = state.randint(0, p, (n, n)).astype(np.int64)
+        u = state.randint(0, p, n).astype(np.int64)
+        u[trial % n] = 1
+        for w in (np.eye(n, dtype=np.int64), u):
+            mp = _local_min_poly(M, w, p)
+            assert mp[-1] == 1
+            assert not (w @ _poly_at(M, mp, p) % p).any()
+            for f, _ in zpoly.fp_factor(mp, p)[1]:
+                q = zpoly.fp_divmod(mp, f, p)[0]
+                assert (w @ _poly_at(M, q, p) % p).any()
 
 
 def test_summands_and_cartan():
-    c5 = cyclic_rep(5, 5)
-    labels, C, dims, simples = cartan_matrix(c5)
+    labels, C, dims, simples = cartan_matrix(shift_powers(5), 5)
     # F_5[C_5] is local: one projective indecomposable, the whole module
     assert C == [[5]] and dims == [5]
-    c6 = cyclic_rep(5, 6)
-    labels, C, dims, simples = cartan_matrix(c6)
+    labels, C, dims, simples = cartan_matrix(shift_powers(6), 5)
     k = len(labels)
     assert C == [[int(i == j) for j in range(k)] for i in range(k)]
     # the projective indecomposables of a semisimple commutative algebra
@@ -106,15 +115,16 @@ def test_summands_and_cartan():
     assert sorted(dims) == [1, 1, 2, 2]
 
 
-def group_regular_rep(gens, p):
-    """F_p[G] acting on itself by right multiplication, in the basis of
-    group elements."""
+def group_regular_rep(gens):
+    """The matrices of right multiplication by every element of G on
+    F_p[G], in the basis of group elements sorted by images, so the
+    identity is first: a basis of F_p[G] whose rows 0 are unit rows."""
     gens = [Permutation(g) for g in gens]
     elems = sorted(closure_elements(gens, gens[0].degree),
                    key=lambda q: q.images)
     index = {x.images: i for i, x in enumerate(elems)}
-    return ModuleRep(p, [perm_mat(p, [index[(x * g).images] for x in elems])
-                         for g in gens])
+    return np.array([perm_array([index[(x * g).images] for x in elems])
+                     for g in elems])
 
 
 S3 = [[1, 0, 2], [1, 2, 0]]
@@ -146,19 +156,18 @@ C7 = [[1, 2, 3, 4, 5, 6, 0]]
         "C5-p5"])
 def test_cartan_known_answers(gens, p, want_dims, want_ends, want_C,
                               want_pims):
-    reg = group_regular_rep(gens, p)
-    labels, C, dims, simples = cartan_matrix(reg)
+    reg = group_regular_rep(gens)
+    labels, C, dims, simples = cartan_matrix(reg, p)
     assert [s[1] for s in simples] == want_dims
     assert [s[2] for s in simples] == want_ends
     assert C == want_C and dims == want_pims
-    d = reg.dim
+    d = len(reg)
     mults = [n for _, _, _, n, _ in simples]
     # F_p[G] is P_1^(n_1) + ... + P_k^(n_k), n_j = dim S_j / e_j
     assert sum(n * dim for n, dim in zip(mults, dims)) == d
     assert all(n * e == s for _, s, e, n, _ in simples)
     # A/J = sum of the End_(D_i)(S_i), of dimension n_i^2 e_i
-    basis = _algebra_basis(reg)
-    radical = _radical(basis, p)
+    radical = _radical(reg, p)
     assert d - len(radical) == sum(n * n * e for _, _, e, n, _ in simples)
     if len(radical):
         assert not _matrix_power(radical, d, p).any()
@@ -167,25 +176,41 @@ def test_cartan_known_answers(gens, p, want_dims, want_ends, want_C,
 
 
 def test_cartan_on_a_regular_module_no_unit_vector_generates():
-    # F_2[C_7] in another basis: no single unit row separates the algebra,
-    # so the Cartan entries are read on two rows
-    gen = [[1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 0, 1, 0],
-           [1, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0, 1, 0, 1],
-           [0, 0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 1, 0],
-           [1, 0, 1, 1, 0, 1, 0]]
-    reg = ModuleRep(2, [FqMatrix(2, gen)])
-    basis = _algebra_basis(reg)
-    assert all(len(_rref(basis[:, u, :], 2)[1]) < 7 for u in range(7))
-    labels, C, dims, simples = cartan_matrix(reg)
+    # F_2[C_7] in the powers of another generator: no unit row separates
+    # the algebra, so row 0 does not generate the regular module and the
+    # basis is refused as it comes
+    gen = np.array([[1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 1, 0, 1, 0],
+                    [1, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0, 1, 0, 1],
+                    [0, 0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 1, 0],
+                    [1, 0, 1, 1, 0, 1, 0]])
+    powers = np.array([np.linalg.matrix_power(gen, k) % 2
+                       for k in range(7)])
+    assert len(_rref(powers.reshape(7, -1), 2)[1]) == 7
+    assert all(len(_rref(powers[:, u, :], 2)[1]) < 7 for u in range(7))
+    with pytest.raises(AssertionError, match="row 0 of the basis"):
+        cartan_matrix(powers, 2)
+    # a vector v that generates: in the basis T of the v B_t (v first,
+    # as B_0 = 1) the rows 0 of T B_t T^-1 are the unit rows
+    v = next(v for v in itertools.product([0, 1], repeat=7)
+             if len(_rref(np.array(v) @ powers % 2, 2)[1]) == 7)
+    T = np.array(v) @ powers % 2
+    R, _ = _rref(np.hstack([T, np.eye(7, dtype=np.int64)]), 2)
+    T_inv = R[:, 7:].astype(np.int64)
+    labels, C, dims, simples = cartan_matrix(T @ powers @ T_inv, 2)
     assert [s[1] for s in simples] == [1, 3, 3]
     assert C == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and dims == [1, 3, 3]
 
 
 def test_cartan_rejects_a_module_that_is_not_regular():
     # the permutation module of S3 over F_5 is 1 + 2: its algebra has
-    # dimension 1 + 4 = 5, not 3
-    with pytest.raises(AssertionError):
-        cartan_matrix(s3_perm_rep(5))
+    # dimension 1 + 4 = 5, not 3, so its basis is 5 matrices of size 3
+    elems = closure_elements([Permutation(g) for g in S3], 3)
+    R, pivots = _rref(np.array([perm_array(list(x.images)).reshape(-1)
+                                for x in elems]), 5)
+    basis = R[:len(pivots)].reshape(-1, 3, 3)
+    assert basis.shape == (5, 3, 3)
+    with pytest.raises(AssertionError, match="shape"):
+        cartan_matrix(basis, 5)
 
 
 def _cyclic_closed_form(p, n):
@@ -208,7 +233,7 @@ def _cyclic_closed_form(p, n):
 @pytest.mark.parametrize("p, n", [(31, 30), (11, 27), (3, 27), (7, 24)])
 def test_cartan_of_cyclic_group_algebras_at_rank_27_to_30(p, n):
     scale, degrees = _cyclic_closed_form(p, n)
-    labels, C, dims, simples = cartan_matrix(cyclic_rep(p, n))
+    labels, C, dims, simples = cartan_matrix(shift_powers(n), p)
     k = len(degrees)
     assert [e for _, _, e, _, _ in simples] == degrees
     assert [s for _, s, _, _, _ in simples] == degrees
@@ -229,25 +254,9 @@ def test_cartan_of_thirty_linear_simples_takes_few_eliminations(monkeypatch):
 
     nullspace = gfmat._nullspace
     monkeypatch.setattr(gfmat, "_nullspace", counted)
-    labels, C, dims, simples = cartan_matrix(cyclic_rep(31, 30))
+    labels, C, dims, simples = cartan_matrix(shift_powers(30), 31)
     assert len(simples) == 30
     assert len(calls) <= 60
-
-
-def _spin_one_at_a_time(rep):
-    """The algebra basis as the plain spin finds it: each product x g is
-    reduced and kept on its own."""
-    p, d = rep.p, rep.dim
-    kept = [np.eye(d, dtype=np.int64)]
-    rows = FqMatrix(p, kept[0].reshape(1, -1))
-    for x in kept:
-        for g in rep.actions:
-            y = x @ g.data.astype(np.int64) % p
-            grown = FqMatrix(p, np.vstack([rows.data, y.reshape(1, -1)]))
-            if grown.rank() > rows.nrows:
-                kept.append(y)
-                rows = grown
-    return np.array(kept)
 
 
 def _radical_on_every_product(basis, p):
@@ -271,10 +280,8 @@ def _radical_on_every_product(basis, p):
       [0, 1, 2, 3, 4, 5, 7, 8, 6]], 3),
 ])
 def test_spin_and_radical_match_their_definitions(gens, p):
-    reg = group_regular_rep(gens, p)
-    basis = _algebra_basis(reg)
-    assert np.array_equal(basis, _spin_one_at_a_time(reg))
-    d = reg.dim
+    basis = group_regular_rep(gens)
+    d = len(basis)
     got = FqMatrix(p, _radical(basis, p).reshape(-1, d * d)).row_basis()
     want = FqMatrix(p, _radical_on_every_product(basis, p).reshape(
         -1, d * d)).row_basis()
@@ -296,22 +303,10 @@ def test_lift_idempotent():
 
 
 def test_cartan_symmetric_on_group_algebras():
-    # group algebras are symmetric algebras; D4 over F2 and F3, C6 over F5
-    from endoperm.permgrp import GeneratedGroup, Permutation, \
-        closure_elements
-    r, s = Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])
-    elems = sorted(closure_elements([r, s], 4), key=lambda q: q.images)
-
-    def rmul(g):
-        return perm_mat(0, [elems.index(x * g) for x in elems])
-
+    # group algebras are symmetric algebras; D4 over F_2, F_3 and F_5
+    reg = group_regular_rep([[1, 2, 3, 0], [0, 3, 2, 1]])
     for p in (2, 3, 5):
-        acts = []
-        for g in (r, s):
-            images = [elems.index(x * g) for x in elems]
-            acts.append(perm_mat(p, images))
-        reg = ModuleRep(p, acts)
-        labels, C, dims, simples = cartan_matrix(reg)
+        labels, C, dims, simples = cartan_matrix(reg, p)
         assert all(C[i][j] == C[j][i]
                    for i in range(len(C)) for j in range(len(C)))
         # dim P_S = [E : S] for split symmetric algebras

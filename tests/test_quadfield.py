@@ -187,17 +187,16 @@ def test_rref_and_nullspaces_match_sympy():
 
 
 def test_express_in_rows_matches_sympy():
-    # RowSolver.solve: X B = L den V for V in the row space of B, and
-    # None for V outside it
+    # RowSolver.solve: X B = L V for V in the row space of B, and None
+    # for V outside it
     for rng, B in _random_cases(15):
-        den = rng.randrange(1, 4)
         S = _to_sympy(B)
         inside = [[rng.randrange(-4, 5) for _ in B] for _ in range(2)]
         V = _from_sympy(_to_sympy(inside) * S)
-        solver = RowSolver(B, None, 1, den)
+        solver = RowSolver(B)
         Xa, Xb = solver.solve(V, None, 1)
         assert Xb is None
-        X = _to_sympy(Xa) / (solver.L * den)
+        X = _to_sympy(Xa) / solver.L
         assert X * S == _to_sympy(V)
         if S.rank() == len(B):
             assert X == _to_sympy(inside)
@@ -402,23 +401,22 @@ def test_quadratic_rref_and_nullspaces_match_sympy():
 
 
 def test_quadratic_express_in_rows_matches_sympy():
-    # RowSolver.solve over Q(sqrt(n)): X B = L den V inside the row
-    # space of B, None outside it
+    # RowSolver.solve over Q(sqrt(n)): X B = L V inside the row space
+    # of B, None outside it
     for rng, n, M in _quadratic_cases(23):
         D = _dm(M, n)
         A, B, d = _pair_rows(M)
-        den = rng.randrange(1, 3)
         x = [[_number(rng, n) for _ in M]]
         va, vb, dv = _pair_rows(_from_dm(_dm(x, n) * D, n))
-        solver = RowSolver(A, B, n, den)
+        solver = RowSolver(A, B, n)
         Xa, Xb = solver.solve(va, vb, n)
         X = _from_dm(_dm(_quadratic(Xa, Xb, n), n)
                      * _dm(_quadratic(A, B, n), n), n)
-        assert X == [[solver.L * den * q for q in row]
+        assert X == [[solver.L * q for q in row]
                      for row in _quadratic(va, vb, n)]
         if D.rank() == len(M):
             # the solution is unique: x up to the denominators
-            scale = Fraction(d, solver.L * den * dv)
+            scale = Fraction(d, solver.L * dv)
             assert [[q * scale for q in row]
                     for row in _quadratic(Xa, Xb, n)] == x
         w = [[_number(rng, n) for _ in M[0]]]
