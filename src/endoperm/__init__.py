@@ -9,7 +9,7 @@ theory that decides whether the permutation module is indecomposable.
 from . import (candfilter, corpus, fixtures, gfmat, limits, modular, oracle,
                orbenum, permgrp, pipeline, quadfield, schur, splitchar,
                zpoly)
-from .gfmat import FqMatrix, ModuleRep
+from .gfmat import FqMatrix
 from .orbenum import ActionContext, HelperSetup, OrbitRecord, classify
 from .permgrp import GeneratedGroup, Permutation, RandomStream
 from .quadfield import QuadraticNumber
@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionContext", "EndoCharTable", "FqMatrix", "GeneratedGroup",
-    "HelperSetup", "IntersectionMatrix", "ModuleRep", "OrbitRecord",
-    "Permutation", "QuadraticNumber", "RandomStream", "candfilter",
-    "classify", "corpus", "fixtures", "gfmat", "limits", "modular",
-    "oracle", "orbenum", "permgrp", "pipeline", "quadfield", "schur",
-    "splitchar", "zpoly",
+    "HelperSetup", "IntersectionMatrix", "OrbitRecord", "Permutation",
+    "QuadraticNumber", "RandomStream", "candfilter", "classify", "corpus",
+    "fixtures", "gfmat", "limits", "modular", "oracle", "orbenum",
+    "permgrp", "pipeline", "quadfield", "schur", "splitchar", "zpoly",
 ]

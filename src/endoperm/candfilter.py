@@ -16,10 +16,10 @@ are the columns.  The box is walked in chunks of CHUNK points, decoded
 from flat indices in mixed radix (the order of itertools.product), and
 multiplied by those columns, in int64 when a bound rules out overflow and
 in Python ints otherwise.  Only the survivors get the exact defect check
-on their class sums.  Also here: the index-sum search used to pin down
-missing orbit lengths.
+on their class sums.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -134,7 +134,7 @@ def defect_integrality(values, centralizers, p):
     return True
 
 
-def admissible_candidates(tbl, constituents, p, use_defect=True):
+def admissible_candidates(tbl, constituents, p):
     """Exhaustive filter of the coefficient box.
 
     constituents: list of (label, multiplicity); the first must be the
@@ -163,7 +163,7 @@ def admissible_candidates(tbl, constituents, p, use_defect=True):
     if bound < 2 ** 63:
         columns = columns.astype(np.int64)
     centralizers = [c["centralizer"] for c in tbl.classes]
-    defect = use_defect and any(c is not None for c in centralizers)
+    defect = any(c is not None for c in centralizers)
     out = []
     for start in range(0, box, CHUNK):
         digits = _decode(start, min(start + CHUNK, box), radix)
@@ -188,44 +188,17 @@ def _decode(start, stop, radix):
     return digits
 
 
-def conjugation_closure(candidates, pairs=None):
+def conjugation_closure(candidates):
     """Coordinate equalities holding across every surviving candidate.
 
-    Reports, does not enforce: returns the list of index pairs (i, j) with
-    d_i = d_j in all candidates, restricted to the supplied Galois pairs
-    when given."""
+    Reports, does not enforce: returns the list of label pairs with
+    d_i = d_j, i < j, in all candidates."""
     if not candidates:
         return []
     k = len(candidates[0].coeffs)
-    if pairs is None:
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     out = []
-    for i, j in pairs:
+    for i, j in itertools.combinations(range(k), 2):
         if all(c.coeffs[i] == c.coeffs[j] for c in candidates):
             out.append((candidates[0].labels[i], candidates[0].labels[j]))
     return out
 
-
-def partition_search(target, allowed, k):
-    """All size-k multisets from `allowed` summing to target, each sorted
-    ascending, the list itself in lexicographic order."""
-    allowed = sorted(set(allowed))
-    out = []
-
-    def rec(start, left, k_left, acc):
-        if k_left == 0:
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        for idx in range(start, len(allowed)):
-            v = allowed[idx]
-            if v * k_left > left:
-                break
-            if left - v > allowed[-1] * (k_left - 1):
-                continue
-            acc.append(v)
-            rec(idx, left - v, k_left - 1, acc)
-            acc.pop()
-
-    rec(0, target, k, [])
-    return out

@@ -316,7 +316,7 @@ def main(argv=None):
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (AssertionError, schur.IntegralityError,
-            modular.LiftValidationError,
+            modular.LiftValidationError, modular.CartanDisagreement,
             splitchar.UnsupportedComponentError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -281,13 +281,13 @@ def verify_against_manifest(instances=None):
 
 # ---------------------------------------------------------------------------
 
-def instance_scenario(inst, seed=0, k_gens=1):
-    """Scenario-file dict for an instance (what the CLI consumes)."""
+def instance_scenario(inst, seed=0):
+    """Scenario-file dict for an instance (what the CLI consumes), with
+    the helper K of `build_context`."""
     from .permgrp import dump_word_json, group_to_json
     G = inst.group
-    G.build_chain()
     H, h_words = G.stabilizer_with_words(inst.base_point)
-    k_words = [((i, 1),) for i in range(min(k_gens, len(H.gens)))]
+    k_words = [((0, 1),)] if H.gens else []
     return {
         "group": group_to_json(G),
         "h_words": [dump_word_json(w) for w in h_words],
@@ -301,17 +301,15 @@ def instance_scenario(inst, seed=0, k_gens=1):
     }
 
 
-def build_context(inst, seed=0, k_gens=1):
+def build_context(inst, seed=0):
     """Wire an instance into (ctx, helper, H): H is the stabilizer of the
     base point with generator words, K is generated by the first H-
-    generators (trivial when H is)."""
+    generator (trivial when H is)."""
     G = inst.group
-    G.build_chain()
     H, h_words = G.stabilizer_with_words(inst.base_point)
     dom = PermutationDomain(G.degree)
     ctx = ActionContext(dom, G.gens, H.gens, inst.base_point,
                         h_words=h_words, faithful_h=H,
                         target_index=G.order() // H.order(), seed=seed)
-    k_words = [((i, 1),) for i in range(min(k_gens, len(H.gens)))]
-    helper = HelperSetup(ctx, k_words)
+    helper = HelperSetup(ctx, [((0, 1),)] if H.gens else [])
     return ctx, helper, H

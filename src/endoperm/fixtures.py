@@ -111,6 +111,11 @@ def run_suite():
         and 31 * lengths[0] + 1 * lengths[2] == 31 ** 2
         and 30 * lengths[1] + 2 * lengths[2] + 1 * lengths[4]
         == lengths[2] * 31))
+    checks.append(Check(
+        "P_2 pairing: n_k (P_2)_ik = n_i (P_2)_ki (orbit 2 is self-paired)",
+        pairing[1] == 2
+        and all(lengths[k] * p2[i][k] == lengths[i] * p2[k][i]
+                for i in range(27) for k in range(27))))
 
     eigen = load_eigenspaces()
     cp = splitchar.char_poly(p2)

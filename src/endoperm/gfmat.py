@@ -109,10 +109,6 @@ class FqMatrix:
     def identity(cls, p, n):
         return cls(p, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, p, r, c):
-        return cls(p, np.zeros((r, c), dtype=np.int64))
-
     def toarray(self):
         """Entries as a uint8 numpy array (a copy)."""
         return self.data.copy()
@@ -147,24 +143,10 @@ class FqMatrix:
         return FqMatrix(self.p, self.data.astype(np.int64)
                         @ other.data.astype(np.int64))
 
-    def transpose(self):
-        return FqMatrix(self.p, self.data.T)
-
-    def is_identity(self):
-        return (self.nrows == self.ncols
-                and np.array_equal(self.data, np.eye(self.nrows)))
-
-    def is_zero(self):
-        return not self.data.any()
-
     # -- elimination --------------------------------------------------------
 
-    def rref(self):
-        R, pivots = _rref(self.data, self.p)
-        return FqMatrix(self.p, R), pivots
-
     def rank(self):
-        return len(self.rref()[1])
+        return len(_rref(self.data, self.p)[1])
 
     def row_basis(self):
         """The nonzero rows of the reduced row echelon form."""
@@ -174,10 +156,6 @@ class FqMatrix:
     def left_nullspace(self):
         """Rows v with v . M = 0."""
         return FqMatrix(self.p, _nullspace(self.data.T, self.p))
-
-    def right_nullspace(self):
-        """Rows v with M . v^T = 0."""
-        return FqMatrix(self.p, _nullspace(self.data, self.p))
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -235,25 +213,6 @@ def _nullspace(arr, p):
 
 # ---------------------------------------------------------------------------
 
-class ModuleRep:
-    """A module over F_p given by the square matrices of its generators."""
-
-    def __init__(self, p, actions, dim=None):
-        self.p = p
-        self.actions = list(actions)
-        if dim is None:
-            if not self.actions:
-                raise ValueError("dim required with no generators")
-            dim = self.actions[0].nrows
-        for a in self.actions:
-            if a.nrows != dim or a.ncols != dim or a.p != p:
-                raise ValueError("actions must be square of equal size")
-        self.dim = dim
-
-    def __repr__(self):
-        return f"ModuleRep(p={self.p}, dim={self.dim}, gens={len(self.actions)})"
-
-
 def _solve(A, B):
     """X with A X = B (A of full column rank on its pivot columns)."""
     p = A.p
@@ -270,11 +229,12 @@ def _solve(A, B):
     return FqMatrix(p, X)
 
 
-def fixed_space(rep):
-    """Basis of the common fixed space of all generators."""
-    ident = FqMatrix.identity(rep.p, rep.dim)
+def fixed_space(p, mats, dim):
+    """Basis of the common fixed space in F_p^dim of the dim x dim
+    FqMatrix `mats`."""
+    ident = FqMatrix.identity(p, dim)
     current = ident
-    for a in rep.actions:
+    for a in mats:
         if current.nrows == 0:
             break
         N = (current * (a - ident)).left_nullspace()
@@ -648,28 +608,21 @@ def vector_bytes(p, dim):
 
 
 def rep_from_json(data):
+    """(p, generators, dim) of a "matrix_group" scenario entry: {"p": p,
+    "dim": dim, "generators": [dim x dim entries, row-major, or for p = 2
+    a hex string of bit-packed rows]}."""
     p, dim = data["p"], data["dim"]
     gens = []
     for g in data["generators"]:
         if isinstance(g, str):
             if p != 2:
                 raise ValueError("hex-packed rows are only valid for p = 2")
-            raw = bytes.fromhex(g)
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                 bitorder="little")
-            rows = bits[:dim * dim].reshape(dim, dim)
-            gens.append(FqMatrix(2, rows))
+            entries = np.unpackbits(np.frombuffer(bytes.fromhex(g),
+                                                  dtype=np.uint8),
+                                    bitorder="little")[:dim * dim]
         else:
-            arr = np.array(g, dtype=np.int64).reshape(dim, dim)
-            gens.append(FqMatrix(p, arr))
-    rep = ModuleRep(p, gens, dim)
-    return rep
-
-
-def rep_to_json(rep):
-    return {
-        "p": rep.p,
-        "dim": rep.dim,
-        "generators": [a.toarray().astype(int).reshape(-1).tolist()
-                       for a in rep.actions],
-    }
+            entries = np.array(g, dtype=np.int64).reshape(-1)
+        if entries.size != dim * dim:
+            raise ValueError("actions must be square of equal size")
+        gens.append(FqMatrix(p, entries.reshape(dim, dim)))
+    return p, gens, dim

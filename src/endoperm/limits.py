@@ -20,8 +20,8 @@ NOT_DESK_REPRODUCIBLE = [
         "fact": "the ~2 hour random search finding 24 of 27 orbits",
         "scale": "10^6-scale random probes against billions of points",
         "covered_by": "classify on desk instances, 5-seed determinism, "
-                      "and the index-sum search that pins the residual "
-                      "orbit lengths (27001 = 31 + 930 + 26040)",
+                      "and the orbit fixture's lengths summing to [G:H] "
+                      "exactly",
     },
     {
         "fact": "the average saving factor of about 152 with |K| = 155",

@@ -4,7 +4,8 @@ Reduces the split character table to F_p under an explicit square-root
 convention, extracts a basic set, solves for the decomposition matrix,
 derives the Cartan matrix both from D^T D and from the regular module
 (its radical, the centre of E_F/J and lifted idempotents; the two must
-agree),
+agree when p does not divide |H|, and a disagreement when it does is
+raised as CartanDisagreement),
 matches projective indecomposables to reduced characters, of which the
 locality test and the permutation-module verdict are corollaries, and
 assembles the projective character columns with their Fitting
@@ -23,6 +24,12 @@ class InertFieldError(ValueError):
 class LiftValidationError(ValueError):
     """The mod-p solution does not lift to the integer identity (p too
     small relative to the true decomposition numbers)."""
+
+
+class CartanDisagreement(ValueError):
+    """p divides |H| and D^T D is not the Cartan matrix of E_F from its
+    regular module: Brauer reciprocity, which would make them equal, is
+    not guaranteed there."""
 
 
 class SqrtConvention:
@@ -365,16 +372,20 @@ class Verdict:
 
 def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     """Full mod-p pipeline: reduce, basic set, D, Cartan both ways, blocks,
-    locality, projective columns, answer."""
+    locality, projective columns, answer.  Two Cartan matrices that differ
+    raise CartanDisagreement when p divides h_order, else AssertionError."""
     reduced = reduce_table(table, p, conv)
     basic = basic_set(reduced, p)
     D = decomposition_matrix(table, reduced, basic, p)
     C_dec = D.transpose_product()
     reg = cartan_from_regular(inter_mats, p)
     if not cartan_equivalent(C_dec, reg["cartan"]):
-        raise AssertionError(
-            f"Cartan matrices disagree: D^T D = {C_dec}, "
-            f"regular module = {reg['cartan']}")
+        message = (f"Cartan matrices disagree: D^T D = {C_dec}, "
+                   f"regular module = {reg['cartan']}")
+        if h_order is not None and h_order % p == 0:
+            raise CartanDisagreement(message)
+        # p does not divide |H|: Brauer reciprocity makes the two equal
+        raise AssertionError(message)
     local = len(reg["constituents"]) == 1
     columns = projective_columns(D, table)
     h_is_p_prime = None if h_order is None else (h_order % p != 0)

@@ -43,12 +43,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import gfmat
-from .gfmat import FqMatrix, ModuleRep
+from .gfmat import FqMatrix
 from .permgrp import (GeneratedGroup, Permutation, RandomStream,
                       dump_word_json, evaluate_word, group_from_json,
                       load_word_json, orbit_tree, schreier_stabilizer,
                       seed_mix, substitute_word, tree_word, word_concat,
                       word_inverse)
+
+
+# Random H-generator steps of one walk in `classify` and
+# `probe_fixed_space`, and of the first round of `SchurContext.locate`.
+WALK_BUDGET = 200
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -178,14 +183,14 @@ class VectorDomain:
 
     def fixed_points(self, gens):
         """The nonzero vectors fixed by every generator."""
-        basis = gfmat.fixed_space(ModuleRep(self.p, gens, self.dim))
+        basis = gfmat.fixed_space(self.p, gens, self.dim)
         basis = basis.toarray().astype(np.int64)
         return [self.encode(np.array(c) @ basis % self.p)
                 for c in _all_vectors(self.p, len(basis)) if any(c)]
 
     def base_point(self, h_gens):
         """A spanning vector of the H-fixed space, which must be a line."""
-        basis = gfmat.fixed_space(ModuleRep(self.p, h_gens, self.dim))
+        basis = gfmat.fixed_space(self.p, h_gens, self.dim)
         if basis.nrows != 1:
             raise ValueError(
                 f"need a 1-dimensional H-fixed space, found {basis.nrows}; "
@@ -557,7 +562,7 @@ def _store_fiber(helper, record, z):
     record.covered += orb.length * fiber
 
 
-def walk(ctx, helper, index, x, rng, budget=200):
+def walk(ctx, helper, index, x, rng, budget):
     """One random H-walk from x, looked up step by step in `index`.
 
     index maps stored keys to anything but None: a record's store, or the
@@ -580,7 +585,7 @@ def walk(ctx, helper, index, x, rng, budget=200):
     return None
 
 
-def membership(ctx, helper, record, x, rng, budget=200):
+def membership(ctx, helper, record, x, rng, budget):
     """Randomized membership in one record: True is certain, otherwise
     'unknown'.  A `walk` against the record's store.  No program path calls
     it; it stays because bench/tracer.py patches it by name for the
@@ -658,14 +663,15 @@ class OrbitPartition:
         }
 
 
-def orbit_min_key(ctx, record, cap=10 ** 6):
-    """Minimal point of the orbit (seed-independent canonical tiebreak)."""
-    if record.length is not None and record.length > cap:
+def orbit_min_key(ctx, record):
+    """Minimal point of the orbit (seed-independent canonical tiebreak);
+    past 10^6 points, the minimal stored point."""
+    if record.length is not None and record.length > 10 ** 6:
         return min(record.store)
     return min(orbit_tree(record.rep, ctx.h_gens, ctx.domain.apply)[0])
 
 
-def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
+def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
     """Find the full H-orbit decomposition by random G-probes.
 
     Probes v1 . g for random g until the lengths sum to the target index;
@@ -682,7 +688,7 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
     probes = 0
 
     def find(x):
-        return walk(ctx, helper, index, x, rng, walk_budget)
+        return walk(ctx, helper, index, x, rng, WALK_BUDGET)
 
     def add_new(x, word, element):
         rec = enumerate_suborbit(ctx, helper, x, word)
@@ -734,7 +740,7 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6, walk_budget=200):
 
 
 def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
-                      seed=0, probes=2000, walk_budget=200):
+                      seed=0, probes=2000):
     """Hunt a new orbit representative inside the fixed points of S.
 
     Checks each fixed point v with an H-orbit of the target length by
@@ -753,7 +759,7 @@ def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
         for _ in range(probes):
             el, gword = stream.next()
             x = dom.apply(v, el)
-            rec = walk(ctx, helper, index, x, rng, walk_budget)
+            rec = walk(ctx, helper, index, x, rng, WALK_BUDGET)
             if rec is None:
                 continue
             if ctx.h_words is None:
@@ -832,9 +838,8 @@ def load_scenario(data):
         dom = PermutationDomain(G.degree)
         g_gens = G.gens
     else:
-        rep = gfmat.rep_from_json(data["matrix_group"])
-        dom = VectorDomain(rep.p, rep.dim)
-        g_gens = rep.actions
+        p, g_gens, dim = gfmat.rep_from_json(data["matrix_group"])
+        dom = VectorDomain(p, dim)
     h_words = [load_word_json(w) for w in data["h_words"]]
     h_gens = [evaluate_word(w, g_gens, dom.identity()) for w in h_words]
     faithful = None

@@ -123,10 +123,6 @@ class Permutation:
         n = len(self.images)
         return Permutation(_form(n).inverse_table(self.images)[:n])
 
-    def is_identity(self):
-        n = len(self.images)
-        return self.images == _form(n).identity(n)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -465,10 +461,6 @@ class GeneratedGroup:
         if perm.degree != self.degree:
             return False
         return self._sift(perm.images)[0] is None
-
-    def orbit(self, point):
-        """Orbit of a point under the generators, in BFS discovery order."""
-        return orbit_tree(point, self.gens, _image)[0]
 
     def stabilizer(self, point):
         """Full point stabilizer, with its own chain."""

@@ -3,8 +3,9 @@
 run_instance drives the production route on one corpus instance;
 oracle_instance computes the same quantities by brute force; compare lines
 them up check by check.  The mod-p stage records structured skips where
-the character-based route is out of its depth (inert residue fields, or p
-too small for the lift), in which case locality and the Cartan matrix are
+the character-based route is out of its depth (inert residue fields, p
+too small for the lift, or p dividing |H| with D^T D not the Cartan
+matrix), in which case locality and the Cartan matrix are
 still compared through the field-free regular-module route.
 """
 
@@ -74,8 +75,8 @@ def run_pipeline(ctx, helper, h_order, primes=None, seed=0, name="scenario",
         try:
             run.verdicts[p] = modular.permutation_verdict(
                 run.table, mats, p, h_order=run.h_order)
-        except (modular.InertFieldError,
-                modular.LiftValidationError) as exc:
+        except (modular.InertFieldError, modular.LiftValidationError,
+                modular.CartanDisagreement) as exc:
             reg = modular.cartan_from_regular(mats, p)
             run.mod_skips[p] = {
                 "reason": f"{type(exc).__name__}: {exc}",

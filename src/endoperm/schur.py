@@ -17,6 +17,10 @@ from . import orbenum
 from .permgrp import orbit_tree, seed_mix
 from .quadfield import RowSolver, int_product, pivot_columns
 
+# Largest orbit that `SchurContext.orbit_points` lists; a P_j whose orbit is
+# larger comes from `AlgebraClosure.recover`.
+ENUM_CUTOFF = 10 ** 7
+
 
 class PartialCountsError(RuntimeError):
     """Membership resolution ran out of budget; counts are lower bounds."""
@@ -73,16 +77,13 @@ def validate_intersection_matrix(entries, j, lengths):
 class SchurContext:
     """Orbit partition plus the machinery to count against it."""
 
-    def __init__(self, ctx, helper, partition, seed=0,
-                 enum_cutoff=10 ** 7, walk_budget=200):
+    def __init__(self, ctx, helper, partition, seed=0):
         self.ctx = ctx
         self.helper = helper
         self.partition = partition
         self.r = len(partition.records)
         self.lengths = partition.lengths()
         self.pairing = partition.pairing()
-        self.enum_cutoff = enum_cutoff
-        self.walk_budget = walk_budget
         self.rng = random.Random(seed_mix(seed, 0x5C47))
         # stored key -> orbit number; the stores are disjoint subsets of
         # distinct H-orbits, so a hit is still a proof
@@ -96,10 +97,10 @@ class SchurContext:
         if j in self._orbit_cache:
             return self._orbit_cache[j]
         rec = self.partition.records[j - 1]
-        if rec.length > self.enum_cutoff:
+        if rec.length > ENUM_CUTOFF:
             raise ValueError(
                 f"orbit {j} has {rec.length} points, over the counting "
-                f"cutoff {self.enum_cutoff}; use AlgebraClosure.recover "
+                f"cutoff {ENUM_CUTOFF}; use AlgebraClosure.recover "
                 "instead")
         out, _ = orbit_tree(rec.rep, self.ctx.h_gens, self.ctx.domain.apply)
         if len(out) != rec.length:
@@ -117,8 +118,9 @@ class SchurContext:
 
         Each round is one H-walk (`orbenum.walk`) looked up against the
         stored keys of all r orbits at once, with the walk budget
-        quadrupling from round to round."""
-        budget = self.walk_budget
+        starting at `orbenum.WALK_BUDGET` and quadrupling from round to
+        round."""
+        budget = orbenum.WALK_BUDGET
         for _ in range(rounds):
             k = orbenum.walk(self.ctx, self.helper, self.index, x, self.rng,
                              budget)
@@ -258,7 +260,7 @@ def generate_endomorphism_ring(sctx):
     for j in order:
         if closure.dimension >= sctx.r:
             break
-        if sctx.lengths[j - 1] > sctx.enum_cutoff:
+        if sctx.lengths[j - 1] > ENUM_CUTOFF:
             continue
         computed[j] = intersection_matrix(sctx, j)
         closure = algebra_closure(

@@ -1,11 +1,13 @@
 """Scenarios and sympy references shared by several test modules."""
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 import sympy
 
+from endoperm import corpus
 from endoperm.gfmat import FqMatrix
 from endoperm.orbenum import ActionContext, HelperSetup, VectorDomain
 from endoperm.permgrp import GeneratedGroup, Permutation, evaluate_word
@@ -43,6 +45,16 @@ def johnson_context(n, k):
     helper = HelperSetup(ctx, [((i, 1),) for i in range(k - 1)],
                          FqMatrix(2, proj))
     return ctx, helper
+
+
+def ordered_pairs_instance(n, primes):
+    """S_n on the n(n-1) ordered pairs of distinct points, based at (0, 1):
+    H = S_(n-2), and p divides |H| for every p < n - 1."""
+    pairs = list(itertools.permutations(range(n), 2))
+    idx = {pair: k for k, pair in enumerate(pairs)}
+    G = GeneratedGroup([Permutation([idx[g(i), g(j)] for i, j in pairs])
+                        for g in corpus._symmetric(n).gens])
+    return corpus.Instance(f"S{n}-ordered-pairs", G, primes=primes)
 
 
 def sym(x):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from endoperm import candfilter
 from endoperm.candfilter import (OrdinaryCharTableG, admissible_candidates,
                                  conjugation_closure, defect_integrality,
-                                 partition_search, p_part)
+                                 p_part)
 from endoperm.quadfield import QuadraticNumber as Q
 from scenarios import radical_dict, sym
 
@@ -27,6 +27,13 @@ def s5_table():
     return OrdinaryCharTableG(classes, chars)
 
 
+def without_centralizers(tbl):
+    """The table with no centralizer orders, so that only the vanishing
+    test filters."""
+    return OrdinaryCharTableG(
+        [dict(c, centralizer=None) for c in tbl.classes], tbl.characters)
+
+
 def test_s5_unique_candidate():
     box, cands = admissible_candidates(s5_table(), [("1", 1), ("4", 1)], 5)
     assert box == 2
@@ -41,7 +48,7 @@ def test_no_singular_classes_gives_full_box():
         [{"name": "1a", "centralizer": None, "p_singular": False}],
         {"1": [Q(1)], "x": [Q(2)], "y": [Q(3)]})
     box, cands = admissible_candidates(
-        tbl, [("1", 1), ("x", 2), ("y", 3)], 7, use_defect=False)
+        tbl, [("1", 1), ("x", 2), ("y", 3)], 7)
     assert box == 12 and len(cands) == 12
 
 
@@ -49,7 +56,7 @@ def test_matches_brute_force_filter():
     # independent oracle: direct loop over the box with the same data
     tbl = s5_table()
     labels = [("1", 1), ("4", 1)]
-    _, fast = admissible_candidates(tbl, labels, 5, use_defect=False)
+    _, fast = admissible_candidates(without_centralizers(tbl), labels, 5)
     slow = []
     for d in itertools.product([1], [0, 1]):
         if sum(c * sym(tbl.value(lab, 6))
@@ -84,30 +91,6 @@ def test_conjugation_closure_reports_equalities():
     tbl = s5_table()
     _, cands = admissible_candidates(tbl, [("1", 1), ("4", 1)], 5)
     assert conjugation_closure(cands) == [("1", "4")]
-
-
-def test_partition_search_examples():
-    assert partition_search(4, [1, 2, 3], 2) == [(1, 3), (2, 2)]
-    assert partition_search(0, [1, 2, 3], 0) == [()]
-    sup = [1, 31, 155, 465, 496, 930, 3255, 7440, 19530, 26040, 9765, 4960]
-    res = set(partition_search(27001, sup, 3))
-    assert {(31, 930, 26040), (465, 496, 26040),
-            (31, 7440, 19530)} <= res
-
-
-def test_partition_search_matches_direct_loop():
-    rng = random.Random(6)
-    for _ in range(10):
-        allowed = sorted(rng.sample(range(1, 40), rng.randrange(3, 8)))
-        target = rng.randrange(10, 80)
-        fast = set(partition_search(target, allowed, 3))
-        slow = set()
-        for a in allowed:
-            for b in allowed:
-                for c in allowed:
-                    if a <= b <= c and a + b + c == target:
-                        slow.add((a, b, c))
-        assert fast == slow
 
 
 def test_p_part():
@@ -184,8 +167,8 @@ def test_chunked_filter_matches_direct_loop(monkeypatch):
         assert [c.coeffs for c in fast] == slow
         assert all(type(d) is int for c in fast for d in c.coeffs)
         survivors += len(slow)
-        vanishing += len(admissible_candidates(tbl, cons, 3,
-                                               use_defect=False)[1])
+        vanishing += len(admissible_candidates(without_centralizers(tbl),
+                                               cons, 3)[1])
     # both filters cut: some points vanish, and the defect drops some
     assert 0 < survivors < vanishing
 

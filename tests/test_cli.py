@@ -11,12 +11,12 @@ from endoperm import cli
 from endoperm.candfilter import (OrdinaryCharTableG, admissible_candidates,
                                  conjugation_closure)
 from endoperm.corpus import instance_scenario, named_instances
-from endoperm.gfmat import FqMatrix, ModuleRep, rep_to_json
 from endoperm.modular import SqrtConvention, permutation_verdict
 from endoperm.orbenum import classify, load_scenario, memory_estimate
 from endoperm.permgrp import (GeneratedGroup, Permutation, dump_word_json,
                               evaluate_word, group_to_json)
 from endoperm.pipeline import run_pipeline
+from scenarios import ordered_pairs_instance
 
 S5_TABLE = {
     "classes": [
@@ -90,6 +90,18 @@ def test_decomp_and_verdict_reject_bad_characteristic(tmp_path, capsys):
     assert json.loads(out.read_text())["p"] == 3
 
 
+def test_verdict_exits_2_on_a_cartan_disagreement(tmp_path, capsys):
+    # p = 3 divides |H| = 6, and D^T D is not E_F's Cartan matrix
+    scenario = tmp_path / "s5-pairs.json"
+    inst = ordered_pairs_instance(5, primes=(3,))
+    scenario.write_text(json.dumps(instance_scenario(inst)))
+    out = tmp_path / "verdict.json"
+    assert cli.main(["verdict", str(scenario), "--p", "3",
+                     "--out", str(out)]) == cli.EXIT_INVARIANT
+    assert "Cartan matrices disagree" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def s4_scenario():
     inst = next(i for i in named_instances() if i.name == "S4/S3")
     return instance_scenario(inst)
@@ -114,10 +126,10 @@ def j82_scenario():
     for g in (a, b):
         m = np.zeros((n, n), dtype=int)
         m[np.arange(n), list(g.images)] = 1
-        mats.append(FqMatrix(2, m))
+        mats.append(m.reshape(-1).tolist())
     faithful = GeneratedGroup([evaluate_word(w, [a, b]) for w in h_words], n)
     return {
-        "matrix_group": rep_to_json(ModuleRep(2, mats, n)),
+        "matrix_group": {"p": 2, "dim": n, "generators": mats},
         "h_words": [dump_word_json(w) for w in h_words],
         "k_words": [dump_word_json(((0, 1),))],
         "faithful_h": group_to_json(faithful),

@@ -26,6 +26,20 @@ def test_tampering_is_detected():
         schur.validate_intersection_matrix(p2, 2, lengths)
 
 
+def test_pairing_check_detects_one_changed_entry(monkeypatch):
+    # change (P_2)_ik of a pair with (P_2)_ik and (P_2)_ki nonzero, i != k,
+    # and leave (P_2)_ki as printed
+    data = fixtures.load_p2()
+    p2 = data["entries"]
+    i, k = next((i, k) for i in range(1, 27) for k in range(i + 1, 27)
+                if p2[i][k] and p2[k][i])
+    p2[i][k] += 1
+    monkeypatch.setattr(fixtures, "load_p2", lambda: data)
+    pairing = [c for c in fixtures.run_suite()
+               if c.name.startswith("P_2 pairing")]
+    assert len(pairing) == 1 and not pairing[0].ok
+
+
 def test_convention_is_forced_by_the_reduced_rows():
     # with the default root r3 -> 5 the printed reduction cannot match
     table = fixtures.load_chartable()

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from endoperm import oracle
-from endoperm.modular import (DecompositionMatrixE, InertFieldError,
+from endoperm.modular import (CartanDisagreement, InertFieldError,
                               LiftValidationError, SqrtConvention,
                               _block_diag_blocks, _column_blocks,
                               _sqrt_mod, basic_set, cartan_equivalent,
-                              cartan_from_regular,
-                              correspond_projectives,
-                              decomposition_matrix, permutation_verdict,
-                              projective_columns, reduce_table, reduce_value)
+                              cartan_from_regular, decomposition_matrix,
+                              permutation_verdict, projective_columns,
+                              reduce_table, reduce_value)
 from endoperm.permgrp import GeneratedGroup, Permutation
 from endoperm.quadfield import QuadraticNumber
 from endoperm.schur import IntersectionMatrix
 from endoperm.splitchar import build_table
+from scenarios import ordered_pairs_instance
 
 
 def table_for(Ggens, point=0):
@@ -188,6 +188,19 @@ def test_lift_validation_error_reported():
         permutation_verdict(tbl, mats, 2, h_order=H.order())
     reg = cartan_from_regular(mats, 2)
     assert len(reg["constituents"]) == 1  # still answers locality
+
+
+def test_cartan_disagreement_is_an_error_only_where_p_divides_h():
+    # S5 on ordered pairs at p = 3 (|H| = 6), where the two routes differ:
+    # a structured error when p divides |H|, an assertion otherwise, where
+    # Brauer reciprocity makes the two equal
+    tbl, mats, H = table_for(ordered_pairs_instance(5, (3,)).group.gens)
+    assert H.order() == 6
+    with pytest.raises(CartanDisagreement):
+        permutation_verdict(tbl, mats, 3, h_order=6)
+    for h_order in (None, 4):
+        with pytest.raises(AssertionError, match="Cartan matrices disagree"):
+            permutation_verdict(tbl, mats, 3, h_order=h_order)
 
 
 def _brute_components(n, linked):

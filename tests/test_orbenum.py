@@ -1,12 +1,10 @@
 import json
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from endoperm import oracle
-from endoperm.corpus import build_context, instance_scenario, named_instances
+from endoperm.corpus import instance_scenario, named_instances
 from endoperm.gfmat import FqMatrix
 from endoperm.orbenum import (ActionContext, HelperNotEquivariant,
                               HelperSetup, MemoryBudgetExceeded,
@@ -15,8 +13,7 @@ from endoperm.orbenum import (ActionContext, HelperNotEquivariant,
                               enumerate_suborbit, load_scenario,
                               membership, memory_estimate, normalize_point,
                               probe_fixed_space, trace_word)
-from endoperm.permgrp import (GeneratedGroup, Permutation, evaluate_word,
-                              word_inverse)
+from endoperm.permgrp import GeneratedGroup, Permutation, evaluate_word
 from scenarios import johnson_context
 
 

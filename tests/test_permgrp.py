@@ -11,7 +11,7 @@ from endoperm.permgrp import (GeneratedGroup, Permutation, RandomStream,
                               closure_elements, dump_word_json,
                               evaluate_word, group_from_json, group_to_json,
                               load_word_json, orbit_tree, substitute_word,
-                              tree_word, word_inverse)
+                              tree_word)
 
 
 def sym(n):
@@ -38,7 +38,8 @@ def test_stabilizer_orders():
     s4 = sym(4)
     st = s4.stabilizer(0)
     assert st.order() == 6
-    assert st.order() * len(s4.orbit(0)) == s4.order()
+    assert st.order() * len(orbit_tree(0, s4.gens, lambda pt, g: g(pt))[0]) \
+        == s4.order()
     # the stabilizer really fixes the point
     for p in closure_elements(st.gens, 4, 100):
         assert p.images[0] == 0
@@ -150,13 +151,17 @@ STREAM_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(STREAM_GENS))
 def test_random_stream_keeps_each_slot_inverse(name):
-    stream = RandomStream(STREAM_GENS[name](), seed=5)
+    gens = STREAM_GENS[name]()
+    g = gens[0]
+    ident = (Permutation.identity(g.degree) if isinstance(g, Permutation)
+             else FqMatrix.identity(g.p, g.nrows))
+    stream = RandomStream(gens, seed=5)
     digest = hashlib.sha256()
     for _ in range(STREAM_DRAWS):
         el, word = stream.next()
         for slot, inv in zip(stream.slots, stream.inverses):
-            assert (slot * inv).is_identity()
-        assert (el * stream.last_inverse()).is_identity()
+            assert slot * inv == ident
+        assert el * stream.last_inverse() == ident
         digest.update(bytes(el.images) if isinstance(el, Permutation)
                       else el.data.tobytes())
         digest.update(np.array(word, dtype=np.int8).tobytes())
@@ -234,8 +239,8 @@ def test_permutation_forms_agree_at_the_byte_boundary(n):
                                         for x in range(n)]
         assert list(p.inverse().images) == sorted(range(n),
                                                   key=p.images.__getitem__)
-        assert (p * p.inverse()).is_identity() and p.inverse() * p == ident
-        assert not p.is_identity()
+        assert p * p.inverse() == ident and p.inverse() * p == ident
+        assert p != ident
     assert evaluate_word(((0, 1), (1, -1), (0, 1)), perms) \
         == perms[0] * perms[1].inverse() * perms[0]
     twin = Permutation(list(perms[0].images))

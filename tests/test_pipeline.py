@@ -2,8 +2,9 @@
 
 import pytest
 
-from endoperm import corpus, pipeline
+from endoperm import corpus, modular, pipeline
 from endoperm.permgrp import Permutation
+from scenarios import ordered_pairs_instance
 
 # the two slowest oracle runs (several seconds each) stay out of tier-1
 SLOW = {"random-7-paley-17", "random-4-dihedral-16-regular"}
@@ -80,3 +81,21 @@ def test_regular_route_on_p_groups_is_local(build):
     skip = run.mod_skips[2]
     assert (skip["local"], skip["cartan"], skip["pim_dims"]) == \
         (True, [[order]], [order])
+
+
+def test_cartan_disagreement_at_p_dividing_h_is_a_skip():
+    # S5 on ordered pairs at p = 3, |H| = 6: D^T D = I_4, but listing all
+    # 3^7 elements of E_F gives a radical of dimension 3, so E_F is not
+    # semisimple; its Cartan matrix below is the brute-force one
+    inst = ordered_pairs_instance(5, primes=(3,))
+    run = pipeline.run_instance(inst)
+    assert run.h_order == 6 and run.verdicts == {}
+    skip = run.mod_skips[3]
+    assert skip["reason"].startswith("CartanDisagreement: ")
+    assert modular.cartan_equivalent(
+        skip["cartan"], [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0],
+                         [1, 0, 0, 2]])
+    assert sorted(skip["pim_dims"]) == [1, 1, 2, 3]
+    assert skip["local"] is False
+    checks = pipeline.compare(run, pipeline.oracle_instance(inst))
+    assert [name for name, ok, _ in checks if not ok] == []

@@ -14,9 +14,8 @@ from endoperm.permgrp import GeneratedGroup, Permutation, closure_elements
 from endoperm.schur import IntersectionMatrix
 from endoperm.splitchar import (CharRow, EndoCharTable,
                                 UnsupportedComponentError, build_table,
-                                char_poly, fitting_degree,
-                                homogeneous_components_center, verify_table,
-                                _split_quartic)
+                                char_poly, homogeneous_components_center,
+                                verify_table, _split_quartic)
 from scenarios import johnson_context
 
 
