@@ -303,13 +303,12 @@ def instance_scenario(inst, seed=0):
 
 def build_context(inst, seed=0):
     """Wire an instance into (ctx, helper, H): H is the stabilizer of the
-    base point with generator words, K is generated by the first H-
-    generator (trivial when H is)."""
+    base point on its pruned Schreier generators, K is generated by the
+    first H-generator (trivial when H is)."""
     G = inst.group
-    H, h_words = G.stabilizer_with_words(inst.base_point)
+    H, _ = G.stabilizer_with_words(inst.base_point)
     dom = PermutationDomain(G.degree)
-    ctx = ActionContext(dom, G.gens, H.gens, inst.base_point,
-                        h_words=h_words, faithful_h=H,
+    ctx = ActionContext(dom, G.gens, H.gens, inst.base_point, faithful_h=H,
                         target_index=G.order() // H.order(), seed=seed)
     helper = HelperSetup(ctx, [((0, 1),)] if H.gens else [])
     return ctx, helper, H

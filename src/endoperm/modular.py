@@ -28,8 +28,12 @@ class LiftValidationError(ValueError):
 
 class CartanDisagreement(ValueError):
     """p divides |H| and D^T D is not the Cartan matrix of E_F from its
-    regular module: Brauer reciprocity, which would make them equal, is
-    not guaranteed there."""
+    regular module (`regular`, from `cartan_from_regular`): Brauer
+    reciprocity, which would make them equal, is not guaranteed there."""
+
+    def __init__(self, message, regular):
+        super().__init__(message)
+        self.regular = regular
 
 
 class SqrtConvention:
@@ -383,7 +387,7 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
         message = (f"Cartan matrices disagree: D^T D = {C_dec}, "
                    f"regular module = {reg['cartan']}")
         if h_order is not None and h_order % p == 0:
-            raise CartanDisagreement(message)
+            raise CartanDisagreement(message, reg)
         # p does not divide |H|: Brauer reciprocity makes the two equal
         raise AssertionError(message)
     local = len(reg["constituents"]) == 1

@@ -29,6 +29,9 @@ quotient point or None, and t(q) the K-word of q's Schreier tree (see
 is read: the faithful permutations of the sifted loops' end points and
 `trace_word`.
 
+`classify` probes v1 . g for g from a seeded random G-stream; a record keeps
+g and its replayable name (stream seed, draw number), never a G-word.
+
 The engine treats points as opaque hashable, ordered keys.  The two domain
 classes, `PermutationDomain` (integer points) and `VectorDomain` (byte-
 encoded F_p vectors), own the point format: they alone know how a point is
@@ -45,15 +48,16 @@ import numpy as np
 from . import gfmat
 from .gfmat import FqMatrix
 from .permgrp import (GeneratedGroup, Permutation, RandomStream,
-                      dump_word_json, evaluate_word, group_from_json,
-                      load_word_json, orbit_tree, schreier_stabilizer,
-                      seed_mix, substitute_word, tree_word, word_concat,
-                      word_inverse)
+                      evaluate_word, group_from_json, load_word_json,
+                      orbit_tree, schreier_stabilizer, seed_mix,
+                      substitute_word, tree_word, word_inverse)
 
 
 # Random H-generator steps of one walk in `classify` and
-# `probe_fixed_space`, and of the first round of `SchurContext.locate`.
+# `probe_fixed_space`, and of the first of the LOCATE_ROUNDS walks of
+# `SchurContext.locate`, whose budget quadruples from walk to walk.
 WALK_BUDGET = 200
+LOCATE_ROUNDS = 5
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -247,7 +251,8 @@ class ActionContext:
     v1 models the coset space of H.  The faithful H-action (a permutation
     group whose generators correspond index-by-index to the H-generators)
     certifies stabilizer orders; without it records carry uncertified
-    lower bounds.
+    lower bounds.  `h_words` is accepted and unused (the benchmark passes
+    it).
     """
 
     def __init__(self, domain, g_gens, h_gens, v1, *, h_words=None,
@@ -256,13 +261,11 @@ class ActionContext:
         self.domain = domain
         self.g_gens = list(g_gens)
         self.h_gens = list(h_gens)
-        self.h_words = h_words
         self.v1 = v1
         self.faithful_h = faithful_h
         self.target_index = target_index
         self.memory_limit = memory_limit
         self.seed = seed
-        self._g_inv = [g.inverse() for g in self.g_gens]
         self._h_inv = [h.inverse() for h in self.h_gens]
         for h in self.h_gens:
             if domain.apply(self.v1, h) != self.v1:
@@ -274,12 +277,6 @@ class ActionContext:
                     "faithful H-action must list one generator per H-generator")
         self.h_order = faithful_h.order() if faithful_h else None
 
-    def apply_g_word(self, x, word):
-        for i, e in word:
-            x = self.domain.apply(x, self.g_gens[i] if e > 0
-                                  else self._g_inv[i])
-        return x
-
     def apply_h_word(self, x, word):
         for i, e in word:
             x = self.domain.apply(x, self.h_gens[i] if e > 0
@@ -290,9 +287,6 @@ class ActionContext:
         """Evaluate an H-word in the faithful permutation action."""
         return evaluate_word(word, self.faithful_h.gens,
                              Permutation.identity(self.faithful_h.degree))
-
-    def g_stream(self, seed):
-        return RandomStream(self.g_gens, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +381,24 @@ class HelperSetup:
 # ---------------------------------------------------------------------------
 
 class OrbitRecord:
-    """One H-orbit: representative, reaching word, certified length and
-    stabilizer order, and the store of distinguished points.
+    """One H-orbit: representative, certified length and stabilizer order,
+    and the store of distinguished points.
 
     store maps each stored point to its Schreier edge (parent, (u, hi, q)),
     key = parent . u . h_hi . t(q)^-1, with the representative as parent
     None (module docstring).  No H-word is kept: `HelperSetup.edge_word`
     builds one from an edge when a loop is sifted or `trace_word` asks.
 
-    `classify` also keeps the G-element that reaches the representative
-    (`reach_element`, equal to the evaluated reach word) and the partner
-    record (`pair_rec`).  loops_seen counts the re-found points, each of
-    which closes a Schreier loop; loops_sifted counts the loops that were
-    sifted into the accumulated stabilizer."""
+    `classify` also keeps the G-element taking v1 to the representative
+    (`reach_element`), its name `reach` = (stream seed, draw number; negated
+    for the draw's inverse, 0 for v1's orbit) and the partner (`pair_rec`).
+    loops_seen counts the re-found points, each closing a Schreier loop;
+    loops_sifted counts the loops sifted into the accumulated stabilizer."""
 
-    def __init__(self, rep_key, reach_word):
+    def __init__(self, rep_key):
         self.index = None
         self.rep = rep_key
-        self.reach_word = tuple(reach_word)
+        self.reach = None
         self.reach_element = None
         self.length = None
         self.stab_order = None
@@ -445,7 +439,7 @@ def normalize_point(helper, x):
     return x, q
 
 
-def enumerate_suborbit(ctx, helper, v, reach_word=()):
+def enumerate_suborbit(ctx, helper, v):
     """Enumerate the H-orbit of v chunk by chunk, storing only fibers.
 
     Seals once 2 * covered * |S_acc| > |H|, where S_acc is the group the
@@ -465,7 +459,7 @@ def enumerate_suborbit(ctx, helper, v, reach_word=()):
     not change its order.
     """
     dom = ctx.domain
-    record = OrbitRecord(v, reach_word)
+    record = OrbitRecord(v)
     certify = ctx.faithful_h is not None
     h_order = ctx.h_order
     if certify:
@@ -615,7 +609,7 @@ def trace_word(ctx, helper, record, x):
     while key is not None:
         key, edge = record.store[key]
         parts.append(helper.edge_word(*edge))
-    word = word_concat(*reversed(parts))
+    word = tuple(itertools.chain(*reversed(parts)))
     if ctx.apply_h_word(record.rep, word) != x:
         raise AssertionError("traced word does not evaluate back to the point")
     return word
@@ -656,7 +650,7 @@ class OrbitPartition:
                     "saving_factor": [r.saving_factor().numerator,
                                       r.saving_factor().denominator],
                     "certified": r.certified,
-                    "reach_word": dump_word_json(r.reach_word),
+                    "reach": list(r.reach),
                 }
                 for r in self.records
             ],
@@ -681,7 +675,7 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
     """
     if ctx.target_index is None:
         raise ValueError("classify needs the target index [G:H]")
-    stream = ctx.g_stream(seed)
+    stream = RandomStream(ctx.g_gens, seed)
     rng = random.Random(seed_mix(seed, 0xC1A551F1))
     records = []
     index = {}    # stored key -> record, over every record kept so far
@@ -690,34 +684,35 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
     def find(x):
         return walk(ctx, helper, index, x, rng, WALK_BUDGET)
 
-    def add_new(x, word, element):
-        rec = enumerate_suborbit(ctx, helper, x, word)
+    def add_new(x, reach, element):
+        rec = enumerate_suborbit(ctx, helper, x)
         for other in records:
             if not disjoint(rec, other):
                 return other, False
+        rec.reach = reach
         rec.reach_element = element
         records.append(rec)
         index.update(dict.fromkeys(rec.store, rec))
         return rec, True
 
-    add_new(ctx.v1, (), ctx.domain.identity())
+    add_new(ctx.v1, (seed, 0), ctx.domain.identity())
     records[0].pair_rec = records[0]
 
     while sum(r.length for r in records) < ctx.target_index \
             and probes < probe_budget:
-        el, word = stream.next()
+        el, draw = stream.next()
         probes += 1
         x = ctx.domain.apply(ctx.v1, el)
         if find(x) is not None:
             continue
-        rec, fresh = add_new(x, word, el)
+        rec, fresh = add_new(x, (seed, draw.number), el)
         if not fresh:
             continue
         el_inv = stream.last_inverse()
         xinv = ctx.domain.apply(ctx.v1, el_inv)
         partner = find(xinv)
         if partner is None:
-            partner, _ = add_new(xinv, word_inverse(word), el_inv)
+            partner, _ = add_new(xinv, (seed, -draw.number), el_inv)
         rec.pair_rec = partner
         partner.pair_rec = rec
     # canonical ordering and index assignment; every kept record was
@@ -744,35 +739,32 @@ def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
     """Hunt a new orbit representative inside the fixed points of S.
 
     Checks each fixed point v with an H-orbit of the target length by
-    probing v . g for random g against the known records; a hit yields the
-    reaching word v1 . (g_j h g^{-1}) = v.  Returns (v, word) or None.
+    probing v . g for random g against the known records; a hit in record
+    j gives the G-element g_j h g^-1 taking v1 to v (g_j its
+    `reach_element`, h the traced H-word).  Returns (v, element) or None.
     """
     dom = ctx.domain
     candidates = dom.fixed_points(s_gens)
     rng = random.Random(seed_mix(seed, 0xF17ED))
-    stream = ctx.g_stream(seed + 1)
+    stream = RandomStream(ctx.g_gens, seed + 1)
     index = {key: rec for rec in partition.records for key in rec.store}
     for v in candidates:
         orbit, _ = orbit_tree(v, ctx.h_gens, dom.apply, target_length)
         if len(orbit) != target_length:
             continue
         for _ in range(probes):
-            el, gword = stream.next()
+            el, _ = stream.next()
             x = dom.apply(v, el)
             rec = walk(ctx, helper, index, x, rng, WALK_BUDGET)
             if rec is None:
                 continue
-            if ctx.h_words is None:
-                raise ValueError(
-                    "need H-generator words in G to export this word")
-            h_word = trace_word(ctx, helper, rec, x)
-            word = word_concat(rec.reach_word,
-                               substitute_word(h_word, ctx.h_words),
-                               word_inverse(gword))
-            if ctx.apply_g_word(ctx.v1, word) != v:
+            h = evaluate_word(trace_word(ctx, helper, rec, x), ctx.h_gens,
+                              dom.identity())
+            element = rec.reach_element * h * stream.last_inverse()
+            if dom.apply(ctx.v1, element) != v:
                 raise AssertionError(
-                    "reaching word does not evaluate to the vector")
-            return v, word
+                    "reaching element does not take v1 to the vector")
+            return v, element
     return None
 
 
@@ -851,8 +843,7 @@ def load_scenario(data):
     else:
         v1 = dom.base_point(h_gens)
     ctx = ActionContext(
-        dom, g_gens, h_gens, v1, h_words=h_words, faithful_h=faithful,
-        target_index=index,
+        dom, g_gens, h_gens, v1, faithful_h=faithful, target_index=index,
         memory_limit=budgets.get("memory_points", 10 ** 7), seed=seed)
     k_words = [load_word_json(w) for w in data.get("k_words", [])]
     quotient = None

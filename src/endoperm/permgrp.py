@@ -2,9 +2,9 @@
 
 Groups carry a deterministic stabilizer chain (base and strong generating
 set) built by the Schreier-Sims procedure, giving exact orders, membership
-tests and point stabilizers.  Elements of a large ambient group are carried
-around as words in its generators; seeded product-replacement streams supply
-reproducible random elements together with the words producing them.
+tests and point stabilizers.  Short words in the generators name tree paths
+and stabilizer generators; seeded product-replacement streams supply
+reproducible random elements, each named by its seed and draw number.
 
 Points are 0-indexed internally and 1-indexed in all file formats.
 
@@ -20,6 +20,7 @@ entries as tables, built by `bytes.maketrans`.
 """
 
 import random
+import sys
 
 _IDENTITY = bytes(range(256))
 
@@ -149,13 +150,6 @@ def word_inverse(word):
     return tuple((i, -e) for i, e in reversed(word))
 
 
-def word_concat(*words):
-    out = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
 def substitute_word(word, words):
     """The word with each letter (i, e) replaced by words[i], inverted
     when e < 0: a word in generators given as words, rewritten as a word
@@ -216,15 +210,27 @@ def dump_word_json(word):
 
 # ---------------------------------------------------------------------------
 
+class Draw:
+    """A `RandomStream` element's name: the seed and the draw number, from
+    1, to which RandomStream(gens, seed) replays.  len() is the letter count
+    (up to sys.maxsize) of the word in the generators whose product the
+    element is; the stream counts it in place of keeping the word."""
+
+    def __init__(self, seed, number, letters):
+        self.seed, self.number, self.letters = seed, number, letters
+
+    def __len__(self):
+        return self.letters
+
+
 class RandomStream:
     """Product-replacement stream over a fixed generator list.
 
-    Ten accumulator slots, 50 burn-in multiplications.  The seed is part of
-    the construction so every randomized computation downstream is
-    replayable.  Elements come back together with the word in the original
-    generators that produces them.  Each slot also keeps its inverse: the
-    step slot_i <- slot_i * other sets inv_i <- other^-1 * inv_i, so no
-    element is ever inverted after the generators.
+    Ten slots, 50 burn-in steps (Celler et al., Comm. Algebra 23, 1995).
+    Each step (i, j, inverted) comes from the seeded RNG alone, so a draw
+    is replayable.  Each slot also keeps its inverse: the step slot_i <-
+    slot_i * other sets inv_i <- other^-1 * inv_i, so no element is ever
+    inverted after the generators.
     """
 
     SLOTS = 10
@@ -233,18 +239,17 @@ class RandomStream:
     def __init__(self, gens, seed):
         if not gens:
             raise ValueError("need at least one generator")
-        self.gens = list(gens)
         self.seed = seed
         self.rng = random.Random(seed)
-        gen_inverses = [g.inverse() for g in self.gens]
+        gen_inverses = [g.inverse() for g in gens]
         self.slots = []
         self.inverses = []
-        self.words = []
         for k in range(self.SLOTS):
             i = k % len(gens)
             self.slots.append(gens[i])
             self.inverses.append(gen_inverses[i])
-            self.words.append(((i, 1),))
+        self.letters = [1] * self.SLOTS
+        self.draws = 0
         for _ in range(self.BURN_IN):
             self._step()
 
@@ -256,20 +261,19 @@ class RandomStream:
             j += 1
         if rng.randrange(2):
             other, other_inv = self.inverses[j], self.slots[j]
-            oword = word_inverse(self.words[j])
         else:
             other, other_inv = self.slots[j], self.inverses[j]
-            oword = self.words[j]
         self.slots[i] = self.slots[i] * other
         self.inverses[i] = other_inv * self.inverses[i]
-        self.words[i] = word_concat(self.words[i], oword)
+        self.letters[i] = min(self.letters[i] + self.letters[j], sys.maxsize)
         self._last = i
         return i
 
     def next(self):
-        """Return (element, word) with element == evaluate_word(word, gens)."""
+        """Return (element, draw): the next element and its `Draw`."""
         i = self._step()
-        return self.slots[i], self.words[i]
+        self.draws += 1
+        return self.slots[i], Draw(self.seed, self.draws, self.letters[i])
 
     def last_inverse(self):
         """The inverse of the element the last `next` returned."""
@@ -550,8 +554,8 @@ def schreier_stabilizer(points, tree, image, gens, degree, target):
         for gi, g in enumerate(gens):
             img = image(pt, gi)
             if group.extend(element(pt) * g * element(img).inverse()):
-                kept.append(word_concat(tree_word(tree, pt), ((gi, 1),),
-                                        word_inverse(tree_word(tree, img))))
+                kept.append(tree_word(tree, pt) + ((gi, 1),)
+                            + word_inverse(tree_word(tree, img)))
                 if group.order() == target:
                     break
     if group.order() != target:

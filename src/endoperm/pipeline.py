@@ -77,7 +77,9 @@ def run_pipeline(ctx, helper, h_order, primes=None, seed=0, name="scenario",
                 run.table, mats, p, h_order=run.h_order)
         except (modular.InertFieldError, modular.LiftValidationError,
                 modular.CartanDisagreement) as exc:
-            reg = modular.cartan_from_regular(mats, p)
+            reg = (exc.regular
+                   if isinstance(exc, modular.CartanDisagreement)
+                   else modular.cartan_from_regular(mats, p))
             run.mod_skips[p] = {
                 "reason": f"{type(exc).__name__}: {exc}",
                 "local": len(reg["constituents"]) == 1,
@@ -102,7 +104,6 @@ def oracle_instance(inst, primes=None, seed=0):
     arguments unchanged."""
     out = OracleRun(inst.name)
     G = inst.group
-    G.build_chain()
     H = G.stabilizer(inst.base_point)
     act = oracle.coset_action(G, H)
     h_perms = oracle.subgroup_coset_perms(act, H.gens)

@@ -113,15 +113,15 @@ class SchurContext:
         the record, which takes v1 to its representative."""
         return self.partition.records[i - 1].reach_element
 
-    def locate(self, x, rounds=5):
+    def locate(self, x):
         """Index k with x in O_k; None when every round misses.
 
-        Each round is one H-walk (`orbenum.walk`) looked up against the
-        stored keys of all r orbits at once, with the walk budget
-        starting at `orbenum.WALK_BUDGET` and quadrupling from round to
-        round."""
+        Each of `orbenum.LOCATE_ROUNDS` rounds is one H-walk
+        (`orbenum.walk`) looked up against the stored keys of all r orbits
+        at once, with the walk budget starting at `orbenum.WALK_BUDGET`
+        and quadrupling from round to round."""
         budget = orbenum.WALK_BUDGET
-        for _ in range(rounds):
+        for _ in range(orbenum.LOCATE_ROUNDS):
             k = orbenum.walk(self.ctx, self.helper, self.index, x, self.rng,
                              budget)
             if k is not None:

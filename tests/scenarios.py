@@ -1,8 +1,13 @@
 """Scenarios and sympy references shared by several test modules."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import sympy
@@ -38,8 +43,8 @@ def johnson_context(n, k):
               for w in h_words]
     dom = VectorDomain(2, n)
     v1 = dom.encode([1] * k + [0] * (n - k))
-    ctx = ActionContext(dom, mats, h_mats, v1, h_words=h_words,
-                        faithful_h=faithful, target_index=comb(n, k))
+    ctx = ActionContext(dom, mats, h_mats, v1, faithful_h=faithful,
+                        target_index=comb(n, k))
     proj = np.zeros((n, k), dtype=np.int64)
     proj[np.arange(k), np.arange(k)] = 1
     helper = HelperSetup(ctx, [((i, 1),) for i in range(k - 1)],
@@ -47,14 +52,35 @@ def johnson_context(n, k):
     return ctx, helper
 
 
-def ordered_pairs_instance(n, primes):
-    """S_n on the n(n-1) ordered pairs of distinct points, based at (0, 1):
-    H = S_(n-2), and p divides |H| for every p < n - 1."""
-    pairs = list(itertools.permutations(range(n), 2))
-    idx = {pair: k for k, pair in enumerate(pairs)}
-    G = GeneratedGroup([Permutation([idx[g(i), g(j)] for i, j in pairs])
+def ordered_tuples_instance(n, k, primes):
+    """S_n on the ordered k-tuples of distinct points, based at
+    (0, ..., k-1): H = S_(n-k), and p divides |H| for every p <= n - k."""
+    tuples = list(itertools.permutations(range(n), k))
+    idx = {t: i for i, t in enumerate(tuples)}
+    G = GeneratedGroup([Permutation([idx[tuple(map(g, t))] for t in tuples])
                         for g in corpus._symmetric(n).gens])
-    return corpus.Instance(f"S{n}-ordered-pairs", G, primes=primes)
+    return corpus.Instance(f"S{n}-ordered-{k}-tuples", G, primes=primes)
+
+
+# Address-space cap of `run_memory_capped`'s interpreter.
+MEMORY_CAP = 2 << 30
+
+
+def run_memory_capped(snippet):
+    """Run Python source in a fresh interpreter that first caps its own
+    address space at MEMORY_CAP bytes (RLIMIT_AS), with src/ and tests/ on
+    its path; returns the CompletedProcess, output captured as text.  A
+    runaway allocation then ends the child in MemoryError and leaves the
+    machine's memory alone."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    cap = ("import resource\n"
+           "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
+           % (MEMORY_CAP, MEMORY_CAP))
+    return subprocess.run(
+        [sys.executable, "-c", cap + textwrap.dedent(snippet)], env=env,
+        capture_output=True, text=True)
 
 
 def sym(x):

@@ -16,7 +16,7 @@ from endoperm.orbenum import classify, load_scenario, memory_estimate
 from endoperm.permgrp import (GeneratedGroup, Permutation, dump_word_json,
                               evaluate_word, group_to_json)
 from endoperm.pipeline import run_pipeline
-from scenarios import ordered_pairs_instance
+from scenarios import ordered_tuples_instance
 
 S5_TABLE = {
     "classes": [
@@ -93,7 +93,7 @@ def test_decomp_and_verdict_reject_bad_characteristic(tmp_path, capsys):
 def test_verdict_exits_2_on_a_cartan_disagreement(tmp_path, capsys):
     # p = 3 divides |H| = 6, and D^T D is not E_F's Cartan matrix
     scenario = tmp_path / "s5-pairs.json"
-    inst = ordered_pairs_instance(5, primes=(3,))
+    inst = ordered_tuples_instance(5, 2, primes=(3,))
     scenario.write_text(json.dumps(instance_scenario(inst)))
     out = tmp_path / "verdict.json"
     assert cli.main(["verdict", str(scenario), "--p", "3",

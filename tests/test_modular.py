@@ -18,7 +18,7 @@ from endoperm.permgrp import GeneratedGroup, Permutation
 from endoperm.quadfield import QuadraticNumber
 from endoperm.schur import IntersectionMatrix
 from endoperm.splitchar import build_table
-from scenarios import ordered_pairs_instance
+from scenarios import ordered_tuples_instance
 
 
 def table_for(Ggens, point=0):
@@ -194,7 +194,7 @@ def test_cartan_disagreement_is_an_error_only_where_p_divides_h():
     # S5 on ordered pairs at p = 3 (|H| = 6), where the two routes differ:
     # a structured error when p divides |H|, an assertion otherwise, where
     # Brauer reciprocity makes the two equal
-    tbl, mats, H = table_for(ordered_pairs_instance(5, (3,)).group.gens)
+    tbl, mats, H = table_for(ordered_tuples_instance(5, 2, (3,)).group.gens)
     assert H.order() == 6
     with pytest.raises(CartanDisagreement):
         permutation_verdict(tbl, mats, 3, h_order=6)

@@ -13,17 +13,17 @@ from endoperm.orbenum import (ActionContext, HelperNotEquivariant,
                               enumerate_suborbit, load_scenario,
                               membership, memory_estimate, normalize_point,
                               probe_fixed_space, trace_word)
-from endoperm.permgrp import GeneratedGroup, Permutation, evaluate_word
+from endoperm.permgrp import (GeneratedGroup, Permutation, evaluate_word,
+                              orbit_tree)
 from scenarios import johnson_context
 
 
 def make_ctx(G, point=0, k_words=None, quotient=None, seed=0):
     G.build_chain()
-    H, h_words = G.stabilizer_with_words(point)
+    H, _ = G.stabilizer_with_words(point)
     dom = PermutationDomain(G.degree)
-    ctx = ActionContext(dom, G.gens, H.gens, point, h_words=h_words,
-                        faithful_h=H, target_index=G.order() // H.order(),
-                        seed=seed)
+    ctx = ActionContext(dom, G.gens, H.gens, point, faithful_h=H,
+                        target_index=G.order() // H.order(), seed=seed)
     if k_words is None:
         k_words = [((i, 1),) for i in range(min(1, len(H.gens)))]
     return ctx, HelperSetup(ctx, k_words, quotient), H
@@ -211,7 +211,7 @@ def test_vector_domain_with_projection():
             for w in h_words]
     dom = VectorDomain(2, 4)
     ctx = ActionContext(dom, [g1, g2], mats, dom.encode([0, 0, 0, 1]),
-                        h_words=h_words, faithful_h=H, target_index=4)
+                        faithful_h=H, target_index=4)
     proj = FqMatrix(2, [[1, 0], [1, 0], [0, 1], [0, 1]])
     helper = HelperSetup(ctx, [((0, 1),)], proj)
     part = classify(ctx, helper, seed=2)
@@ -250,12 +250,11 @@ def test_probe_fixed_space_finds_representative():
     S = H.stabilizer(1)
     found = probe_fixed_space(ctx, helper, part, S.gens, 4, seed=3)
     assert found is not None
-    v, word = found
-    assert ctx.apply_g_word(ctx.v1, word) == v
-    # the reaching word is a G-word, so H's generators must be G-words
-    ctx.h_words = None
-    with pytest.raises(ValueError, match="H-generator words"):
-        probe_fixed_space(ctx, helper, part, S.gens, 4, seed=3)
+    v, element = found
+    assert element in GeneratedGroup(ctx.g_gens)
+    assert ctx.domain.apply(ctx.v1, element) == v
+    assert all(ctx.domain.apply(v, s) == v for s in S.gens)
+    assert len(orbit_tree(v, ctx.h_gens, ctx.domain.apply)[0]) == 4
 
 
 def test_scenario_roundtrip():

@@ -12,6 +12,7 @@ from endoperm.permgrp import (GeneratedGroup, Permutation, RandomStream,
                               evaluate_word, group_from_json, group_to_json,
                               load_word_json, orbit_tree, substitute_word,
                               tree_word)
+from scenarios import run_memory_capped
 
 
 def sym(n):
@@ -102,14 +103,18 @@ def test_substitute_word_evaluates_as_the_composite():
     assert substitute_word((), words) == ()
 
 
-def test_random_element_words_reproduce():
+def test_random_elements_replay_from_their_draws():
     s4 = sym(4)
     stream = RandomStream(s4.gens, seed=42)
-    for _ in range(25):
-        el, word = stream.next()
-        assert evaluate_word(word, s4.gens,
-                             Permutation.identity(4)) == el
+    for number in range(1, 26):
+        el, draw = stream.next()
+        assert (draw.seed, draw.number) == (42, number)
         assert el in s4
+        replay = RandomStream(s4.gens, draw.seed)
+        for _ in range(draw.number):
+            again, _ = replay.next()
+        assert again == el
+        assert replay.last_inverse() == stream.last_inverse() == el.inverse()
 
 
 def test_random_stream_determinism():
@@ -134,18 +139,12 @@ STREAM_GENS = {
                      [0, 0, 0, 1]])],
 }
 
-# 50 burn-in steps plus 70 draws.  The words in the slots grow about 1.1x
-# per step (around 10^5 letters by the last draw here), which bounds how
-# far the stream can be run in a test.
-STREAM_DRAWS = 70
-
-
-# SHA-256 of the (element, word) pairs, recorded from the stream as it was
-# before it kept the slots' inverses
+# SHA-256 of the elements and the letter counts of the words they are
+# products of, recorded from the stream when it kept those words
 STREAM_DIGESTS = {
-    "F2": "4921b3241bc89d8da26e436be67c56345731790b20999419bd5447929fd9a721",
-    "F3": "6e9f2d3f8453a503d6bd5e9be8c81f1343798ded6dbccb9f5ab3fcb45dbe5bad",
-    "S7": "f8b61faa077a214f242501ccb4e6f51aa503006bce52638e9ccf4ab4a9288b00",
+    "F2": "39ff9d9b27cd5cac26c6759cf2eb505e02df37319dc703d81bf08242aa9cccdc",
+    "F3": "fd067fca4234b704976e423cd85f3852b1f4fb47c4ae04a3c54254bc4a42732a",
+    "S7": "7ae3c4ef6e9fa9eab1af08cc13ee1c590d5aaf6ab9d547d1b265fd6e96955ccf",
 }
 
 
@@ -157,15 +156,33 @@ def test_random_stream_keeps_each_slot_inverse(name):
              else FqMatrix.identity(g.p, g.nrows))
     stream = RandomStream(gens, seed=5)
     digest = hashlib.sha256()
-    for _ in range(STREAM_DRAWS):
-        el, word = stream.next()
+    for _ in range(100):
+        el, draw = stream.next()
         for slot, inv in zip(stream.slots, stream.inverses):
             assert slot * inv == ident
         assert el * stream.last_inverse() == ident
         digest.update(bytes(el.images) if isinstance(el, Permutation)
                       else el.data.tobytes())
-        digest.update(np.array(word, dtype=np.int8).tobytes())
+        digest.update(len(draw).to_bytes(8, "little"))
     assert digest.hexdigest() == STREAM_DIGESTS[name]
+
+
+def test_stream_draws_run_in_bounded_memory():
+    # 10^5 draws on S_7; the words of the slots, which the stream once
+    # kept, would grow about 1.1x per step and exhaust the memory cap
+    result = run_memory_capped("""
+        import tracemalloc
+        from endoperm.permgrp import Permutation, RandomStream
+        gens = [Permutation([1, 0, 2, 3, 4, 5, 6]),
+                Permutation([1, 2, 3, 4, 5, 6, 0])]
+        tracemalloc.start()
+        stream = RandomStream(gens, seed=0)
+        for _ in range(10 ** 5):
+            stream.next()
+        print(tracemalloc.get_traced_memory()[1])
+    """)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 1 << 20
 
 
 def test_stabilizer_with_words():

@@ -4,7 +4,7 @@ import pytest
 
 from endoperm import corpus, modular, pipeline
 from endoperm.permgrp import Permutation
-from scenarios import ordered_pairs_instance
+from scenarios import ordered_tuples_instance, run_memory_capped
 
 # the two slowest oracle runs (several seconds each) stay out of tier-1
 SLOW = {"random-7-paley-17", "random-4-dihedral-16-regular"}
@@ -83,12 +83,22 @@ def test_regular_route_on_p_groups_is_local(build):
         (True, [[order]], [order])
 
 
-def test_cartan_disagreement_at_p_dividing_h_is_a_skip():
+def test_cartan_disagreement_at_p_dividing_h_is_a_skip(monkeypatch):
     # S5 on ordered pairs at p = 3, |H| = 6: D^T D = I_4, but listing all
     # 3^7 elements of E_F gives a radical of dimension 3, so E_F is not
     # semisimple; its Cartan matrix below is the brute-force one
-    inst = ordered_pairs_instance(5, primes=(3,))
+    inst = ordered_tuples_instance(5, 2, primes=(3,))
+    calls = []
+    real = modular.cartan_from_regular
+
+    def counting(inter_mats, p):
+        calls.append(p)
+        return real(inter_mats, p)
+
+    monkeypatch.setattr(modular, "cartan_from_regular", counting)
     run = pipeline.run_instance(inst)
+    # the skip reuses the regular route the verdict ran before it raised
+    assert calls == [3]
     assert run.h_order == 6 and run.verdicts == {}
     skip = run.mod_skips[3]
     assert skip["reason"].startswith("CartanDisagreement: ")
@@ -99,3 +109,24 @@ def test_cartan_disagreement_at_p_dividing_h_is_a_skip():
     assert skip["local"] is False
     checks = pipeline.compare(run, pipeline.oracle_instance(inst))
     assert [name for name, ok, _ in checks if not ok] == []
+
+
+def test_s6_on_ordered_triples_agrees_with_oracle():
+    # index 120, r = 34, |H| = 6: the largest rank in tier-1.  Under the
+    # address-space cap, a random stream that kept its words ran out of
+    # memory in classify.
+    result = run_memory_capped("""
+        from endoperm import pipeline
+        from scenarios import ordered_tuples_instance
+        inst = ordered_tuples_instance(6, 3, primes=(7,))
+        run = pipeline.run_instance(inst)
+        assert len(run.matrices) == 34 and run.h_order == 6
+        assert sorted(run.verdicts) == [7] and run.mod_skips == {}
+        checks = pipeline.compare(run, pipeline.oracle_instance(inst))
+        print(len(checks))
+        for name, ok, detail in checks:
+            if not ok:
+                print("FAIL", name, detail)
+    """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["11"]

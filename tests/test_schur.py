@@ -224,14 +224,15 @@ def test_locate_returns_none_only_after_every_round_fails(monkeypatch):
         return real(ctx, helper, index, x, rng, budget)
 
     monkeypatch.setattr(orbenum, "walk", flaky)
+    every_round = [200, 800, 3200, 12800, 51200]
     outside = bytes([1, 1, 1, 0, 0, 0, 0])     # weight 3: in no H-orbit
-    assert sctx.locate(outside, rounds=3) is None
-    assert budgets == [200, 800, 3200]
-    # a point of orbit 2 whose first two walks miss is found in round 3
+    assert sctx.locate(outside) is None
+    assert budgets == every_round
+    # a point of orbit 2 whose first four walks miss is found in round 5
     x = next(iter(sctx.partition.records[1].store))
-    budgets[:], misses[:] = [], [None] * 2
-    assert sctx.locate(x, rounds=3) == 2
-    assert budgets == [200, 800, 3200]
-    budgets[:], misses[:] = [], [None] * 3
-    assert sctx.locate(x, rounds=3) is None
-    assert budgets == [200, 800, 3200]
+    budgets[:], misses[:] = [], [None] * 4
+    assert sctx.locate(x) == 2
+    assert budgets == every_round
+    budgets[:], misses[:] = [], [None] * 5
+    assert sctx.locate(x) is None
+    assert budgets == every_round

@@ -11,7 +11,7 @@ import pytest
 
 from endoperm import corpus
 from endoperm.orbenum import classify
-from endoperm.permgrp import evaluate_word
+from endoperm.permgrp import RandomStream
 from endoperm.schur import SchurContext
 from scenarios import johnson_context
 
@@ -128,14 +128,28 @@ def test_loops_are_sifted_only_when_a_seal_can_follow():
     assert "loops_s" not in str(cases[0][2].report())
 
 
-def test_records_keep_the_element_of_their_reach_word():
+def replay(ctx, reach):
+    """The G-element a record's reach (stream seed, draw number) names:
+    the draw's element, its inverse for a negative number, and the
+    identity for 0."""
+    seed, number = reach
+    if number == 0:
+        return ctx.domain.identity()
+    stream = RandomStream(ctx.g_gens, seed)
+    for _ in range(abs(number)):
+        el, _ = stream.next()
+    return el if number > 0 else stream.last_inverse()
+
+
+def test_records_keep_the_element_of_their_reach():
     cases = [johnson_partition(8, 3, seed) for seed in range(2)]
     cases += [corpus_partition(name) for name in ("M11/M10", "PSL(2,11)/A5")]
-    for ctx, helper, part in cases:
+    for seed, (ctx, helper, part) in zip([0, 1, 0, 0], cases):
         sctx = SchurContext(ctx, helper, part)
+        assert part.records[0].reach == (seed, 0)
         for i, rec in enumerate(part.records, start=1):
-            el = evaluate_word(rec.reach_word, ctx.g_gens,
-                               ctx.domain.identity())
+            assert rec.reach[0] == seed
+            el = replay(ctx, rec.reach)
             assert rec.reach_element == el
             assert ctx.domain.apply(ctx.v1, el) == rec.rep
             assert sctx.reaching_element(i) is rec.reach_element
