@@ -49,27 +49,44 @@ class OrdinaryCharTableG:
 
     @classmethod
     def from_json(cls, data):
-        classes = [{"name": c["name"],
-                    "centralizer": c.get("centralizer"),
-                    "p_singular": bool(c.get("p_singular", False))}
-                   for c in data["classes"]]
-        chars = {}
-        for label, values in data["characters"].items():
-            row = []
-            for v in values:
-                if isinstance(v, int):
-                    row.append(QuadraticNumber(v))
-                else:
-                    q = QuadraticNumber.from_json(v)
-                    row.append(q)
-            chars[label] = row
-        return cls(classes, chars)
+        """A table file: {"classes": [{"name", optional "centralizer" (a
+        positive integer) and "p_singular"}, ...], "characters": {label:
+        [value per class]}}.  Other shapes raise ValueError."""
+        if not (isinstance(data, dict)
+                and isinstance(data.get("classes"), list)
+                and all(isinstance(c, dict) for c in data["classes"])
+                and isinstance(data.get("characters"), dict)
+                and all(isinstance(v, list)
+                        for v in data["characters"].values())):
+            raise ValueError('a table is {"classes": [{...}, ...], '
+                             '"characters": {label: [...], ...}}')
+        for c in data["classes"]:
+            cz = c.get("centralizer")
+            if cz is not None and (type(cz) is not int or cz < 1):
+                raise ValueError("a centralizer order is a positive integer")
+        return cls([{"name": c["name"],
+                     "centralizer": c.get("centralizer"),
+                     "p_singular": bool(c.get("p_singular", False))}
+                    for c in data["classes"]],
+                   {label: [_parse_value(v) for v in values]
+                    for label, values in data["characters"].items()})
 
     def singular_classes(self):
         return [i for i, c in enumerate(self.classes) if c["p_singular"]]
 
     def value(self, label, class_index):
         return self.characters[label][class_index]
+
+
+def _parse_value(v):
+    """A table file's character value: an integer, or [a_num, a_den, b_num,
+    b_den, n] for a + b sqrt(n)."""
+    if type(v) is int:
+        return QuadraticNumber(v)
+    if not (isinstance(v, list) and len(v) == 5
+            and all(type(x) is int for x in v) and v[1] and v[3]):
+        raise ValueError(f"bad character value {v!r}")
+    return QuadraticNumber.from_json(v)
 
 
 class CandidateVector:

@@ -184,7 +184,12 @@ def cmd_candidates(args):
         with open(args.table) as fh:
             data = json.load(fh)
         tbl = candfilter.OrdinaryCharTableG.from_json(data)
-        constituents = [(c["chi"], c["m"]) for c in data["constituents"]]
+        constituents = data["constituents"]
+        if not (isinstance(constituents, list) and constituents and all(
+                isinstance(c, dict) and isinstance(c.get("chi"), str)
+                and type(c.get("m")) is int for c in constituents)):
+            raise ValueError('constituents are [{"chi": label, "m": int}]')
+        constituents = [(c["chi"], c["m"]) for c in constituents]
         box, cands = candfilter.admissible_candidates(tbl, constituents,
                                                      args.p)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

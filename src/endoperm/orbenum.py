@@ -13,21 +13,21 @@ the same H-orbit always share a stored point once both cover more than half
 of it; that makes the pairwise disjointness test deterministic.  Point
 membership is tested by random H-walks (one-sided: a hit is a proof).  The
 stores of distinct records are disjoint subsets of distinct H-orbits, so
-one walk, normalizing each step and looking it up in a single
-stored key -> orbit index, tests a point against every record at once
-(`walk`; Mueller, Neunhoeffer, Wilson, J. Algebra 314, 2007).  The
-accumulated stabilizer of a record grows by `GeneratedGroup.extend`, one
-Schreier loop at a time, at the end of a chunk and only while the seal
-does not yet hold.
+one walk, normalizing each step and looking it up in a single stored key
+-> record map (`OrbitPartition.record_of`), tests a point against every
+record at once (`walk`; Mueller, Neunhoeffer, Wilson, J. Algebra 314,
+2007).  The accumulated stabilizer of a record grows by
+`GeneratedGroup.extend`, one Schreier loop at a time, at the end of a chunk
+and only while the seal does not yet hold.
 
 Each stored point keeps one Schreier edge back to the point it was reached
 from: store[key] = (parent, (u, hi, q)) with key = parent . u . h_hi .
 t(q)^-1, where u is a K-word, hi an H-generator index or None, q a
 quotient point or None, and t(q) the K-word of q's Schreier tree (see
-`normalize_point`).  The representative is the parent None.  Only
-`HelperSetup.edge_word` turns an edge into an H-word, and only where one
-is read: the faithful permutations of the sifted loops' end points and
-`trace_word`.
+`normalize_point`).  The representative is the parent None.  An edge is
+read only as an element: `HelperSetup.edge_element` evaluates it in the
+faithful permutation action when a Schreier loop is sifted, and on the
+domain for `trace_element`.  No H-word is ever spelled out.
 
 `classify` probes v1 . g for g from a seeded random G-stream; a record keeps
 g and its replayable name (stream seed, draw number), never a G-word.
@@ -49,8 +49,7 @@ from . import gfmat
 from .gfmat import FqMatrix
 from .permgrp import (GeneratedGroup, Permutation, RandomStream,
                       evaluate_word, group_from_json, load_word_json,
-                      orbit_tree, schreier_stabilizer, seed_mix,
-                      substitute_word, tree_word, word_inverse)
+                      orbit_tree, schreier_stabilizer, seed_mix, tree_word)
 
 
 # Random H-generator steps of one walk in `classify` and
@@ -266,7 +265,6 @@ class ActionContext:
         self.target_index = target_index
         self.memory_limit = memory_limit
         self.seed = seed
-        self._h_inv = [h.inverse() for h in self.h_gens]
         for h in self.h_gens:
             if domain.apply(self.v1, h) != self.v1:
                 raise ValueError("base point is not fixed by H")
@@ -276,17 +274,6 @@ class ActionContext:
                 raise ValueError(
                     "faithful H-action must list one generator per H-generator")
         self.h_order = faithful_h.order() if faithful_h else None
-
-    def apply_h_word(self, x, word):
-        for i, e in word:
-            x = self.domain.apply(x, self.h_gens[i] if e > 0
-                                  else self._h_inv[i])
-        return x
-
-    def h_word_perm(self, word):
-        """Evaluate an H-word in the faithful permutation action."""
-        return evaluate_word(word, self.faithful_h.gens,
-                             Permutation.identity(self.faithful_h.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +296,15 @@ class HelperSetup:
 
     def __init__(self, ctx, k_words, quotient=None, q_limit=2 ** 20):
         self.ctx = ctx
-        self.k_words = [tuple(w) for w in k_words]
+        k_words = list(k_words)
         ident = ctx.domain.identity()
-        self.k_gens = [evaluate_word(w, ctx.h_gens, ident)
-                       for w in self.k_words]
+        self.k_gens = [evaluate_word(w, ctx.h_gens, ident) for w in k_words]
         self._k_inv = [k.inverse() for k in self.k_gens]
         if ctx.faithful_h is not None:
-            perms = [ctx.h_word_perm(w) for w in self.k_words]
-            self.k_group = GeneratedGroup(perms or [],
-                                          ctx.faithful_h.degree)
+            one = Permutation.identity(ctx.faithful_h.degree)
+            self.k_group = GeneratedGroup(
+                [evaluate_word(w, ctx.faithful_h.gens, one)
+                 for w in k_words], ctx.faithful_h.degree)
             self.k_group.build_chain()
             self.k_order = self.k_group.order()
         else:
@@ -366,16 +353,19 @@ class HelperSetup:
         """K-word t(q) with distinguished . t(q) = q."""
         return tree_word(self.orbits[self.orbit_of[q]].tree, q)
 
-    def edge_word(self, u, hi, q):
-        """The H-word u . h_hi . t(q)^-1 of a stored point's edge (see the
-        module docstring); hi or q None leaves its factor out."""
-        word = substitute_word(u, self.k_words)
+    def edge_element(self, edge, k_gens, h_gens, identity):
+        """The element u . h_hi . t(q)^-1 of a stored point's edge (u, hi, q)
+        (module docstring), from K- and H-generators in one action and its
+        identity: `k_group.gens` and the faithful H-generators, or `k_gens`
+        and `ctx.h_gens`.  hi or q None leaves its factor out."""
+        u, hi, q = edge
+        el = evaluate_word(u, k_gens, identity)
         if hi is not None:
-            word += ((hi, 1),)
-        if q is not None:
-            word += substitute_word(word_inverse(self.tree_word(q)),
-                                    self.k_words)
-        return word
+            el = el * h_gens[hi] if u else h_gens[hi]
+        t = () if q is None else self.tree_word(q)
+        if t:
+            el = el * evaluate_word(t, k_gens).inverse()
+        return el
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +376,7 @@ class OrbitRecord:
 
     store maps each stored point to its Schreier edge (parent, (u, hi, q)),
     key = parent . u . h_hi . t(q)^-1, with the representative as parent
-    None (module docstring).  No H-word is kept: `HelperSetup.edge_word`
-    builds one from an edge when a loop is sifted or `trace_word` asks.
+    None; `HelperSetup.edge_element` evaluates an edge (module docstring).
 
     `classify` also keeps the G-element taking v1 to the representative
     (`reach_element`), its name `reach` = (stream seed, draw number; negated
@@ -465,6 +454,7 @@ def enumerate_suborbit(ctx, helper, v):
     if certify:
         stab_group = GeneratedGroup([], ctx.faithful_h.degree)
         ident = Permutation.identity(ctx.faithful_h.degree)
+        faithful = (helper.k_group.gens, ctx.faithful_h.gens, ident)
     stab_order = 1
     perms = {}   # stored key -> faithful-H permutation from the rep
 
@@ -472,7 +462,7 @@ def enumerate_suborbit(ctx, helper, v):
         if key not in perms:
             parent, edge = record.store[key]
             base = ident if parent is None else node_perm(parent)
-            perms[key] = base * ctx.h_word_perm(helper.edge_word(*edge))
+            perms[key] = base * helper.edge_element(edge, *faithful)
         return perms[key]
 
     z0, q0 = normalize_point(helper, record.rep)
@@ -507,8 +497,8 @@ def enumerate_suborbit(ctx, helper, v):
         for z, y, hi, q in loops:
             if 2 * record.covered * stab_order > h_order:
                 break
-            word = helper.edge_word(tree_word(tree, y), hi, q)
-            loop = (node_perm(root) * ctx.h_word_perm(word)
+            edge = (tree_word(tree, y), hi, q)
+            loop = (node_perm(root) * helper.edge_element(edge, *faithful)
                     * node_perm(z).inverse())
             record.loops_sifted += 1
             if stab_group.extend(loop):
@@ -560,7 +550,7 @@ def walk(ctx, helper, index, x, rng, budget):
     """One random H-walk from x, looked up step by step in `index`.
 
     index maps stored keys to anything but None: a record's store, or the
-    stored keys of many records to their records or orbit numbers.  The
+    stored keys of many records to their records (`record_of`).  The
     point itself is normalized and looked up first, then after each of at
     most `budget` random H-generator steps.  Returns the value of the first
     hit, which proves the point lies in that stored key's H-orbit, or None.
@@ -598,27 +588,32 @@ def disjoint(rec_a, rec_b):
     return not any(k in big for k in small)
 
 
-def trace_word(ctx, helper, record, x):
-    """H-word w with rep . w = x, for certified members only: the edge
-    words from the representative down to x's normal form, then t(q)."""
+def trace_element(ctx, helper, record, x):
+    """The domain actor h with rep . h = x, for certified members only: the
+    edge elements from the representative down to x's normal form z, then
+    t(q) with x = z . t(q)."""
     z, q = normalize_point(helper, x)
     if z not in record.store:
         raise NotCertifiedMember("point does not normalize into the store")
-    parts = [helper.edge_word(helper.tree_word(q), None, None)]
+    route = (helper.k_gens, ctx.h_gens, ctx.domain.identity())
+    h = helper.edge_element((helper.tree_word(q), None, None), *route)
     key = z
     while key is not None:
         key, edge = record.store[key]
-        parts.append(helper.edge_word(*edge))
-    word = tuple(itertools.chain(*reversed(parts)))
-    if ctx.apply_h_word(record.rep, word) != x:
-        raise AssertionError("traced word does not evaluate back to the point")
-    return word
+        h = helper.edge_element(edge, *route) * h
+    if ctx.domain.apply(record.rep, h) != x:
+        raise AssertionError("traced element does not take rep to the point")
+    return h
 
 
 class OrbitPartition:
-    def __init__(self, records, target_index):
+    """The records of `classify` in canonical order, and `record_of`: each
+    stored key of every record -> its record, what `walk` looks up."""
+
+    def __init__(self, records, target_index, record_of):
         self.records = records
         self.target_index = target_index
+        self.record_of = record_of
 
     @property
     def total(self):
@@ -659,7 +654,9 @@ class OrbitPartition:
 
 def orbit_min_key(ctx, record):
     """Minimal point of the orbit (seed-independent canonical tiebreak);
-    past 10^6 points, the minimal stored point."""
+    past 10^6 points, the minimal stored point, which depends on the
+    representative: two such orbits of one length (J4 has four such pairs)
+    may then come out in either order."""
     if record.length is not None and record.length > 10 ** 6:
         return min(record.store)
     return min(orbit_tree(record.rep, ctx.h_gens, ctx.domain.apply)[0])
@@ -671,18 +668,19 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
     Probes v1 . g for random g until the lengths sum to the target index;
     each new orbit's partner v1 . g^{-1} is classified immediately so the
     pairing is an involution.  Output ordering is canonical: the orbit of
-    v1 first, then by (length, minimal orbit point), independent of seed.
+    v1 first, then by (length, minimal orbit point), independent of seed,
+    except between equal lengths past 10^6 points (`orbit_min_key`).
     """
     if ctx.target_index is None:
         raise ValueError("classify needs the target index [G:H]")
     stream = RandomStream(ctx.g_gens, seed)
     rng = random.Random(seed_mix(seed, 0xC1A551F1))
     records = []
-    index = {}    # stored key -> record, over every record kept so far
+    record_of = {}    # stored key -> record, over every record kept so far
     probes = 0
 
     def find(x):
-        return walk(ctx, helper, index, x, rng, WALK_BUDGET)
+        return walk(ctx, helper, record_of, x, rng, WALK_BUDGET)
 
     def add_new(x, reach, element):
         rec = enumerate_suborbit(ctx, helper, x)
@@ -692,7 +690,7 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
         rec.reach = reach
         rec.reach_element = element
         records.append(rec)
-        index.update(dict.fromkeys(rec.store, rec))
+        record_of.update(dict.fromkeys(rec.store, rec))
         return rec, True
 
     add_new(ctx.v1, (seed, 0), ctx.domain.identity())
@@ -724,7 +722,7 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
         rec.index = i + 1
     for rec in ordered:
         rec.pair = rec.pair_rec.index
-    part = OrbitPartition(ordered, ctx.target_index)
+    part = OrbitPartition(ordered, ctx.target_index, record_of)
     for rec in ordered:
         mate = ordered[rec.pair - 1]
         if mate.pair != rec.index:
@@ -741,25 +739,22 @@ def probe_fixed_space(ctx, helper, partition, s_gens, target_length,
     Checks each fixed point v with an H-orbit of the target length by
     probing v . g for random g against the known records; a hit in record
     j gives the G-element g_j h g^-1 taking v1 to v (g_j its
-    `reach_element`, h the traced H-word).  Returns (v, element) or None.
+    `reach_element`, h from `trace_element`).  Returns (v, element) or None.
     """
     dom = ctx.domain
-    candidates = dom.fixed_points(s_gens)
     rng = random.Random(seed_mix(seed, 0xF17ED))
     stream = RandomStream(ctx.g_gens, seed + 1)
-    index = {key: rec for rec in partition.records for key in rec.store}
-    for v in candidates:
+    for v in dom.fixed_points(s_gens):
         orbit, _ = orbit_tree(v, ctx.h_gens, dom.apply, target_length)
         if len(orbit) != target_length:
             continue
         for _ in range(probes):
             el, _ = stream.next()
             x = dom.apply(v, el)
-            rec = walk(ctx, helper, index, x, rng, WALK_BUDGET)
+            rec = walk(ctx, helper, partition.record_of, x, rng, WALK_BUDGET)
             if rec is None:
                 continue
-            h = evaluate_word(trace_word(ctx, helper, rec, x), ctx.h_gens,
-                              dom.identity())
+            h = trace_element(ctx, helper, rec, x)
             element = rec.reach_element * h * stream.last_inverse()
             if dom.apply(ctx.v1, element) != v:
                 raise AssertionError(

@@ -146,21 +146,6 @@ def seed_mix(*parts):
 # ---------------------------------------------------------------------------
 # Words in generators: tuples of (generator index, +-1), 0-indexed.
 
-def word_inverse(word):
-    return tuple((i, -e) for i, e in reversed(word))
-
-
-def substitute_word(word, words):
-    """The word with each letter (i, e) replaced by words[i], inverted
-    when e < 0: a word in generators given as words, rewritten as a word
-    in the generators those words are in."""
-    out = []
-    for i, e in word:
-        w = words[i]
-        out.extend(w if e > 0 else word_inverse(w))
-    return tuple(out)
-
-
 def evaluate_word(word, gens, identity=None):
     """Fold a word left to right over generators (permutations or matrices).
 
@@ -554,8 +539,8 @@ def schreier_stabilizer(points, tree, image, gens, degree, target):
         for gi, g in enumerate(gens):
             img = image(pt, gi)
             if group.extend(element(pt) * g * element(img).inverse()):
-                kept.append(tree_word(tree, pt) + ((gi, 1),)
-                            + word_inverse(tree_word(tree, img)))
+                kept.append(tree_word(tree, pt) + ((gi, 1),) + tuple(
+                    (i, -e) for i, e in reversed(tree_word(tree, img))))
                 if group.order() == target:
                     break
     if group.order() != target:
@@ -594,7 +579,8 @@ def group_from_json(data):
     for images in data["generators"]:
         if not isinstance(images, list) or len(images) != degree:
             raise ValueError("generator length does not match degree")
-        if sorted(images) != list(range(1, degree + 1)):
+        if any(type(i) is not int for i in images) \
+                or sorted(images) != list(range(1, degree + 1)):
             raise ValueError("generator images are not a 1-indexed bijection")
         gens.append(Permutation(i - 1 for i in images))
     return GeneratedGroup(gens, degree)

@@ -85,11 +85,6 @@ class SchurContext:
         self.lengths = partition.lengths()
         self.pairing = partition.pairing()
         self.rng = random.Random(seed_mix(seed, 0x5C47))
-        # stored key -> orbit number; the stores are disjoint subsets of
-        # distinct H-orbits, so a hit is still a proof
-        self.index = {key: k
-                      for k, rec in enumerate(partition.records, start=1)
-                      for key in rec.store}
         self._orbit_cache = {}
 
     def orbit_points(self, j):
@@ -118,14 +113,14 @@ class SchurContext:
 
         Each of `orbenum.LOCATE_ROUNDS` rounds is one H-walk
         (`orbenum.walk`) looked up against the stored keys of all r orbits
-        at once, with the walk budget starting at `orbenum.WALK_BUDGET`
-        and quadrupling from round to round."""
+        at once (`partition.record_of`), with the walk budget starting at
+        `orbenum.WALK_BUDGET` and quadrupling from round to round."""
         budget = orbenum.WALK_BUDGET
         for _ in range(orbenum.LOCATE_ROUNDS):
-            k = orbenum.walk(self.ctx, self.helper, self.index, x, self.rng,
-                             budget)
-            if k is not None:
-                return k
+            rec = orbenum.walk(self.ctx, self.helper,
+                               self.partition.record_of, x, self.rng, budget)
+            if rec is not None:
+                return rec.index
             budget *= 4
         return None
 

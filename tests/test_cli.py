@@ -62,7 +62,22 @@ def test_malformed_tables_are_input_errors(tmp_path, capsys):
                                             {"chi": "4", "m": 1}])
     unknown = dict(S5_TABLE, constituents=[{"chi": "1", "m": 1},
                                            {"chi": "5", "m": 1}])
-    for data in (bad_mult, unknown):
+    first, second = S5_TABLE["classes"][:2]
+    malformed = [
+        dict(S5_TABLE, classes=5),
+        dict(S5_TABLE, classes=[first, 5]),
+        dict(S5_TABLE, characters=[[1] * 7]),
+        dict(S5_TABLE, constituents=5),
+        dict(S5_TABLE, classes=[first, dict(second, centralizer="12")]
+             + S5_TABLE["classes"][2:]),
+        dict(S5_TABLE, characters=dict(S5_TABLE["characters"],
+                                       **{"1": [1.5] + [1] * 6})),
+        dict(S5_TABLE, characters=dict(S5_TABLE["characters"],
+                                       **{"1": [[1, 0, 0, 1, 5]] + [1] * 6})),
+        dict(S5_TABLE, constituents=[]),
+        [S5_TABLE],
+    ]
+    for data in [bad_mult, unknown] + malformed:
         table = write_table(tmp_path, data)
         assert cli.main(["candidates", table, "--p", "5"]) == cli.EXIT_INPUT
         assert "bad table file" in capsys.readouterr().err
@@ -272,6 +287,8 @@ MALFORMED = {
     "group is a number": lambda: dict(s4_scenario(), group=5),
     "seed is a string": lambda: dict(s4_scenario(), seed="abc"),
     "h-word entry is a number": lambda: dict(s4_scenario(), h_words=[[5]]),
+    "generator image is a string": lambda: dict(
+        s4_scenario(), group={"degree": 4, "generators": [["x", 1, 3, 4]]}),
 }
 
 

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from endoperm.corpus import instance_scenario, named_instances
+from endoperm.corpus import (all_instances, build_context, instance_scenario,
+                             named_instances)
 from endoperm.gfmat import FqMatrix
 from endoperm.orbenum import (ActionContext, HelperNotEquivariant,
                               HelperSetup, MemoryBudgetExceeded,
@@ -12,7 +13,7 @@ from endoperm.orbenum import (ActionContext, HelperNotEquivariant,
                               VectorDomain, classify, disjoint,
                               enumerate_suborbit, load_scenario,
                               membership, memory_estimate, normalize_point,
-                              probe_fixed_space, trace_word)
+                              probe_fixed_space, trace_element)
 from endoperm.permgrp import (GeneratedGroup, Permutation, evaluate_word,
                               orbit_tree)
 from scenarios import johnson_context
@@ -120,34 +121,47 @@ def _fibered_context():
 @pytest.mark.parametrize("make", [_s5_context, _fibered_context,
                                   lambda: johnson_context(8, 3)],
                          ids=["S5-S4", "S6-S5-fibers", "J(8,3)-vectors"])
-def test_trace_word_verified_by_evaluation(make):
+def test_trace_element_verified_by_action(make):
     ctx, helper = make()
+    dom = ctx.domain
+    route = (helper.k_gens, ctx.h_gens, dom.identity())
     part = classify(ctx, helper, seed=1)
-    assert trace_word(ctx, helper, part.records[1], part.records[1].rep) == ()
     for rec in part.records[1:]:
         for key, (parent, edge) in rec.store.items():
             start = rec.rep if parent is None else parent
-            assert ctx.apply_h_word(start, helper.edge_word(*edge)) == key
-            w = trace_word(ctx, helper, rec, key)
-            assert ctx.apply_h_word(rec.rep, w) == key
-        # the representative traces to () exactly when it is stored
-        w = trace_word(ctx, helper, rec, rec.rep)
-        assert ctx.apply_h_word(rec.rep, w) == rec.rep
-        assert (w == ()) == (rec.rep in rec.store)
+            assert dom.apply(start, helper.edge_element(edge, *route)) == key
+            h = trace_element(ctx, helper, rec, key)
+            assert dom.apply(rec.rep, h) == key
+        # the representative's edge t(q)^-1 and its t(q) cancel
+        assert trace_element(ctx, helper, rec, rec.rep) == dom.identity()
         # random covered points, via a walk
         pt = rec.rep
         rng = random.Random(5)
         for _ in range(10):
-            h = ctx.h_gens[rng.randrange(len(ctx.h_gens))]
-            pt = ctx.domain.apply(pt, h)
+            pt = dom.apply(pt, ctx.h_gens[rng.randrange(len(ctx.h_gens))])
             z, q = normalize_point(helper, pt)
-            t = helper.edge_word(helper.tree_word(q), None, None)
-            assert ctx.apply_h_word(z, t) == pt
+            t = helper.edge_element((helper.tree_word(q), None, None), *route)
+            assert dom.apply(z, t) == pt
             if membership(ctx, helper, rec, pt, rng, 200) is True:
-                w = trace_word(ctx, helper, rec, pt)
-                assert ctx.apply_h_word(rec.rep, w) == pt
+                h = trace_element(ctx, helper, rec, pt)
+                assert dom.apply(rec.rep, h) == pt
         with pytest.raises(NotCertifiedMember):
-            trace_word(ctx, helper, rec, ctx.v1)
+            trace_element(ctx, helper, rec, ctx.v1)
+
+
+def test_faithful_and_domain_edge_elements_agree():
+    # a corpus instance's faithful H is H itself on the same points, so
+    # both routes of `edge_element` evaluate every edge to one permutation
+    for inst in all_instances():
+        ctx, helper, _ = build_context(inst)
+        part = classify(ctx, helper)
+        ident = ctx.domain.identity()
+        faithful = (helper.k_group.gens, ctx.faithful_h.gens, ident)
+        domain = (helper.k_gens, ctx.h_gens, ident)
+        for rec in part.records:
+            for _, edge in rec.store.values():
+                assert helper.edge_element(edge, *faithful) == \
+                    helper.edge_element(edge, *domain)
 
 
 def test_saving_factor_bounds():

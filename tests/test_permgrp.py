@@ -10,8 +10,7 @@ from endoperm.gfmat import FqMatrix
 from endoperm.permgrp import (GeneratedGroup, Permutation, RandomStream,
                               closure_elements, dump_word_json,
                               evaluate_word, group_from_json, group_to_json,
-                              load_word_json, orbit_tree, substitute_word,
-                              tree_word)
+                              load_word_json, orbit_tree, tree_word)
 from scenarios import run_memory_capped
 
 
@@ -87,20 +86,6 @@ def test_evaluate_word_identities():
     assert evaluate_word(word, s5.gens, ident) == acc
     with pytest.raises(IndexError):
         evaluate_word(((5, 1),), s5.gens, ident)
-
-
-def test_substitute_word_evaluates_as_the_composite():
-    s5 = sym(5)
-    ident = Permutation.identity(5)
-    words = [((0, 1), (1, -1)), ((1, 1), (1, 1), (0, 1))]
-    assert substitute_word(((0, 1), (1, -1)), words) == \
-        ((0, 1), (1, -1), (0, -1), (1, -1), (1, -1))
-    rng = random.Random(5)
-    word = tuple((rng.randrange(2), rng.choice([1, -1])) for _ in range(9))
-    outer = [evaluate_word(w, s5.gens, ident) for w in words]
-    assert evaluate_word(substitute_word(word, words), s5.gens, ident) == \
-        evaluate_word(word, outer, ident)
-    assert substitute_word((), words) == ()
 
 
 def test_random_elements_replay_from_their_draws():
