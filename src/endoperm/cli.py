@@ -114,7 +114,11 @@ def _pipeline_from_scenario(args, primes):
 
 def cmd_intersect(args):
     run = _pipeline_from_scenario(args, primes=[])
-    wanted = args.j or list(range(1, len(run.matrices) + 1))
+    r = len(run.matrices)
+    wanted = args.j or list(range(1, r + 1))
+    for j in wanted:
+        if not 1 <= j <= r:
+            raise CliError(f"--j {j} is outside 1..{r}", EXIT_INPUT)
     out = {
         "lengths": run.partition.lengths(),
         "pairing": run.partition.pairing(),

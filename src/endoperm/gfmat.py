@@ -611,7 +611,12 @@ def rep_from_json(data):
     """(p, generators, dim) of a "matrix_group" scenario entry: {"p": p,
     "dim": dim, "generators": [dim x dim entries, row-major, or for p = 2
     a hex string of bit-packed rows]}."""
+    if not isinstance(data, dict):
+        raise ValueError("matrix_group must be an object")
     p, dim = data["p"], data["dim"]
+    if type(dim) is not int or dim < 1 \
+            or not isinstance(data["generators"], list):
+        raise ValueError("matrix_group needs a dim >= 1 and a generator list")
     gens = []
     for g in data["generators"]:
         if isinstance(g, str):

@@ -396,8 +396,6 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     verdict = Verdict(p, local, D.blocks, C_dec, reg["pim_dims"], columns,
                       bool(h_is_p_prime))
     verdict.decomposition = D
-    verdict.reduced = reduced
-    verdict.basic = basic
     verdict.correspondence = correspond_projectives(reg, D, table)
     return verdict
 

@@ -8,15 +8,15 @@ retained.  A record is sealed once the certified stabilizer and the covered
 count satisfy the majority condition 2 * covered * |S| > |H|, which pins
 n_j = |H| / |S| exactly.
 
-The stored fiber sets are canonical per K-orbit chunk, so two records of
-the same H-orbit always share a stored point once both cover more than half
-of it; that makes the pairwise disjointness test deterministic.  Point
-membership is tested by random H-walks (one-sided: a hit is a proof).  The
-stores of distinct records are disjoint subsets of distinct H-orbits, so
-one walk, normalizing each step and looking it up in a single stored key
--> record map (`OrbitPartition.record_of`), tests a point against every
-record at once (`walk`; Mueller, Neunhoeffer, Wilson, J. Algebra 314,
-2007).  The accumulated stabilizer of a record grows by
+The stored fiber sets are canonical per K-orbit chunk, and a chunk's fiber
+is stored whole or not at all, so two records of one H-orbit share a
+stored point once both cover more than half of it.  So `classify` tests
+orbit identity only against one stored key -> record map over the kept
+records (`OrbitPartition.record_of`): `enumerate_suborbit` looks each
+normal form up in it before storing it and stops at a hit, a proof.
+`walk` places a point by a random H-walk against the same map, normalizing
+each step (one-sided: a hit is a proof; Mueller, Neunhoeffer, Wilson, J.
+Algebra 314, 2007).  The accumulated stabilizer of a record grows by
 `GeneratedGroup.extend`, one Schreier loop at a time, at the end of a chunk
 and only while the seal does not yet hold.
 
@@ -52,9 +52,9 @@ from .permgrp import (GeneratedGroup, Permutation, RandomStream,
                       orbit_tree, schreier_stabilizer, seed_mix, tree_word)
 
 
-# Random H-generator steps of one walk in `classify` and
-# `probe_fixed_space`, and of the first of the LOCATE_ROUNDS walks of
-# `SchurContext.locate`, whose budget quadruples from walk to walk.
+# Random H-generator steps of one walk in `probe_fixed_space`, and of the
+# first of the LOCATE_ROUNDS walks of `SchurContext.locate`, whose budget
+# quadruples from walk to walk.
 WALK_BUDGET = 200
 LOCATE_ROUNDS = 5
 
@@ -428,8 +428,12 @@ def normalize_point(helper, x):
     return x, q
 
 
-def enumerate_suborbit(ctx, helper, v):
+def enumerate_suborbit(ctx, helper, v, known):
     """Enumerate the H-orbit of v chunk by chunk, storing only fibers.
+
+    Each chunk's normal form is looked up in `known` (stored key -> kept
+    record) before it is stored; a hit returns that kept record at once.
+    An enumeration of a kept orbit hits before it can seal or finish.
 
     Seals once 2 * covered * |S_acc| > |H|, where S_acc is the group the
     Schreier loops sifted so far generate: then n_j = |H| / |S_acc| is
@@ -466,6 +470,8 @@ def enumerate_suborbit(ctx, helper, v):
         return perms[key]
 
     z0, q0 = normalize_point(helper, record.rep)
+    if z0 in known:
+        return known[z0]
     record.store[z0] = (None, ((), None, q0))
     _store_fiber(helper, record, z0)
     queue = [z0]
@@ -486,6 +492,8 @@ def enumerate_suborbit(ctx, helper, v):
             for hi, h in enumerate(ctx.h_gens):
                 z, q = normalize_point(helper, dom.apply(y, h))
                 if z not in record.store:
+                    if z in known:
+                        return known[z]
                     record.store[z] = (root, (tree_word(tree, y), hi, q))
                     _store_fiber(helper, record, z)
                     queue.append(z)
@@ -579,15 +587,6 @@ def membership(ctx, helper, record, x, rng, budget):
     return True
 
 
-def disjoint(rec_a, rec_b):
-    """Deterministic disjointness: sealed records of one orbit share stored
-    points (each covers a majority), so empty intersection is a proof."""
-    small, big = ((rec_a.store, rec_b.store)
-                  if len(rec_a.store) <= len(rec_b.store)
-                  else (rec_b.store, rec_a.store))
-    return not any(k in big for k in small)
-
-
 def trace_element(ctx, helper, record, x):
     """The domain actor h with rep . h = x, for certified members only: the
     edge elements from the representative down to x's normal form z, then
@@ -608,7 +607,8 @@ def trace_element(ctx, helper, record, x):
 
 class OrbitPartition:
     """The records of `classify` in canonical order, and `record_of`: each
-    stored key of every record -> its record, what `walk` looks up."""
+    stored key of every record -> its record, what `enumerate_suborbit` and
+    `walk` look up."""
 
     def __init__(self, records, target_index, record_of):
         self.records = records
@@ -665,28 +665,24 @@ def orbit_min_key(ctx, record):
 def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
     """Find the full H-orbit decomposition by random G-probes.
 
-    Probes v1 . g for random g until the lengths sum to the target index;
-    each new orbit's partner v1 . g^{-1} is classified immediately so the
-    pairing is an involution.  Output ordering is canonical: the orbit of
-    v1 first, then by (length, minimal orbit point), independent of seed,
-    except between equal lengths past 10^6 points (`orbit_min_key`).
+    Probes v1 . g for random g until the lengths sum to the target index.
+    `enumerate_suborbit` against the kept records' keys keeps a new orbit,
+    and its partner v1 . g^{-1} is classified at once so the pairing is an
+    involution.  Output ordering is canonical: the orbit of v1 first, then
+    by (length, minimal orbit point), independent of seed, except between
+    equal lengths past 10^6 points (`orbit_min_key`).
     """
     if ctx.target_index is None:
         raise ValueError("classify needs the target index [G:H]")
     stream = RandomStream(ctx.g_gens, seed)
-    rng = random.Random(seed_mix(seed, 0xC1A551F1))
     records = []
     record_of = {}    # stored key -> record, over every record kept so far
     probes = 0
 
-    def find(x):
-        return walk(ctx, helper, record_of, x, rng, WALK_BUDGET)
-
     def add_new(x, reach, element):
-        rec = enumerate_suborbit(ctx, helper, x)
-        for other in records:
-            if not disjoint(rec, other):
-                return other, False
+        rec = enumerate_suborbit(ctx, helper, x, record_of)
+        if rec.reach is not None:    # a kept record: x's orbit is known
+            return rec, False
         rec.reach = reach
         rec.reach_element = element
         records.append(rec)
@@ -700,17 +696,13 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
             and probes < probe_budget:
         el, draw = stream.next()
         probes += 1
-        x = ctx.domain.apply(ctx.v1, el)
-        if find(x) is not None:
-            continue
-        rec, fresh = add_new(x, (seed, draw.number), el)
+        rec, fresh = add_new(ctx.domain.apply(ctx.v1, el),
+                             (seed, draw.number), el)
         if not fresh:
             continue
         el_inv = stream.last_inverse()
-        xinv = ctx.domain.apply(ctx.v1, el_inv)
-        partner = find(xinv)
-        if partner is None:
-            partner, _ = add_new(xinv, (seed, -draw.number), el_inv)
+        partner, _ = add_new(ctx.domain.apply(ctx.v1, el_inv),
+                             (seed, -draw.number), el_inv)
         rec.pair_rec = partner
         partner.pair_rec = rec
     # canonical ordering and index assignment; every kept record was

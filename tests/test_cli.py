@@ -260,8 +260,20 @@ def test_exhausted_budgets_exit_3(tmp_path):
     assert report["error"] == "memory budget exceeded"
 
 
+@pytest.mark.parametrize("j", ["0", "99"])
+def test_intersect_rejects_j_outside_the_orbits(tmp_path, capsys, j):
+    assert run_cli(tmp_path, "intersect", s4_scenario(), "--j", j) == (
+        cli.EXIT_INPUT, None)
+    assert f"--j {j} is outside 1..2" in capsys.readouterr().err
+
+
 def _without(data, key):
     return {k: v for k, v in data.items() if k != key}
+
+
+def _matrix_group(**change):
+    data = j82_scenario()
+    return dict(data, matrix_group=dict(data["matrix_group"], **change))
 
 
 MALFORMED = {
@@ -289,6 +301,9 @@ MALFORMED = {
     "h-word entry is a number": lambda: dict(s4_scenario(), h_words=[[5]]),
     "generator image is a string": lambda: dict(
         s4_scenario(), group={"degree": 4, "generators": [["x", 1, 3, 4]]}),
+    "matrix dim is a string": lambda: _matrix_group(dim="2"),
+    "matrix generators are null": lambda: _matrix_group(generators=None),
+    "matrix_group is a list": lambda: dict(j82_scenario(), matrix_group=[]),
 }
 
 

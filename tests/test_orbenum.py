@@ -4,13 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from endoperm import orbenum
 from endoperm.corpus import (all_instances, build_context, instance_scenario,
                              named_instances)
 from endoperm.gfmat import FqMatrix
 from endoperm.orbenum import (ActionContext, HelperNotEquivariant,
                               HelperSetup, MemoryBudgetExceeded,
                               NotCertifiedMember, PermutationDomain,
-                              VectorDomain, classify, disjoint,
+                              VectorDomain, classify,
                               enumerate_suborbit, load_scenario,
                               membership, memory_estimate, normalize_point,
                               probe_fixed_space, trace_element)
@@ -46,7 +47,7 @@ def test_base_point_must_be_fixed():
 
 def test_trivial_orbit_of_base_point():
     ctx, helper, H = make_ctx(s5())
-    rec = enumerate_suborbit(ctx, helper, ctx.v1)
+    rec = enumerate_suborbit(ctx, helper, ctx.v1, {})
     assert rec.length == 1 and rec.stab_order == H.order()
 
 
@@ -93,11 +94,36 @@ def test_membership_one_sided():
 
 
 def test_disjointness_matches_exhaustive_partition():
+    """An enumeration against the kept records' stored keys stops at the
+    record of its start's orbit, from every point and every stored key;
+    against no keys it builds a new record of that orbit."""
     ctx, helper, H = make_ctx(s5())
     part = classify(ctx, helper, seed=1)
-    assert disjoint(part.records[0], part.records[1])
-    dup = enumerate_suborbit(ctx, helper, next(iter(part.records[1].store)))
-    assert not disjoint(dup, part.records[1])
+    for rec in part.records:
+        orbit, _ = orbit_tree(rec.rep, ctx.h_gens, ctx.domain.apply)
+        for x in set(orbit) | set(rec.store):
+            assert enumerate_suborbit(ctx, helper, x, part.record_of) is rec
+        fresh = enumerate_suborbit(ctx, helper, next(iter(rec.store)), {})
+        assert all(fresh is not kept for kept in part.records)
+        assert fresh.length == rec.length
+
+
+@pytest.mark.parametrize("n, k, seed", [(14, 3, 1), (14, 3, 2), (16, 4, 2)])
+def test_classify_keeps_every_record_it_enumerates(monkeypatch, n, k, seed):
+    """An enumeration of a kept orbit returns the kept record, so `classify`
+    throws no enumeration away."""
+    ctx, helper = johnson_context(n, k)
+    returned = []
+    real = orbenum.enumerate_suborbit
+
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(orbenum, "enumerate_suborbit", spy)
+    part = classify(ctx, helper, seed=seed)
+    assert len(returned) > len(part.records)
+    assert all(any(rec is kept for kept in part.records) for rec in returned)
 
 
 def _s5_context():
@@ -198,7 +224,7 @@ def test_memory_budget():
     ctx, helper, H = make_ctx(s5(), k_words=[])
     ctx.memory_limit = 1
     with pytest.raises(MemoryBudgetExceeded):
-        enumerate_suborbit(ctx, helper, 1)
+        enumerate_suborbit(ctx, helper, 1, {})
 
 
 def test_memory_estimate_numbers():
