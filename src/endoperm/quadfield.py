@@ -10,12 +10,15 @@ per radicand, and its dot() returns the weighted sum of products as a
 plain dict {squarefree radicand: Fraction coefficient} with no zero
 coefficients, so {} is zero and {1: q} is the rational q.
 
-The linear algebra works on Python ints and makes no entries; it has one
-kernel on integer pairs.  A matrix over Q(sqrt(n)) is a pair of integer
-matrices (A, B) standing for A + B sqrt(n), B None when it is rational;
-a matrix with a denominator is its integer numerator, and the caller
-carries the denominator.  A product is four integer products, two when
-an operand is rational (int_product, _pair_product).  Elimination
+The linear algebra works on integer matrices given as lists of rows of
+Python ints and makes no entries; it has one kernel on integer pairs.  A
+matrix over Q(sqrt(n)) is a pair of integer matrices (A, B) standing for
+A + B sqrt(n), B None when it is rational; a matrix with a denominator is
+its integer numerator, and the caller carries the denominator.  A product
+is four integer products, two when an operand is rational (int_product,
+_pair_product); int_product multiplies in numpy int64 when a bound on
+the operands rules out overflow, and in Python ints otherwise, so its
+result is exact either way.  Elimination
 (_eliminate) is fraction-free Gauss-Jordan on primitive pair rows, each
 pivot row multiplied by its pivot's conjugate so that every pivot is a
 rational integer.  The entry points built on it: left_kernel spans a
@@ -30,6 +33,8 @@ irrational radicands among them raise ValueError.
 import math
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 
 def squarefree_part(m):
@@ -243,6 +248,21 @@ class RadicalVector:
 # Matrices are lists of rows of Python ints; row vectors act on the left.
 
 def int_product(X, Y):
+    """X . Y for integer matrices: in numpy int64 when
+    max|X| max|Y| len(Y) < 2^63 bounds every partial sum, else (and for
+    an empty shape) in Python ints."""
+    if X and Y and Y[0]:
+        try:
+            A = np.array(X, dtype=np.int64)
+            B = np.array(Y, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            # Python ints: -(-2^63) does not wrap
+            maxabs = max(int(A.max()), -int(A.min()))
+            maxabs *= max(int(B.max()), -int(B.min()))
+            if maxabs * len(Y) < 2 ** 63:
+                return (A @ B).tolist()
     cols = list(zip(*Y))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in X]
 

@@ -56,19 +56,41 @@ def _crt_primes():
     return _CRT_PRIMES
 
 
-def _charpoly_mod(A, p):
-    """Faddeev-LeVerrier mod p (requires p > n)."""
+def _charpoly_mod(A, primes):
+    """Faddeev-LeVerrier modulo every p in primes at once, for an n x n
+    integer array A (int64 or object): row t of the result holds the
+    coefficients 1, c_1, ..., c_n of X^n + c_1 X^(n-1) + ... + c_n modulo
+    primes[t].  One (primes, n, n) int64 stack carries all the primes, so
+    the loop runs n times.  Requires p > n, so that 1..n are invertible
+    mod p, and n p^2 < 2^63, so that a product of residues cannot
+    overflow."""
     n = A.shape[0]
-    Ap = np.mod(A, p).astype(np.int64)
-    M = np.zeros((n, n), dtype=np.int64)
-    coeffs = [1]
-    ident = np.eye(n, dtype=np.int64)
+    if not all(n < p and n * p * p < 2 ** 63 for p in primes):
+        raise AssertionError(
+            f"Faddeev-LeVerrier of {n} x {n} matrices mod {max(primes)} "
+            "overflows int64 or divides by p")
+    ps = np.array(primes, dtype=np.int64)
+    mods = ps[:, None, None]
+    Ap = (A % mods.astype(A.dtype)).astype(np.int64)
+    diag, cols = np.arange(n), np.arange(len(primes))
+    # inv[k] = k^-1 mod p, from inv[k] = -(p // k) inv[p mod k] mod p
+    inv = np.ones((n + 1, len(primes)), dtype=np.int64)
+    coeffs = np.ones((len(primes), n + 1), dtype=np.int64)
+    M = np.zeros_like(Ap)
+    for k in range(2, n + 1):
+        inv[k] = (ps - ps // k) * inv[ps % k, cols] % ps
     for k in range(1, n + 1):
-        M = Ap @ ((M + coeffs[-1] * ident) % p) % p
-        tr = int(np.trace(M)) % p
-        c = (-tr * pow(k, -1, p)) % p
-        coeffs.append(c)
+        M[:, diag, diag] += coeffs[:, k - 1, None]
+        M = Ap @ (M % mods) % mods
+        coeffs[:, k] = (ps - M.trace(axis1=1, axis2=2) % ps) * inv[k] % ps
     return coeffs
+
+
+def _coefficient_bound(entries):
+    """prod_i (2 + isqrt(|row_i|^2)) for an integer matrix: char_poly's
+    bound on the coefficients of its characteristic polynomial."""
+    return math.prod(2 + math.isqrt(sum(x * x for x in row))
+                     for row in entries)
 
 
 def char_poly(M, L=1):
@@ -78,11 +100,16 @@ def char_poly(M, L=1):
 
     Monic of degree n, constant-first coefficient tuple.  With s the common
     denominator of the entries, the characteristic polynomial of the
-    integer matrix X = s M is computed modulo enough word-sized primes to
-    exceed the coefficient bound and CRT lifted to symmetric
-    representatives; its coefficient of X^(n-k) is c_k(X), and
+    integer matrix X = s M is computed modulo the fewest word-sized primes
+    whose product exceeds twice the bound B = prod_i (2 + isqrt(|row_i|^2))
+    on its coefficients, in one pass over all of them, and CRT lifted to
+    symmetric representatives; its coefficient of X^(n-k) is c_k(X), and
     c_k(M / L) = c_k(X) / (s L)^k.  Raises AssertionError when some
     c_k(M / L) is not an integer.
+
+    The bound: c_k(X) is up to sign the sum of the principal k x k minors,
+    each at most the product of its rows' norms (Hadamard), so
+    |c_k| <= e_k(|row_1|, ..., |row_n|) <= prod_i (1 + |row_i|) <= B.
     """
     entries = getattr(M, "entries", M)
     n = len(entries)
@@ -93,27 +120,22 @@ def char_poly(M, L=1):
         s = math.lcm(*(x.denominator for row in entries for x in row))
         entries = [[int(x * s) for x in row] for row in entries]
     scale = s * L
-    maxabs = max(1, max(abs(x) for row in entries for x in row))
-    # |c_k| <= C(n,k) (n maxabs)^k; bound everything by (2 n maxabs)^n
-    bound = (2 * n * maxabs) ** n * 2
-    ints = np.array(entries, dtype=object)
-    residues = []
-    primes = []
-    modulus = 1
+    bound = 2 * _coefficient_bound(entries)
+    primes, modulus = [], 1
     for p in _crt_primes():
-        residues.append(_charpoly_mod((ints % p).astype(np.int64), p))
         primes.append(p)
         modulus *= p
         if modulus > bound:
             break
     else:
         raise RuntimeError("prime pool exhausted for charpoly CRT")
+    maxabs = max(abs(x) for row in entries for x in row)
+    ints = np.array(entries, dtype=np.int64 if maxabs < 2 ** 63 else object)
+    # the CRT weight of p is 1 mod p and 0 mod the other primes
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
     coeffs = []
-    for k in range(n + 1):
-        x = 0
-        for p, res in zip(primes, residues):
-            q = modulus // p
-            x = (x + res[k] * q * pow(q, -1, p)) % modulus
+    for k, res in enumerate(_charpoly_mod(ints, primes).T.tolist()):
+        x = sum(r * w for r, w in zip(res, weights)) % modulus
         if x > modulus // 2:
             x -= modulus
         c, rem = divmod(x, scale ** k)

@@ -171,6 +171,33 @@ def test_int_product_matches_sympy():
         assert all(type(x) is int for row in out for x in row)
 
 
+def _python_product(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)]
+            for row in X]
+
+
+def test_int_product_crosses_the_int64_bound():
+    # max|X| max|Y| len(Y) = a b k just below, at and above 2^63; rows and
+    # columns of one sign reach the bound, and at 2^63 that sum would
+    # wrap around in int64
+    below = (7, 7 * 73 * 127 * 337, 92737 * 649657)
+    assert below[0] * below[1] * below[2] == 2 ** 63 - 1
+    for k, a, b in (below, (2, 2 ** 31, 2 ** 31), (3, 2 ** 31, 2 ** 31)):
+        X = [[a] * k, [-a] * k, [a if i % 2 else -a for i in range(k)]]
+        Y = [[b, -b, b - i] for i in range(k)]
+        out = int_product(X, Y)
+        assert out == _python_product(X, Y)
+        assert abs(out[0][0]) == a * b * k
+        assert all(type(x) is int for row in out for x in row)
+    # entries at and beyond int64's own range
+    for X, Y in (([[-2 ** 63]], [[-1]]), ([[2 ** 70, 1]], [[3], [-2]]),
+                 ([[5, -4]], [[2 ** 63], [1]])):
+        assert int_product(X, Y) == _python_product(X, Y)
+    # empty shapes: no rows, inner dimension 0, no columns
+    for X, Y in (([], [[1, 2]]), ([[], []], []), ([[1], [2]], [[]])):
+        assert int_product(X, Y) == _python_product(X, Y)
+
+
 def test_rref_and_nullspaces_match_sympy():
     # pivot_columns against sympy's rref pivots; left_kernel, of M and of
     # its transpose, against sympy's echelonized nullspaces: the reduced

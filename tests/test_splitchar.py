@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 import sympy
 
@@ -71,6 +73,69 @@ def test_char_poly_rejects_a_non_integral_polynomial():
         char_poly([[Fraction(1, 2)]])
     with pytest.raises(AssertionError):
         char_poly([[Fraction(1, 3), 0], [0, 1]])
+
+
+def _sylvester(n):
+    H = [[1]]
+    while len(H) < n:
+        H = [row + row for row in H] + [row + [-x for x in row] for row in H]
+    return H
+
+
+def test_char_poly_matches_the_oracle_faddeev():
+    # oracle._char_poly is an exact Faddeev-LeVerrier on Python ints, with
+    # no primes and no coefficient bound
+    rng = random.Random(40)
+    for trial in range(10):
+        # entries up to 2^40, and past int64 in the last two
+        n, big = rng.randrange(1, 9), 2 ** (40 if trial < 8 else 70)
+        X = [[rng.randrange(-big, big + 1) for _ in range(n)]
+             for _ in range(n)]
+        assert char_poly(X) == oracle._char_poly(X, 1)
+    # a rational M with L > 1: M / L = T A T^-1 for an integer A
+    A = [[rng.randrange(-9, 10) for _ in range(5)] for _ in range(5)]
+    T = sympy.Matrix(5, 5, lambda i, j: i + 1 if i == j
+                     else (rng.randrange(-3, 4) if i < j else 0))
+    L = 6
+    conj = L * T * sympy.Matrix(A) * T.inv()
+    M = [[Fraction(int(x.p), int(x.q)) for x in conj.row(i)]
+         for i in range(5)]
+    assert any(x.denominator != 1 for row in M for x in row)
+    s = math.lcm(*(x.denominator for row in M for x in row))
+    want = oracle._char_poly([[int(s * x) for x in row] for row in M], s * L)
+    assert char_poly(M, L) == want == char_poly(A)
+
+
+def test_char_poly_lifts_a_determinant_at_the_hadamard_bound(monkeypatch):
+    # the Sylvester Hadamard matrix meets Hadamard's inequality:
+    # |det H| = prod |row_i| = 4^16, and H^2 = 16 I
+    H = _sylvester(16)
+    want = (1,)
+    for _ in range(8):
+        want = zpoly.mul(want, (-16, 0, 1))
+    assert char_poly(H) == oracle._char_poly(H, 1) == tuple(want)
+    assert abs(char_poly(H)[0]) == 2 ** 32 \
+        == math.prod(math.isqrt(sum(x * x for x in row)) for row in H)
+    # with too small a bound the CRT modulus is too small: the lift is
+    # wrong, not an error
+    rng = random.Random(41)
+    X = [[rng.randrange(-2 ** 40, 2 ** 40 + 1) for _ in range(8)]
+         for _ in range(8)]
+    bound = splitchar._coefficient_bound
+    monkeypatch.setattr(splitchar, "_coefficient_bound",
+                        lambda entries: math.isqrt(bound(entries)))
+    for M in (H, X):
+        assert char_poly(M) != oracle._char_poly(M, 1)
+
+
+def test_stacked_faddeev_guards_its_primes():
+    # p > n, so that 1..n are invertible, and n p^2 < 2^63
+    A = np.eye(5, dtype=np.int64)
+    assert splitchar._charpoly_mod(A, [7, 11]).tolist() == \
+        [[1, 2, 3, 4, 5, 6], [1, 6, 10, 1, 5, 10]]
+    for primes in ([5], [7, 5], [2 ** 31 - 1]):
+        with pytest.raises(AssertionError):
+            splitchar._charpoly_mod(A, primes)
 
 
 def test_char_poly_p1_is_xminus1_power():
