@@ -216,18 +216,18 @@ def _quaternion_gens():
     return [mult_i, mult_j]
 
 
-def randomized_instances(count=10, seed=1729):
-    """Seeded transitive instances of degree <= 60.
+def randomized_instances():
+    """Ten seeded transitive instances of degree <= 60.
 
     Randomization: family choice, regeneration from random elements, and
     conjugation by a random relabeling.  Families are restricted to those
     whose endomorphism character fields are rational or real quadratic,
     which is what the exact splitting supports.
     """
-    rng = random.Random(seed)
+    rng = random.Random(1729)
     out = []
     k = 0
-    while len(out) < count:
+    while len(out) < 10:
         name, build, primes = _FAMILIES[k % len(_FAMILIES)]
         k += 1
         G = build()
@@ -254,8 +254,8 @@ def randomized_instances(count=10, seed=1729):
     return out
 
 
-def all_instances(seed=1729):
-    return named_instances() + randomized_instances(seed=seed)
+def all_instances():
+    return named_instances() + randomized_instances()
 
 
 def load_manifest():

@@ -12,12 +12,12 @@ operations: fixed spaces, quotients and minimal polynomials, and the
 Cartan matrix of an algebra given by a basis of d x d matrices whose
 first rows are a basis of F_p^d.  That basis is used as it comes, in one
 deterministic pass: the radical from the trace form and the trace
-ladder, one change of basis onto the head, the head split by one generic
-central element (and the centre's basis only where that element falls
-short), and lifted idempotents only when there are two simples and a
-radical.  The simples come in the order that refining the head by the
-centre's reduced echelon basis gives, whatever route found them.  The
-loops work on int64 arrays of stacked matrices, not on 1-row matrices.
+ladder, one change of basis onto the head, the head split by the
+eigenspaces of its split centre {z : z^p = z}, with no polynomial
+factored, and lifted idempotents only when there are two simples and a
+radical.  The simples are ordered by dimension and then by the minimal
+polynomials of the centre's reduced echelon basis on them.  The loops
+work on int64 arrays of stacked matrices, not on 1-row matrices.
 
 Row-vector convention throughout: vectors act from the left, x . M.
 """
@@ -290,15 +290,6 @@ def _local_min_poly(M, w, p):
     return tuple(-int(c) % p for c in R[:k, k]) + (1,)
 
 
-def _poly_at(M, poly, p):
-    """poly(M) mod p by Horner, for a square int64 array M."""
-    out = np.zeros_like(M)
-    for c in reversed(poly):
-        out = out @ M % p
-        out.flat[::len(M) + 1] += int(c)
-    return out % p
-
-
 def cartan_matrix(basis, p):
     """Cartan matrix of the algebra A over F_p with basis `basis`, a
     (d, d, d) int array B_0, ..., B_(d-1), read mod p, whose rows 0 are
@@ -327,11 +318,12 @@ def cartan_matrix(basis, p):
     B_t there in one product (`_quotient_action`).  By Nakayama e_0 is
     not in VJ, so it is the head's first basis vector and generates it:
     row 0 separates A/J on the head too, which is checked.  The head is
-    the sum of the isotypic parts U_i = S_i^{n_i}; the centre of A/J,
-    D_1 + ... + D_k, splits it (`_isotypic_parts`): the centre has rank
-    e_i on U_i, and dim U_i = n_i^2 e_i gives n_i.  These are all the
-    Cartan entries need of a simple, so no simple module is built and
-    nothing is random.
+    the sum of the isotypic parts U_i = S_i^{n_i}.  The centre of A/J is
+    D_1 + ... + D_k, and its split part {z : z^p = z} = F_p + ... + F_p
+    splits the head by eigenspaces (`_isotypic_parts`): the centre has
+    rank e_i on one nonzero vector of U_i, and dim U_i = n_i^2 e_i gives
+    n_i.  These are all the Cartan entries need of a simple, so no simple
+    module is built, no polynomial is factored and nothing is random.
 
     One solve gives elements of A that map to the projections of the head
     onto the U_i, the central idempotents of A/J; e <- 3e^2 - 2e^3 lifts
@@ -490,21 +482,20 @@ def _isotypic_parts(images, p):
     whose rows 0 span F_p^h, so that B is faithful on row 0.  The centre
     Z is the span of the combinations x of `images` with x b = b x for
     every b in `images`, tested on row 0; its basis z_1, ..., z_c is the
-    reduced echelon one.  A central element z acts on U_i as an element
-    of the field D_i = End(S_i), so the kernels of the irreducible factors
-    f of its minimal polynomial are sums of parts, and Z restricted to U_i
-    is D_i, of rank e_i, with dim U_i = n_i^2 e_i.
-
-    The generic z = z_1 + ... + z_c splits first.  A kernel V of f(z) is
-    one part, with e = deg f, when Z has rank deg f on V, for then Z on V
-    is the field F_p[z].  Only the other kernels are refined by z_1, z_2,
-    ... in turn, each piece being finished by the same test.
+    reduced echelon one.  Z is D_1 + ... + D_k, D_i = End(S_i) a field of
+    degree e_i that acts on U_i, so its split part {z in Z : z^p = z}
+    (Berlekamp, Math. Comp. 24 (1970)) is F_p + ... + F_p, a scalar on
+    each U_i.  z -> z^p is F_p-linear on the commutative Z, and the
+    coordinates of a central element are its entries at the basis's
+    pivots, so the split part is one nullspace.  Refining the head by the
+    eigenspaces of each of its basis elements, at the roots in F_p of
+    their minimal polynomials, leaves exactly the k parts, with no
+    factoring.  D_i acts freely on U_i, so the u z_t for one nonzero u in
+    U_i have rank e_i, and dim U_i = n_i^2 e_i gives n_i.
 
     The parts are ordered by dim S_i = n_i e_i, and then by the tuple over
     t of the minimal polynomial of z_t on U_i (irreducible, read off one
-    vector of U_i; -lambda + X for a scalar lambda when e_i = 1).  That is
-    the order in which refining the head by z_1, z_2, ..., each time by the
-    factors of the minimal polynomial in sorted order, leaves the parts.
+    vector of U_i; -lambda + X for a scalar lambda when e_i = 1).
     """
     d, h, _ = images.shape
     # row 0 of x_s x_t - x_t x_s for x = images, at [s, t]
@@ -512,30 +503,22 @@ def _isotypic_parts(images, p):
             - images[None, :, :1, :] @ images[:, None]) % p
     coeffs = _nullspace(comm.reshape(d, -1).T, p).astype(np.int64)
     centre, pivots = _rref(coeffs @ images.reshape(d, -1) % p, p)
-    centre = centre[:len(pivots)].astype(np.int64).reshape(-1, h, h)
-    # (V, rank of Z on V); Z has rank at least deg f on a kernel of f(z)
-    done, pending = [], [(np.eye(h, dtype=np.int64), len(centre))]
-    for z in [centre.sum(axis=0) % p, *centre]:
-        rank = sum(e for _, e in pending)
-        pieces = [piece for U, _ in pending
-                  for piece in _primary_pieces(U, z, p)]
-        if sum(zpoly.deg(f) for _, f in pieces) == rank:
-            done += [(V, zpoly.deg(f)) for V, f in pieces]
-            pending = []
-            break
-        pending = []
-        for V, f in pieces:
-            e = zpoly.deg(f)
-            if len(pieces) == 1:
-                e = rank
-            elif len(V) != e:
-                e = len(_rref((V @ centre % p).reshape(len(centre), -1),
-                              p)[1])
-            (done if e == zpoly.deg(f) else pending).append((V, e))
-        if not pending:
-            break
+    c = len(pivots)
+    centre = centre[:c].astype(np.int64).reshape(-1, h, h)
+    # the coordinates x of a split element have x (F - I) = 0, for F[s, t]
+    # the coordinate t of z_s^p
+    frobenius = _matrix_power(centre, p, p).reshape(c, -1)[:, pivots]
+    split = _nullspace((frobenius - np.eye(c, dtype=np.int64)).T, p)
+    pieces = [np.eye(h, dtype=np.int64)]
+    for z in np.tensordot(split.astype(np.int64), centre, axes=1) % p:
+        pieces = [piece for U in pieces for piece in _eigenspaces(U, z, p)]
+    if len(pieces) != len(split):
+        raise AssertionError(
+            f"the split centre of dimension {len(split)} separates the head "
+            f"into {len(pieces)} parts")
     parts = []
-    for U, e in done + pending:
+    for U in pieces:
+        e = len(_rref(U[0] @ centre % p, p)[1])
         n = math.isqrt(len(U) // e)
         if n * n * e != len(U):
             raise AssertionError(
@@ -549,28 +532,26 @@ def _isotypic_parts(images, p):
         if sizes.count(part[1] * part[2]) > 1 else ()))
 
 
-def _primary_pieces(U, z, p):
-    """The kernels on the row space of U, invariant under z, of f(z) for
-    the irreducible factors f of the minimal polynomial of z there, as
-    (row basis, f) in the factors' sorted order."""
-    whole = len(U) == len(z)
-    if whole:
-        X = z
-    else:
-        U, pivots = _rref(U, p)
-        U = U.astype(np.int64)
-        X = (U @ z % p)[:, pivots]
-    _, facs = zpoly.fp_factor(
-        _local_min_poly(X, np.eye(len(X), dtype=np.int64), p), p)
-    if any(mult > 1 for _, mult in facs):
-        raise AssertionError("a central element is not semisimple")
-    if len(facs) == 1:
-        return [(U, facs[0][0])]
-    pieces = []
-    for f, _ in facs:
-        K = _nullspace(_poly_at(X, f, p).T, p).astype(np.int64)
-        pieces.append((K if whole else K @ U % p, f))
-    return pieces
+def _eigenspaces(U, z, p):
+    """The eigenspaces of z on the row space of U, invariant under z, as
+    row bases; they fill it when z is diagonalizable there over F_p."""
+    # most split elements are scalar on most pieces: skip the elimination
+    j = np.flatnonzero(U[0])[0]
+    lam = int(U[0] @ z[:, j]) * pow(int(U[0, j]), -1, p) % p
+    if not ((U @ z - lam * U) % p).any():
+        return [U]
+    U, pivots = _rref(U, p)
+    U = U.astype(np.int64)
+    X = (U @ z % p)[:, pivots]
+    ident = np.eye(len(X), dtype=np.int64)
+    roots = zpoly._fp_roots(_local_min_poly(X, ident, p), p)
+    spaces = [_nullspace((X - root * ident).T, p).astype(np.int64) @ U % p
+              for root in roots]
+    if sum(map(len, spaces)) != len(U):
+        raise AssertionError(
+            "the eigenspaces of a split central element do not fill a "
+            "piece of the head")
+    return spaces
 
 
 def _order_key(u, e, centre, p):

@@ -6,8 +6,7 @@ derives the Cartan matrix both from D^T D and from the regular module
 (its radical, the centre of E_F/J and lifted idempotents; the two must
 agree when p does not divide |H|, and a disagreement when it does is
 raised as CartanDisagreement),
-matches projective indecomposables to reduced characters, of which the
-locality test and the permutation-module verdict are corollaries, and
+reads off the locality test and the permutation-module verdict, and
 assembles the projective character columns with their Fitting
 correspondents.
 """
@@ -288,24 +287,6 @@ def cartan_from_regular(inter_mats, p):
             "constituents": simples}
 
 
-def correspond_projectives(cartan_data, D, table):
-    """Match each simple (PIM) to a basic-set column by the identity
-    dim P_S = [E_F : S] = column weight; ambiguous dims are reported."""
-    mults = [row.mult for row in table.rows]
-    weights = D.column_weights(mults)
-    dims = cartan_data["pim_dims"]
-    labels = cartan_data["labels"]
-    matching = {}
-    ambiguous = []
-    for i, d in enumerate(dims):
-        hits = [c for c, w in enumerate(weights) if w == d]
-        if len(hits) == 1:
-            matching[labels[i]] = D.col_origins[hits[0]]
-        else:
-            ambiguous.append((labels[i], [D.col_origins[h] for h in hits]))
-    return matching, ambiguous
-
-
 def projective_columns(D, table):
     """Ordinary character columns of the projective indecomposables.
 
@@ -396,7 +377,6 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     verdict = Verdict(p, local, D.blocks, C_dec, reg["pim_dims"], columns,
                       bool(h_is_p_prime))
     verdict.decomposition = D
-    verdict.correspondence = correspond_projectives(reg, D, table)
     return verdict
 
 

@@ -211,7 +211,8 @@ class Draw:
 class RandomStream:
     """Product-replacement stream over a fixed generator list.
 
-    Ten slots, 50 burn-in steps (Celler et al., Comm. Algebra 23, 1995).
+    Ten slots, or one per generator when there are more, and 50 burn-in
+    steps (Celler et al., Comm. Algebra 23, 1995).
     Each step (i, j, inverted) comes from the seeded RNG alone, so a draw
     is replayable.  Each slot also keeps its inverse: the step slot_i <-
     slot_i * other sets inv_i <- other^-1 * inv_i, so no element is ever
@@ -229,19 +230,19 @@ class RandomStream:
         gen_inverses = [g.inverse() for g in gens]
         self.slots = []
         self.inverses = []
-        for k in range(self.SLOTS):
+        for k in range(max(self.SLOTS, len(gens))):
             i = k % len(gens)
             self.slots.append(gens[i])
             self.inverses.append(gen_inverses[i])
-        self.letters = [1] * self.SLOTS
+        self.letters = [1] * len(self.slots)
         self.draws = 0
         for _ in range(self.BURN_IN):
             self._step()
 
     def _step(self):
         rng = self.rng
-        i = rng.randrange(self.SLOTS)
-        j = rng.randrange(self.SLOTS - 1)
+        i = rng.randrange(len(self.slots))
+        j = rng.randrange(len(self.slots) - 1)
         if j >= i:
             j += 1
         if rng.randrange(2):

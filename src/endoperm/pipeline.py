@@ -49,13 +49,13 @@ class InstanceRun:
 def run_instance(inst, primes=None, seed=0):
     """The full production pipeline on one corpus instance."""
     ctx, helper, H = build_context(inst, seed=seed)
-    return run_pipeline(ctx, helper, H.order(), primes=primes, seed=seed,
-                        name=inst.name,
-                        primes_default=inst.primes)
+    return run_pipeline(ctx, helper, H.order(),
+                        primes=inst.primes if primes is None else primes,
+                        seed=seed, name=inst.name)
 
 
-def run_pipeline(ctx, helper, h_order, primes=None, seed=0, name="scenario",
-                 primes_default=(), probe_budget=10 ** 6):
+def run_pipeline(ctx, helper, h_order, primes=(), seed=0, name="scenario",
+                 probe_budget=10 ** 6):
     """The full production pipeline over an action context."""
     run = InstanceRun(name)
     run.ctx, run.helper, run.h_order = ctx, helper, h_order
@@ -71,7 +71,7 @@ def run_pipeline(ctx, helper, h_order, primes=None, seed=0, name="scenario",
     run.matrices = mats
     run.counted = set(counted)
     run.table = splitchar.build_table(mats, sctx.lengths, sctx.pairing)
-    for p in (primes if primes is not None else primes_default):
+    for p in primes:
         try:
             run.verdicts[p] = modular.permutation_verdict(
                 run.table, mats, p, h_order=run.h_order)

@@ -8,7 +8,9 @@ Factorization over Z is Zassenhaus-style: Yun squarefree decomposition,
 modular factorization at a small prime chosen to minimize the factor count,
 quadratic Hensel lifting past the coefficient bound, then subset
 recombination in increasing cardinality (ample for the degrees that occur
-here, which stay below 30).
+here, which stay below 30).  Over F_p only what that needs is here:
+squarefree factoring by distinct and equal degrees, and the roots in F_p,
+which the integer-root search and `gfmat`'s eigenspaces use.
 """
 
 import math
@@ -243,24 +245,6 @@ def fp_deriv(p, m):
     return fp_trim([i * c for i, c in enumerate(p)][1:], m)
 
 
-def fp_squarefree_part(f, p):
-    """Squarefree part of monic f over F_p (handles p-th power collapse)."""
-    f = fp_monic(f, p)
-    if deg(f) <= 0:
-        return f
-    d = fp_deriv(f, p)
-    if not d:
-        # f is a p-th power: f(x) = g(x^p)
-        g = fp_trim([f[i] for i in range(0, len(f), p)], p)
-        return fp_squarefree_part(g, p)
-    g = fp_gcd(f, d, p)
-    w = fp_divmod(f, g, p)[0]
-    if deg(g) == 0:
-        return w
-    rest = fp_squarefree_part(g, p)
-    return fp_mul(w, fp_divmod(rest, fp_gcd(w, rest, p), p)[0], p)
-
-
 def fp_distinct_degree(f, p):
     """[(product of irreducibles of degree d, d)] for squarefree monic f."""
     out = []
@@ -315,45 +299,6 @@ def fp_factor_squarefree(f, p, seed=1):
     for g, d in fp_distinct_degree(fp_monic(f, p), p):
         out.extend(fp_equal_degree(g, d, p, rng))
     return sorted(out)
-
-
-def fp_factor(f, p, seed=1):
-    """Full factorization of f over F_p: (lc, [(monic irreducible, mult)]).
-
-    The roots in F_p come first, by evaluating f at every point, and are
-    divided out as often as they go.  A rest of degree 2 or 3 has no root,
-    so it is irreducible; only a larger rest is split by distinct and
-    equal degrees."""
-    f = fp_trim(f, p)
-    if deg(f) < 1:
-        return (f[0] if f else 0), []
-    lc = f[-1]
-    f = fp_monic(f, p)
-    out = {}
-    for root in _fp_roots(f, p):
-        g = (-root % p, 1)
-        out[g] = 0
-        while True:
-            q, r = fp_divmod(f, g, p)
-            if r:
-                break
-            f = q
-            out[g] += 1
-    if deg(f) in (2, 3):
-        out[f] = 1
-        f = (1,)
-    while deg(f) > 0:
-        sqf = fp_squarefree_part(f, p)
-        for g in fp_factor_squarefree(sqf, p, seed):
-            e = 0
-            while True:
-                q, r = fp_divmod(f, g, p)
-                if r:
-                    break
-                f = q
-                e += 1
-            out[g] = out.get(g, 0) + e
-    return lc, sorted(out.items())
 
 
 def _fp_roots(f, p):

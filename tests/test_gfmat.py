@@ -5,12 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from endoperm.gfmat import (FqMatrix, UnsupportedCharacteristic,
-                            _lift_idempotent, _local_min_poly, _matrix_power,
-                            _nullspace, _poly_at, _quotient_action, _radical,
-                            _rref, cartan_matrix, fixed_space, rep_from_json,
-                            row_times, vector_bytes)
 from endoperm import zpoly
+from endoperm.gfmat import (FqMatrix, UnsupportedCharacteristic,
+                            _isotypic_parts, _lift_idempotent,
+                            _local_min_poly, _matrix_power, _nullspace,
+                            _quotient_action, _radical, _rref, cartan_matrix,
+                            fixed_space, rep_from_json, row_times,
+                            vector_bytes)
 from endoperm.permgrp import Permutation, closure_elements
 
 
@@ -81,7 +82,8 @@ def test_quotient_examples():
 def test_min_poly_random():
     # w the identity gives the minimal polynomial f of M, and w a single
     # row u, as _order_key calls it, the least f with u f(M) = 0: either
-    # way w f(M) = 0 and w (f / g)(M) != 0 for each irreducible factor g
+    # way w f(M) = sum_i f_i w M^i = 0, and the Krylov arrays w, w M, ...,
+    # w M^(deg f - 1) have full rank, so no lower degree kills w
     rng = random.Random(0)
     for trial in range(25):
         p = rng.choice([2, 3, 5, 11])
@@ -92,11 +94,14 @@ def test_min_poly_random():
         u[trial % n] = 1
         for w in (np.eye(n, dtype=np.int64), u):
             mp = _local_min_poly(M, w, p)
-            assert mp[-1] == 1
-            assert not (w @ _poly_at(M, mp, p) % p).any()
-            for f, _ in zpoly.fp_factor(mp, p)[1]:
-                q = zpoly.fp_divmod(mp, f, p)[0]
-                assert (w @ _poly_at(M, q, p) % p).any()
+            k = len(mp) - 1
+            assert mp[-1] == 1 and 1 <= k <= n
+            krylov = [w]
+            for _ in range(k):
+                krylov.append(krylov[-1] @ M % p)
+            assert not (sum(c * x for c, x in zip(mp, krylov)) % p).any()
+            flat = np.array(krylov[:k]).reshape(k, -1)
+            assert len(_rref(flat, p)[1]) == k
 
 
 def test_summands_and_cartan():
@@ -254,6 +259,28 @@ def test_cartan_of_thirty_linear_simples_takes_few_eliminations(monkeypatch):
     labels, C, dims, simples = cartan_matrix(shift_powers(30), 31)
     assert len(simples) == 30
     assert len(calls) <= 60
+
+
+def test_head_split_checks_fire(monkeypatch):
+    # F_5[C_4] and F_5[S_3] are semisimple, so each basis is its own head;
+    # a head matrix replaced by its square leaves a span that is no algebra
+    head = shift_powers(4)
+    assert [(len(U), e, n) for U, e, n in _isotypic_parts(head, 5)] == \
+        [(1, 1, 1)] * 4
+    head[1] = head[1] @ head[1]
+    with pytest.raises(AssertionError, match="split centre of dimension 3 "
+                       "separates the head into 4 parts"):
+        _isotypic_parts(head, 5)
+    head = group_regular_rep(S3)
+    head[1] = head[1] @ head[1]
+    with pytest.raises(AssertionError, match=r"dimension 2 is not n\^2 e"):
+        _isotypic_parts(head, 5)
+    # one root of a split element's minimal polynomial lost
+    roots = zpoly._fp_roots
+    monkeypatch.setattr(zpoly, "_fp_roots", lambda f, p: roots(f, p)[1:])
+    with pytest.raises(AssertionError, match="eigenspaces of a split "
+                       "central element do not fill"):
+        cartan_matrix(group_regular_rep(S3), 5)
 
 
 def _radical_on_every_product(basis, p):

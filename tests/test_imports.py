@@ -43,3 +43,65 @@ def test_test_modules_import_only_what_they_use(path):
 @pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda path: path.stem)
 def test_source_modules_import_only_what_they_use(path):
     assert unused_imports(path.read_text()) == []
+
+
+BENCH_MODULES = sorted(
+    (Path(__file__).parent.parent / "bench").glob("*.py"))
+
+# Top-level names that nothing in src/ or bench/ uses, each kept for a reason
+UNREFERENCED_KEPT = {
+    "corpus.instance_scenario": "writes scenario files for the tests",
+    "orbenum.probe_fixed_space": "the fixed-space probe of ROADMAP item 10",
+}
+
+
+def unreferenced_definitions(sources, string_sources):
+    """"module.name" for each top-level function or class of the modules
+    in `sources` ({module: source}) that no code there or in
+    `string_sources` refers to outside its own body, sorted.
+
+    A reference is a name read, an attribute, an imported name, or in
+    `string_sources` also a string constant (the target of a patch)."""
+    refs = {}  # name -> {(module, enclosing top-level statement index)}
+    defs = []
+    for module, source in [*sources.items(), *string_sources.items()]:
+        tree = ast.parse(source)
+        for index, stmt in enumerate(tree.body):
+            if module in sources and isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)):
+                defs.append((module, stmt.name, index))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif (isinstance(node, ast.Constant)
+                      and module in string_sources
+                      and isinstance(node.value, str)):
+                    names = [node.value]
+                else:
+                    continue
+                for name in names:
+                    refs.setdefault(name, set()).add((module, index))
+    return sorted(f"{module}.{name}" for module, name, index in defs
+                  if not refs.get(name, set()) - {(module, index)})
+
+
+def test_unreferenced_definitions_are_found():
+    sources = {"a": "def f():\n    return f()\n\n\ndef g():\n    pass\n\n\n"
+                    "class C:\n    pass\n\n\nC()\n",
+               "b": "from a import g\n"}
+    assert unreferenced_definitions(sources, {}) == ["a.f"]
+    assert unreferenced_definitions(
+        sources, {"bench": "patch(a, 'f')\n"}) == []
+
+
+def test_source_defines_no_unused_api():
+    sources = {path.stem: path.read_text() for path in SOURCE_MODULES}
+    bench = {f"bench.{path.stem}": path.read_text()
+             for path in BENCH_MODULES}
+    assert sorted(UNREFERENCED_KEPT) == \
+        unreferenced_definitions(sources, bench)

@@ -109,6 +109,16 @@ def test_random_stream_determinism():
     assert a == b
 
 
+def test_random_stream_draws_from_every_generator():
+    # ten identities ahead of S4's generators: with ten slots filled from
+    # the first ten generators alone every draw was the identity
+    s4 = sym(4)
+    gens = [Permutation.identity(4)] * 10 + s4.gens
+    stream = RandomStream(gens, seed=0)
+    assert len(stream.slots) == 12
+    assert len({stream.next()[0] for _ in range(200)}) == s4.order() == 24
+
+
 # Generators for the stream test: S_7, and invertible matrices over F_2
 # (a companion matrix and a transvection) and over F_3.
 STREAM_GENS = {

@@ -87,36 +87,42 @@ def test_gcd_and_exact_division():
 
 
 def test_fp_factor_reconstructs():
+    # the squarefree factoring Zassenhaus runs at its modular prime: monic
+    # irreducible factors, sorted, whose product is the monic input
     rng = random.Random(23)
     done = 0
     while done < 40:
         p = rng.choice([2, 3, 5, 11, 13])
         f = zp.fp_trim(tuple(rng.randrange(p) for _ in
                              range(rng.randrange(2, 12))), p)
-        if zp.deg(f) < 1:
+        if zp.deg(f) < 1 or zp.deg(zp.fp_gcd(f, zp.fp_deriv(f, p), p)):
             continue
         done += 1
-        lc, facs = zp.fp_factor(f, p, seed=done)
-        prod = (lc,)
-        for g, m in facs:
-            for _ in range(m):
-                prod = zp.fp_mul(prod, g, p)
-        assert prod == f
-        for g, m in facs:
+        facs = zp.fp_factor_squarefree(f, p, seed=done)
+        assert facs == sorted(facs)
+        prod = (1,)
+        for g in facs:
             assert g[-1] == 1 and zp.deg(g) >= 1
+            assert zp.deg(g) == 1 or not zp._fp_roots(g, p)
+            prod = zp.fp_mul(prod, g, p)
+        assert prod == zp.fp_monic(f, p)
+        assert len(facs) == len(set(facs))
 
 
 def test_fp_irreducibles_have_no_roots():
-    # degree-2 irreducibles must have empty root sets
-    for p in (3, 5, 7, 11):
-        for c0 in range(p):
-            for c1 in range(p):
-                f = zp.fp_trim((c0, c1, 1), p)
-                _, facs = zp.fp_factor(f, p)
-                has_root = any(zp.deg(g) == 1 for g, _ in facs)
-                roots = [x for x in range(p)
-                         if (x * x + c1 * x + c0) % p == 0]
-                assert has_root == bool(roots)
+    # the roots in F_p by Horner at every point at once, against one
+    # evaluation per point, on every monic quadratic and a seeded sample
+    # of higher degrees
+    rng = random.Random(5)
+    polys = [(p, (c0, c1, 1)) for p in (3, 5, 7, 11)
+             for c0 in range(p) for c1 in range(p)]
+    polys += [(p, tuple(rng.randrange(p) for _ in range(rng.randrange(1, 9)))
+               + (rng.randrange(1, p),))
+              for p in (2, 3, 13, 31) for _ in range(20)]
+    for p, f in polys:
+        roots = [x for x in range(p)
+                 if sum(c * x ** i for i, c in enumerate(f)) % p == 0]
+        assert zp._fp_roots(f, p) == roots
 
 
 def _product(*factors):
