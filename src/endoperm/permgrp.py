@@ -275,15 +275,17 @@ class GeneratedGroup:
     Group Algorithms, 2003, ch. 4).  Level i holds the base point base[i],
     the strong generators fixing base[:i], the transversal (orbit point ->
     element taking base[i] there) with the inverse of each entry as a
-    table, and the (point, generator) Schreier pairs already sifted to the
-    identity.  The level's strong generators are kept as tables too, and
-    the image form (bytes or tuple) is chosen once, from the degree.
+    table, and one cursor per transversal point, in insertion order: how
+    many of the level's generators have been checked for that point.  The
+    level's strong generators are kept as tables too, and the image form
+    (bytes or tuple) is chosen once, from the degree.
 
-    Invariant: transversal entries are only ever added, never replaced, and
-    the deeper levels' groups only grow.  So a Schreier generator
-    u_pt * s * u_(pt s)^-1 that once sifted to the identity stays a member
-    of the deeper group, and its pair is never checked again.  A level is
-    complete when all pairs of its orbit and generators have sifted.
+    Invariant: the Schreier generators u_pt * s * u_(pt s)^-1 of the pairs
+    before a point's cursor have sifted to the identity, and they stay
+    members, because transversal entries are only ever added, never
+    replaced, and the deeper levels' groups only grow.  A generator joins
+    a level at the end of its list, so a cursor never has to move back.
+    A level is complete when every cursor has reached its generator count.
     """
 
     def __init__(self, gens, degree=None):
@@ -315,7 +317,7 @@ class GeneratedGroup:
         point stabilizers are extracted.
         """
         self.base, self.strong, self.transversals = [], [], []
-        self._inverses, self._level_gens, self._sifted = [], [], []
+        self._inverses, self._level_gens, self._cursors = [], [], []
         for b in base_prefix:
             self._open_level(b)
         for g in self.gens:
@@ -372,47 +374,58 @@ class GeneratedGroup:
         self.transversals.append({point: Permutation(self._identity_images)})
         self._inverses.append({point: self._form.table(self._identity_images)})
         self._level_gens.append([])
-        self._sifted.append(set())
+        self._cursors.append([0])
 
     def _grow_orbit(self, j):
         """Close the level-j transversal under the level's generators after
-        one joined; existing entries stay.  The pair (pt, s) that adds an
-        entry has the identity as Schreier generator, so it is marked
-        sifted at once."""
+        one joined; existing entries stay.  The older generators already
+        closed the old points, so only the joined one is applied to them,
+        and every generator to the points found; a new point's cursor
+        starts at 0."""
         trans, inv = self.transversals[j], self._inverses[j]
-        gens, sifted = self._level_gens[j], self._sifted[j]
+        gens, cursors = self._level_gens[j], self._cursors[j]
         compose, inverse_table = self._form.compose, self._form.inverse_table
-        frontier = list(trans)
+        frontier, step = list(trans), gens[-1:]
         while frontier:
             nxt = []
             for pt in frontier:
                 rep = trans[pt].images
-                for si, s in enumerate(gens):
+                for s in step:
                     img = s[pt]
                     if img not in trans:
                         images = compose(rep, s)
                         trans[img] = Permutation(images)
                         inv[img] = inverse_table(images)
-                        sifted.add((pt, si))
+                        cursors.append(0)
                         nxt.append(img)
-            frontier = nxt
+            frontier, step = nxt, gens
 
     def _check_level(self, i):
-        """Sift the unchecked Schreier generators of level i; on the first
-        non-identity residue return (its images, level it stopped at)."""
+        """Sift the Schreier generators of level i from each point's
+        cursor, points in transversal order; on the first non-identity
+        residue return (its images, level it stopped at), leaving that
+        point's cursor on the pair that produced it.  The pairs before a
+        cursor are never checked again: they sifted to the identity and
+        stay members, as the deeper levels only grow.  A pair whose rep * s
+        is the transversal entry of pt s, a tree edge among them, has the
+        identity as Schreier generator and is passed without a sift."""
         trans, inv = self.transversals[i], self._inverses[i]
-        gens, sifted = self._level_gens[i], self._sifted[i]
-        compose = self._form.compose
-        for pt, rep in trans.items():
+        gens, cursors = self._level_gens[i], self._cursors[i]
+        compose, n = self._form.compose, len(gens)
+        for k, (pt, rep) in enumerate(trans.items()):
+            if cursors[k] == n:
+                continue
             rep = rep.images
-            for si, s in enumerate(gens):
-                if (pt, si) in sifted:
-                    continue
-                schreier = compose(compose(rep, s), inv[s[pt]])
-                residue, lvl = self._sift(schreier, i + 1)
-                if residue is not None:
-                    return residue, lvl
-                sifted.add((pt, si))
+            for c in range(cursors[k], n):
+                s = gens[c]
+                img = s[pt]
+                images = compose(rep, s)
+                if images != trans[img].images:
+                    residue, lvl = self._sift(compose(images, inv[img]), i + 1)
+                    if residue is not None:
+                        cursors[k] = c
+                        return residue, lvl
+            cursors[k] = n
         return None, None
 
     def _sift(self, images, depth=0):

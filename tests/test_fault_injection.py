@@ -1,0 +1,112 @@
+"""Fault injection: each case plants one fault and names the check that must
+catch it.  The outcome must be that check's exception, never a different
+answer.
+
+Cases so far:
+- `enumerate_suborbit`: a stabilizer order overstated by `GeneratedGroup.order`
+  ("covered more points than orbit length"; at 2x it can pass, and Schur
+  counting catches it), and `covered` over-counted on an orbit that ends by
+  full coverage ("orbit length does not divide |H|");
+- `classify`: a wrong partner ("orbit pairing is not an involution",
+  "paired orbits differ in length");
+- `schreier_stabilizer`: a target order above the true one ("stabilizer
+  generation incomplete");
+- the Cartan route's head-split checks, in test_gfmat.py.
+
+The other checks of `src/endoperm` have no case here yet.
+"""
+
+import pytest
+
+from endoperm import orbenum
+from endoperm.permgrp import (GeneratedGroup, Permutation, orbit_tree,
+                              schreier_stabilizer)
+from endoperm.pipeline import run_pipeline
+from scenarios import johnson_context
+
+
+def _overstate_orders(monkeypatch, factor):
+    real = GeneratedGroup.order
+    monkeypatch.setattr(GeneratedGroup, "order",
+                        lambda self: factor * real(self))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_overstated_stabilizer_order_is_caught(monkeypatch, seed):
+    ctx, helper = johnson_context(10, 2)
+    _overstate_orders(monkeypatch, 4)
+    with pytest.raises(AssertionError,
+                       match="covered more points than orbit length"):
+        orbenum.classify(ctx, helper, seed=seed)
+
+
+def test_twice_overstated_order_is_caught_by_counting(monkeypatch):
+    # classify seals the 16-point orbit as two of 8 points, whose lengths
+    # pass its checks and sum to [G:H]
+    ctx, helper = johnson_context(10, 2)
+    _overstate_orders(monkeypatch, 2)
+    assert orbenum.classify(ctx, helper, seed=2).lengths() == [1, 8, 8, 28]
+    with pytest.raises(AssertionError,
+                       match="explicit enumeration disagrees with n_j"):
+        run_pipeline(ctx, helper, ctx.h_order, seed=2)
+
+
+def test_overcounted_full_coverage_is_caught(monkeypatch):
+    ctx, helper = johnson_context(10, 2)
+    real = orbenum._store_fiber
+
+    def overcounted(helper, record, z):
+        real(helper, record, z)
+        record.covered += 100    # 101 does not divide |H| = 2 * 8!
+
+    monkeypatch.setattr(orbenum, "_store_fiber", overcounted)
+    with pytest.raises(AssertionError,
+                       match="orbit length does not divide"):
+        orbenum.enumerate_suborbit(ctx, helper, ctx.v1, {})
+
+
+def _wrong_partner(monkeypatch, pick):
+    """Make `classify` pair each newly kept record after v1's with
+    pick(kept records so far) in place of the orbit of v1 . g^-1."""
+    real = orbenum.enumerate_suborbit
+    kept = []
+    partner_call = False
+
+    def spy(ctx, helper, v, known):
+        nonlocal partner_call
+        if partner_call:
+            partner_call = False
+            return pick(kept)
+        rec = real(ctx, helper, v, known)
+        if rec.reach is None:    # fresh: classify keeps it, then pairs it
+            partner_call = bool(kept)
+            kept.append(rec)
+        return rec
+
+    monkeypatch.setattr(orbenum, "enumerate_suborbit", spy)
+
+
+@pytest.mark.parametrize("pick, message", [
+    (lambda kept: kept[-2], "orbit pairing is not an involution"),
+    (lambda kept: kept[0], "paired orbits differ in length"),
+])
+def test_wrong_partner_is_caught(monkeypatch, pick, message):
+    ctx, helper = johnson_context(10, 2)
+    _wrong_partner(monkeypatch, pick)
+    with pytest.raises(AssertionError, match=message):
+        orbenum.classify(ctx, helper, seed=0)
+
+
+def test_target_above_the_stabilizer_order_is_caught():
+    n = 6
+    gens = [Permutation([1, 0] + list(range(2, n))),
+            Permutation(list(range(1, n)) + [0])]
+    points, tree = orbit_tree(0, gens, lambda pt, g: g.images[pt])
+
+    def image(pt, gi):
+        return gens[gi].images[pt]
+
+    group, _ = schreier_stabilizer(points, tree, image, gens, n, 120)
+    assert group.order() == 120
+    with pytest.raises(RuntimeError, match="stabilizer generation incomplete"):
+        schreier_stabilizer(points, tree, image, gens, n, 240)

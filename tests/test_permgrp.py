@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
+from math import factorial
 
 import numpy as np
 import pytest
@@ -417,3 +420,76 @@ def test_extend_by_a_member_leaves_the_chain_unchanged():
         # transversal entries are only ever added
         for old, new in zip(before[3], g.transversals):
             assert all(new[pt] == rep for pt, rep in old.items())
+
+
+def _affine_group(n, units):
+    """x -> x + 1 and x -> u x mod n for each unit u: above 256 points the
+    chain holds tuples."""
+    return GeneratedGroup(
+        [Permutation([(x + 1) % n for x in range(n)])]
+        + [Permutation([u * x % n for x in range(n)]) for u in units], n)
+
+
+def _pinned_chains():
+    """The chains the digest below covers: every corpus group; seeded random
+    subgroups of S_8..S_12, each built by `build_chain` and by `extend` one
+    generator at a time; S_20 and S_40; an affine group on 300 points."""
+    for inst in all_instances():
+        yield GeneratedGroup(inst.group.gens, inst.group.degree).build_chain()
+    rng = random.Random(2509)
+    for n in range(8, 13):
+        for _ in range(4):
+            gens = _random_subgroup_gens(rng, n)
+            yield GeneratedGroup(gens, n).build_chain()
+            grown = GeneratedGroup([], n).build_chain()
+            for g in gens:
+                grown.extend(g)
+            yield grown
+    yield sym(20).build_chain()
+    yield sym(40).build_chain()
+    yield _affine_group(300, (7, 11)).build_chain()
+
+
+# SHA-256 of the base, the strong generators' images in order, and each
+# level's transversal points and images in insertion order, recorded from
+# the chain that checked every (point, generator) pair against a set
+CHAIN_DIGEST = \
+    "b70bc533e5a84e89c73e08304123368341e322cbacbc3d07ef8aa00df1837055"
+
+
+def test_chains_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for g in _pinned_chains():
+        digest.update(json.dumps([
+            g.degree, g.base, [list(s.images) for s in g.strong],
+            [[[pt, list(rep.images)] for pt, rep in t.items()]
+             for t in g.transversals]]).encode())
+    assert digest.hexdigest() == CHAIN_DIGEST
+
+
+def test_chain_of_s40_sifts_no_more_than_before(monkeypatch):
+    calls = []
+    real = GeneratedGroup._sift
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(GeneratedGroup, "_sift", counted)
+    assert sym(40).build_chain().order() == factorial(40)
+    # 40879 calls when every pair was checked against a set
+    assert len(calls) <= 40879
+
+
+def test_chain_of_s40_is_small():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chain = sym(40).build_chain()
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(chain.transversals) == 39
+    # 5.2 MB when the sifted (point, generator) pairs were kept in sets
+    assert live < 1 << 20
