@@ -149,7 +149,7 @@ def cmd_decomp(args):
     conv = modular.SqrtConvention(args.p, _sqrt_overrides(args))
     reduced = modular.reduce_table(run.table, args.p, conv)
     basic = modular.basic_set(reduced, args.p)
-    D = modular.decomposition_matrix(run.table, reduced, basic, args.p)
+    D = modular.decomposition_matrix(reduced, basic, args.p)
     out = {
         "p": args.p,
         "convention": conv.to_json(),

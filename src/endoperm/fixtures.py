@@ -200,7 +200,7 @@ def run_suite():
         "basic set is {phi_1, phi_2, phi_3, phi_9} (scan order)",
         sorted(b + 1 for b in basic) == sorted(reduced_fix["basic_set"])))
     try:
-        D = modular.decomposition_matrix(table, reduced, basic, 11)
+        D = modular.decomposition_matrix(reduced, basic, 11)
     except modular.LiftValidationError as exc:
         checks.append(Check("decomposition matrix mod 11 lifts", False,
                             str(exc)))

@@ -38,15 +38,18 @@ class CartanDisagreement(ValueError):
 class SqrtConvention:
     """Choice of square roots mod p for the radicands in the table.
 
-    Default: the root in {1..(p-1)/2}; p | n reduces to 0 (ramified);
-    non-residues raise InertFieldError.  Overrides pin specific choices,
-    e.g. {3: 6} at p = 11.  p must be a prime below 256, as for FqMatrix;
-    anything else raises UnsupportedCharacteristic before any reduction.
+    Default: the least root, in {1..(p-1)/2} unless p = 2; p | n reduces
+    to 0 (ramified); non-residues raise InertFieldError.  Overrides pin
+    specific choices, e.g. {3: 6} at p = 11.  p must be a prime below 256,
+    as for FqMatrix; anything else raises UnsupportedCharacteristic before
+    any reduction.
     """
 
     def __init__(self, p, overrides=None):
         gfmat._check_prime(p)
         self.p = p
+        # every square mod p has one root in {0..p//2}
+        self.roots = {s * s % p: s for s in range(p // 2, -1, -1)}
         self.overrides = dict(overrides or {})
         for n, s in self.overrides.items():
             if (s * s - n) % p:
@@ -57,50 +60,16 @@ class SqrtConvention:
             return 1
         if n in self.overrides:
             return self.overrides[n] % self.p
-        m = n % self.p
-        if m == 0:
-            return 0
-        s = _sqrt_mod(m, self.p)
+        s = self.roots.get(n % self.p)
         if s is None:
             raise InertFieldError(
                 f"{n} is not a square mod {self.p}; enlarge the residue "
                 "field")
-        return min(s, self.p - s)
+        return s
 
     def to_json(self):
         return {"p": self.p,
                 "sqrt": {str(n): s for n, s in self.overrides.items()}}
-
-
-def _sqrt_mod(m, p):
-    """Tonelli-Shanks; None for non-residues."""
-    if p == 2:
-        return m % 2
-    if pow(m, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(m, (p + 1) // 4, p)
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(m, (q + 1) // 2, p)
-    t = pow(m, q, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (e - i - 1), p)
-        x = x * b % p
-        t = t * b * b % p
-        c = b * b % p
-        e = i
-    return x
 
 
 def reduce_value(v, conv):
@@ -203,7 +172,7 @@ class DecompositionMatrixE:
                 "blocks": [sorted(o + 1 for o in b) for b in self.blocks]}
 
 
-def decomposition_matrix(table, reduced, basic, p):
+def decomposition_matrix(reduced, basic, p):
     """Solve every reduced row against the basic set and lift.
 
     Validation: the lift must reproduce the integer multiplicity identity
@@ -361,7 +330,7 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     raise CartanDisagreement when p divides h_order, else AssertionError."""
     reduced = reduce_table(table, p, conv)
     basic = basic_set(reduced, p)
-    D = decomposition_matrix(table, reduced, basic, p)
+    D = decomposition_matrix(reduced, basic, p)
     C_dec = D.transpose_product()
     reg = cartan_from_regular(inter_mats, p)
     if not cartan_equivalent(C_dec, reg["cartan"]):

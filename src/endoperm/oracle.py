@@ -7,13 +7,17 @@ simultaneous eigenspace splitting of the orbital matrices, and modular
 decompositions computed directly from the explicit commutant.  The rest of
 the package is validated stage by stage against these results.
 
-The exact linear algebra is quadfield's integer entry points: RowSolver
-restricts the orbital matrices to a component, poly_kernel cuts it by a
-polynomial in a restricted action, and int_product and primitive form
-the new component bases.  The characteristic polynomials are the
-oracle's own (Faddeev-LeVerrier in _char_poly), not splitchar.char_poly,
-so the two routes share the kernel but not the polynomial.  The modular
-data comes from modular.cartan_from_regular, the pipeline's regular route.
+The exact linear algebra is quadfield's integer entry points over Q:
+RowSolver restricts the orbital matrices to a component, poly_kernel
+cuts it by a polynomial in a restricted action, and int_product and
+primitive form the new component bases.  A quadratic pair of characters
+is read off the rational span of two actions on the coset space, where
+the pipeline reads it off traces in the regular representation of E.
+The characteristic polynomials are the oracle's own (Faddeev-LeVerrier
+in _char_poly), not splitchar.char_poly, so the two routes share the
+kernel but not the polynomial, and the oracle imports nothing from
+splitchar.  The modular data comes from modular.cartan_from_regular, the
+pipeline's regular route.
 """
 
 from fractions import Fraction
@@ -210,18 +214,19 @@ def char_table_commutative(basis):
     into simultaneous eigenspaces of the orbital matrices.
 
     Only valid for commutative commutants (multiplicity-free permutation
-    characters); each orbital matrix must act as an exact scalar on each
-    final component, which is asserted.  Character values live in Q or a
-    real quadratic field; anything else raises.
+    characters).  Character values live in Q or a real quadratic field;
+    anything else raises.
 
     A component is primitive integer rows.  RowSolver restricts an
     orbital matrix to it, as an integer matrix X over the solver's
     denominator L, and poly_kernel cuts it by f(X / L)^e for each factor
-    f^e of the characteristic polynomial.  The values are the scalars by
-    which the orbital matrices act on the final components; a component
-    with a non-scalar action is cut by poly_kernel into the eigenspaces
-    of that action over Q(sqrt(n)), and a second RowSolver restricts the
-    actions to each.
+    f^e of the characteristic polynomial.  Each orbital matrix must then
+    act on a final component as a rational scalar, which is its value,
+    or in the rational span of I and Q, the first action that is not a
+    scalar, which is asserted entry by entry: X = alpha I + beta Q is
+    alpha / L + beta lam on the eigenspace of an eigenvalue lam of Q / L,
+    and its conjugate on the other, so the component carries two
+    conjugate rows of half its dimension.
     """
     mats = basis.mats
     r = len(mats)
@@ -236,7 +241,7 @@ def char_table_commutative(basis):
         refined = []
         for comp in comps:
             solver = _basis_solver(comp)
-            [(X, _)] = solver.act(B.tolist())
+            [X] = solver.act(B.tolist())
             _, _, facs = zpoly.factor(_char_poly(X, solver.L))
             if len(facs) == 1 and facs[0][1] == 1:
                 refined.append(comp)
@@ -245,7 +250,7 @@ def char_table_commutative(basis):
                 power = f
                 for _ in range(mult - 1):
                     power = zpoly.mul(power, f)
-                K, _ = poly_kernel(X, solver.L, power)
+                K = poly_kernel(X, solver.L, power)
                 if K:
                     refined.append([primitive(row)
                                     for row in int_product(K, comp)])
@@ -257,39 +262,48 @@ def char_table_commutative(basis):
     for comp in comps:
         solver = _basis_solver(comp)
         L = solver.L
-        actions = [X for X, _ in solver.act(wide)]
+        actions = solver.act(wide)
         quad = next((X for X in actions if not _is_scalar(X)), None)
         if quad is None:
             values = [QuadraticNumber(Fraction(X[0][0], L)) for X in actions]
             rows.append((tuple(values), 1, len(comp)))
             continue
-        # split over the quadratic field of the first non-scalar action
-        d = len(comp)
-        wide_quad = [[x for X in actions for x in X[i]] for i in range(d)]
-        for root in _quadratic_eigenvalues(quad, L):
-            E, field = poly_kernel(quad, L, [-root, 1])
-            if not E:
-                raise AssertionError("missing quadratic eigenspace")
-            eigen = _basis_solver([v[:d] for v in E], [v[d:] for v in E],
-                                  field)
-            values = []
-            for Ya, Yb in eigen.act(wide_quad):
-                if not (_is_scalar(Ya) and _is_scalar(Yb)):
-                    raise AssertionError("action is not scalar on eigenspace")
-                den = eigen.L * L
-                values.append(QuadraticNumber(Fraction(Ya[0][0], den),
-                                              Fraction(Yb[0][0], den), field))
-            rows.append((tuple(values), 1, len(E)))
+        lams = _quadratic_eigenvalues(quad, L)
+        spans = [_span_coefficients(X, quad) for X in actions]
+        for lam in lams:
+            values = [alpha / L + beta * lam for alpha, beta in spans]
+            rows.append((tuple(values), 1, len(comp) // 2))
     rows.sort(key=_row_sort_key)
     return rows
 
 
-def _basis_solver(a, b=None, n=1):
-    """The RowSolver of the rows a + b sqrt(n), which must be a basis."""
-    solver = RowSolver(a, b, n)
+def _basis_solver(a):
+    """The RowSolver of the rows a, which must be a basis."""
+    solver = RowSolver(a)
     if len(solver.pivots) != len(a):
         raise AssertionError("component rows are not a basis")
     return solver
+
+
+def _span_coefficients(X, Q):
+    """(alpha, beta) with X = alpha I + beta Q, rational, for a matrix Q
+    that is not a scalar; AssertionError when X is outside that span.
+
+    X - X[0][0] I = beta (Q - Q[0][0] I), so beta is read off the first
+    entry where Q - Q[0][0] I is not zero and checked on all the others."""
+    d = len(Q)
+
+    def shifted(M):
+        return [[M[i][j] - (M[0][0] if i == j else 0) for j in range(d)]
+                for i in range(d)]
+
+    DX, DQ = shifted(X), shifted(Q)
+    x, q = next((x, q) for rx, rq in zip(DX, DQ) for x, q in zip(rx, rq)
+                if q)
+    if any(a * q != b * x for rx, rq in zip(DX, DQ) for a, b in zip(rx, rq)):
+        raise AssertionError("action is not scalar on the eigenspaces")
+    beta = Fraction(x, q)
+    return X[0][0] - beta * Q[0][0], beta
 
 
 def _row_sort_key(row):

@@ -220,12 +220,11 @@ class AlgebraClosure:
         if self._solver is None:
             self._solver = RowSolver([list(row) for row in self.basis])
             self._flat = [[x for row in M for x in row] for M in self.mats]
-        solved = self._solver.solve([[int(i == j - 1) for i in range(r)]],
-                                    None, 1)
+        solved = self._solver.solve([[int(i == j - 1) for i in range(r)]])
         if solved is None:
             raise ValueError(f"unit vector e_{j} is outside the closure")
         # one row of products over the flattened realizing matrices
-        flat = int_product(solved[0], self._flat)[0]
+        flat = int_product(solved, self._flat)[0]
         L = self._solver.L
         if any(x % L for x in flat):
             raise IntegralityError(f"recovered P_{j} is not integral")

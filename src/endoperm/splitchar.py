@@ -11,16 +11,19 @@ first; only when its eigenvalues collide are the pieces refined by the
 centre's basis.  Each component yields one Galois orbit of irreducible
 characters.  Supported shapes: dimension 1 (rational), 2 (quadratic
 conjugate pair), m^2 (rational with multiplicity m), and 2m^2 (quadratic
-pair with multiplicity m, cut in two by a central element).  Everything
-else raises UnsupportedComponentError.
+pair with multiplicity m, read off two rational traces: of each
+intersection matrix, and of its product with a central element that is
+irrational on the component).  Everything else raises
+UnsupportedComponentError.
 
 The arithmetic is exact and carried on integers from the intersection
 matrices to the character values: a component basis is primitive integer
 rows (a row space does not change when a row is scaled), every kernel
 comes back as primitive integer rows, and the action restricted to a
-component is an integer matrix over one denominator.  Only the values of
-a CharRow are Fractions or QuadraticNumbers.  Table rows come in one
-canonical order: by degree, then by values, as in the brute-force oracle.
+component is an integer matrix over one denominator; no matrix has an
+irrational entry.  Only the values of a CharRow are Fractions or
+QuadraticNumbers.  Table rows come in one canonical order: by degree,
+then by values, as in the brute-force oracle.
 """
 
 import math
@@ -186,11 +189,17 @@ def _int_entries(P):
     return [[int(x) for x in row] for row in getattr(P, "entries", P)]
 
 
-def _combination(c, mats):
-    """sum_t c[t] mats[t] for integer matrices of one shape."""
-    terms = [(x, M) for x, M in zip(c, mats) if x]
-    return [[sum(x * M[i][k] for x, M in terms)
-             for k in range(len(mats[0][0]))] for i in range(len(mats[0]))]
+def _flat(mats):
+    """Each square matrix of mats as one row of its entries."""
+    return [[x for row in M for x in row] for M in mats]
+
+
+def _combination(c, flat):
+    """sum_t c[t] M_t as a d x d matrix, for the d x d matrices M_t given
+    as the rows of flat: one product."""
+    row = int_product([c], flat)[0]
+    d = math.isqrt(len(row))
+    return [row[i:i + d] for i in range(0, d * d, d)]
 
 
 def _trace(X):
@@ -226,8 +235,9 @@ def homogeneous_components_center(all_mats, r):
     whole = HomogeneousComponent(
         [[int(i == j) for j in range(r)] for i in range(r)], centre, None)
     comps, pending, rank = [], [whole], len(basis)
+    flat = _flat(Ps)
     for z in centre:
-        Rz = _combination(z, Ps)
+        Rz = _combination(z, flat)
         pieces = [piece for comp in pending
                   for piece in _primary_pieces(comp, z, Rz)]
         if sum(zpoly.deg(piece.cut[1]) for piece in pieces) == rank:
@@ -257,7 +267,7 @@ def _primary_pieces(comp, z, Rz):
     if whole:
         X, L = Rz, 1
     else:
-        [(X, _)] = comp.solver.act(Rz)
+        [X] = comp.solver.act(Rz)
         L = comp.solver.L
     _, _, facs = zpoly.factor(char_poly(X, L))
     if len(facs) == 1:
@@ -265,7 +275,7 @@ def _primary_pieces(comp, z, Rz):
         return [comp]
     pieces = []
     for f, _ in facs:
-        K, _ = poly_kernel(X, L, f)
+        K = poly_kernel(X, L, f)
         if not whole:
             K = [primitive(row) for row in int_product(K, comp.basis)]
         pieces.append(HomogeneousComponent(K, comp.centre, (z, f)))
@@ -328,40 +338,38 @@ def split_component(comp, wide):
     matrices X_j over one denominator L.  A component that is rationally
     split (dimension m^2) gives one row of multiplicity m: the values
     tr(X_j) / (L m).  A component of dimension 2 m^2 carrying a quadratic
-    field gives a Galois-conjugate pair.  Its centre is the field
-    Q(sqrt(n)), so a central element z that is irrational there has an
-    irreducible quadratic f, f = f1 conj(f1) over Q(sqrt(n)), and the cut
-    ker f1(z), one of the two ideals of the component over Q(sqrt(n)), has
-    dimension m^2.  z is the one that cut the component when its factor
-    is quadratic, else the first centre basis element irrational there.
-    The traces on the cut, divided by m, are the values of one row, their
-    conjugates those of the other.  Anything else raises
-    UnsupportedComponentError.
+    field, M_m(Q(sqrt(n))), gives a Galois-conjugate pair phi, conj(phi),
+    read off two rational traces (the reduced-trace view of Eberly and
+    Giesbrecht, J. Symbolic Comput. 29, 2000).  Its centre is the field,
+    and a central element z that is irrational there acts as a root zeta
+    of its irreducible quadratic f in the embedding of phi, so
+    tr(X_j) / L = m (phi + conj(phi)) and
+    tr(X_j Z) / L^2 = m (phi zeta + conj(phi zeta)) for Z = z|C over L,
+    whence phi = (tr(X_j Z) / (m L^2) - tr(X_j) conj(zeta) / (m L))
+    / (zeta - conj(zeta)).  z is the one that cut the component when its
+    factor is quadratic, else the first centre basis element irrational
+    there.  Anything else raises UnsupportedComponentError.
     """
     d = comp.dim
     L = comp.solver.L
-    actions = [X for X, _ in comp.solver.act(wide)]
+    actions = comp.solver.act(wide)
+    traces = [_trace(X) for X in actions]
     m = math.isqrt(d)
-    if m * m == d:
-        traces = [_trace(X) for X in actions]
-        if all(t % (L * m) == 0 for t in traces):
-            return [CharRow([QuadraticNumber(t // (L * m)) for t in traces],
-                            m)]
+    if m * m == d and all(t % (L * m) == 0 for t in traces):
+        return [CharRow([QuadraticNumber(t // (L * m)) for t in traces], m)]
     if d % 2 == 0 and math.isqrt(d // 2) ** 2 == d // 2:
         m = math.isqrt(d // 2)
-        Z, f = _quadratic_driver(comp, actions, L)
+        flat = _flat(actions)
+        Z, f = _quadratic_driver(comp, flat, L)
+        # f1 = X - zeta, zeta the root of f in the embedding of phi
         _, f1 = _quadratic_factor(f)
-        U, n = poly_kernel(Z, L, f1)
-        if len(U) != d // 2:
-            raise UnsupportedComponentError(
-                f"quadratic cut of {zpoly.poly_str(f)} does not reach "
-                f"dimension {d // 2}")
-        cut = RowSolver([u[:d] for u in U], [u[d:] for u in U], n)
-        D = cut.L * L * m
-        values = [QuadraticNumber(Fraction(_trace(Ya), D),
-                                  Fraction(_trace(Yb), D), n)
-                  for Ya, Yb in cut.act([[x for X in actions for x in X[i]]
-                                         for i in range(d)])]
+        zeta = -f1[0]
+        zc = zeta.conjugate()
+        gap = zeta - zc
+        # tr(X_j Z) for every j: X_j flattened against Z transposed
+        twisted = int_product(flat, [[x] for col in zip(*Z) for x in col])
+        values = [(Fraction(tz, m * L * L) - Fraction(t, m * L) * zc) / gap
+                  for t, [tz] in zip(traces, twisted)]
         for v in values:
             if not v.is_algebraic_integer():
                 raise UnsupportedComponentError(
@@ -372,16 +380,17 @@ def split_component(comp, wide):
         f"component dimension {d} is neither m^2 nor 2m^2")
 
 
-def _quadratic_driver(comp, actions, L):
+def _quadratic_driver(comp, flat, L):
     """(Z, f): a central element restricted to the component, the integer
     matrix Z over L, and an irreducible quadratic factor f of its
-    characteristic polynomial.  The element that cut the component comes
+    characteristic polynomial; flat holds the restricted intersection
+    matrices, one row each.  The element that cut the component comes
     first, then the centre's basis."""
     z, f = comp.cut
     if zpoly.deg(f) == 2:
-        return _combination(z, actions), f
+        return _combination(z, flat), f
     for z in comp.centre[1:]:
-        Z = _combination(z, actions)
+        Z = _combination(z, flat)
         _, _, facs = zpoly.factor(char_poly(Z, L))
         if zpoly.deg(facs[0][0]) == 2:
             return Z, facs[0][0]

@@ -11,6 +11,13 @@ Cases so far:
   "paired orbits differ in length");
 - `schreier_stabilizer`: a target order above the true one ("stabilizer
   generation incomplete");
+- `splitchar._quadratic_driver`: a central element shifted by the identity,
+  or a polynomial with its constant term moved, under which the trace
+  route reads wrong quadratic values (UnsupportedComponentError, or the
+  table verification);
+- the oracle's quadratic components: an action moved off the span of I
+  and the first non-scalar action ("action is not scalar on the
+  eigenspaces");
 - the Cartan route's head-split checks, in test_gfmat.py.
 
 The other checks of `src/endoperm` have no case here yet.
@@ -18,11 +25,19 @@ The other checks of `src/endoperm` have no case here yet.
 
 import pytest
 
-from endoperm import orbenum
+from endoperm import corpus, oracle, orbenum, pipeline, quadfield, splitchar
 from endoperm.permgrp import (GeneratedGroup, Permutation, orbit_tree,
                               schreier_stabilizer)
 from endoperm.pipeline import run_pipeline
 from scenarios import johnson_context
+
+# corpus instances with a component that carries a real quadratic field
+QUADRATIC = ("random-1-dihedral-5-points", "random-4-dihedral-16-regular",
+             "random-6-paley-13")
+
+
+def _instance(name):
+    return next(inst for inst in corpus.all_instances() if inst.name == name)
 
 
 def _overstate_orders(monkeypatch, factor):
@@ -110,3 +125,49 @@ def test_target_above_the_stabilizer_order_is_caught():
     assert group.order() == 120
     with pytest.raises(RuntimeError, match="stabilizer generation incomplete"):
         schreier_stabilizer(points, tree, image, gens, n, 240)
+
+
+def _shifted_element(Z, f, L):
+    """z + 1 in place of z: Z + L I over L, with z's polynomial."""
+    return [[x + L * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(Z)], f
+
+
+def _moved_constant(Z, f, L):
+    return Z, (f[0] - 1,) + tuple(f[1:])
+
+
+@pytest.mark.parametrize("fault", [_shifted_element, _moved_constant])
+@pytest.mark.parametrize("name", QUADRATIC)
+def test_wrong_quadratic_driver_gives_no_table(monkeypatch, name, fault):
+    run = pipeline.run_instance(_instance(name), primes=())
+    real = splitchar._quadratic_driver
+    monkeypatch.setattr(splitchar, "_quadratic_driver",
+                        lambda comp, flat, L: fault(*real(comp, flat, L), L))
+    with pytest.raises((splitchar.UnsupportedComponentError,
+                        AssertionError)) as caught:
+        splitchar.build_table(run.matrices, run.table.lengths,
+                              run.table.pairing)
+    if caught.type is AssertionError:
+        assert "table verification failed" in str(caught.value)
+
+
+class _LastActionMoved(quadfield.RowSolver):
+    """Moves one off-diagonal entry of the last of several actions on a
+    component of dimension at least 2: no matrix unit is in the span of
+    I and an action with an irreducible quadratic polynomial."""
+
+    def act(self, M):
+        actions = super().act(M)
+        if len(actions) > 1 and self.k > 1:
+            actions[-1][0][-1] += 1
+        return actions
+
+
+@pytest.mark.parametrize("name", ["random-1-dihedral-5-points",
+                                  "random-6-paley-13"])
+def test_oracle_action_off_the_span_is_caught(monkeypatch, name):
+    monkeypatch.setattr(oracle, "RowSolver", _LastActionMoved)
+    with pytest.raises(AssertionError,
+                       match="action is not scalar on the eigenspaces"):
+        pipeline.oracle_instance(_instance(name))

@@ -1,5 +1,6 @@
 """Every name a test or source module imports is read in that module, or
-listed in its `__all__`."""
+listed in its `__all__`; every function and class of the source is named
+somewhere outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,25 @@ UNREFERENCED_KEPT = {
 }
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node, strings):
+    """The names one AST node refers to: a name read, an attribute, an
+    imported name, and with `strings` a string constant (the target of a
+    patch, or a name listed in __all__)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    if strings and isinstance(node, ast.Constant) \
+            and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
 def unreferenced_definitions(sources, string_sources):
     """"module.name" for each top-level function or class of the modules
     in `sources` ({module: source}) that no code there or in
@@ -67,24 +87,10 @@ def unreferenced_definitions(sources, string_sources):
     for module, source in [*sources.items(), *string_sources.items()]:
         tree = ast.parse(source)
         for index, stmt in enumerate(tree.body):
-            if module in sources and isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.ClassDef)):
+            if module in sources and isinstance(stmt, DEFINITIONS):
                 defs.append((module, stmt.name, index))
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names = [node.id]
-                elif isinstance(node, ast.Attribute):
-                    names = [node.attr]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [alias.name for alias in node.names]
-                elif (isinstance(node, ast.Constant)
-                      and module in string_sources
-                      and isinstance(node.value, str)):
-                    names = [node.value]
-                else:
-                    continue
-                for name in names:
+                for name in _names(node, module in string_sources):
                     refs.setdefault(name, set()).add((module, index))
     return sorted(f"{module}.{name}" for module, name, index in defs
                   if not refs.get(name, set()) - {(module, index)})
@@ -105,3 +111,45 @@ def test_source_defines_no_unused_api():
              for path in BENCH_MODULES}
     assert sorted(UNREFERENCED_KEPT) == \
         unreferenced_definitions(sources, bench)
+
+
+def dead_names(sources, others):
+    """"module.name" for each function or class, at any depth, of the
+    modules in `sources` ({module: source}) whose name no code in
+    `sources` or `others` refers to outside its own definition, sorted.
+    Dunder names are exempt: the language calls them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = {}
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            for name in _names(node, True):
+                counts[name] = counts.get(name, 0) + 1
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS) or (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            own = sum(name == node.name for sub in ast.walk(node)
+                      for name in _names(sub, True))
+            if counts.get(node.name, 0) == own:
+                dead.append(f"{module}.{node.name}")
+    return sorted(dead)
+
+
+def test_dead_names_are_found():
+    sources = {"a": "class C:\n    def m(self):\n        return self.m()\n\n"
+                    "    def n(self):\n        pass\n\n    def __len__(self):"
+                    "\n        return 0\n\n\ndef f():\n    def g():\n"
+                    "        pass\n    return C\n"}
+    assert dead_names(sources, []) == ["a.f", "a.g", "a.m", "a.n"]
+    assert dead_names(sources, ["from a import f\nx.m()\n",
+                                "patch(a, 'n')\n"]) == ["a.g"]
+
+
+def test_source_names_are_all_used():
+    # every function and class of src/endoperm, methods included, is named
+    # somewhere in src/, tests/ or bench/ outside its own definition
+    sources = {path.stem: path.read_text() for path in SOURCE_MODULES}
+    others = [path.read_text() for path in TEST_MODULES + BENCH_MODULES]
+    assert dead_names(sources, others) == []

@@ -9,11 +9,10 @@ import pytest
 from endoperm import oracle
 from endoperm.modular import (CartanDisagreement, InertFieldError,
                               LiftValidationError, SqrtConvention,
-                              _block_diag_blocks, _column_blocks,
-                              _sqrt_mod, basic_set, cartan_equivalent,
-                              cartan_from_regular, decomposition_matrix,
-                              permutation_verdict, projective_columns,
-                              reduce_table, reduce_value)
+                              _block_diag_blocks, _column_blocks, basic_set,
+                              cartan_equivalent, cartan_from_regular,
+                              decomposition_matrix, permutation_verdict,
+                              projective_columns, reduce_table, reduce_value)
 from endoperm.permgrp import GeneratedGroup, Permutation
 from endoperm.quadfield import QuadraticNumber
 from endoperm.schur import IntersectionMatrix
@@ -46,14 +45,17 @@ def test_sqrt_convention():
     assert conv6.resolve(3) == 6
     with pytest.raises(ValueError):
         SqrtConvention(11, {3: 4})
-    # tonelli against brute force
-    for p in (3, 5, 7, 11, 13, 17, 101):
-        for m in range(1, p):
-            s = _sqrt_mod(m, p)
-            brute = [x for x in range(p) if (x * x - m) % p == 0]
-            assert (s is None) == (not brute)
+    # the least root, or InertFieldError, against brute force at every
+    # prime below 256
+    for p in (p for p in range(2, 256) if all(p % q for q in range(2, p))):
+        conv = SqrtConvention(p)
+        for n in range(1, p + 2):
+            brute = [x for x in range(p) if (x * x - n) % p == 0]
             if brute:
-                assert s in brute
+                assert conv.resolve(n) == brute[0]
+            else:
+                with pytest.raises(InertFieldError):
+                    conv.resolve(n)
 
 
 def test_reduce_value_cases():
@@ -119,7 +121,7 @@ def test_basic_set_corner_cases():
     reduced11 = reduce_table(tbl, 11)
     basic11 = basic_set(reduced11, 11)
     assert len(basic11) == 3
-    D = decomposition_matrix(tbl, reduced11, basic11, 11)
+    D = decomposition_matrix(reduced11, basic11, 11)
     assert D.entries == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert D.transpose_product() == \
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -169,7 +171,7 @@ def test_projective_columns_identity_matrix():
                               Permutation([0, 4, 3, 2, 1])])
     reduced = reduce_table(tbl, 11)
     basic = basic_set(reduced, 11)
-    D = decomposition_matrix(tbl, reduced, basic, 11)
+    D = decomposition_matrix(reduced, basic, 11)
     cols = projective_columns(D, tbl)
     for c in cols:
         assert sum(c["entries"].values()) == 1 and not c["ambiguous"]

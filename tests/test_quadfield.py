@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.matrices import DomainMatrix
 
 from endoperm.quadfield import (QuadraticNumber, RadicalVector, RowSolver,
-                                _pair_product, int_product, left_kernel,
-                                pivot_columns, poly_kernel, squarefree_part)
+                                int_product, left_kernel, pivot_columns,
+                                poly_kernel, squarefree_part)
 from scenarios import radical_dict, sym
 
 
@@ -93,14 +92,13 @@ def test_express_and_solve_action():
     # RowSolver.solve expresses rows in a basis, RowSolver.act restricts
     B = [[1, 2, 0], [0, 1, 1]]
     solver = RowSolver(B)
-    Xa, Xb = solver.solve([[2, 5, 1]], None, 1)
-    assert Xb is None
-    assert [Fraction(x, solver.L) for x in Xa[0]] == [2, 1]
-    assert solver.solve([[0, 0, 7]], None, 1) is None
+    X = solver.solve([[2, 5, 1]])
+    assert [Fraction(x, solver.L) for x in X[0]] == [2, 1]
+    assert solver.solve([[0, 0, 7]]) is None
     # invariant row space: the x-y plane under a swap of x and y
     M = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
     plane = RowSolver([[1, 0, 0], [0, 1, 0]])
-    [(C, _)] = plane.act(M)
+    [C] = plane.act(M)
     assert int_product(C, plane.a) == [[plane.L * x for x in row]
                                        for row in int_product(plane.a, M)]
     with pytest.raises(ValueError):
@@ -221,15 +219,13 @@ def test_express_in_rows_matches_sympy():
         inside = [[rng.randrange(-4, 5) for _ in B] for _ in range(2)]
         V = _from_sympy(_to_sympy(inside) * S)
         solver = RowSolver(B)
-        Xa, Xb = solver.solve(V, None, 1)
-        assert Xb is None
-        X = _to_sympy(Xa) / solver.L
+        X = _to_sympy(solver.solve(V)) / solver.L
         assert X * S == _to_sympy(V)
         if S.rank() == len(B):
             assert X == _to_sympy(inside)
         w = [rng.randrange(-4, 5) for _ in B[0]]
         in_span = S.col_join(_to_sympy([w])).rank() == S.rank()
-        assert (solver.solve([w], None, 1) is not None) == in_span
+        assert (solver.solve([w]) is not None) == in_span
 
 
 def _invariant_case(rng, n, k):
@@ -275,8 +271,7 @@ def test_solve_action_matches_sympy():
         M1, d1 = _integral(M)
         M2, d2 = _integral(M * M + M)
         solver = RowSolver(B)
-        (X1, b1), (X2, b2) = solver.act([r1 + r2 for r1, r2 in zip(M1, M2)])
-        assert b1 is None and b2 is None
+        X1, X2 = solver.act([r1 + r2 for r1, r2 in zip(M1, M2)])
         assert _to_sympy(X1) == solver.L * d1 * C
         assert _to_sympy(X2) == solver.L * d2 * (C * C + C)
         checked += 1
@@ -289,38 +284,57 @@ def test_solve_action_matches_sympy():
     assert checked >= 15
 
 
-# ---------------------------------------------------------------------------
-# The quadratic kernel against sympy's exact matrices over Q(sqrt(n))
-
-FIELDS = (2, 5, 33)
-
-
-def _field(n):
-    return sympy.QQ.algebraic_field(sympy.sqrt(n))
-
-
-def _element(x, K):
-    """x in K = Q(sqrt(n)), whose primitive element is sqrt(n)."""
-    a, b = (x.a, x.b) if type(x) is QuadraticNumber else (Fraction(x), 0)
-    b = Fraction(b)
-    return K([sympy.QQ(b.numerator, b.denominator),
-              sympy.QQ(a.numerator, a.denominator)])
+def _sympy_poly_at(f, M):
+    """f(M) by Horner's rule in sympy, for f over Q (constant first)."""
+    F = sympy.zeros(*M.shape)
+    for c in f[::-1]:
+        F = F * M + sympy.eye(M.rows) * sympy.Rational(c.numerator,
+                                                      c.denominator)
+    return F
 
 
-def _dm(M, n):
-    K = _field(n)
-    return DomainMatrix([[_element(x, K) for x in row] for row in M],
-                        (len(M), len(M[0])), K)
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = a * b + out[i + j]
+    return out
 
 
-def _value(x, n):
-    b, a = ([0, 0] + x.to_list())[-2:]
-    return QuadraticNumber(Fraction(int(a.numerator), int(a.denominator)),
-                           Fraction(int(b.numerator), int(b.denominator)), n)
+def _primitive_integer(f):
+    """The primitive integer polynomial that is a positive multiple of f,
+    a polynomial over Q; f(X) and it have the same kernel."""
+    f = [Fraction(c) for c in f]
+    den = math.lcm(*(c.denominator for c in f))
+    ints = [int(c * den) for c in f]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
-def _from_dm(D, n):
-    return [[_value(x, n) for x in row] for row in D.to_list()]
+def test_poly_at_matches_sympy():
+    # poly_kernel(X, L, f) against sympy's left nullspace of f(X / L): f
+    # a factor of the characteristic polynomial times a random rational
+    # linear factor, passed as its primitive integer polynomial
+    rng = random.Random(25)
+    x = sympy.Symbol("x")
+    for _ in range(24):
+        size = rng.randrange(2, 5)
+        X, L = _random_integer(rng, size, size), rng.randrange(1, 4)
+        C = _to_sympy(X) / L
+        g = rng.choice(sympy.factor_list(C.charpoly(x).as_expr())[1])[0]
+        f = [Fraction(int(c.p), int(c.q))
+             for c in sympy.Poly(g, x).all_coeffs()[::-1]]
+        f = _poly_mul(f, [Fraction(rng.randrange(-6, 7), rng.choice((1, 2))),
+                          1])
+        K = poly_kernel(X, L, _primitive_integer(f))
+        F = _sympy_poly_at(f, C)
+        want = F.T.nullspace()
+        # f has a factor of the characteristic polynomial
+        assert len(K) == len(want) > 0
+        assert all(math.gcd(*v) == 1 for v in K)
+        V = _to_sympy(K)
+        assert (V * F).is_zero_matrix
+        assert V.rref()[0] == sympy.Matrix.hstack(*want).T.rref()[0]
 
 
 def _number(rng, n):
@@ -333,256 +347,6 @@ def _number(rng, n):
         return a
     return QuadraticNumber(a, Fraction(rng.randrange(-6, 7), rng.choice((1, 2))),
                            n)
-
-
-def _quadratic(A, B, n):
-    """The matrix A + B sqrt(n) of QuadraticNumbers, B None for zero."""
-    B = B or [[0] * len(row) for row in A]
-    return [[QuadraticNumber(a, b, n) for a, b in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
-
-
-def _pair_rows(M):
-    """(A, B, d): integer matrices with M = (A + B sqrt(n)) / d, for a
-    matrix M of ints, Fractions and QuadraticNumbers over one
-    Q(sqrt(n))."""
-    M = [[x if type(x) is QuadraticNumber else QuadraticNumber(x)
-          for x in row] for row in M]
-    d = math.lcm(*(x.denominator for row in M for q in row
-                   for x in (q.a, q.b)))
-    return ([[int(q.a * d) for q in row] for row in M],
-            [[int(q.b * d) for q in row] for row in M], d)
-
-
-def _split(rows, w):
-    """(A, B) for kernel pair rows a + b, concatenated, of width 2w."""
-    return [v[:w] for v in rows], [v[w:] for v in rows]
-
-
-def _random_quadratic(rng, n, rows, cols, rank=None):
-    """A rows x cols matrix over Q(sqrt(n)) of the given rank (full when
-    None), as QuadraticNumbers built in sympy, with a zero row now and
-    then."""
-    rank = min(rows, cols) if rank is None else rank
-    left = [[_number(rng, n) for _ in range(rank)] for _ in range(rows)]
-    right = [[_number(rng, n) for _ in range(cols)] for _ in range(rank)]
-    if rank == 0:
-        M = [[QuadraticNumber(0)] * cols for _ in range(rows)]
-    else:
-        M = _from_dm(_dm(left, n) * _dm(right, n), n)
-    if rows > 1 and rng.random() < 0.3:
-        M[rng.randrange(rows)] = [QuadraticNumber(0)] * cols
-    return M
-
-
-def _quadratic_cases(seed, count=30):
-    rng = random.Random(seed)
-    for t in range(count):
-        n = FIELDS[t % len(FIELDS)]
-        rows, cols = (1, 1) if t % 10 == 0 else \
-            (rng.randrange(1, 6), rng.randrange(1, 6))
-        rank = rng.randrange(0, min(rows, cols) + 1)
-        yield rng, n, _random_quadratic(rng, n, rows, cols, rank)
-
-
-def test_pair_product_matches_sympy():
-    for rng, n, M in _quadratic_cases(21):
-        A1, B1, _ = _pair_rows(M)
-        cols = rng.randrange(1, 5)
-        A2 = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in M[0]]
-        B2 = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in M[0]]
-        want = _dm(_quadratic(A1, B1, n), n) * _dm(_quadratic(A2, B2, n), n)
-        P, Q = _pair_product(A1, B1, A2, B2, n)
-        assert _dm(_quadratic(P, Q, n), n) == want
-        # a rational operand
-        P, Q = _pair_product(A1, B1, A2, None, n)
-        assert _dm(_quadratic(P, Q, n), n) == \
-            _dm(_quadratic(A1, B1, n), n) * _dm(A2, n)
-        P, Q = _pair_product(A1, None, A2, None, n)
-        assert Q is None and P == int_product(A1, A2)
-
-
-def test_quadratic_rref_and_nullspaces_match_sympy():
-    # left_kernel over Q(sqrt(n)), of M and of its transpose, against
-    # sympy's nullspaces: primitive rows that annihilate, spanning the
-    # same row space
-    for rng, n, M in _quadratic_cases(22):
-        D = _dm(M, n)
-        A, B, _ = _pair_rows(M)
-        At, Bt = ([list(c) for c in zip(*X)] for X in (A, B))
-        if rng.random() < 0.5:
-            # a zero column and a repeated one
-            A, B = ([row + [0, row[0]] for row in X] for X in (A, B))
-        k, w = len(M), len(M[0])
-        for got, size, want, zero in (
-                (left_kernel(A, B, n), k, D.transpose().nullspace(),
-                 lambda V: V * D),
-                (left_kernel(At, Bt, n), w, D.nullspace(),
-                 lambda V: D * V.transpose())):
-            assert len(got) == want.shape[0]
-            assert all(math.gcd(*v) == 1 for v in got)
-            if got:
-                V = _dm(_quadratic(*_split(got, size), n), n)
-                assert zero(V).is_zero_matrix
-                assert V.rref()[0] == want.rref()[0]
-
-
-def test_quadratic_express_in_rows_matches_sympy():
-    # RowSolver.solve over Q(sqrt(n)): X B = L V inside the row space
-    # of B, None outside it
-    for rng, n, M in _quadratic_cases(23):
-        D = _dm(M, n)
-        A, B, d = _pair_rows(M)
-        x = [[_number(rng, n) for _ in M]]
-        va, vb, dv = _pair_rows(_from_dm(_dm(x, n) * D, n))
-        solver = RowSolver(A, B, n)
-        Xa, Xb = solver.solve(va, vb, n)
-        X = _from_dm(_dm(_quadratic(Xa, Xb, n), n)
-                     * _dm(_quadratic(A, B, n), n), n)
-        assert X == [[solver.L * q for q in row]
-                     for row in _quadratic(va, vb, n)]
-        if D.rank() == len(M):
-            # the solution is unique: x up to the denominators
-            scale = Fraction(d, solver.L * dv)
-            assert [[q * scale for q in row]
-                    for row in _quadratic(Xa, Xb, n)] == x
-        w = [[_number(rng, n) for _ in M[0]]]
-        in_span = _dm(M + w, n).rank() == D.rank()
-        wa, wb, _ = _pair_rows(w)
-        assert (solver.solve(wa, wb, n) is not None) == in_span
-
-
-def _eigen_case(rng, n, size):
-    """(M, U, lam): a rational M = P^-1 Dg P, Dg the companion of
-    x^2 - n followed by rationals q_i, and the rows U of its left
-    eigenvectors (sqrt(n), 1, 0, ...) P and e_(i+2) P with eigenvalues
-    lam, as QuadraticNumbers; None when P is singular."""
-    P = _to_sympy(_random_integer(rng, size, size))
-    if P.rank() < size:
-        return None
-    qs = [Fraction(rng.randrange(-4, 5), rng.choice((1, 2)))
-          for _ in range(size - 2)]
-    Dg = sympy.zeros(size, size)
-    Dg[0, 1], Dg[1, 0] = 1, n
-    for i, q in enumerate(qs):
-        Dg[i + 2, i + 2] = sympy.Rational(q.numerator, q.denominator)
-    root = QuadraticNumber(0, 1, n)
-    units = [[root, 1] + [0] * (size - 2)] + \
-        [[int(j == i + 2) for j in range(size)] for i in range(size - 2)]
-    Pq = [[int(x) for x in P.row(i)] for i in range(size)]
-    U = _from_dm(_dm(units, n) * _dm(Pq, n), n)
-    return P.inv() * Dg * P, U, [root] + qs
-
-
-def _diagonal(values):
-    return [[v if i == j else 0 for j in range(len(values))]
-            for i, v in enumerate(values)]
-
-
-def test_quadratic_solve_action_matches_sympy():
-    # RowSolver.act of rational matrices on a basis over Q(sqrt(n)): G
-    # times k left eigenvectors of M carries the action G diag(lam) G^-1
-    # of M, and its square that of M^2; ValueError when the row space is
-    # not invariant
-    rng = random.Random(24)
-    checked = 0
-    for t in range(30):
-        n = FIELDS[t % len(FIELDS)]
-        size = rng.randrange(2, 6)
-        case = _eigen_case(rng, n, size)
-        if case is None:
-            continue
-        M, U, lam = case
-        k = rng.randrange(1, size)
-        G = _dm(_random_quadratic(rng, n, k, k), n)
-        if G.rank() < k:
-            continue
-        DB = G * _dm(U[:k], n)
-        C = G * _dm(_diagonal(lam[:k]), n) * G.inv()
-        A, B, _ = _pair_rows(_from_dm(DB, n))
-        M1, d1 = _integral(M)
-        M2, d2 = _integral(M * M)
-        solver = RowSolver(A, B, n)
-        (X1a, X1b), (X2a, X2b) = solver.act(
-            [r1 + r2 for r1, r2 in zip(M1, M2)])
-        assert _quadratic(X1a, X1b, n) == \
-            [[solver.L * d1 * q for q in row] for row in _from_dm(C, n)]
-        assert _quadratic(X2a, X2b, n) == \
-            [[solver.L * d2 * q for q in row] for row in _from_dm(C * C, n)]
-        checked += 1
-        N = _random_integer(rng, size, size)
-        if DB.vstack(DB * _dm(N, n)).rank() > k:
-            with pytest.raises(ValueError):
-                solver.act(N)
-    assert checked >= 15
-
-
-def _sympy_poly_at(f, M, n):
-    """f(M) by Horner's rule in sympy, over K = Q(sqrt(n))."""
-    K = _field(n)
-    size = M.shape[0]
-    F = DomainMatrix.zeros((size, size), K)
-    for c in f[::-1]:
-        F = F * M + DomainMatrix.eye(size, K) * _element(c, K)
-    return F
-
-
-def test_poly_at_matches_sympy():
-    # poly_kernel(X, L, f) against sympy's left nullspace of f(X / L):
-    # f over Q a factor of the characteristic polynomial times a random
-    # linear factor, and f over Q(sqrt(n)) with a root sqrt(n) of X / L
-    rng = random.Random(25)
-    x = sympy.Symbol("x")
-    checked = 0
-    for t in range(24):
-        n = FIELDS[t % len(FIELDS)]
-        size = rng.randrange(2, 5)
-        extra = [_number(rng, n), 1]
-        if t % 2:
-            case = _eigen_case(rng, n, size)
-            if case is None:
-                continue
-            X, L = _integral(case[0])
-            f = [-QuadraticNumber(0, 1, n), 1]
-        else:
-            X, L = _random_integer(rng, size, size), rng.randrange(1, 4)
-            g = rng.choice(sympy.factor_list(
-                (_to_sympy(X) / L).charpoly(x).as_expr())[1])[0]
-            f = [Fraction(int(c.p), int(c.q))
-                 for c in sympy.Poly(g, x).all_coeffs()[::-1]]
-        f = _poly_mul(f, extra)
-        K, field = poly_kernel(X, L, f)
-        quadratic = any(type(c) is QuadraticNumber and c.b for c in f)
-        assert field == (n if quadratic else 1)
-        F = _sympy_poly_at(
-            f, _dm([[Fraction(v, L) for v in row] for row in X], n), n)
-        want = F.transpose().nullspace()
-        assert len(K) == want.shape[0]
-        if K:
-            V = _dm(K, n) if field == 1 else \
-                _dm(_quadratic(*_split(K, size), n), n)
-            assert (V * F).is_zero_matrix
-            assert V.rref()[0] == want.rref()[0]
-            checked += 1
-    assert checked >= 10
-
-
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = a * b + out[i + j]
-    return out
-
-
-def test_kernel_refuses_mixed_radicands():
-    r2, r3 = QuadraticNumber(0, 1, 2), QuadraticNumber(1, 1, 3)
-    X = [[1, 0], [0, 2]]
-    for f in ([r2, r3], [r2, 1, r3], [1, r3, QuadraticNumber(0, 1, 5)]):
-        with pytest.raises(ValueError, match="mixed radicands"):
-            poly_kernel(X, 1, f)
-    # a rational QuadraticNumber mixes with any one radicand
-    assert poly_kernel(X, 1, [QuadraticNumber(2), r2, 1])[1] == 2
 
 
 def test_radical_vector_dot_matches_sympy():

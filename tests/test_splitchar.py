@@ -357,9 +357,9 @@ def test_colliding_generic_element_falls_back_to_the_basis(corpus_runs,
 
 
 def test_build_table_eliminations_are_bounded(corpus_runs, monkeypatch):
-    # one for the centre, one per factor of the generic element, one per
-    # component and two for the pair cut; the route through Fractions
-    # made 32
+    # one for the centre, one per factor of the generic element and one
+    # per component; the quadratic pairs are read off traces, with no
+    # elimination of their own, and the route through Fractions made 32
     calls = []
     eliminate = quadfield._eliminate
 
@@ -371,7 +371,7 @@ def test_build_table_eliminations_are_bounded(corpus_runs, monkeypatch):
     run = next(run for run in corpus_runs
                if run.name == "random-4-dihedral-16-regular")
     table_of(run)
-    assert len(calls) <= 15
+    assert len(calls) <= 13
 
 
 def test_regular_a5_pair_is_cut_by_a_central_element():
