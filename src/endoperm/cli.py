@@ -148,13 +148,12 @@ def cmd_decomp(args):
     run = _pipeline_from_scenario(args, primes=[])
     conv = modular.SqrtConvention(args.p, _sqrt_overrides(args))
     reduced = modular.reduce_table(run.table, args.p, conv)
-    basic = modular.basic_set(reduced, args.p)
-    D = modular.decomposition_matrix(reduced, basic, args.p)
+    D = modular.decomposition_matrix(reduced, args.p)
     out = {
         "p": args.p,
         "convention": conv.to_json(),
         "reduced_rows": [r.values for r in reduced],
-        "basic_set": [b + 1 for b in basic],
+        "basic_set": [o + 1 for o in D.col_origins],
         "decomposition": D.to_json(),
         "cartan": D.transpose_product(),
     }
@@ -326,7 +325,8 @@ def main(argv=None):
         return EXIT_BUDGET
     except (AssertionError, schur.IntegralityError,
             modular.LiftValidationError, modular.CartanDisagreement,
-            splitchar.UnsupportedComponentError) as exc:
+            splitchar.UnsupportedComponentError,
+            splitchar.NotACharacterError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

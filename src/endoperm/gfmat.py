@@ -16,8 +16,13 @@ ladder, one change of basis onto the head, the head split by the
 eigenspaces of its split centre {z : z^p = z}, with no polynomial
 factored, and lifted idempotents only when there are two simples and a
 radical.  The simples are ordered by dimension and then by the minimal
-polynomials of the centre's reduced echelon basis on them.  The loops
-work on int64 arrays of stacked matrices, not on 1-row matrices.
+polynomials of the centre's reduced echelon basis on them.  Products
+and powers work on int64 arrays of stacked matrices, not on 1-row
+matrices.  Eliminations (`_rref`, `_nullspace`) choose their kernel by
+size: most arrays here have a few dozen entries, and below `_SMALL`
+entries the rows are reduced as lists of Python ints, where numpy's
+fixed cost per call would outweigh the arithmetic; larger arrays take
+one numpy row update per pivot.  Both give the same echelon form.
 
 Row-vector convention throughout: vectors act from the left, x . M.
 """
@@ -172,10 +177,26 @@ class FqMatrix:
         return f"FqMatrix(p={self.p}, {self.nrows}x{self.ncols})"
 
 
+# An elimination of fewer entries than this runs on rows of Python ints,
+# a larger one on int64 numpy arrays, where numpy's dozen calls per pivot
+# pay off.  Timed one call at a time on a 2-vCPU VM (CPython 3.11, numpy
+# 2.4): on the 725 arrays of one corpus-j4 pass, int rows take 0.45 of
+# numpy's time below 64 entries, and the pass total is flat for cutoffs
+# from 384 entries up; on dense random arrays of full rank, int rows lose
+# from about 256 entries at odd p, 2.6 times slower at (16, 32) and 6-8
+# times at (16, 256) and (256, 16).  At 512 the small arrays, most of
+# the calls, take int rows, and large dense ones numpy.
+_SMALL = 512
+
+
 def _rref(arr, p):
-    """Reduced row echelon form of an integer array mod p."""
+    """Reduced row echelon form of an integer array mod p, as (uint8
+    array, pivot columns)."""
+    nr, nc = arr.shape
+    if nr * nc < _SMALL:
+        rows, pivots = _rref_rows((arr % p).tolist(), p)
+        return np.array(rows, dtype=np.uint8).reshape(nr, nc), pivots
     M = arr.astype(np.int64) % p
-    nr, nc = M.shape
     pivots = []
     r = 0
     for c in range(nc):
@@ -198,10 +219,52 @@ def _rref(arr, p):
     return M.astype(np.uint8), pivots
 
 
+def _rref_rows(M, p):
+    """`_rref` on a list of rows of ints in 0..p-1, reduced in place; the
+    same steps, one row update per nonzero entry of the pivot column.
+    Entries left of a pivot are 0 in its row, so updates start there."""
+    nr = len(M)
+    pivots = []
+    r = 0
+    for c in range(len(M[0]) if M else 0):
+        for pr in range(r, nr):
+            if M[pr][c]:
+                break
+        else:
+            continue
+        row = M[pr]
+        M[pr] = M[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row[c:] = [x * inv % p for x in row[c:]]
+        M[r] = row
+        tail = row[c:]
+        for i, other in enumerate(M):
+            f = other[c]
+            if f and i != r:
+                other[c:] = [(x - f * y) % p
+                             for x, y in zip(other[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return M, pivots
+
+
 def _nullspace(arr, p):
-    """Right nullspace basis (as rows) of a uint8 array mod p."""
+    """Right nullspace basis (as rows) of an integer array mod p: one row
+    per free column f, 1 at f and 0 at the other free columns."""
+    nr, nc = arr.shape
+    if nr * nc < _SMALL:
+        rows, pivots = _rref_rows((arr % p).tolist(), p)
+        free = sorted(set(range(nc)).difference(pivots))
+        basis = [[0] * nc for _ in free]
+        for v, f in zip(basis, free):
+            v[f] = 1
+            for row, c in zip(rows, pivots):
+                v[c] = -row[f] % p
+        return np.array(basis, dtype=np.uint8).reshape(len(free), nc)
     R, pivots = _rref(arr, p)
-    nc = arr.shape[1]
     free = np.ones(nc, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
@@ -402,7 +465,7 @@ def _idempotent_ranks(basis, images, parts, p):
     except ValueError:
         raise AssertionError(
             "no algebra element maps to a central idempotent of A/J")
-    eps = [_lift_idempotent(np.tensordot(c, basis, axes=1) % p, p)
+    eps = [_lift_idempotent(_combine(c, basis, p), p)
            for c in coeffs.T.astype(np.int64)]
     ranks = []
     for ej in eps:
@@ -439,8 +502,7 @@ def _radical(basis, p):
     # Tr(a b) = sum_xy a[x, y] b^T[x, y]
     table = (basis.reshape(k, -1)
              @ basis.transpose(0, 2, 1).reshape(k, -1).T % p)
-    ideal = np.tensordot(_nullspace(table.T, p).astype(np.int64), basis,
-                         axes=1) % p
+    ideal = _combine(_nullspace(table.T, p).astype(np.int64), basis, p)
     q = p
     while q <= d and len(ideal):
         # g_i on a reduced basis a_u of I_{i-1}, and on a b by linearity:
@@ -456,9 +518,16 @@ def _radical(basis, p):
         coords = np.einsum("suz,tzu->stu", ideal[:, xs, :], basis[:, :, ys])
         table = coords % p @ (traces // q) % p
         keep = _nullspace(table.T, p).astype(np.int64)
-        ideal = np.tensordot(keep, ideal, axes=1) % p
+        ideal = _combine(keep, ideal, p)
         q *= p
     return ideal
+
+
+def _combine(x, mats, p):
+    """The combinations sum_t x[..., t] mats[t] mod p of a stack of
+    matrices, for an int64 coefficient row x or a stack of them."""
+    return (x @ mats.reshape(len(mats), -1) % p).reshape(
+        x.shape[:-1] + mats.shape[1:])
 
 
 def _matrix_power(x, e, m):
@@ -501,8 +570,13 @@ def _isotypic_parts(images, p):
     # row 0 of x_s x_t - x_t x_s for x = images, at [s, t]
     comm = (images[:, None, :1, :] @ images[None]
             - images[None, :, :1, :] @ images[:, None]) % p
-    coeffs = _nullspace(comm.reshape(d, -1).T, p).astype(np.int64)
-    centre, pivots = _rref(coeffs @ images.reshape(d, -1) % p, p)
+    flat = images.reshape(d, -1)
+    if comm.any():
+        # the centre is spanned by the commuting combinations; when all
+        # of B commutes it is B itself
+        flat = _nullspace(comm.reshape(d, -1).T, p).astype(np.int64) \
+            @ flat % p
+    centre, pivots = _rref(flat, p)
     c = len(pivots)
     centre = centre[:c].astype(np.int64).reshape(-1, h, h)
     # the coordinates x of a split element have x (F - I) = 0, for F[s, t]
@@ -510,7 +584,7 @@ def _isotypic_parts(images, p):
     frobenius = _matrix_power(centre, p, p).reshape(c, -1)[:, pivots]
     split = _nullspace((frobenius - np.eye(c, dtype=np.int64)).T, p)
     pieces = [np.eye(h, dtype=np.int64)]
-    for z in np.tensordot(split.astype(np.int64), centre, axes=1) % p:
+    for z in _combine(split.astype(np.int64), centre, p):
         pieces = [piece for U in pieces for piece in _eigenspaces(U, z, p)]
     if len(pieces) != len(split):
         raise AssertionError(
@@ -518,7 +592,8 @@ def _isotypic_parts(images, p):
             f"into {len(pieces)} parts")
     parts = []
     for U in pieces:
-        e = len(_rref(U[0] @ centre % p, p)[1])
+        # k = c parts leave each e_i = 1, as c = e_1 + ... + e_k
+        e = 1 if len(pieces) == c else len(_rref(U[0] @ centre % p, p)[1])
         n = math.isqrt(len(U) // e)
         if n * n * e != len(U):
             raise AssertionError(
@@ -535,7 +610,10 @@ def _isotypic_parts(images, p):
 def _eigenspaces(U, z, p):
     """The eigenspaces of z on the row space of U, invariant under z, as
     row bases; they fill it when z is diagonalizable there over F_p."""
-    # most split elements are scalar on most pieces: skip the elimination
+    # most split elements are scalar on most pieces, and on every line:
+    # skip the elimination
+    if len(U) == 1:
+        return [U]
     j = np.flatnonzero(U[0])[0]
     lam = int(U[0] @ z[:, j]) * pow(int(U[0, j]), -1, p) % p
     if not ((U @ z - lam * U) % p).any():

@@ -127,15 +127,6 @@ def reduce_table(table, p, conv=None):
     return out
 
 
-def basic_set(reduced, p):
-    """Indices (into the reduced list) of a greedy maximal F_p-independent
-    subset, scanning rows in table order: the pivot columns of the reduced
-    rows set side by side as columns, since a column is a pivot exactly
-    when it is independent of the columns before it."""
-    values = np.array([row.values for row in reduced], dtype=np.int64)
-    return gfmat._rref(values.T % p, p)[1]
-
-
 class DecompositionMatrixE:
     """Nonnegative-integer decomposition matrix of the endomorphism ring.
 
@@ -172,25 +163,26 @@ class DecompositionMatrixE:
                 "blocks": [sorted(o + 1 for o in b) for b in self.blocks]}
 
 
-def decomposition_matrix(reduced, basic, p):
+def decomposition_matrix(reduced, p):
     """Solve every reduced row against the basic set and lift.
 
-    Validation: the lift must reproduce the integer multiplicity identity
-    m_j = sum_c entry * m_c (anything else means p is too small and is
-    reported, never silently accepted); blocks are the connected components
-    of rows through shared nonzero columns.
+    The basic set is a greedy maximal F_p-independent subset of the rows,
+    scanning them in table order: the pivot columns of R = rref(V^T), the
+    reduced rows V set side by side as columns, since a column is a pivot
+    exactly when it is independent of the columns before it.  The same R
+    gives every row's coordinates over the basic set: column j of R in the
+    pivot rows.
+
+    Validation: the coordinates must give back V, and the lift must
+    reproduce the integer multiplicity identity m_j = sum_c entry * m_c
+    (anything else means p is too small and is reported, never silently
+    accepted); blocks are the connected components of rows through shared
+    nonzero columns.
     """
-    k = len(basic)
-    B = np.array([reduced[i].values for i in basic], dtype=np.int64) % p
     V = np.array([row.values for row in reduced], dtype=np.int64) % p
-    # one elimination of [B^T | V^T]: with the basic set independent, its
-    # columns are the first k pivots, and column k + j in the pivot rows is
-    # the coordinate vector of row j
-    R, pivots = gfmat._rref(np.concatenate([B, V]).T, p)
-    if pivots != list(range(k)):
-        raise AssertionError("reduced row outside the basic-set span")
-    X = R[:k, k:].T.astype(np.int64)
-    if not np.array_equal(X @ B % p, V):
+    R, basic = gfmat._rref(V.T, p)
+    X = R[:len(basic)].T.astype(np.int64)
+    if not np.array_equal(X @ V[basic] % p, V):
         raise AssertionError("basic-set solve failed")
     entries = []
     for row, x in zip(reduced, X.tolist()):
@@ -329,8 +321,7 @@ def permutation_verdict(table, inter_mats, p, conv=None, h_order=None):
     locality, projective columns, answer.  Two Cartan matrices that differ
     raise CartanDisagreement when p divides h_order, else AssertionError."""
     reduced = reduce_table(table, p, conv)
-    basic = basic_set(reduced, p)
-    D = decomposition_matrix(reduced, basic, p)
+    D = decomposition_matrix(reduced, p)
     C_dec = D.transpose_product()
     reg = cartan_from_regular(inter_mats, p)
     if not cartan_equivalent(C_dec, reg["cartan"]):

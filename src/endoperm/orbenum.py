@@ -706,9 +706,12 @@ def classify(ctx, helper, seed=0, probe_budget=10 ** 6):
         rec.pair_rec = partner
         partner.pair_rec = rec
     # canonical ordering and index assignment; every kept record was
-    # paired the moment it was kept
+    # paired the moment it was kept.  Only equal lengths need the minimal
+    # points, and finding one enumerates the orbit
     first, rest = records[0], records[1:]
-    rest.sort(key=lambda r: (r.length, orbit_min_key(ctx, r)))
+    lengths = [r.length for r in rest]
+    rest.sort(key=lambda r: (r.length, orbit_min_key(ctx, r)
+                             if lengths.count(r.length) > 1 else ()))
     ordered = [first] + rest
     for i, rec in enumerate(ordered):
         rec.index = i + 1

@@ -41,6 +41,12 @@ class UnsupportedComponentError(ValueError):
     """Component shape outside {1, 2, m^2, 2m^2} or a non-real field."""
 
 
+class NotACharacterError(ValueError):
+    """A row's self-orthogonality sum gives no Fitting degree: it is
+    irrational or 0, or the degree is not a positive integer, so the row
+    is not a character of the endomorphism ring."""
+
+
 # ---------------------------------------------------------------------------
 # Exact characteristic polynomials (CRT over word-sized primes)
 
@@ -507,11 +513,13 @@ def fitting_degree(row, lengths, pairing=None):
     paired = RadicalVector([row.values[j - 1] for j in pairing],
                            [L // x for x in lengths])
     acc = paired.dot(RadicalVector(row.values))
-    if acc.keys() - {1}:
-        raise ValueError(f"orthogonality sum {acc} / {L} is irrational")
-    degree = Fraction(row.mult * n * L) / acc.get(1, 0)
+    if acc.keys() - {1} or not acc.get(1):
+        raise NotACharacterError(
+            f"orthogonality sum {acc} / {L} is irrational or 0")
+    degree = Fraction(row.mult * n * L) / acc[1]
     if degree.denominator != 1 or degree <= 0:
-        raise ValueError(f"Fitting degree {degree} is not a positive integer")
+        raise NotACharacterError(
+            f"Fitting degree {degree} is not a positive integer")
     return int(degree)
 
 

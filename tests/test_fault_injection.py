@@ -18,14 +18,19 @@ Cases so far:
 - the oracle's quadratic components: an action moved off the span of I
   and the first non-scalar action ("action is not scalar on the
   eigenspaces");
+- `splitchar.split_component`: a row with values that are not a
+  character (`NotACharacterError`, exit 2 from `chartab`);
 - the Cartan route's head-split checks, in test_gfmat.py.
 
 The other checks of `src/endoperm` have no case here yet.
 """
 
+import json
+
 import pytest
 
-from endoperm import corpus, oracle, orbenum, pipeline, quadfield, splitchar
+from endoperm import (cli, corpus, oracle, orbenum, pipeline, quadfield,
+                      splitchar)
 from endoperm.permgrp import (GeneratedGroup, Permutation, orbit_tree,
                               schreier_stabilizer)
 from endoperm.pipeline import run_pipeline
@@ -171,3 +176,23 @@ def test_oracle_action_off_the_span_is_caught(monkeypatch, name):
     with pytest.raises(AssertionError,
                        match="action is not scalar on the eigenspaces"):
         pipeline.oracle_instance(_instance(name))
+
+
+def test_a_row_that_is_no_character_exits_2(monkeypatch, tmp_path, capsys):
+    # tripled values make the self-orthogonality sum 9 times too large, so
+    # S4/S3's rows of degree 1 and 3 get Fitting degrees 1/9 and 1/3
+    real = splitchar.split_component
+
+    def tripled(comp, wide):
+        rows = real(comp, wide)
+        rows[0].values = [3 * v for v in rows[0].values]
+        return rows
+
+    monkeypatch.setattr(splitchar, "split_component", tripled)
+    scenario = tmp_path / "s4.json"
+    scenario.write_text(json.dumps(corpus.instance_scenario(
+        _instance("S4/S3"))))
+    assert cli.main(["chartab", str(scenario)]) == cli.EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "invariant violation: Fitting degree" in err
+    assert "Traceback" not in err

@@ -142,7 +142,7 @@ def test_fitting_degree_matches_the_term_by_term_sum():
                 want = fitting_degree_term_by_term(row, table.lengths,
                                                    table.pairing)
             except ValueError:
-                with pytest.raises(ValueError):
+                with pytest.raises(splitchar.NotACharacterError):
                     splitchar.fitting_degree(row, table.lengths,
                                              table.pairing)
                 outcomes.add("raises")

@@ -363,8 +363,11 @@ def test_rep_json_and_hex():
 # -- the matrix kernel against plain Python-int arithmetic --------------------
 
 KERNEL_PRIMES = (2, 3, 11, 251)
+# Eliminations below gfmat._SMALL = 512 entries run on Python int rows,
+# the rest on numpy: (16, 31) is just below, (16, 32) at and (16, 33)
+# above, and the tall and wide shapes are the corpus's largest.
 KERNEL_SHAPES = ((0, 3), (3, 0), (0, 0), (1, 1), (2, 5), (5, 2), (4, 4),
-                 (7, 7))
+                 (7, 7), (16, 31), (16, 32), (16, 33), (256, 16), (16, 256))
 
 
 def ref_mul(A, B, p, inner, ncols):

@@ -9,7 +9,7 @@ import pytest
 from endoperm import oracle
 from endoperm.modular import (CartanDisagreement, InertFieldError,
                               LiftValidationError, SqrtConvention,
-                              _block_diag_blocks, _column_blocks, basic_set,
+                              _block_diag_blocks, _column_blocks,
                               cartan_equivalent, cartan_from_regular,
                               decomposition_matrix, permutation_verdict,
                               projective_columns, reduce_table, reduce_value)
@@ -115,13 +115,11 @@ def test_basic_set_corner_cases():
     tbl, mats, H = table_for([Permutation([1, 2, 3, 4, 0]),
                               Permutation([0, 4, 3, 2, 1])])
     # ramified at 5: rows collapse, single basic row
-    reduced = reduce_table(tbl, 5)
-    assert basic_set(reduced, 5) == [0]
+    D = decomposition_matrix(reduce_table(tbl, 5), 5)
+    assert D.col_origins == [0]
     # split prime: all rows independent, identity decomposition
-    reduced11 = reduce_table(tbl, 11)
-    basic11 = basic_set(reduced11, 11)
-    assert len(basic11) == 3
-    D = decomposition_matrix(reduced11, basic11, 11)
+    D = decomposition_matrix(reduce_table(tbl, 11), 11)
+    assert D.col_origins == [0, 1, 2]
     assert D.entries == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert D.transpose_product() == \
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -169,9 +167,7 @@ def test_trivial_character_column():
 def test_projective_columns_identity_matrix():
     tbl, mats, H = table_for([Permutation([1, 2, 3, 4, 0]),
                               Permutation([0, 4, 3, 2, 1])])
-    reduced = reduce_table(tbl, 11)
-    basic = basic_set(reduced, 11)
-    D = decomposition_matrix(reduced, basic, 11)
+    D = decomposition_matrix(reduce_table(tbl, 11), 11)
     cols = projective_columns(D, tbl)
     for c in cols:
         assert sum(c["entries"].values()) == 1 and not c["ambiguous"]

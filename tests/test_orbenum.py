@@ -220,6 +220,36 @@ def test_classify_deterministic_across_seeds():
     assert len(sigs) == 1
 
 
+def test_min_point_tiebreak_only_between_equal_lengths(monkeypatch):
+    # finding a minimal orbit point enumerates the orbit, so classify asks
+    # for one only where two lengths tie
+    real = orbenum.orbit_min_key
+    asked = []
+
+    def counted(ctx, record):
+        asked.append(record.length)
+        return real(ctx, record)
+
+    monkeypatch.setattr(orbenum, "orbit_min_key", counted)
+    ctx, helper = johnson_context(10, 2)
+    assert classify(ctx, helper, seed=1).lengths() == [1, 16, 28]
+    assert asked == []
+    # the Frobenius group of order 21 from its point 0: C3 has two orbits
+    # of 3 points, ordered by their minimal points whatever the seed
+    x = Permutation([(i + 1) % 7 for i in range(7)])
+    y = Permutation([(2 * i) % 7 for i in range(7)])
+    orders = set()
+    for seed in range(4):
+        asked.clear()
+        ctx, helper, H = make_ctx(GeneratedGroup([x, y]), seed=seed)
+        part = classify(ctx, helper, seed=seed)
+        assert part.lengths() == [1, 3, 3] and sorted(asked) == [3, 3]
+        mins = [real(ctx, rec) for rec in part.records[1:]]
+        assert mins == sorted(mins)
+        orders.add(tuple(mins))
+    assert len(orders) == 1
+
+
 def test_memory_budget():
     ctx, helper, H = make_ctx(s5(), k_words=[])
     ctx.memory_limit = 1
