@@ -15,13 +15,14 @@ Python ints; a matrix with a denominator is its integer numerator, and
 the caller carries the denominator.  No matrix has irrational entries: a
 quadratic character value is read off rational traces (splitchar), or
 off a rational span (oracle).  int_product multiplies in numpy int64
-when a bound on the operands rules out overflow, and in Python ints
-otherwise, so its result is exact either way.  Elimination (_eliminate)
-is fraction-free Gauss-Jordan on primitive rows.  The entry points built
-on it: left_kernel spans a left kernel by primitive integer rows,
-poly_kernel that of f(X / L) for an integer polynomial f, RowSolver
-eliminates a basis once to solve X . B = V and to restrict actions to
-its row space, and pivot_columns lists the pivots of an integer matrix.
+when the product is large and a bound on the operands rules out
+overflow, and in Python ints otherwise, so its result is exact either
+way.  Elimination (_eliminate) is fraction-free Gauss-Jordan on
+primitive rows.  The entry points built on it: left_kernel spans a left
+kernel by primitive integer rows, poly_kernel that of f(X / L) for an
+integer polynomial f, RowSolver eliminates a basis once to solve
+X . B = V and to restrict actions to its row space, and pivot_columns
+lists the pivots of an integer matrix.
 """
 
 import math
@@ -238,11 +239,16 @@ class RadicalVector:
 # since a row space does not change when a row is scaled.  Matrices are
 # lists of rows of Python ints; row vectors act on the left.
 
+# A product of at most this many multiplications stays in Python ints:
+# below it, the conversion to numpy costs more than the products.
+_NUMPY_PRODUCT = 256
+
+
 def int_product(X, Y):
-    """X . Y for integer matrices: in numpy int64 when
-    max|X| max|Y| len(Y) < 2^63 bounds every partial sum, else (and for
-    an empty shape) in Python ints."""
-    if X and Y and Y[0]:
+    """X . Y for integer matrices: in numpy int64 when it takes more than
+    _NUMPY_PRODUCT multiplications and max|X| max|Y| len(Y) < 2^63 bounds
+    every partial sum, else (and for an empty shape) in Python ints."""
+    if X and Y and len(X) * len(Y) * len(Y[0]) > _NUMPY_PRODUCT:
         try:
             A = np.array(X, dtype=np.int64)
             B = np.array(Y, dtype=np.int64)

@@ -175,61 +175,77 @@ class AlgebraClosure:
     The basis is spun from the first unit vector level by level: every row
     of the newest level is multiplied by every generator, in order, and a
     candidate is kept when it is independent of the basis and of the
-    candidates kept before it.  Those are the pivot columns of the reduced
-    row echelon form of [basis; candidates] transposed, past the basis's
-    own, so one elimination per level makes the greedy choice of the
-    one-candidate-at-a-time test."""
+    candidates kept before it.  A basis row is row 0 of its realizing
+    matrix, so a level's candidates are one product of its rows per
+    generator.  The kept ones are the pivot columns of the reduced row
+    echelon form of [basis; candidates] transposed, past the basis's own,
+    so one elimination per level makes the greedy choice of the
+    one-candidate-at-a-time test.  `add` grows the closure in place by one
+    generator: it acts on every basis row so far, and the spinning goes on
+    from the rows it adds, by every generator."""
 
     def __init__(self, generators, r, lengths=None):
         self.r = r
         self.lengths = lengths
-        gens = [g.entries if isinstance(g, IntersectionMatrix) else g
-                for g in generators]
-        self.generators = gens
+        self.generators = []
         self.basis = [tuple(int(i == 0) for i in range(r))]
         self.mats = [[[int(i == j) for j in range(r)] for i in range(r)]]
-        level = [0]
-        while level and len(self.basis) < r:
-            made = [(self.mats[q], g) for q in level for g in gens]
-            cands = [tuple(int_product(mat[:1], g)[0]) for mat, g in made]
+        self._spin([0], [getattr(g, "entries", g) for g in generators])
+
+    def add(self, generator):
+        self._spin(list(range(len(self.basis))),
+                   [getattr(generator, "entries", generator)])
+
+    def _spin(self, level, gens):
+        """Multiply the rows of level by the new generators gens, then every
+        newer level by all the generators."""
+        self.generators += gens
+        while level and len(self.basis) < self.r:
+            products = [int_product([self.basis[q] for q in level], g)
+                        for g in gens]
+            made = [(q, t) for q in level for t in range(len(gens))]
+            cands = [tuple(products[t][s]) for s in range(len(level))
+                     for t in range(len(gens))]
             base = len(self.basis)
             pivots = pivot_columns(list(zip(*self.basis, *cands)))
-            level = []
             for c in pivots[base:]:
-                mat, g = made[c - base]
-                level.append(len(self.basis))
+                q, t = made[c - base]
                 self.basis.append(cands[c - base])
-                self.mats.append(int_product(mat, g))
-        self._solver = None
+                self.mats.append(int_product(self.mats[q], gens[t]))
+            level = list(range(base, len(self.basis)))
+            gens = self.generators
 
     @property
     def dimension(self):
         return len(self.basis)
 
-    def recover(self, j):
-        """P_j from the closure: decompose the j-th unit vector (the first
-        row of P_j) in the standard basis and take the same combination of
-        the realizing matrices.  The basis is eliminated once per closure:
-        x = X / L solves x . basis = e_j with X integral, and
-        P_j = (X . mats) / L must be integral."""
+    def recover(self, js):
+        """[P_j for j in js]: e_j (the first row of P_j) decomposed in the
+        standard basis, by one solve X . basis = L [e_j for j in js], and
+        the same combination of the realizing matrices, by one product:
+        P_j = X_j . mats / L, which must be integral."""
         if self.dimension < self.r:
             raise ValueError(
                 f"closure has dimension {self.dimension} < {self.r}; "
                 "add generators before recovering")
+        if not js:
+            return []
         r = self.r
-        if self._solver is None:
-            self._solver = RowSolver([list(row) for row in self.basis])
-            self._flat = [[x for row in M for x in row] for M in self.mats]
-        solved = self._solver.solve([[int(i == j - 1) for i in range(r)]])
+        solver = RowSolver([list(row) for row in self.basis])
+        solved = solver.solve([[int(i == j - 1) for i in range(r)]
+                               for j in js])
         if solved is None:
-            raise ValueError(f"unit vector e_{j} is outside the closure")
-        # one row of products over the flattened realizing matrices
-        flat = int_product(solved, self._flat)[0]
-        L = self._solver.L
-        if any(x % L for x in flat):
-            raise IntegralityError(f"recovered P_{j} is not integral")
-        out = [[x // L for x in flat[a * r:(a + 1) * r]] for a in range(r)]
-        return IntersectionMatrix(j, out, lengths=self.lengths)
+            raise ValueError("a unit vector is outside the closure")
+        flats = int_product(solved, [[x for row in M for x in row]
+                                     for M in self.mats])
+        out = []
+        for j, flat in zip(js, flats):
+            if any(x % solver.L for x in flat):
+                raise IntegralityError(f"recovered P_{j} is not integral")
+            out.append(IntersectionMatrix(
+                j, [[x // solver.L for x in flat[a * r:(a + 1) * r]]
+                    for a in range(r)], lengths=self.lengths))
+        return out
 
 
 def algebra_closure(mats, r, lengths=None):
@@ -240,7 +256,8 @@ def algebra_closure(mats, r, lengths=None):
 
 def generate_endomorphism_ring(sctx):
     """Count P_j for orbits by increasing length until the closure reaches
-    dimension r; returns (closure, computed matrices).
+    dimension r; returns (closure, computed matrices).  The closure starts
+    from P_1 and grows in place by each counted P_j.
 
     Orbits beyond the enumeration cutoff are skipped during counting (their
     matrices come back via recover once the closure is full).
@@ -257,9 +274,7 @@ def generate_endomorphism_ring(sctx):
         if sctx.lengths[j - 1] > ENUM_CUTOFF:
             continue
         computed[j] = intersection_matrix(sctx, j)
-        closure = algebra_closure(
-            [computed[k] for k in sorted(computed)], sctx.r,
-            lengths=sctx.lengths)
+        closure.add(computed[j])
     if closure.dimension < sctx.r:
         raise RuntimeError(
             f"computed matrices generate only dimension "
@@ -268,10 +283,11 @@ def generate_endomorphism_ring(sctx):
 
 
 def all_intersection_matrices(sctx):
-    """Every P_j: counted while the closure grows, recovered afterwards.
-    Returns (P_1..P_r, closure, the sorted j whose P_j was counted)."""
+    """Every P_j: counted while the closure grows, and the rest recovered
+    afterwards by one call.  Returns (P_1..P_r, closure, the sorted j whose
+    P_j was counted)."""
     closure, computed = generate_endomorphism_ring(sctx)
-    out = []
-    for j in range(1, sctx.r + 1):
-        out.append(computed.get(j) or closure.recover(j))
-    return out, closure, sorted(computed)
+    counted = sorted(computed)
+    missing = [j for j in range(1, sctx.r + 1) if j not in computed]
+    computed.update(zip(missing, closure.recover(missing)))
+    return [computed[j] for j in range(1, sctx.r + 1)], closure, counted

@@ -1,32 +1,40 @@
 """Exact splitting of the endomorphism ring over Q and real quadratic fields.
 
-The algebra of the intersection matrices is cut into its homogeneous
-components by central elements, then each component is split into its
-rows (Ronyai, J. Symbolic Comput. 9, 1990; Eberly and Giesbrecht,
-J. Symbolic Comput. 29, 2000).  A central element z acts on the
-(semisimple) algebra semisimply and has two-sided kernels, so the kernels
-ker f(z) of the irreducible factors f of its characteristic polynomial
-tile Q^r by sums of components.  One generic central element is tried
-first; only when its eigenvalues collide are the pieces refined by the
-centre's basis.  Each component yields one Galois orbit of irreducible
-characters.  Supported shapes: dimension 1 (rational), 2 (quadratic
-conjugate pair), m^2 (rational with multiplicity m), and 2m^2 (quadratic
-pair with multiplicity m, read off two rational traces: of each
-intersection matrix, and of its product with a central element that is
-irrational on the component).  Everything else raises
-UnsupportedComponentError.
+The algebra A of the intersection matrices is cut into its homogeneous
+components Ae, one for each central primitive idempotent e, and the
+character rows of each are read off traces (Ronyai, J. Symbolic Comput.
+9, 1990; Eberly and Giesbrecht, J. Symbolic Comput. 29, 2000).  The cuts
+are made in the centre Z of A, of dimension c <= r, by the kernels of the
+irreducible factors of a central element's characteristic polynomial on
+Z; one solve then splits 1 into the idempotents e.
 
-The arithmetic is exact and carried on integers from the intersection
-matrices to the character values: a component basis is primitive integer
-rows (a row space does not change when a row is scaled), every kernel
-comes back as primitive integer rows, and the action restricted to a
-component is an integer matrix over one denominator; no matrix has an
-irrational entry.  Only the values of a CharRow are Fractions or
+No component needs a basis of its own, by a trace identity (Higman,
+Linear Algebra Appl. 93, 1987; Bannai and Ito, Algebraic Combinatorics I,
+1984, II.3).  With R_y = sum_k y_k P_k the right multiplication by y and
+tau_k = tr P_k, for a in A and a central idempotent e,
+
+    tr(R_a on Ae) = tr R_(ae) = (e a) . tau.
+
+Proof: A = Ae + A(1 - e), and R_(ae) = R_a R_e agrees with R_a on Ae
+(where x e = x) and is 0 on A(1 - e) (where x e = 0); and tr R_y = y . tau
+is linear in y.  So with the trace matrix W = [P_1 tau | ... | P_r tau],
+the row e W lists tr(P_j on Ae) for every j, and e . tau = dim Ae.
+
+Each component yields one Galois orbit of irreducible characters, of one
+of the shapes: dimension 1 (rational), 2 (quadratic conjugate pair), m^2
+(rational with multiplicity m), and 2m^2 (quadratic pair with multiplicity
+m); anything else raises UnsupportedComponentError.  The arithmetic is
+exact, on integers from the intersection matrices to the values: every
+kernel is primitive integer rows, and a central element's action on Z and
+an idempotent's right multiplication are integer matrices over one
+denominator.  Only the values of a CharRow are Fractions or
 QuadraticNumbers.  Table rows come in one canonical order: by degree,
 then by values, as in the brute-force oracle.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -50,19 +58,12 @@ class NotACharacterError(ValueError):
 # ---------------------------------------------------------------------------
 # Exact characteristic polynomials (CRT over word-sized primes)
 
-_CRT_PRIMES = None
-
-
+@functools.cache
 def _crt_primes():
-    global _CRT_PRIMES
-    if _CRT_PRIMES is None:
-        ps = []
-        p = 2 ** 24
-        while len(ps) < 120:
-            p = zpoly._next_prime(p)
-            ps.append(p)
-        _CRT_PRIMES = ps
-    return _CRT_PRIMES
+    ps = [zpoly._next_prime(2 ** 24)]
+    while len(ps) < 120:
+        ps.append(zpoly._next_prime(ps[-1]))
+    return ps
 
 
 def _charpoly_mod(A, primes):
@@ -108,13 +109,12 @@ def char_poly(M, L=1):
     integral.
 
     Monic of degree n, constant-first coefficient tuple.  With s the common
-    denominator of the entries, the characteristic polynomial of the
-    integer matrix X = s M is computed modulo the fewest word-sized primes
-    whose product exceeds twice the bound B = prod_i (2 + isqrt(|row_i|^2))
-    on its coefficients, in one pass over all of them, and CRT lifted to
-    symmetric representatives; its coefficient of X^(n-k) is c_k(X), and
-    c_k(M / L) = c_k(X) / (s L)^k.  Raises AssertionError when some
-    c_k(M / L) is not an integer.
+    denominator of the entries, the characteristic polynomial of X = s M is
+    computed modulo the fewest word-sized primes whose product exceeds
+    twice the bound B = prod_i (2 + isqrt(|row_i|^2)) on its coefficients,
+    in one pass, and CRT lifted to symmetric representatives.  With c_k the
+    coefficient of X^(n-k), c_k(M / L) = c_k(X) / (s L)^k, and
+    AssertionError when that is not an integer.
 
     The bound: c_k(X) is up to sign the sum of the principal k x k minors,
     each at most the product of its rows' norms (Hadamard), so
@@ -160,56 +160,41 @@ def char_poly(M, L=1):
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous components
+# Homogeneous components, by their central primitive idempotents
 
 class HomogeneousComponent:
-    """A homogeneous component of the algebra: primitive integer rows of
-    Z^r spanning it, stable under every intersection matrix.
+    """A homogeneous component Ae: e = idempotent / den on the Schur basis,
+    its right multiplication R_e = action / den (r integer rows),
+    dim = tr R_e, and cut = (z, f), the central element and irreducible
+    factor with Ze = ker f(z) in the centre Z."""
 
-    `centre` lists the central elements as coefficient vectors, the
-    generic one first, then the centre's basis; `cut` is (z, f), the
-    central element and the irreducible factor whose kernel ker f(z) the
-    component is.  The basis is eliminated once, in `solver`, which then
-    restricts both the central elements that refine the component and the
-    intersection matrices that split it."""
-
-    def __init__(self, basis, centre, cut):
-        self.basis = basis
-        self.dim = len(basis)
-        self.centre = centre
-        self.cut = cut
-        self._solver = None
-
-    @property
-    def solver(self):
-        if self._solver is None:
-            self._solver = RowSolver(self.basis)
-        return self._solver
-
-    def __repr__(self):
-        return f"HomogeneousComponent(dim={self.dim})"
+    def __init__(self, idempotent, action, den, dim, cut):
+        self.idempotent, self.action, self.den = idempotent, action, den
+        self.dim, self.cut = dim, cut
 
 
-def _int_entries(P):
-    """The entries of an intersection matrix as lists of Python ints."""
-    return [[int(x) for x in row] for row in getattr(P, "entries", P)]
-
-
-def _flat(mats):
-    """Each square matrix of mats as one row of its entries."""
-    return [[x for row in M for x in row] for M in mats]
-
-
-def _combination(c, flat):
-    """sum_t c[t] M_t as a d x d matrix, for the d x d matrices M_t given
-    as the rows of flat: one product."""
-    row = int_product([c], flat)[0]
+def _square(row):
+    """The d x d matrix whose entries, row by row, are the d^2 of row."""
     d = math.isqrt(len(row))
     return [row[i:i + d] for i in range(0, d * d, d)]
 
 
-def _trace(X):
-    return sum(X[i][i] for i in range(len(X)))
+def _traces(mats):
+    return [sum(M[i][i] for i in range(len(M))) for M in mats]
+
+
+def _coordinates(basis, V):
+    """(A, D) with A . basis = D V for integer rows V in the row space of
+    basis, read at a column per basis row where the others vanish (as at
+    left_kernel's free columns); checked by multiplying back."""
+    nonzero = [sum(1 for z in basis if z[k]) for k in range(len(basis[0]))]
+    reads = [next(k for k, x in enumerate(z) if x and nonzero[k] == 1)
+             for z in basis]
+    D = math.lcm(*(z[k] for z, k in zip(basis, reads)))
+    A = [[v[k] * (D // z[k]) for z, k in zip(basis, reads)] for v in V]
+    if int_product(A, basis) != [[D * x for x in v] for v in V]:
+        raise AssertionError("a row outside the centre")
+    return A, D
 
 
 def homogeneous_components_center(all_mats, r):
@@ -217,75 +202,104 @@ def homogeneous_components_center(all_mats, r):
 
     Needs all r intersection matrices, with Python int entries.  The
     centre Z is the left kernel of [P_j[i][k] - P_i[j][k]], as primitive
-    integer rows z_1, ..., z_c.  A piece V, a sum of components, is cut
-    by a central element z into the kernels ker f(z|V) of the irreducible
-    factors f of the characteristic polynomial of z restricted to V, an
-    integer matrix X over one denominator L with f(X / L) formed as
-    sum_k f_k L^(deg - k) X^k.  z is central, so it acts semisimply and
-    ker f(z|V) is already the whole f-primary part of V.
+    integer rows z_1, ..., z_c.  A central element z acts on Z by a c x c
+    integer matrix X over one denominator L, read off z's right
+    multiplication on those rows.  z acts semisimply, so a piece V of Z,
+    a sum of the components' centres, is cut by z into the kernels
+    ker f(z|V) of the irreducible factors f of its characteristic
+    polynomial on V, with f(X / L) formed as sum_k f_k L^(deg - k) X^k.
 
-    The generic z = z_1 + 2 z_2 + ... + c z_c cuts Q^r first.  Each
-    component's centre is a field, of degree at least deg f on a kernel
-    of f(z), so when the degrees of the factors add up to c the kernels
-    are the components.  Otherwise a kernel of dimension deg f is a
-    component (a field), and the other kernels are refined by z_1, z_2,
-    ... in turn, the same two tests closing each round, with c less the
-    degrees of the closed components in place of c.
+    The generic z = z_1 + 2 z_2 + ... + c z_c cuts Z first.  Each
+    component's centre is a field, of degree at least deg f on a kernel of
+    f(z), so a kernel of dimension deg f is a component's centre; the
+    other kernels are refined by z_1, z_2, ... in turn.  One solve then
+    splits 1 into its parts in the centres, the central primitive
+    idempotents e.  AssertionError unless each e is idempotent (e R_e = e),
+    they add up to 1, and the dimensions tr R_e = e . tau are positive
+    integers that add up to r.
     """
     Ps = [getattr(P, "entries", P) for P in all_mats]
     basis = left_kernel([[Ps[j][i][k] - Ps[i][j][k] for j in range(r)
                           for k in range(r)] for i in range(r)])
+    c = len(basis)
     generic = [sum((t + 1) * z[i] for t, z in enumerate(basis))
                for i in range(r)]
-    centre = [generic] + basis
-    whole = HomogeneousComponent(
-        [[int(i == j) for j in range(r)] for i in range(r)], centre, None)
-    comps, pending, rank = [], [whole], len(basis)
-    flat = _flat(Ps)
-    for z in centre:
-        Rz = _combination(z, flat)
-        pieces = [piece for comp in pending
-                  for piece in _primary_pieces(comp, z, Rz)]
-        if sum(zpoly.deg(piece.cut[1]) for piece in pieces) == rank:
-            comps += pieces
-            pending = []
+    # the right multiplications R_z of the centre's elements, flattened
+    actions = int_product([generic] + basis,
+                          [[x for row in P for x in row] for P in Ps])
+    comps = []
+    pending = [([[int(i == j) for j in range(c)] for i in range(c)], None)]
+    for z, Rz in zip([generic] + basis, actions):
+        if not pending:
             break
+        X, L = _coordinates(basis, int_product(basis, _square(Rz)))
+        pieces = [(K, (z, f)) for rows, _ in pending
+                  for K, f in _primary_pieces(rows, z, X, L)]
         pending = []
-        for piece in pieces:
-            e = zpoly.deg(piece.cut[1])
-            if piece.dim == e:
-                comps.append(piece)
-                rank -= e
-            else:
-                pending.append(piece)
+        for K, cut in pieces:
+            (comps if len(K) == zpoly.deg(cut[1]) else pending).append(
+                (K, cut))
     comps += pending
-    total = sum(c.dim for c in comps)
+    parts, den = _central_idempotents(basis, [rows for rows, _ in comps])
+    # e = part . basis / den and R_e = part . (R_z_1, ..., R_z_c) / den
+    units = int_product(parts, basis)
+    if [sum(col) for col in zip(*units)] != [den] + [0] * (r - 1):
+        raise AssertionError("central idempotents do not sum to 1")
+    tau, out = _traces(Ps), []
+    for e, Re, (_, cut) in zip(units, int_product(parts, actions[1:]),
+                               comps):
+        R = _square(Re)
+        if int_product([e], R)[0] != [den * x for x in e]:
+            raise AssertionError("a central idempotent is not idempotent")
+        dim = Fraction(sum(map(operator.mul, e, tau)), den)
+        if dim.denominator != 1 or dim <= 0:
+            raise AssertionError(
+                f"component dimension {dim} is not a positive integer")
+        out.append(HomogeneousComponent(e, R, den, int(dim), cut))
+    total = sum(comp.dim for comp in out)
     if total != r:
         raise AssertionError(f"center components cover {total} != {r}")
-    return comps
+    return out
 
 
-def _primary_pieces(comp, z, Rz):
-    """The kernels in comp of f(z) for the irreducible factors f of the
-    characteristic polynomial of the central element z on comp; Rz is
-    its right multiplication on Q^r."""
-    whole = comp.dim == len(Rz)
-    if whole:
-        X, L = Rz, 1
-    else:
-        [X] = comp.solver.act(Rz)
-        L = comp.solver.L
+def _primary_pieces(rows, z, X, L):
+    """[(K, f)]: the kernels K in the span of rows of f(z), for the
+    irreducible factors f of the characteristic polynomial of the central
+    element z there.  rows and K are coordinate rows on the centre's
+    basis, on which z acts by X / L."""
+    whole = len(rows) == len(X)
+    if not whole:
+        solver = RowSolver(rows)
+        [X] = solver.act(X)
+        L *= solver.L
     _, _, facs = zpoly.factor(char_poly(X, L))
     if len(facs) == 1:
-        comp.cut = (z, facs[0][0])
-        return [comp]
+        return [(rows, facs[0][0])]
     pieces = []
     for f, _ in facs:
         K = poly_kernel(X, L, f)
         if not whole:
-            K = [primitive(row) for row in int_product(K, comp.basis)]
-        pieces.append(HomogeneousComponent(K, comp.centre, (z, f)))
+            K = [primitive(row) for row in int_product(K, rows)]
+        pieces.append((K, f))
     return pieces
+
+
+def _central_idempotents(basis, centres):
+    """(parts, den): the parts part / den of 1 in the direct sum of the
+    components' centres, all as coordinate rows on the centre's basis; one
+    solve.  AssertionError when the centres do not make a basis."""
+    [one], D = _coordinates(basis, [[1] + [0] * (len(basis[0]) - 1)])
+    stacked = [row for rows in centres for row in rows]
+    solver = RowSolver(stacked)
+    solved = solver.solve([one])
+    if len(stacked) != len(basis) or solved is None:
+        raise AssertionError(
+            f"center components cover {len(stacked)} != {len(basis)}")
+    parts, s = [], 0
+    for rows in centres:
+        parts.append(int_product([solved[0][s:s + len(rows)]], rows)[0])
+        s += len(rows)
+    return parts, solver.L * D
 
 
 # ---------------------------------------------------------------------------
@@ -335,47 +349,41 @@ class CharRow:
                 f"values={self.values[:4]}...)")
 
 
-def split_component(comp, wide):
-    """Character rows of one homogeneous component, in no particular order
-    (build_table sorts them).
+def split_component(comp, W):
+    """Character rows of one homogeneous component Ae, in no particular
+    order (build_table sorts them).
 
-    `wide` is [P_1 | P_2 | ... | P_r], the intersection matrices side by
-    side.  The component's solver restricts them all at once, to integer
-    matrices X_j over one denominator L.  A component that is rationally
-    split (dimension m^2) gives one row of multiplicity m: the values
-    tr(X_j) / (L m).  A component of dimension 2 m^2 carrying a quadratic
-    field, M_m(Q(sqrt(n))), gives a Galois-conjugate pair phi, conj(phi),
-    read off two rational traces (the reduced-trace view of Eberly and
-    Giesbrecht, J. Symbolic Comput. 29, 2000).  Its centre is the field,
-    and a central element z that is irrational there acts as a root zeta
-    of its irreducible quadratic f in the embedding of phi, so
-    tr(X_j) / L = m (phi + conj(phi)) and
-    tr(X_j Z) / L^2 = m (phi zeta + conj(phi zeta)) for Z = z|C over L,
-    whence phi = (tr(X_j Z) / (m L^2) - tr(X_j) conj(zeta) / (m L))
-    / (zeta - conj(zeta)).  z is the one that cut the component when its
-    factor is quadratic, else the first centre basis element irrational
-    there.  Anything else raises UnsupportedComponentError.
+    e W, for build_table's trace matrix W, lists tr(P_j on Ae) over the
+    idempotent's denominator (the identity of the module docstring).  A
+    rationally split component (dimension m^2) gives one row of
+    multiplicity m: the traces over m.  A component M_m(Q(sqrt(n))) of
+    dimension 2 m^2 gives a Galois-conjugate pair phi, conj(phi), read off
+    two rational traces (the reduced-trace view of Eberly and Giesbrecht):
+    the central element z that cut it acts as a root zeta of its
+    irreducible quadratic in the embedding of phi, so
+    tr(P_j on Ae) = m (phi + conj(phi)) and
+    tr(P_j z on Ae) = (e z) W_j = m (phi zeta + conj(phi zeta)).
+    Anything else raises UnsupportedComponentError.
     """
-    d = comp.dim
-    L = comp.solver.L
-    actions = comp.solver.act(wide)
-    traces = [_trace(X) for X in actions]
+    d, den = comp.dim, comp.den
+    [traces] = int_product([comp.idempotent], W)
     m = math.isqrt(d)
-    if m * m == d and all(t % (L * m) == 0 for t in traces):
-        return [CharRow([QuadraticNumber(t // (L * m)) for t in traces], m)]
+    if m * m == d and all(t % (den * m) == 0 for t in traces):
+        return [CharRow([QuadraticNumber(t // (den * m)) for t in traces],
+                        m)]
     if d % 2 == 0 and math.isqrt(d // 2) ** 2 == d // 2:
         m = math.isqrt(d // 2)
-        flat = _flat(actions)
-        Z, f = _quadratic_driver(comp, flat, L)
-        # f1 = X - zeta, zeta the root of f in the embedding of phi
-        _, f1 = _quadratic_factor(f)
+        ez, f = _quadratic_driver(comp)
+        # f1 = X - zeta, zeta = a + b sqrt(n) the root of f in the
+        # embedding of phi; with zeta - conj(zeta) = 2 b sqrt(n), phi is
+        # t / (2 m) + (tz - a t) / (2 b n m) sqrt(n) for traces t, tz
+        n, f1 = _quadratic_factor(f)
         zeta = -f1[0]
-        zc = zeta.conjugate()
-        gap = zeta - zc
-        # tr(X_j Z) for every j: X_j flattened against Z transposed
-        twisted = int_product(flat, [[x] for col in zip(*Z) for x in col])
-        values = [(Fraction(tz, m * L * L) - Fraction(t, m * L) * zc) / gap
-                  for t, [tz] in zip(traces, twisted)]
+        scale = 2 * zeta.b * n * m * den
+        [twisted] = int_product([ez], W)
+        values = [QuadraticNumber(Fraction(t, 2 * m * den),
+                                  (tz - zeta.a * t) / scale, n)
+                  for t, tz in zip(traces, twisted)]
         for v in values:
             if not v.is_algebraic_integer():
                 raise UnsupportedComponentError(
@@ -386,23 +394,17 @@ def split_component(comp, wide):
         f"component dimension {d} is neither m^2 nor 2m^2")
 
 
-def _quadratic_driver(comp, flat, L):
-    """(Z, f): a central element restricted to the component, the integer
-    matrix Z over L, and an irreducible quadratic factor f of its
-    characteristic polynomial; flat holds the restricted intersection
-    matrices, one row each.  The element that cut the component comes
-    first, then the centre's basis."""
+def _quadratic_driver(comp):
+    """(ez, f): e z = z R_e over the idempotent's denominator, for the
+    central element z that cut the component, and z's irreducible
+    quadratic f there.  The component's centre has dimension deg f, so
+    for any other f, UnsupportedComponentError."""
     z, f = comp.cut
-    if zpoly.deg(f) == 2:
-        return _combination(z, flat), f
-    for z in comp.centre[1:]:
-        Z = _combination(z, flat)
-        _, _, facs = zpoly.factor(char_poly(Z, L))
-        if zpoly.deg(facs[0][0]) == 2:
-            return Z, facs[0][0]
-    raise UnsupportedComponentError(
-        f"no central element is irrational on the component of dimension "
-        f"{comp.dim}")
+    if zpoly.deg(f) != 2:
+        raise UnsupportedComponentError(
+            f"no central element is irrational on a quadratic field on the "
+            f"component of dimension {comp.dim}")
+    return int_product([z], comp.action)[0], f
 
 
 def _quadratic_factor(f):
@@ -428,58 +430,37 @@ def _quadratic_factor(f):
 
 def _split_quartic(f):
     """Factor an irreducible quartic into conjugate quadratics over a real
-    quadratic field: f = (X^2 + a X + b)(X^2 + conj(a) X + conj(b))."""
-    c0, c1, c2, c3, _ = [Fraction(c) for c in f]
-    s = c3 / 2
-    # alpha = s + x, beta = t + y with x = a sqrt(n), y = b sqrt(n);
-    # matching coefficients: t = (c2 - s^2 + x^2)/2, x y = s t - c1/2,
-    # y^2 = t^2 - c0, so u = x^2 satisfies u (t(u)^2 - c0) = (s t(u) - c1/2)^2
-    half = Fraction(1, 2)
-    # build the cubic in u with Fraction coefficients
-    #   t(u) = t0 + u/2 with t0 = (c2 - s^2)/2
-    t0 = (c2 - s * s) * half
-    # lhs: u * ((t0 + u/2)^2 - c0);  rhs: (s (t0 + u/2) - c1/2)^2
-    # expand to polynomial coefficients in u
-    lhs = [Fraction(0), t0 * t0 - c0, t0, Fraction(1, 4)]
-    rhs0 = s * t0 - c1 * half
-    rhs = [rhs0 * rhs0, s * rhs0, s * s * Fraction(1, 4), Fraction(0)]
-    poly = [a - b for a, b in zip(lhs, rhs)]
-    den = math.lcm(*(c.denominator for c in poly))
-    ipoly = zpoly.trim([int(c * den) for c in poly])
-    candidates = []
-    if zpoly.deg(ipoly) >= 1:
-        _, _, facs = zpoly.factor(ipoly)
-        for g, _ in facs:
-            if zpoly.deg(g) == 1:
-                root = Fraction(-g[0], g[1])
-                if root > 0:
-                    candidates.append(root)
-    for u in candidates:
-        sq = u.numerator * u.denominator
-        nsf, k = squarefree_part(sq)
-        if nsf == 1:
+    quadratic field: f = (X^2 + a X + b)(X^2 + conj(a) X + conj(b)).
+
+    theta = b + conj(b) is then a rational root of the resolvent cubic
+    theta^3 - c2 theta^2 + (c1 c3 - 4 c0) theta + 4 c0 c2 - c0 c3^2 - c1^2
+    (from a + conj(a) = c3, a conj(a) = c2 - theta, b conj(b) = c0 and
+    a conj(b) + conj(a) b = c1), so a and b are roots of
+    Y^2 - c3 Y + c2 - theta and Y^2 - theta Y + c0; each root of the cubic
+    and each choice of the square roots' signs is checked."""
+    c0, c1, c2, c3, _ = f
+    cubic = (4 * c0 * c2 - c0 * c3 * c3 - c1 * c1, c1 * c3 - 4 * c0, -c2, 1)
+    for g, _ in zpoly.factor(cubic)[2]:
+        if zpoly.deg(g) > 1:
             continue
-        x = QuadraticNumber(0, Fraction(k, u.denominator), nsf)
-        t = t0 + u * half
-        xy = s * t - c1 * half
-        y = QuadraticNumber(xy) / x
-        alpha = QuadraticNumber(s) + x
-        beta = QuadraticNumber(t) + y
-        if _verify_quartic_split(f, alpha, beta):
-            return nsf, [beta, alpha, QuadraticNumber(1)]
-    # x = 0 branch: alpha rational, beta irrational
-    if s * (c2 - s * s) == c1:
-        t = (c2 - s * s) * half
-        y2 = t * t - c0
-        if y2 > 0:
-            sq = y2.numerator * y2.denominator
-            nsf, k = squarefree_part(sq)
-            if nsf != 1:
-                y = QuadraticNumber(0, Fraction(k, y2.denominator), nsf)
-                alpha = QuadraticNumber(s)
-                beta = QuadraticNumber(t) + y
-                if _verify_quartic_split(f, alpha, beta):
-                    return nsf, [beta, alpha, QuadraticNumber(1)]
+        theta = Fraction(-g[0], g[1])
+        discs = [c3 * c3 - 4 * (c2 - theta), theta * theta - 4 * c0]
+        if min(discs) < 0:
+            continue
+        # sqrt(p / q) = sqrt(p q) / q = k sqrt(nsf) / q
+        roots = []
+        for d in discs:
+            nsf, k = squarefree_part(d.numerator * d.denominator or 1)
+            roots.append(QuadraticNumber(0, Fraction(k, d.denominator), nsf)
+                         if d else QuadraticNumber(0))
+        fields = {x.n for x in roots} - {1}
+        if len(fields) != 1:
+            continue
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            alpha = (c3 + sa * roots[0]) / 2
+            beta = (theta + sb * roots[1]) / 2
+            if _verify_quartic_split(f, alpha, beta):
+                return fields.pop(), [beta, alpha, QuadraticNumber(1)]
     raise UnsupportedComponentError(
         f"quartic {zpoly.poly_str(f)} does not split over a real quadratic "
         "field")
@@ -565,10 +546,15 @@ def build_table(all_mats, lengths, pairing):
         raise ValueError(
             f"build_table needs all {r} intersection matrices, got "
             f"{len(all_mats)}")
-    Ps = [_int_entries(P) for P in all_mats]
-    wide = [[x for P in Ps for x in P[i]] for i in range(r)]
+    Ps = [[list(map(int, row)) for row in getattr(P, "entries", P)]
+          for P in all_mats]
+    # the trace matrix W = [P_1 tau | ... | P_r tau]: every row of every
+    # P_j against tau, one product
+    column = int_product([row for P in Ps for row in P],
+                         [[t] for t in _traces(Ps)])
+    W = [list(col) for col in zip(*_square([x for [x] in column]))]
     rows = [row for comp in homogeneous_components_center(Ps, r)
-            for row in split_component(comp, wide)]
+            for row in split_component(comp, W)]
     for row in rows:
         row.degree = fitting_degree(row, lengths, pairing)
     rows.sort(key=lambda row: (row.degree,

@@ -5,17 +5,19 @@ trailing zeros.  Everything here is deterministic given the seed passed to
 the factorization routines.
 
 Factorization over Z is Zassenhaus-style: Yun squarefree decomposition,
-modular factorization at a small prime chosen to minimize the factor count,
-quadratic Hensel lifting past the coefficient bound, then subset
-recombination in increasing cardinality (ample for the degrees that occur
-here, which stay below 30).  Over F_p only what that needs is here:
-squarefree factoring by distinct and equal degrees, and the roots in F_p,
-which the integer-root search and `gfmat`'s eigenspaces use.
+the integer roots split off (a factor of degree at most 3 left is then
+irreducible), modular factorization at a small prime with the fewest
+factors (counted by distinct degrees), quadratic Hensel lifting past the
+coefficient bound, then subset recombination in increasing cardinality
+(ample for the degrees that occur here, which stay below 30).  Over F_p
+only what that needs is here: squarefree factoring by distinct and equal
+degrees, and the roots in F_p, which the integer-root search and
+`gfmat`'s eigenspaces use.
 """
 
+import itertools
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,21 +73,6 @@ def evaluate(p, x):
 
 def deriv(p):
     return trim([i * c for i, c in enumerate(p)][1:])
-
-
-def divides(q, p):
-    """Whether q divides p over Q (hence over Z up to content)."""
-    if not q:
-        return not p
-    rem = [Fraction(c) for c in p]
-    lead = Fraction(q[-1])
-    for i in range(len(rem) - len(q), -1, -1):
-        c = rem[i + len(q) - 1]
-        if c:
-            c /= lead
-            for j, b in enumerate(q):
-                rem[i + j] -= c * b
-    return all(c == 0 for c in rem)
 
 
 def exact_div(p, q):
@@ -293,10 +280,14 @@ def fp_equal_degree(f, d, p, rng):
             return left + right
 
 
-def fp_factor_squarefree(f, p, seed=1):
+def fp_factor_squarefree(f, p, seed=1, parts=None):
+    """The sorted monic irreducible factors of squarefree f over F_p: its
+    distinct-degree `parts` (computed if None) split by equal degrees."""
     rng = random.Random((seed * 1000003 + p) ^ len(f))
+    if parts is None:
+        parts = fp_distinct_degree(fp_monic(f, p), p)
     out = []
-    for g, d in fp_distinct_degree(fp_monic(f, p), p):
+    for g, d in parts:
         out.extend(fp_equal_degree(g, d, p, rng))
     return sorted(out)
 
@@ -406,20 +397,22 @@ def _integer_roots(f):
 
 def _factor_squarefree_monic(f, seed):
     """Zassenhaus for monic squarefree f over Z, after the linear factors
-    X - a of its integer roots a are divided out."""
+    X - a of its integer roots a are divided out.  What is left has no
+    rational root (a rational root of a monic integer polynomial is an
+    integer), so it is irreducible when its degree is at most 3."""
     out = []
     for a in _integer_roots(f):
         out.append((-a, 1))
         f = exact_div(f, (-a, 1))
     if deg(f) < 1:
         return out
+    if deg(f) <= 3:
+        return out + [f]
     return out + _zassenhaus(f, seed)
 
 
 def _zassenhaus(f, seed):
     """Zassenhaus for monic squarefree f over Z."""
-    if deg(f) == 1:
-        return [f]
     best = None
     tried = 0
     p = 2
@@ -430,20 +423,20 @@ def _zassenhaus(f, seed):
             continue
         if deg(fp_gcd(fp, fp_deriv(fp, p), p)) != 0:
             continue
-        facs = fp_factor_squarefree(fp, p, seed)
+        # the number of factors mod p, read off the distinct degrees
+        parts = fp_distinct_degree(fp_monic(fp, p), p)
+        count = sum(deg(g) // d for g, d in parts)
         tried += 1
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        if len(facs) <= 2:
+        if best is None or count < best[0]:
+            best = (count, p, fp, parts)
+        if count <= 2:
             break
-    p, modular = best
-    if len(modular) == 1:
+    count, p, fp, parts = best
+    if count == 1:
         return [f]
+    modular = fp_factor_squarefree(fp, p, seed, parts)
     bound = 2 * _mignotte(f)
-    _, lifted = _hensel_lift_tree(f, modular, p, bound)
-    m = p
-    while m <= bound:
-        m *= m
+    m, lifted = _hensel_lift_tree(f, modular, p, bound)
     out = []
     remaining = list(lifted)
     rest = f
@@ -452,27 +445,25 @@ def _zassenhaus(f, seed):
         found = True
         while found and 2 * k <= len(remaining):
             found = False
-            for subset in _subsets(len(remaining), k):
+            for subset in itertools.combinations(range(len(remaining)), k):
                 cand = (1,)
                 for i in subset:
                     cand = fp_mul(cand, remaining[i], m)
+                # monic, so it divides rest over Z when it does over Q
                 cand = _symmetric(cand, m)
-                if divides(cand, rest):
-                    out.append(primitive(cand)[0])
+                try:
                     rest = exact_div(rest, cand)
-                    remaining = [q for i, q in enumerate(remaining)
-                                 if i not in subset]
-                    found = True
-                    break
+                except ValueError:
+                    continue
+                out.append(cand)
+                remaining = [q for i, q in enumerate(remaining)
+                             if i not in subset]
+                found = True
+                break
         k += 1
     if deg(rest) > 0:
         out.append(rest)
     return out
-
-
-def _subsets(n, k):
-    import itertools
-    return itertools.combinations(range(n), k)
 
 
 def _next_prime(p):

@@ -15,6 +15,11 @@ Cases so far:
   or a polynomial with its constant term moved, under which the trace
   route reads wrong quadratic values (UnsupportedComponentError, or the
   table verification);
+- `splitchar._central_idempotents`: one coordinate of an idempotent moved,
+  with or without the opposite move on another ("a central idempotent is
+  not idempotent", "central idempotents do not sum to 1");
+- `splitchar.left_kernel`: a centre short of its first basis element,
+  which products of central elements leave ("a row outside the centre");
 - the oracle's quadratic components: an action moved off the span of I
   and the first non-scalar action ("action is not scalar on the
   eigenspaces");
@@ -132,14 +137,14 @@ def test_target_above_the_stabilizer_order_is_caught():
         schreier_stabilizer(points, tree, image, gens, n, 240)
 
 
-def _shifted_element(Z, f, L):
-    """z + 1 in place of z: Z + L I over L, with z's polynomial."""
-    return [[x + L * (i == j) for j, x in enumerate(row)]
-            for i, row in enumerate(Z)], f
+def _shifted_element(ez, f, comp):
+    """z + 1 in place of z: e z + e over the idempotent's denominator,
+    with z's polynomial."""
+    return [x + y for x, y in zip(ez, comp.idempotent)], f
 
 
-def _moved_constant(Z, f, L):
-    return Z, (f[0] - 1,) + tuple(f[1:])
+def _moved_constant(ez, f, comp):
+    return ez, (f[0] - 1,) + tuple(f[1:])
 
 
 @pytest.mark.parametrize("fault", [_shifted_element, _moved_constant])
@@ -148,7 +153,7 @@ def test_wrong_quadratic_driver_gives_no_table(monkeypatch, name, fault):
     run = pipeline.run_instance(_instance(name), primes=())
     real = splitchar._quadratic_driver
     monkeypatch.setattr(splitchar, "_quadratic_driver",
-                        lambda comp, flat, L: fault(*real(comp, flat, L), L))
+                        lambda comp: fault(*real(comp), comp))
     with pytest.raises((splitchar.UnsupportedComponentError,
                         AssertionError)) as caught:
         splitchar.build_table(run.matrices, run.table.lengths,
@@ -183,8 +188,8 @@ def test_a_row_that_is_no_character_exits_2(monkeypatch, tmp_path, capsys):
     # S4/S3's rows of degree 1 and 3 get Fitting degrees 1/9 and 1/3
     real = splitchar.split_component
 
-    def tripled(comp, wide):
-        rows = real(comp, wide)
+    def tripled(comp, W):
+        rows = real(comp, W)
         rows[0].values = [3 * v for v in rows[0].values]
         return rows
 
@@ -196,3 +201,44 @@ def test_a_row_that_is_no_character_exits_2(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invariant violation: Fitting degree" in err
     assert "Traceback" not in err
+
+
+def _moved_idempotents(shift):
+    """Raises the first coordinate of the first idempotent's part by 1 and
+    lowers that of the second by shift: at shift 1 the sum stays 1 and the
+    parts are no longer idempotent, at shift 0 the sum is no longer 1."""
+    real = splitchar._central_idempotents
+
+    def moved(basis, centres):
+        parts, den = real(basis, centres)
+        parts = [list(part) for part in parts]
+        parts[0][0] += 1
+        parts[1][0] -= shift
+        return parts, den
+    return moved
+
+
+@pytest.mark.parametrize("shift, message", [
+    (1, "a central idempotent is not idempotent"),
+    (0, "central idempotents do not sum to 1"),
+])
+@pytest.mark.parametrize("name", ["S4/S3", "random-4-dihedral-16-regular"])
+def test_a_perturbed_idempotent_is_refused(monkeypatch, name, shift,
+                                           message):
+    run = pipeline.run_instance(_instance(name), primes=())
+    monkeypatch.setattr(splitchar, "_central_idempotents",
+                        _moved_idempotents(shift))
+    with pytest.raises(AssertionError, match=message):
+        splitchar.build_table(run.matrices, run.table.lengths,
+                              run.table.pairing)
+
+
+@pytest.mark.parametrize("name", ["random-4-dihedral-16-regular",
+                                  "random-5-quaternion-regular"])
+def test_a_centre_short_of_a_basis_element_is_refused(monkeypatch, name):
+    run = pipeline.run_instance(_instance(name), primes=())
+    real = splitchar.left_kernel
+    monkeypatch.setattr(splitchar, "left_kernel", lambda A: real(A)[1:])
+    with pytest.raises(AssertionError, match="a row outside the centre"):
+        splitchar.build_table(run.matrices, run.table.lengths,
+                              run.table.pairing)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from endoperm import quadfield
 from endoperm.quadfield import (QuadraticNumber, RadicalVector, RowSolver,
                                 int_product, left_kernel, pivot_columns,
                                 poly_kernel, squarefree_part)
@@ -177,12 +178,15 @@ def _python_product(X, Y):
 def test_int_product_crosses_the_int64_bound():
     # max|X| max|Y| len(Y) = a b k just below, at and above 2^63; rows and
     # columns of one sign reach the bound, and at 2^63 that sum would
-    # wrap around in int64
+    # wrap around in int64.  The rows of X repeat until the product is
+    # large enough to go to numpy at all
     below = (7, 7 * 73 * 127 * 337, 92737 * 649657)
     assert below[0] * below[1] * below[2] == 2 ** 63 - 1
     for k, a, b in (below, (2, 2 ** 31, 2 ** 31), (3, 2 ** 31, 2 ** 31)):
         X = [[a] * k, [-a] * k, [a if i % 2 else -a for i in range(k)]]
+        X *= quadfield._NUMPY_PRODUCT // (3 * k)
         Y = [[b, -b, b - i] for i in range(k)]
+        assert len(X) * k * 3 > quadfield._NUMPY_PRODUCT
         out = int_product(X, Y)
         assert out == _python_product(X, Y)
         assert abs(out[0][0]) == a * b * k

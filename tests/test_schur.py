@@ -78,8 +78,10 @@ def test_closure_and_recovery():
     P2 = intersection_matrix(sctx, 2)
     clo = algebra_closure([P2], 2, lengths=sctx.lengths)
     assert clo.dimension == 2
-    assert clo.recover(1).entries == [[1, 0], [0, 1]]
-    assert clo.recover(2) == P2
+    assert clo.recover([]) == []
+    one, two = clo.recover([1, 2])
+    assert one.entries == [[1, 0], [0, 1]]
+    assert two == P2
 
 
 def test_recover_matches_direct_count_everywhere():
@@ -89,8 +91,7 @@ def test_recover_matches_direct_count_everywhere():
         Ps = oracle_mats(inst)
         assert [m.entries for m in mats] == Ps
         # recovery reproduces the counted matrices too
-        for j in range(1, sctx.r + 1):
-            assert clo.recover(j).entries == Ps[j - 1]
+        assert [m.entries for m in clo.recover(range(1, sctx.r + 1))] == Ps
 
 
 def test_paired_orbits_have_equal_lengths():

@@ -228,6 +228,9 @@ def test_split_quartics_over_real_quadratic():
     # X^4 + 1 splits over Q(r2) into conjugate quadratics
     n3, f3 = _split_quartic((1, 0, 0, 0, 1))
     assert n3 == 2
+    # X^4 - 10 X^2 + 1, with roots +-r2 +-r3, splits over Q(r2), Q(r3) and
+    # Q(r6)
+    assert _split_quartic((1, 0, -10, 0, 1))[0] in (2, 3, 6)
     # a quartic with Galois group S4 factors over no quadratic field
     with pytest.raises(UnsupportedComponentError):
         _split_quartic((1, 1, 0, 0, 1))
@@ -316,18 +319,21 @@ def refined_by_basis_elements(mats, r):
 
 
 def row_space(B):
-    """The reduced row echelon form of B's rows, as tuples."""
-    R = sympy.Matrix(B).rref()[0]
-    return tuple(tuple(R.row(i)) for i in range(R.rows))
+    """The nonzero rows of the reduced row echelon form of B, as tuples."""
+    R, pivots = sympy.Matrix(B).rref()
+    return tuple(tuple(R.row(i)) for i in range(len(pivots)))
 
 
 def test_components_match_a_basis_element_refinement(corpus_runs):
+    # a component Ae is the row space of R_e, e's right multiplication
     for run in corpus_runs:
         r = len(run.matrices)
         mine = homogeneous_components_center(run.matrices, r)
         want = refined_by_basis_elements(run.matrices, r)
-        assert sorted(row_space(c.basis) for c in mine) == \
+        assert sorted(row_space(c.action) for c in mine) == \
             sorted(row_space(B) for B in want), run.name
+        assert [sympy.Matrix(c.action).rank() for c in mine] == \
+            [c.dim for c in mine]
 
 
 def test_colliding_generic_element_falls_back_to_the_basis(corpus_runs,
@@ -335,31 +341,33 @@ def test_colliding_generic_element_falls_back_to_the_basis(corpus_runs,
     seen = []
     primary = splitchar._primary_pieces
 
-    def spy(comp, z, Rz):
+    def spy(rows, z, X, L):
         seen.append(z)
-        return primary(comp, z, Rz)
+        return primary(rows, z, X, L)
 
     monkeypatch.setattr(splitchar, "_primary_pieces", spy)
     runs = {run.name: run for run in corpus_runs}
     # dihedral of order 16 acting regularly: the generic element alone
     run = runs["random-4-dihedral-16-regular"]
     comps = homogeneous_components_center(run.matrices, 16)
-    assert len(seen) == 1 and seen[0] == comps[0].centre[0]
+    assert len(seen) == 1 and all(c.cut[0] == seen[0] for c in comps)
     # Q8 acting regularly: the generic element's eigenvalue on the
-    # quaternions is one of a linear character's, so its pieces are
-    # [1, 1, 1, 5] and the centre's basis cuts the 5 into 1 + 4
+    # quaternions is one of a linear character's, so it cuts the centre
+    # (of dimension 5) into [1, 1, 1, 2], and the centre's basis cuts the 2
+    # into 1 + 1: components of dimensions 1 and 4
     seen.clear()
     run = runs["random-5-quaternion-regular"]
     comps = homogeneous_components_center(run.matrices, 8)
-    assert len(seen) > 1 and seen[1] != comps[0].centre[0]
+    assert len(seen) > 1 and seen[1] != seen[0]
     assert sorted(c.dim for c in comps) == [1, 1, 1, 1, 4]
     assert verify_table(table_of(run))["ok"]
 
 
 def test_build_table_eliminations_are_bounded(corpus_runs, monkeypatch):
-    # one for the centre, one per factor of the generic element and one
-    # per component; the quadratic pairs are read off traces, with no
-    # elimination of their own, and the route through Fractions made 32
+    # one for the centre, one per factor of the generic element on it and
+    # one for the idempotents; a component's values are read off the trace
+    # matrix, with no elimination of their own.  The route with a basis
+    # per component made 13, and the route through Fractions 32
     calls = []
     eliminate = quadfield._eliminate
 
@@ -371,7 +379,7 @@ def test_build_table_eliminations_are_bounded(corpus_runs, monkeypatch):
     run = next(run for run in corpus_runs
                if run.name == "random-4-dihedral-16-regular")
     table_of(run)
-    assert len(calls) <= 13
+    assert len(calls) <= 8
 
 
 def test_regular_a5_pair_is_cut_by_a_central_element():
@@ -427,6 +435,16 @@ def test_regular_a5_pair_is_cut_by_a_central_element():
     assert sorted(row.mult for row in table.rows) == [1, 3, 3, 4, 5]
     pair = [row for row in table.rows if row.field == 5]
     assert len(pair) == 2 and table.rows[pair[0].conj] is pair[1]
+    # the components are Q[A5] e for the central primitive idempotents,
+    # e = sum over a Galois orbit of characters of chi(1)/60 chi(g^-1) g,
+    # of dimension tr R_e = sum chi(1)^2
+    orbits = {1: chars[:1], 16: chars[1:2], 25: chars[2:3], 18: chars[3:]}
+    comps = homogeneous_components_center(mats, r)
+    assert sorted(comp.dim for comp in comps) == [1, 16, 18, 25]
+    for comp in comps:
+        want = [sum(Fraction(chi[0], 60) * chi[column(inv(g))]
+                    for chi in orbits[comp.dim]) for g in G]
+        assert [Fraction(x, comp.den) for x in comp.idempotent] == want
 
 
 def _power(g, k):
