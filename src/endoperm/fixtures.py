@@ -118,20 +118,27 @@ def run_suite():
                 for i in range(27) for k in range(27))))
 
     eigen = load_eigenspaces()
-    cp = splitchar.char_poly(p2)
-    facs = zpoly.factor(cp)[2]
-    want = {}
-    for comp in eigen["components"]:
-        want[(tuple(comp["f"]), comp["mf"])] = 1
-    got = {(f, m): 1 for f, m in facs}
+    # the table's pairs (f, m_f) are char_poly(P_2)'s factorization when
+    # the f^m_f multiply back to it and the f are distinct, monic and
+    # irreducible (unique factorization in Z[X]), each of degree <= 4
+    facs = {(tuple(comp["f"]), comp["mf"]) for comp in eigen["components"]}
+    product = (1,)
+    for f, m in facs:
+        for _ in range(m):
+            product = zpoly.mul(product, f)
+    certified = (product == splitchar.char_poly(p2)
+                 and len({f for f, _ in facs}) == len(facs)
+                 and all(0 < zpoly.deg(f) <= 4 and f[-1] == 1
+                         and zpoly.factor(f)[2] == [(f, 1)]
+                         for f, _ in facs))
     checks.append(Check(
         "char_poly(P_2) factors match eigenspace table column 1 "
         "(including f_4 squared)",
-        got == want,
-        f"{len(got)} distinct factors"))
+        certified,
+        f"{len(facs)} distinct factors"))
     checks.append(Check(
         "X - 31 divides char_poly(P_2) exactly once",
-        ((-31, 1), 1) in facs))
+        certified and ((-31, 1), 1) in facs))
     checks.append(Check(
         "component dimensions sum to r = 27",
         sum(c["d"] for c in eigen["components"]) == 27))

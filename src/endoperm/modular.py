@@ -73,29 +73,27 @@ class SqrtConvention:
 
 
 def reduce_value(v, conv):
+    """v = (an + bn sqrt(n)) / den mod p: (an + bn s) / den, s the
+    convention's sqrt(n), when p does not divide den; else only the
+    algebraic integers with den = 2 at p = 2 reduce."""
     p = conv.p
-    if v.b == 0:
-        if v.a.denominator % p == 0:
-            raise InertFieldError(
-                f"denominator of {v} is not invertible mod {p}")
-        return v.a.numerator * pow(v.a.denominator, -1, p) % p
-    if v.a.denominator % p and v.b.denominator % p:
-        s = conv.resolve(v.n)
-        a = v.a.numerator * pow(v.a.denominator, -1, p) % p
-        b = v.b.numerator * pow(v.b.denominator, -1, p) % p
-        return (a + b * s) % p
+    if v.den % p:
+        x = v.an + v.bn * conv.resolve(v.n) if v.bn else v.an
+        return x * pow(v.den, -1, p) % p
+    if not v.bn:
+        raise InertFieldError(
+            f"denominator of {v} is not invertible mod {p}")
     # half-integer coordinates at p = 2: reduce through the ring of
-    # integers Z[w], w = (1 + sqrt(n))/2 a root of X^2 - X + (1 - n)/4
+    # integers Z[w], w = (1 + sqrt(n))/2 a root of X^2 - X + (1 - n)/4;
+    # v = (an - bn) / 2 + bn w with an and bn odd
     if p == 2 and v.is_algebraic_integer():
-        u = 2 * v.a
-        w = 2 * v.b
         c = (1 - v.n) // 4
         t = next((t for t in range(2) if (t * t - t + c) % 2 == 0), None)
         if t is None:
             raise InertFieldError(
                 f"(1 + sqrt({v.n}))/2 has no residue mod 2; "
                 "enlarge the residue field")
-        return (int((u - w) / 2) + int(w) * t) % 2
+        return ((v.an - v.bn) // 2 + v.bn * t) % 2
     raise InertFieldError(
         f"value {v} is not p-integral at p = {p}")
 

@@ -1,14 +1,18 @@
 """Exact arithmetic in Q and real quadratic fields, and exact linear
 algebra over Q.
 
-A QuadraticNumber is a + b*sqrt(n) with rational a, b and squarefree n > 0;
-b = 0 encodes a rational (normalized to n = 1).  Arithmetic mixing two
-different irrational radicands is refused.  Sums of radicals, where cross
-products like sqrt(3)*sqrt(33) = 3*sqrt(11) genuinely occur, have one
-form: RadicalVector holds a vector of such numbers as one integer vector
-per radicand, and its dot() returns the weighted sum of products as a
-plain dict {squarefree radicand: Fraction coefficient} with no zero
-coefficients, so {} is zero and {1: q} is the rational q.
+A QuadraticNumber is a + b*sqrt(n) with rational a, b and squarefree n > 0,
+stored on integers as (an + bn*sqrt(n)) / den with den > 0 and
+gcd(an, bn, den) = 1 (Cohen, A Course in Computational Algebraic Number
+Theory, 1993, 4.2); bn = 0 encodes a rational (normalized to n = 1).  The
+form is canonical, so == compares integers; a and b are Fraction views.
+Arithmetic mixing two different irrational radicands is refused.  Sums of
+radicals, where cross products like sqrt(3)*sqrt(33) = 3*sqrt(11)
+genuinely occur, have one form: RadicalVector holds a vector of such
+numbers as one integer vector per radicand over one denominator, and its
+dot() returns the weighted sum of products as a plain dict {squarefree
+radicand: Fraction coefficient} with no zero coefficients, so {} is zero
+and {1: q} is the rational q.
 
 The linear algebra works on integer matrices given as lists of rows of
 Python ints; a matrix with a denominator is its integer numerator, and
@@ -46,66 +50,53 @@ def squarefree_part(m):
 
 
 class QuadraticNumber:
-    __slots__ = ("a", "b", "n")
+    """(an + bn sqrt(n)) / den = a + b sqrt(n), as the module docstring
+    describes."""
+
+    __slots__ = ("an", "bn", "den", "n")
 
     def __init__(self, a, b=0, n=1):
         a, b = Fraction(a), Fraction(b)
-        if n <= 0:
-            raise ValueError("radicand must be positive")
-        if b:
-            s, k = squarefree_part(n)
-            if s == 1:
-                a, b, n = a + b * k, Fraction(0), 1
-            else:
-                b, n = b * k, s
-        if b == 0:
-            n = 1
-        self.a, self.b, self.n = a, b, n
+        x = QuadraticNumber.from_json(
+            [a.numerator, a.denominator, b.numerator, b.denominator, n])
+        self.an, self.bn, self.den, self.n = x.an, x.bn, x.den, x.n
 
-    @classmethod
-    def _unchecked(cls, a, b, n):
-        """a + b sqrt(n) from Fractions a, b and a squarefree n, with no
-        normalization but n = 1 for b = 0."""
-        x = object.__new__(cls)
-        x.a, x.b, x.n = a, b, (n if b else 1)
-        return x
+    @property
+    def a(self):
+        return Fraction(self.an, self.den)
 
-    def is_rational(self):
-        return self.b == 0
-
-    def as_fraction(self):
-        if self.b:
-            raise ValueError(f"{self} is irrational")
-        return self.a
+    @property
+    def b(self):
+        return Fraction(self.bn, self.den)
 
     def conjugate(self):
-        return QuadraticNumber._unchecked(self.a, -self.b, self.n)
+        return _number(self.an, -self.bn, self.den, self.n)
 
     def _coerce(self, other):
         if isinstance(other, QuadraticNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other)
+            return _number(other.numerator, 0, other.denominator, 1)
         return None
 
     def _join(self, other):
-        if self.b and other.b and self.n != other.n:
+        if self.bn and other.bn and self.n != other.n:
             raise ValueError(
                 f"mixed radicands sqrt({self.n}) and sqrt({other.n})")
-        return self.n if self.b else other.n
+        return self.n if self.bn else other.n
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = self._join(other)
-        return QuadraticNumber._unchecked(self.a + other.a, self.b + other.b,
-                                          n)
+        d, e = self.den, other.den
+        return _number(self.an * e + other.an * d, self.bn * e + other.bn * d,
+                       d * e, self._join(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber._unchecked(-self.a, -self.b, self.n)
+        return _number(-self.an, -self.bn, self.den, self.n)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -121,18 +112,18 @@ class QuadraticNumber:
         if other is None:
             return NotImplemented
         n = self._join(other)
-        return QuadraticNumber._unchecked(
-            self.a * other.a + self.b * other.b * n,
-            self.a * other.b + self.b * other.a, n)
+        a, b, c, d = self.an, self.bn, other.an, other.bn
+        return _number(a * c + b * d * n, a * d + b * c, self.den * other.den,
+                       n)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        denom = self.a * self.a - self.b * self.b * self.n
-        if denom == 0:
+        # den / (an + bn sqrt(n)) = den (an - bn sqrt(n)) / (an^2 - bn^2 n)
+        norm = self.an * self.an - self.bn * self.bn * self.n
+        if norm == 0:
             raise ZeroDivisionError("zero or non-field element")
-        return QuadraticNumber._unchecked(self.a / denom, -self.b / denom,
-                                          self.n)
+        return _number(self.den * self.an, -self.den * self.bn, norm, self.n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -147,47 +138,71 @@ class QuadraticNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self.a, self.b, self.n) == (other.a, other.b, other.n)
+        return (self.an == other.an and self.bn == other.bn
+                and self.den == other.den and self.n == other.n)
 
     def __hash__(self):
         return hash((self.a, self.b, self.n))
 
     def __bool__(self):
-        return bool(self.a or self.b)
+        return bool(self.an or self.bn)
 
     def is_algebraic_integer(self):
-        a, b, n = self.a, self.b, self.n
-        if b == 0:
-            return a.denominator == 1
-        if a.denominator == 1 and b.denominator == 1:
+        if self.den == 1:
             return True
-        if n % 4 == 1:
-            # ring of integers is Z[(1+sqrt(n))/2]
-            ta, tb = 2 * a, 2 * b
-            return (ta.denominator == 1 and tb.denominator == 1
-                    and (ta.numerator - tb.numerator) % 2 == 0)
-        return False
+        # for n = 1 mod 4 the ring of integers is Z[(1 + sqrt(n)) / 2]:
+        # the halves with an and bn both odd
+        return (self.den == 2 and self.n % 4 == 1
+                and (self.an - self.bn) % 2 == 0)
 
     def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        bs = "" if self.b == 1 else ("-" if self.b == -1 else f"{self.b}")
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        bs = "" if b == 1 else ("-" if b == -1 else f"{b}")
         rad = f"{bs}r{self.n}"
-        if self.a == 0:
+        if a == 0:
             return rad
-        sign = "+" if self.b > 0 else ""
-        return f"{self.a}{sign}{rad}" if not rad.startswith("-") or self.b < 0 \
-            else f"{self.a}+{rad}"
+        sign = "+" if b > 0 else ""
+        return f"{a}{sign}{rad}" if not rad.startswith("-") or b < 0 \
+            else f"{a}+{rad}"
 
     # JSON form: [a_num, a_den, b_num, b_den, n]
     def to_json(self):
-        return [self.a.numerator, self.a.denominator,
-                self.b.numerator, self.b.denominator, self.n]
+        ga, gb = math.gcd(self.an, self.den), math.gcd(self.bn, self.den)
+        return [self.an // ga, self.den // ga, self.bn // gb,
+                self.den // gb, self.n]
 
     @classmethod
     def from_json(cls, data):
+        """The number [a_num, a_den, b_num, b_den, n] in the integer form:
+        n is reduced to its squarefree part, and a square n is absorbed
+        into a."""
         an, ad, bn, bd, n = data
-        return cls(Fraction(an, ad), Fraction(bn, bd), n)
+        if not ad * bd:
+            raise ZeroDivisionError(f"zero denominator in {data}")
+        if n <= 0:
+            raise ValueError("radicand must be positive")
+        k = 1
+        if bn:
+            n, k = squarefree_part(n)
+        an, bn = an * bd, bn * k * ad
+        if n == 1:
+            an, bn = an + bn, 0
+        return _number(an, bn, ad * bd, n)
+
+
+def _number(an, bn, den, n):
+    """The QuadraticNumber (an + bn sqrt(n)) / den, for integers with
+    den != 0 and n squarefree (n = 1 when bn = 0)."""
+    g = math.gcd(an, bn, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        an, bn, den = an // g, bn // g, den // g
+    x = object.__new__(QuadraticNumber)
+    x.an, x.bn, x.den, x.n = an, bn, den, (n if bn else 1)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +219,21 @@ class RadicalVector:
     __slots__ = ("parts", "den")
 
     def __init__(self, values, weights=None):
-        cols = {1: [x.a if type(x) is QuadraticNumber else x
-                    for x in values]}
-        for j, x in enumerate(values):
-            if type(x) is QuadraticNumber and x.b:
-                cols.setdefault(x.n, [0] * len(values))[j] = x.b
-        self.den = math.lcm(*{x.denominator for col in cols.values()
-                              for x in col})
+        dens = [x.den if type(x) is QuadraticNumber else x.denominator
+                for x in values]
+        self.den = den = math.lcm(*dens)
         if weights is None:
             weights = [1] * len(values)
-        self.parts = {
-            s: [x.numerator * (self.den // x.denominator) * w
-                for x, w in zip(col, weights)]
-            for s, col in cols.items()}
+        rational = []
+        self.parts = {1: rational}
+        for j, (x, d, w) in enumerate(zip(values, dens, weights)):
+            f = den // d * w
+            if type(x) is not QuadraticNumber:
+                rational.append(x.numerator * f)
+                continue
+            rational.append(x.an * f)
+            if x.bn:
+                self.parts.setdefault(x.n, [0] * len(values))[j] = x.bn * f
 
     def dot(self, other):
         """sum_j self_j * other_j as {squarefree radicand: Fraction

@@ -27,11 +27,12 @@ m); anything else raises UnsupportedComponentError.  The arithmetic is
 exact, on integers from the intersection matrices to the values: every
 kernel is primitive integer rows, and a central element's action on Z and
 an idempotent's right multiplication are integer matrices over one
-denominator.  Only the values of a CharRow are Fractions or
-QuadraticNumbers.  Table rows come in one canonical order: by degree,
-then by values, as in the brute-force oracle.
+denominator, and so are the values of a CharRow, QuadraticNumbers
+(an + bn sqrt(n)) / den.  Table rows come in one canonical order: by
+degree, then by values, as in the brute-force oracle.
 """
 
+import collections
 import functools
 import math
 import operator
@@ -40,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import zpoly
-from .quadfield import (QuadraticNumber, RadicalVector, RowSolver,
+from .quadfield import (QuadraticNumber, RadicalVector, RowSolver, _number,
                         int_product, left_kernel, poly_kernel, primitive,
                         squarefree_part)
 
@@ -320,7 +321,7 @@ class CharRow:
     @property
     def field(self):
         for v in self.values:
-            if v.b:
+            if v.bn:
                 return v.n
         return 1
 
@@ -369,20 +370,21 @@ def split_component(comp, W):
     [traces] = int_product([comp.idempotent], W)
     m = math.isqrt(d)
     if m * m == d and all(t % (den * m) == 0 for t in traces):
-        return [CharRow([QuadraticNumber(t // (den * m)) for t in traces],
+        return [CharRow([_number(t // (den * m), 0, 1, 1) for t in traces],
                         m)]
     if d % 2 == 0 and math.isqrt(d // 2) ** 2 == d // 2:
         m = math.isqrt(d // 2)
         ez, f = _quadratic_driver(comp)
-        # f1 = X - zeta, zeta = a + b sqrt(n) the root of f in the
-        # embedding of phi; with zeta - conj(zeta) = 2 b sqrt(n), phi is
-        # t / (2 m) + (tz - a t) / (2 b n m) sqrt(n) for traces t, tz
+        # f1 = X - zeta, zeta = (za + zb sqrt(n)) / zd the root of f in
+        # the embedding of phi; with zeta - conj(zeta) = 2 zb sqrt(n) / zd,
+        # phi is t / (2 m) + (zd tz - za t) / (2 zb n m) sqrt(n) for
+        # traces t, tz, both over the common denominator 2 zb n m den
         n, f1 = _quadratic_factor(f)
         zeta = -f1[0]
-        scale = 2 * zeta.b * n * m * den
+        za, zb, zd = zeta.an, zeta.bn, zeta.den
+        scale = 2 * zb * n * m * den
         [twisted] = int_product([ez], W)
-        values = [QuadraticNumber(Fraction(t, 2 * m * den),
-                                  (tz - zeta.a * t) / scale, n)
+        values = [_number(t * zb * n, zd * tz - za * t, scale, n)
                   for t, tz in zip(traces, twisted)]
         for v in values:
             if not v.is_algebraic_integer():
@@ -497,11 +499,13 @@ def fitting_degree(row, lengths, pairing=None):
     if acc.keys() - {1} or not acc.get(1):
         raise NotACharacterError(
             f"orthogonality sum {acc} / {L} is irrational or 0")
-    degree = Fraction(row.mult * n * L) / acc[1]
-    if degree.denominator != 1 or degree <= 0:
+    q = acc[1]
+    degree, rem = divmod(row.mult * n * L * q.denominator, q.numerator)
+    if rem or degree <= 0:
         raise NotACharacterError(
-            f"Fitting degree {degree} is not a positive integer")
-    return int(degree)
+            f"Fitting degree {row.mult * n * L / q} is not a positive "
+            "integer")
+    return degree
 
 
 class EndoCharTable:
@@ -557,8 +561,11 @@ def build_table(all_mats, lengths, pairing):
             for row in split_component(comp, W)]
     for row in rows:
         row.degree = fitting_degree(row, lengths, pairing)
-    rows.sort(key=lambda row: (row.degree,
-                               [(v.a, v.b, v.n) for v in row.values]))
+    # the oracle's key (degree, [(a, b, n), ...]); the values are read only
+    # between rows of one degree
+    ties = collections.Counter(row.degree for row in rows)
+    rows.sort(key=lambda row: (row.degree, [(v.a, v.b, v.n) for v in (
+        row.values if ties[row.degree] > 1 else ())]))
     for i, row in enumerate(rows):
         if row.conj is not None:
             continue
@@ -613,15 +620,12 @@ def verify_table(table):
             elif acc:
                 fail(f"rows {i} and {k} are not orthogonal")
     nonneg = [i for i, row in enumerate(rows)
-              if all(v.is_rational() and v.a.denominator == 1 and v.a >= 0
+              if all(not v.bn and v.den == 1 and v.an >= 0
                      for v in row.values)]
     if len(nonneg) != 1:
         fail(f"expected exactly one nonnegative row, found {nonneg}")
-    else:
-        triv = rows[nonneg[0]]
-        if [v.as_fraction() for v in triv.values] != \
-                [Fraction(x) for x in lengths]:
-            fail("the nonnegative row does not list the orbit lengths")
+    elif [v.an for v in rows[nonneg[0]].values] != list(lengths):
+        fail("the nonnegative row does not list the orbit lengths")
     if all(row.degree for row in rows):
         total = sum(row.mult * row.degree for row in rows)
         if total != n:

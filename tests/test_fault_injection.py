@@ -25,7 +25,11 @@ Cases so far:
   eigenspaces");
 - `splitchar.split_component`: a row with values that are not a
   character (`NotACharacterError`, exit 2 from `chartab`);
-- the Cartan route's head-split checks, in test_gfmat.py.
+- the Cartan route's head-split checks, in test_gfmat.py;
+- `fixtures.run_suite`'s certificate for the factorization of
+  char_poly(P_2): a changed multiplicity, a dropped factor, and two linear
+  factors listed as their product (the factorization check, and "X - 31
+  exactly once", which is read off the certified list).
 
 The other checks of `src/endoperm` have no case here yet.
 """
@@ -34,8 +38,8 @@ import json
 
 import pytest
 
-from endoperm import (cli, corpus, oracle, orbenum, pipeline, quadfield,
-                      splitchar)
+from endoperm import (cli, corpus, fixtures, oracle, orbenum, pipeline,
+                      quadfield, splitchar, zpoly)
 from endoperm.permgrp import (GeneratedGroup, Permutation, orbit_tree,
                               schreier_stabilizer)
 from endoperm.pipeline import run_pipeline
@@ -242,3 +246,43 @@ def test_a_centre_short_of_a_basis_element_is_refused(monkeypatch, name):
     with pytest.raises(AssertionError, match="a row outside the centre"):
         splitchar.build_table(run.matrices, run.table.lengths,
                               run.table.pairing)
+
+
+def _set_multiplicity(f, mf):
+    def edit(comps):
+        for comp in comps:
+            if comp["f"] == f:
+                comp["mf"] = mf
+    return edit
+
+
+def _drop(f):
+    def edit(comps):
+        comps[:] = [comp for comp in comps if comp["f"] != f]
+    return edit
+
+
+def _merge_linear(f, g):
+    """The listed linear factors f and g replaced by their product, which
+    still multiplies back to char_poly(P_2) but is reducible."""
+    def edit(comps):
+        _drop(g)(comps)
+        for comp in comps:
+            if comp["f"] == f:
+                comp["f"] = list(zpoly.mul(tuple(f), tuple(g)))
+    return edit
+
+
+@pytest.mark.parametrize("fault", [
+    _set_multiplicity([-64, 3, 1], 3), _drop([2, 1]),
+    _merge_linear([-16, 1], [-9, 1]),
+], ids=["multiplicity", "dropped", "reducible"])
+def test_a_wrong_factorization_of_char_poly_p2_is_refused(monkeypatch,
+                                                          fault):
+    data = fixtures.load_eigenspaces()
+    fault(data["components"])
+    monkeypatch.setattr(fixtures, "load_eigenspaces", lambda: data)
+    checks = {c.name: c.ok for c in fixtures.run_suite()}
+    assert not checks["char_poly(P_2) factors match eigenspace table "
+                      "column 1 (including f_4 squared)"]
+    assert not checks["X - 31 divides char_poly(P_2) exactly once"]

@@ -158,7 +158,7 @@ def test_trivial_character_column():
     cols = v.columns
     triv_label = next(f"phi{i + 1}" for i, row in enumerate(tbl.rows)
                       if row.degree == 1 and row.mult == 1
-                      and all(x.is_rational() and x.a >= 0
+                      and all(x.b == 0 and x.a >= 0
                               for x in row.values))
     carrying = [c for c in cols if c["entries"].get(triv_label) == 1]
     assert len(carrying) == 1

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 import sympy
@@ -364,3 +366,188 @@ def test_radical_vector_dot_matches_sympy():
         want = sum(sym(a) * sym(b) * w for a, b, w in zip(x, y, weights))
         got = RadicalVector(x, weights).dot(RadicalVector(y))
         assert got == radical_dict(want)
+
+
+# ---------------------------------------------------------------------------
+# The integer form (an + bn sqrt(n)) / den against a Fraction reference:
+# (a, b, n) with Fraction parts, normalized as the constructor documents
+
+RADICANDS = (1, 2, 3, 4, 5, 8, 12, 13, 17, 33, 45, 99)
+
+
+def _ref(a, b=0, n=1):
+    a, b = Fraction(a), Fraction(b)
+    if b:
+        s, k = squarefree_part(n)
+        a, b, n = (a + b * k, Fraction(0), 1) if s == 1 else (a, b * k, s)
+    return a, b, (n if b else 1)
+
+
+def _ref_add(x, y):
+    return _ref(x[0] + y[0], x[1] + y[1], x[2] if x[1] else y[2])
+
+
+def _ref_mul(x, y):
+    (a, b, n), (c, d, m) = x, y
+    n = n if b else m
+    return _ref(a * c + b * d * n, a * d + b * c, n)
+
+
+def _ref_inverse(x):
+    a, b, n = x
+    norm = a * a - b * b * n
+    return _ref(a / norm, -b / norm, n)
+
+
+def _parts(x):
+    return x.a, x.b, x.n
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and math.gcd(x.an, x.bn, x.den) == 1
+    assert squarefree_part(x.n)[0] == x.n and (x.n == 1) == (x.bn == 0)
+    assert all(type(t) is int for t in (x.an, x.bn, x.den, x.n))
+
+
+def _random_parts(rng, n):
+    """(a, b, n) as a caller passes them: n may be a square or not
+    squarefree, and b is 0 now and then."""
+    a = Fraction(rng.randrange(-12, 13), rng.randrange(1, 13))
+    b = Fraction(rng.randrange(-12, 13), rng.randrange(1, 13))
+    return a, (b if rng.random() < 0.8 else 0), n
+
+
+def test_integer_form_matches_the_fraction_reference():
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.choice(RADICANDS)
+        px, py = _random_parts(rng, n), _random_parts(rng, n)
+        x, y = QuadraticNumber(*px), QuadraticNumber(*py)
+        rx, ry = _ref(*px), _ref(*py)
+        q = py[0]
+        results = [
+            (x, rx), (x + y, _ref_add(rx, ry)), (x - y, _ref_add(rx, _ref(
+                -ry[0], -ry[1], ry[2]))), (x * y, _ref_mul(rx, ry)),
+            (-x, _ref(-rx[0], -rx[1], rx[2])),
+            (x.conjugate(), _ref(rx[0], -rx[1], rx[2])),
+            (x + q, _ref_add(rx, _ref(q))), (q - x, _ref_add(_ref(q), _ref(
+                -rx[0], -rx[1], rx[2]))), (x * 3, _ref_mul(rx, _ref(3)))]
+        if ry != _ref(0):
+            results += [(x / y, _ref_mul(rx, _ref_inverse(ry))),
+                        (y.inverse(), _ref_inverse(ry)),
+                        (q / y, _ref_mul(_ref(q), _ref_inverse(ry)))]
+        for got, want in results:
+            _assert_canonical(got)
+            assert _parts(got) == want
+            assert hash(got) == hash(want)
+            assert bool(got) == (want != _ref(0))
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+        assert (x == q) == (rx == _ref(q))
+
+
+def test_integer_form_normalizes_the_radicand():
+    # a square factor moves into b, and a square radicand into a
+    # 1/3 + 1/2 sqrt(12) = (1 + 3 sqrt(3)) / 3
+    x = QuadraticNumber(Fraction(1, 3), Fraction(1, 2), 12)
+    assert (x.an, x.bn, x.den, x.n) == (1, 3, 3, 3)
+    for n, k in ((1, 1), (4, 2), (9, 3), (36, 6)):
+        y = QuadraticNumber(Fraction(1, 2), Fraction(-1, 3), n)
+        a = Fraction(1, 2) - Fraction(k, 3)
+        assert (y.an, y.bn, y.den, y.n) == (a.numerator, 0, a.denominator, 1)
+        _assert_canonical(y)
+    assert (QuadraticNumber(5, 0, 7).n, QuadraticNumber(5, 0, 7)) == (1, 5)
+    with pytest.raises(ValueError):
+        QuadraticNumber(1, 1, 0)
+
+
+def test_repr_and_algebraic_integers():
+    cases = {(3, 0, 5): "3", (Fraction(-1, 2), 0, 1): "-1/2",
+             (0, 1, 5): "r5", (0, -1, 5): "-r5", (0, 2, 3): "2r3",
+             (1, 1, 5): "1+r5", (1, -1, 5): "1-r5",
+             (Fraction(1, 2), Fraction(3, 2), 13): "1/2+3/2r13",
+             (Fraction(-1, 2), Fraction(-1, 2), 5): "-1/2-1/2r5",
+             (1, Fraction(-2, 3), 2): "1-2/3r2"}
+    for parts, text in cases.items():
+        assert repr(QuadraticNumber(*parts)) == text
+    # a + b sqrt(n) is an algebraic integer exactly when the trace 2a and
+    # the norm a^2 - b^2 n of its minimal polynomial are integers (a
+    # itself when b = 0)
+    rng = random.Random(32)
+    for _ in range(400):
+        den = rng.choice((1, 2, 2, 3, 4))
+        a, b, n = _ref(Fraction(rng.randrange(-9, 10), den),
+                       Fraction(rng.randrange(-9, 10), den),
+                       rng.choice(RADICANDS))
+        want = (a.denominator == 1 if b == 0 else
+                (2 * a).denominator == 1
+                and (a * a - b * b * n).denominator == 1)
+        assert QuadraticNumber(a, b, n).is_algebraic_integer() == want
+
+
+def _ref_dot(xs, ys, weights):
+    """sum_j w_j x_j y_j term by term in Fractions."""
+    acc = {}
+    for x, y, w in zip(xs, ys, weights):
+        (a, b, s), (c, d, t) = (
+            _parts(v) if isinstance(v, QuadraticNumber) else _ref(v)
+            for v in (x, y))
+        g = math.gcd(s, t)
+        for coeff, rad in ((a * c, 1), (a * d, t), (b * c, s),
+                           (b * d * g, (s // g) * (t // g))):
+            acc[rad] = acc.get(rad, 0) + w * coeff
+    return {rad: c for rad, c in acc.items() if c}
+
+
+def test_radical_vector_dot_matches_the_fraction_reference():
+    rng = random.Random(33)
+    for _ in range(100):
+        size = rng.randrange(1, 8)
+
+        def value():
+            kind = rng.randrange(3)
+            if kind == 0:
+                return rng.randrange(-5, 6)
+            parts = _random_parts(rng, rng.choice(RADICANDS))
+            return Fraction(parts[0]) if kind == 1 else \
+                QuadraticNumber(*parts)
+
+        x, y = [value() for _ in range(size)], [value() for _ in range(size)]
+        weights = [rng.randrange(-4, 5) for _ in range(size)]
+        assert RadicalVector(x, weights).dot(RadicalVector(y)) == \
+            _ref_dot(x, y, weights)
+
+
+def test_json_round_trip_of_the_j4_table_is_byte_identical():
+    ref = resources.files("endoperm.data").joinpath("j4_chartable_ec.json")
+    values = [v for row in json.loads(ref.read_text())["rows"]
+              for v in row["values"]]
+    assert len(values) == 486
+    for v in values:
+        x = QuadraticNumber.from_json(v)
+        _assert_canonical(x)
+        assert _parts(x) == _ref(Fraction(v[0], v[1]), Fraction(v[2], v[3]),
+                                 v[4])
+        assert json.dumps(x.to_json()) == json.dumps(v)
+
+
+def test_non_canonical_json_is_normalized():
+    cases = [([2, -4, 3, 6, 5], [-1, 2, 1, 2, 5]),
+             ([6, 4, 0, -3, 7], [3, 2, 0, 1, 1]),
+             ([1, 1, 1, 1, 9], [4, 1, 0, 1, 1]),
+             ([0, 5, 1, 1, 12], [0, 1, 2, 1, 3]),
+             ([-3, -9, 10, -4, 2], [1, 3, -5, 2, 2])]
+    for data, canonical in cases:
+        assert QuadraticNumber.from_json(data).to_json() == canonical
+    rng = random.Random(34)
+    for _ in range(200):
+        an, bn = rng.randrange(-20, 21), rng.randrange(-20, 21)
+        ad, bd = (rng.choice((-1, 1)) * rng.randrange(1, 30)
+                  for _ in range(2))
+        n = rng.choice(RADICANDS)
+        x = QuadraticNumber.from_json([an, ad, bn, bd, n])
+        _assert_canonical(x)
+        assert _parts(x) == _ref(Fraction(an, ad), Fraction(bn, bd), n)
+    with pytest.raises(ZeroDivisionError):
+        QuadraticNumber.from_json([1, 0, 1, 1, 5])
+    with pytest.raises(ValueError):
+        QuadraticNumber.from_json([1, 1, 1, 1, -5])
