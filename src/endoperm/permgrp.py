@@ -273,12 +273,20 @@ class GeneratedGroup:
 
     The chain comes from one incremental Schreier-Sims (Seress, Permutation
     Group Algorithms, 2003, ch. 4).  Level i holds the base point base[i],
-    the strong generators fixing base[:i], the transversal (orbit point ->
-    element taking base[i] there) with the inverse of each entry as a
-    table, and one cursor per transversal point, in insertion order: how
-    many of the level's generators have been checked for that point.  The
-    level's strong generators are kept as tables too, and the image form
-    (bytes or tuple) is chosen once, from the degree.
+    its generator list L_i (strong generators fixing base[:i], not always
+    all of them), the transversal (orbit point -> element taking base[i]
+    there) with the inverse of each entry as a table, and one cursor per
+    transversal point, in insertion order: how many of the level's
+    generators have been checked for that point.  L_i is kept as tables,
+    and the image form (bytes or tuple) is chosen once, from the degree.
+
+    Membership: <L_m> is a subgroup of <L_j> for every j < m.  An element
+    from outside joins levels 0..lvl.  The residue r of a level-i Schreier
+    generator, sifted from depth i + 1, joins only levels i+1..lvl: r is a
+    product of elements of L_i and of transversal entries of deeper
+    levels, so r already lies in <L_i>, and in <L_j> for every j <= i.
+    The groups and orbits of levels 0..i do not change, and Schreier's
+    lemma needs only some generating set of each level's group.
 
     Invariant: the Schreier generators u_pt * s * u_(pt s)^-1 of the pairs
     before a point's cursor have sifted to the identity, and they stay
@@ -286,6 +294,7 @@ class GeneratedGroup:
     replaced, and the deeper levels' groups only grow.  A generator joins
     a level at the end of its list, so a cursor never has to move back.
     A level is complete when every cursor has reached its generator count.
+    `strong` holds every residue, whichever levels it joined.
     """
 
     def __init__(self, gens, degree=None):
@@ -346,24 +355,24 @@ class GeneratedGroup:
         residue, lvl = self._sift(g.images)
         if residue is None:
             return False
-        i = self._add_strong(residue, lvl)
+        i = self._add_strong(residue, lvl, 0)
         while i >= 0:
             residue, lvl = self._check_level(i)
             if residue is None:
                 i -= 1
             else:
-                i = self._add_strong(residue, lvl)
+                i = self._add_strong(residue, lvl, i + 1)
         return True
 
-    def _add_strong(self, images, lvl):
+    def _add_strong(self, images, lvl, low):
         """Add the permutation with these images, which fixes base[:lvl],
-        as a strong generator of levels 0..lvl (opening level lvl when it
+        as a strong generator of levels low..lvl (opening level lvl when it
         fixes the whole base); returns lvl."""
         if lvl == len(self.base):
             self._open_level(min(i for i, j in enumerate(images) if i != j))
         self.strong.append(Permutation(images))
         table = self._form.table(images)
-        for j in range(lvl + 1):
+        for j in range(low, lvl + 1):
             self._level_gens[j].append(table)
             self._grow_orbit(j)
         return lvl

@@ -492,6 +492,8 @@ def factor(f, seed=1):
     cont = abs(cont)
     if deg(prim) == 0:
         return unit, cont, []
+    if deg(prim) == 1:
+        return unit, cont, [(prim, 1)]
     out = []
     for g, mult in squarefree_decomposition(prim):
         lc = g[-1]

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -343,7 +344,7 @@ def _random_subgroup_gens(rng, n):
             for a, b in zip(moved[::2], moved[1::2]):
                 img[a], img[b] = b, a
         else:
-            cyc = rng.sample(range(n), rng.randrange(2, 6))
+            cyc = rng.sample(range(n), rng.randrange(2, min(n, 5) + 1))
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 img[a] = b
         gens.append(Permutation(img))
@@ -450,35 +451,106 @@ def _pinned_chains():
     yield _affine_group(300, (7, 11)).build_chain()
 
 
+# The order of each pinned chain, recorded from the chains under the digest
+# before this one.  Orders do not depend on which strong generators a chain
+# picks, so they stay where the digest moves.
+PINNED_ORDERS = [
+    24, 120, 720, 168, 660, 7920, 10, 16, 24, 16, 8, 78, 136, 20, 36, 120,
+    2, 2, 40320, 40320, 3, 3, 2, 2, 720, 720, 20160, 20160, 48, 48, 36, 36,
+    362880, 362880, 5, 5, 3628800, 3628800, 15120, 15120, 2160, 2160, 1440,
+    1440, 3, 3, 39916800, 39916800, 479001600, 479001600, 50, 50, 360, 360,
+    5040, 5040, factorial(20), factorial(40), 12000]
+
 # SHA-256 of the base, the strong generators' images in order, and each
 # level's transversal points and images in insertion order, recorded from
-# the chain that checked every (point, generator) pair against a set
+# the chain whose completion residues join only the levels below the one
+# being completed, and checked against the brute-force test below
 CHAIN_DIGEST = \
-    "b70bc533e5a84e89c73e08304123368341e322cbacbc3d07ef8aa00df1837055"
+    "0890d893798fb81693f2123982dbf5f4717e8235160ac80022cdcb401ab5faed"
 
 
 def test_chains_match_the_pinned_digest():
     digest = hashlib.sha256()
+    orders = []
     for g in _pinned_chains():
+        orders.append(g.order())
         digest.update(json.dumps([
             g.degree, g.base, [list(s.images) for s in g.strong],
             [[[pt, list(rep.images)] for pt, rep in t.items()]
              for t in g.transversals]]).encode())
+    assert orders == PINNED_ORDERS
     assert digest.hexdigest() == CHAIN_DIGEST
 
 
-def test_chain_of_s40_sifts_no_more_than_before(monkeypatch):
+def test_chains_agree_with_brute_force_on_small_random_subgroups():
+    # 400 seeded subgroups of S_3..S_8, each against its listed elements:
+    # the order, built at once and by `extend`; membership of all of S_n
+    # for n <= 6, else of probes; and every point stabilizer's order
+    rng = random.Random(33)
+    for trial in range(400):
+        n = 3 + trial % 6
+        gens = _random_subgroup_gens(rng, n)
+        elements = closure_elements(gens, n)
+        chain = GeneratedGroup(gens, n).build_chain()
+        grown = GeneratedGroup([], n).build_chain()
+        for g in gens:
+            grown.extend(g)
+        assert chain.order() == grown.order() == len(elements)
+        probes = (map(Permutation, itertools.permutations(range(n)))
+                  if n <= 6 else _probes(rng, gens, n))
+        for p in probes:
+            assert (p in chain) == (p in grown) == (p in elements)
+        for pt in range(n):
+            assert chain.stabilizer(pt).order() == sum(
+                1 for e in elements if e.images[pt] == pt)
+
+
+def _count_sifts(monkeypatch, cap):
+    """Count `GeneratedGroup._sift` calls; past `cap` one raises, so a chain
+    whose completion never ends fails the test instead of hanging it."""
     calls = []
     real = GeneratedGroup._sift
 
     def counted(self, *args):
         calls.append(1)
+        assert len(calls) <= cap, f"more than {cap} sifts"
         return real(self, *args)
 
     monkeypatch.setattr(GeneratedGroup, "_sift", counted)
+    return calls
+
+
+def test_chain_of_s40_sifts_no_more_than_before(monkeypatch):
+    # 40879 calls when every pair was checked against a set, and 40209
+    # when a completion residue joined every level down to 0
+    calls = _count_sifts(monkeypatch, 15730)
     assert sym(40).build_chain().order() == factorial(40)
-    # 40879 calls when every pair was checked against a set
-    assert len(calls) <= 40879
+    assert len(calls) <= 15730
+
+
+def _is_odd(perm):
+    seen, cycles = set(), 0
+    for x in range(perm.degree):
+        if x not in seen:
+            cycles += 1
+            while x not in seen:
+                seen.add(x)
+                x = perm.images[x]
+    return (perm.degree - cycles) % 2 == 1
+
+
+def test_chain_of_a_random_degree_100_group_is_lean(monkeypatch):
+    # three seeded random permutations of 100 points generate S_100 or
+    # A_100, by their parities; a residue joining every level down to 0
+    # made 765847 sifts and 11125 level entries here
+    rng = random.Random(5)
+    gens = [Permutation(rng.sample(range(100), 100)) for _ in range(3)]
+    calls = _count_sifts(monkeypatch, 96637)
+    chain = GeneratedGroup(gens).build_chain()
+    odd = any(_is_odd(g) for g in gens)
+    assert chain.order() == factorial(100) // (1 if odd else 2)
+    assert len(calls) <= 96637
+    assert sum(len(level) for level in chain._level_gens) <= 1815
 
 
 def test_chain_of_s40_is_small():

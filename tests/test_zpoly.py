@@ -20,6 +20,24 @@ def test_known_factorizations():
     assert zp.factor(f4)[2] == [(f4, 1)]
 
 
+def test_linear_factorizations_match_the_general_path():
+    # a linear f is its own factorization; times X^2 + 1 (primitive,
+    # irreducible, leading coefficient 1) it takes the general path, with
+    # the same unit and content and f's primitive part among the factors
+    assert zp.factor((-31, 1)) == (1, 1, [((-31, 1), 1)])
+    assert zp.factor((4, -6)) == (-1, 2, [((-2, 3), 1)])
+    rng = random.Random(83)
+    square = (1, 0, 1)
+    for _ in range(40):
+        f = (rng.randrange(-50, 51), rng.choice([-1, 1]) * rng.randrange(1, 9))
+        f = tuple(rng.randrange(1, 7) * c for c in f)
+        unit, cont, facs = zp.factor(f)
+        unit2, cont2, facs2 = zp.factor(zp.mul(f, square))
+        assert (unit, cont) == (unit2, cont2)
+        assert facs + [(square, 1)] == facs2
+        assert zp.mul((unit * cont,), facs[0][0]) == f
+
+
 def test_random_factorizations_match_sympy():
     rng = random.Random(5)
     done = 0
